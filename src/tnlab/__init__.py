@@ -17,7 +17,6 @@ from .losses import (
     LOCAL_NORMALIZED,
     LOCAL_UNNORMALIZED,
     LossSpec,
-    analytic_gradient,
     gradient_map,
     loss_value,
     plus_projector,
@@ -61,7 +60,6 @@ from .states import (
 )
 from .tensors import (
     SecondMomentWeights,
-    contract,
     haar_unitary,
     random_hermitian,
     second_moment_channel,

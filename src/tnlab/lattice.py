@@ -54,9 +54,3 @@ class LatticeSpec:
         dx = abs(a[0] - b[0]) % self.l1
         dy = abs(a[1] - b[1]) % self.l2
         return min(dx, self.l1 - dx) + min(dy, self.l2 - dy)
-
-    def monotone_distance(self, src, dst):
-        """Steps from src to dst using only (x+1, y) / (x, y+1) moves (non-default metric)."""
-        dx = (dst[0] - src[0]) % self.l1
-        dy = (dst[1] - src[1]) % self.l2
-        return dx + dy

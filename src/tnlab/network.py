@@ -8,12 +8,52 @@ Works for single-layer networks (bond extent D, e.g. overlaps with product
 states) and double-layer bra-ket networks (bond extent D^2, e.g. norms and
 local expectations), with or without open physical legs.
 
-Contraction is always performed along the shorter lattice side (the grid is
-transposed first if needed), which keeps the largest intermediate at
-chi^(2*min(l1,l2)) for bond extent chi.
+Contraction is always performed along the shorter lattice side (`Layout`
+transposes the grid if needed), which keeps the largest intermediate at
+chi^(2*min(l1,l2)) for bond extent chi. The transfer matrices of one ring
+are kept within `NETWORK_BUDGET` bytes.
 """
 
+import math
+
 import numpy as np
+
+from .errors import ResourceLimitError
+
+# bytes that the transfer matrices of one ring and their environments may take
+NETWORK_BUDGET = 2**30
+
+
+class Layout:
+    """Orientation of an l1 x l2 site grid so that columns run along the shorter side.
+
+    Layout column c, row r holds the site at `coords(c, r)`. When l1 > l2 the
+    grid is transposed: columns are the original x, rows the original y, and
+    each site tensor's vertical and horizontal legs swap roles. `coords` is
+    its own inverse, so `coords(x, y)` is the (c, r) slot of site (x, y).
+    """
+
+    def __init__(self, l1, l2):
+        self.shape = (l1, l2)
+        self.transposed = l1 > l2
+        self.n_cols, self.n_rows = (l1, l2) if self.transposed else (l2, l1)
+
+    def coords(self, c, r):
+        return (c, r) if self.transposed else (r, c)
+
+    def columns(self, site_fn):
+        """Oriented [column][row] tensors from site_fn(x, y) in original coordinates.
+
+        site_fn returns 4-leg (a, b, g, l) or 5-leg (a, b, g, l, j) site
+        tensors; when transposed their (a, b) and (g, l) legs are swapped.
+        """
+        return [[self._orient(site_fn(*self.coords(c, r))) for r in range(self.n_rows)]
+                for c in range(self.n_cols)]
+
+    def _orient(self, t):
+        if not self.transposed:
+            return t
+        return t.transpose(1, 0, 3, 2, *range(4, t.ndim))
 
 
 def site_double_tensor(ket, bra=None, op=None):
@@ -75,6 +115,26 @@ def column_transfer_phys(tensors):
     return out.reshape(nB * nb, nJ * nj, nL * nl)
 
 
+def transfer_matrices(columns):
+    """Column transfer matrices of an oriented ring of 4-leg site tensors.
+
+    Raises ResourceLimitError, before any matrix is built, when the ring's
+    matrices and their environments would exceed NETWORK_BUDGET bytes.
+    """
+    first = columns[0]
+    n_left = math.prod(t.shape[1] for t in first)
+    n_right = math.prod(t.shape[3] for t in first)
+    # ring_environments holds prefix and suffix products (one more each than
+    # columns) and one environment per column
+    need = (3 * len(columns) + 2) * n_left * n_right * first[0].itemsize
+    if need > NETWORK_BUDGET:
+        raise ResourceLimitError(
+            f"{len(columns)} transfer matrices of {n_left} x {n_right} need about "
+            f"{need / 2**30:.1f} GiB, above the network budget of "
+            f"{NETWORK_BUDGET / 2**30:.1f} GiB")
+    return [column_transfer(ts) for ts in columns]
+
+
 def ring_value(columns):
     """Trace of the product of column transfer matrices around the ring."""
     acc = columns[0]
@@ -129,23 +189,3 @@ def ring_statevector(columns):
     right = chain(columns[half:])
     out = np.tensordot(left, right, axes=[(0, 2), (2, 0)])
     return out.reshape(-1)
-
-
-def oriented_grid(grid_fn, l1, l2):
-    """Site grid as nested lists, transposed so columns run along the shorter side.
-
-    grid_fn(x, y) yields the site object at original coordinates. Returns
-    (grid, transposed): grid[col][row] lists column contents; when transposed,
-    grid column index is the original x and the site legs must be swapped by
-    the caller.
-    """
-    if l1 <= l2:
-        return [[grid_fn(x, y) for x in range(l1)] for y in range(l2)], False
-    return [[grid_fn(x, y) for y in range(l2)] for x in range(l1)], True
-
-
-def swap_tensor_axes(t):
-    """Swap the vertical/horizontal roles of a site tensor's legs."""
-    if t.ndim == 4:
-        return t.transpose(1, 0, 3, 2)
-    return t.transpose(1, 0, 3, 2, 4)

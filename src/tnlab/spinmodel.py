@@ -110,19 +110,21 @@ class WeightTable:
         if v.shape != (2, 2, 2):
             raise ValueError("weight table must have shape (2, 2, 2)")
         if self.kind == KIND_NORM:
-            assert abs(v[0, 0, 0] - 1.0) < 1e-12
-            assert abs(v[1, 0, 0]) < 1e-12
-            assert abs(v[0, 0, 1] - v[0, 1, 0]) < 1e-12
-            assert abs(v[1, 0, 1] - v[1, 1, 0]) < 1e-12
-            assert np.all(v >= -1e-15) and np.all(v <= 1 + 1e-12)
+            ok = (abs(v[0, 0, 0] - 1.0) < 1e-12
+                  and abs(v[1, 0, 0]) < 1e-12
+                  and abs(v[0, 0, 1] - v[0, 1, 0]) < 1e-12
+                  and abs(v[1, 0, 1] - v[1, 1, 0]) < 1e-12
+                  and np.all(v >= -1e-15) and np.all(v <= 1 + 1e-12))
         elif self.kind == KIND_GLOBAL:
-            assert abs(v[0, 0, 0] - v[1, 1, 1]) < 1e-15
-            assert abs(v[0, 0, 1] - v[1, 0, 1]) < 1e-15
-            assert abs(v[0, 0, 1] - v[0, 1, 0]) < 1e-15
-            assert abs(v[1, 0, 0] - v[0, 1, 1]) < 1e-15
-            assert v.max() == v[0, 0, 0]
+            ok = (abs(v[0, 0, 0] - v[1, 1, 1]) < 1e-15
+                  and abs(v[0, 0, 1] - v[1, 0, 1]) < 1e-15
+                  and abs(v[0, 0, 1] - v[0, 1, 0]) < 1e-15
+                  and abs(v[1, 0, 0] - v[0, 1, 1]) < 1e-15
+                  and v.max() == v[0, 0, 0])
         else:
             raise ValueError(f"unknown table kind {self.kind!r}")
+        if not ok:
+            raise ValueError(f"values violate the {self.kind} table symmetries: {v.tolist()}")
 
     def __call__(self, s, s_right, s_down):
         return float(self.values[s, s_right, s_down])
@@ -183,7 +185,8 @@ def table_from_boltzmann(D, d, kind):
                                           _SIGN[s3], _SIGN[s4], field)
                     for s1 in (0, 1))
                 w = pref * tot
-                assert abs(w.imag) < 1e-12
+                if abs(w.imag) >= 1e-12:
+                    raise RuntimeError(f"Boltzmann site weight {w} is not real")
                 v[s2, s3, s4] = w.real
     return WeightTable(D, d, kind, v)
 
@@ -303,7 +306,8 @@ def exact_partition_function_two_layer(l1, l2, D, d, kind=KIND_NORM):
         bottom, upper = bits[:, :n], bits[:, n:]
         key = 8 * bottom + 4 * upper + 2 * upper[:, right] + upper[:, down]
         z += np.sum(np.prod(w.reshape(-1)[key], axis=1))
-    assert abs(z.imag) < 1e-10
+    if abs(z.imag) >= 1e-10:
+        raise RuntimeError(f"two-layer partition function {z} is not real")
     return float(z.real)
 
 

@@ -8,13 +8,15 @@ Hermitian generator.
 """
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import network
 from .lattice import LatticeSpec
-from .tensors import haar_unitary, random_hermitian
+from .tensors import haar_unitary, is_hermitian, is_unitary, random_hermitian
 
 EMBED_TOL = 1e-10
 STATE_FORMAT = "tnlab-state-v1"
@@ -58,7 +60,6 @@ class TNState:
 
 def build_state(spec, rng):
     """Independent Haar u_minus/u_plus, Gaussian Hermitian generator, uniform theta per site."""
-    spec.check_cap()
     n = spec.unitary_dim
     rows = []
     for _ in range(spec.l1):
@@ -90,51 +91,42 @@ def local_derivative_tensor(site, D, d):
     return _tensor_from_unitary(site.derivative_unitary(), D, d)
 
 
-def _ket_grid(state):
+def _ket(state):
+    """site_fn(x, y) returning the state's 5-leg site tensor at (x, y)."""
     spec = state.spec
-    return [[local_tensor(state.site(x, y), spec.D, spec.d) for y in range(spec.l2)]
-            for x in range(spec.l1)]
-
-
-def _oriented_columns(grid, l1, l2, make_site):
-    cols, transposed = network.oriented_grid(lambda x, y: grid[x][y], l1, l2)
-    out = []
-    for col in cols:
-        ts = [make_site(t) for t in col]
-        if transposed:
-            ts = [network.swap_tensor_axes(t) for t in ts]
-        out.append(ts)
-    return out, transposed
+    return lambda x, y: local_tensor(state.site(x, y), spec.D, spec.d)
 
 
 def to_statevector(state):
     """Dense amplitude tensor, one leg of extent d per site in row-major (x, y) order."""
     spec = state.spec
     spec.check_cap()
-    grid = _ket_grid(state)
-    col_sites, transposed = _oriented_columns(grid, spec.l1, spec.l2, lambda t: t)
-    columns = [network.column_transfer_phys(ts) for ts in col_sites]
-    psi = network.ring_statevector(columns)
+    layout = network.Layout(spec.l1, spec.l2)
+    columns = [network.column_transfer_phys(ts) for ts in layout.columns(_ket(state))]
+    psi = network.ring_statevector(columns).reshape((spec.d,) * spec.n_sites)
     # ring order is (column, row-within-column); map back to row-major sites
-    n_cols = len(col_sites)
-    n_rows = len(col_sites[0])
-    psi = psi.reshape((spec.d,) * (n_cols * n_rows))
-    axis = np.arange(n_cols * n_rows).reshape(n_cols, n_rows)
-    if transposed:
-        perm = [axis[x, y] for x in range(n_cols) for y in range(n_rows)]
-    else:
-        perm = [axis[y, x] for x in range(n_rows) for y in range(n_cols)]
+    perm = [c * layout.n_rows + r for c, r in (layout.coords(x, y) for x, y in spec.sites())]
     return np.ascontiguousarray(psi.transpose(perm))
+
+
+def _bra_ket_value(state, site=None, op=None):
+    """<psi| op at site |psi> by bra-ket network contraction; <psi|psi> without op."""
+    spec = state.spec
+    ket = _ket(state)
+
+    def double(x, y):
+        return network.site_double_tensor(ket(x, y), op=op if (x, y) == site else None)
+
+    columns = network.Layout(spec.l1, spec.l2).columns(double)
+    val = network.ring_value(network.transfer_matrices(columns))
+    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+        raise RuntimeError(f"bra-ket value {val} has a non-negligible imaginary part")
+    return float(val.real)
 
 
 def norm_squared(state):
     """<psi|psi> by bra-ket network contraction (no statevector materialized)."""
-    spec = state.spec
-    grid = _ket_grid(state)
-    col_sites, _ = _oriented_columns(grid, spec.l1, spec.l2, network.site_double_tensor)
-    val = network.ring_value([network.column_transfer(ts) for ts in col_sites])
-    assert abs(val.imag) <= 1e-9 * max(1.0, abs(val.real))
-    return float(val.real)
+    return _bra_ket_value(state)
 
 
 def _check_product_state(spec, product_state):
@@ -151,14 +143,10 @@ def overlap(state, product_state):
     """<phi|psi> for a normalized per-site product state phi, shape (l1, l2, d)."""
     spec = state.spec
     phi = _check_product_state(spec, product_state)
-    grid = _ket_grid(state)
-    cols, transposed = network.oriented_grid(
-        lambda x, y: network.site_single_tensor(grid[x][y], phi[x, y]), spec.l1, spec.l2)
-    columns = []
-    for col in cols:
-        ts = [network.swap_tensor_axes(t) if transposed else t for t in col]
-        columns.append(network.column_transfer(ts))
-    return complex(network.ring_value(columns))
+    ket = _ket(state)
+    columns = network.Layout(spec.l1, spec.l2).columns(
+        lambda x, y: network.site_single_tensor(ket(x, y), phi[x, y]))
+    return complex(network.ring_value(network.transfer_matrices(columns)))
 
 
 def local_expectation(state, site_index, observable):
@@ -169,20 +157,7 @@ def local_expectation(state, site_index, observable):
         raise ValueError(f"observable must be {spec.d} x {spec.d}")
     if np.abs(obs - obs.conj().T).max() > 1e-12:
         raise ValueError("observable must be Hermitian")
-    xi, yi = site_index
-    grid = _ket_grid(state)
-
-    def make(x, y):
-        return network.site_double_tensor(grid[x][y], op=obs if (x, y) == (xi, yi) else None)
-
-    cols, transposed = network.oriented_grid(make, spec.l1, spec.l2)
-    columns = []
-    for col in cols:
-        ts = [network.swap_tensor_axes(t) if transposed else t for t in col]
-        columns.append(network.column_transfer(ts))
-    val = network.ring_value(columns)
-    assert abs(val.imag) <= 1e-9 * max(1.0, abs(val.real))
-    return float(val.real)
+    return _bra_ket_value(state, tuple(site_index), obs)
 
 
 def save_state(state, path, seed=None):
@@ -205,22 +180,41 @@ def save_state(state, path, seed=None):
 
 
 def load_state(path):
+    """Read a state written by save_state.
+
+    Raises ValueError unless the body has exactly the length that the header
+    implies, every u_minus and u_plus is unitary, every generator Hermitian
+    and every theta finite.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        if header.get("format") != STATE_FORMAT:
-            raise ValueError(f"unsupported state format {header.get('format')!r}")
-        spec = LatticeSpec(header["l1"], header["l2"], header["D"], header["d"],
-                           cap=header.get("cap", LatticeSpec.cap))
+        if not isinstance(header, dict) or header.get("format") != STATE_FORMAT:
+            raise ValueError(f"expected a {STATE_FORMAT} header, got {header!r:.80}")
+        try:
+            spec = LatticeSpec(header["l1"], header["l2"], header["D"], header["d"],
+                               cap=header.get("cap", LatticeSpec.cap))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad state header {header!r}: {exc!r}") from None
         n = spec.unitary_dim
         mat_bytes = n * n * 16
+        expected = spec.n_sites * (3 * mat_bytes + 8)
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body != expected:
+            raise ValueError(f"state body has {body} bytes; its header implies {expected}")
         rows = []
-        for _ in range(spec.l1):
+        for x in range(spec.l1):
             row = []
-            for _ in range(spec.l2):
-                mats = []
-                for _ in range(3):
-                    mats.append(np.frombuffer(fh.read(mat_bytes), dtype="<c16").reshape(n, n))
+            for y in range(spec.l2):
+                u_minus, u_plus, generator = (
+                    np.frombuffer(fh.read(mat_bytes), dtype="<c16").reshape(n, n)
+                    for _ in range(3))
                 theta = float(np.frombuffer(fh.read(8), dtype="<f8")[0])
-                row.append(SiteParams(mats[0], mats[1], mats[2], theta))
+                if not (is_unitary(u_minus) and is_unitary(u_plus)):
+                    raise ValueError(f"site ({x}, {y}): u_minus or u_plus is not unitary")
+                if not is_hermitian(generator):
+                    raise ValueError(f"site ({x}, {y}): generator is not Hermitian")
+                if not math.isfinite(theta):
+                    raise ValueError(f"site ({x}, {y}): theta = {theta} is not finite")
+                row.append(SiteParams(u_minus, u_plus, generator, theta))
             rows.append(tuple(row))
     return TNState(spec, tuple(rows))

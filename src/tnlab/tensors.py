@@ -1,7 +1,6 @@
-"""Dense tensor arithmetic, Haar sampling, and the analytic two-fold Haar average.
+"""Haar sampling, unitarity and Hermiticity checks, and the analytic two-fold Haar average.
 
-Tensors are plain complex numpy arrays (row-major). A "label list" assigns one
-hashable label per tensor leg; legs sharing a label are contracted.
+Tensors are plain complex numpy arrays (row-major).
 """
 
 from dataclasses import dataclass
@@ -50,44 +49,8 @@ def is_unitary(u, tol=UNITARITY_TOL):
     return np.abs(u.conj().T @ u - np.eye(dim)).max() <= tol
 
 
-def contract(tensors, index_labels, output_labels=()):
-    """Contract a list of tensors over repeated leg labels.
-
-    Every label must appear either twice (with equal extents; the pair is
-    summed over) or once (a free leg, which must then be listed in
-    `output_labels`). A label may repeat within a single tensor (a trace).
-    Pairwise order is chosen by numpy's greedy path heuristic.
-    """
-    if len(tensors) != len(index_labels):
-        raise ValueError("need one label list per tensor")
-    extents = {}
-    counts = {}
-    for t, labels in zip(tensors, index_labels):
-        t = np.asarray(t)
-        if t.ndim != len(labels):
-            raise ValueError(f"tensor of rank {t.ndim} got {len(labels)} labels")
-        for ax, lab in zip(t.shape, labels):
-            if lab in extents and extents[lab] != ax:
-                raise ValueError(f"label {lab!r} has extents {extents[lab]} and {ax}")
-            extents[lab] = ax
-            counts[lab] = counts.get(lab, 0) + 1
-    for lab, c in counts.items():
-        if c > 2:
-            raise ValueError(f"label {lab!r} appears {c} times (max 2)")
-        if c == 1 and lab not in output_labels:
-            raise ValueError(f"free label {lab!r} missing from output_labels")
-    for lab in output_labels:
-        if lab not in extents:
-            raise ValueError(f"output label {lab!r} absent from inputs")
-        if counts[lab] != 1:
-            raise ValueError(f"output label {lab!r} is contracted")
-    ids = {lab: i for i, lab in enumerate(extents)}
-    args = []
-    for t, labels in zip(tensors, index_labels):
-        args.append(np.asarray(t, dtype=complex))
-        args.append([ids[lab] for lab in labels])
-    args.append([ids[lab] for lab in output_labels])
-    return np.einsum(*args, optimize="greedy")
+def is_hermitian(h, tol=HERMITICITY_TOL):
+    return np.abs(h - h.conj().T).max() <= tol
 
 
 @dataclass(frozen=True)

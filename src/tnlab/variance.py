@@ -80,7 +80,7 @@ def _scan_chunk(args):
         try:
             state = build_state(spec, rng)
             grads.append(gradient_map(state, loss))
-        except (DegenerateStateError, FloatingPointError):
+        except DegenerateStateError:
             failures += 1
     return grads, failures
 
@@ -141,7 +141,12 @@ def distance_profile(report):
     for delta in sorted(groups):
         sites = groups[delta]
         mean_var = float(np.mean([report.variance[s] for s in sites]))
-        if samples is not None:
+        if samples is None:
+            se = float(np.sqrt(np.sum([report.std_error[s] ** 2 for s in sites]))
+                       / len(sites))
+        elif samples.shape[0] < 3:
+            se = float("nan")  # as in jackknife_variance_se: too few samples
+        else:
             per_site = np.stack([samples[:, s[0], s[1]] for s in sites], axis=1)
             n = per_site.shape[0]
             s1 = per_site.sum(axis=0)
@@ -150,9 +155,6 @@ def distance_profile(report):
             var_i = ((s2 - per_site**2) - (s1 - per_site) ** 2 / m) / (m - 1)
             stat_i = var_i.mean(axis=1)
             se = float(np.sqrt((n - 1) / n * np.sum((stat_i - stat_i.mean()) ** 2)))
-        else:
-            se = float(np.sqrt(np.sum([report.std_error[s] ** 2 for s in sites]))
-                       / len(sites))
         profile[delta] = (mean_var, se, len(sites))
     return profile
 

@@ -50,6 +50,13 @@ def test_var_scan_local_emits_distance_profile(tmp_path):
     assert set(rec["distance_profile"]) == {"0", "1", "2"}
 
 
+def test_var_scan_past_dense_cap(tmp_path):
+    # 26 sites: beyond the dense statevector cap, well within the network budget
+    code = main(["var-scan", "--sizes", "2x13", "--samples", "3", "--seed", "9",
+                 "--out", str(tmp_path / "scan")])
+    assert code == 0
+
+
 def test_polyomino_command(tmp_path):
     out = tmp_path / "poly"
     code = main(["polyomino", "--sizes", "2x2,3x3", "--max-area", "6", "--seed", "1",

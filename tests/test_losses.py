@@ -6,9 +6,8 @@ import pytest
 import tnlab
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
-                          LOCAL_UNNORMALIZED, LossSpec, analytic_gradient,
-                          gradient_map, loss_value, plus_projector, plus_target,
-                          traceless_observable)
+                          LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value,
+                          plus_projector, plus_target, traceless_observable)
 from tnlab.states import TNState, build_state, norm_squared, overlap, to_statevector
 
 
@@ -102,24 +101,21 @@ def test_gradients_match_finite_differences():
 
 
 def test_gradients_match_on_wide_lattice():
-    # exercises the transposed orientation path
+    # exercises the transposed layout, with the observable off the diagonal
     spec = LatticeSpec(3, 2, 2, 2)
     rng = np.random.default_rng(25)
     st = build_state(spec, rng)
-    loss = LossSpec(kind=LOCAL_NORMALIZED, observable=plus_projector(2), site=(2, 1))
-    grid = gradient_map(st, loss)
-    for site in spec.sites():
-        fd = finite_difference(st, site, loss)
-        assert abs(grid[site] - fd) / max(abs(grid[site]), 1e-12) < 1e-6
-
-
-def test_analytic_gradient_single_site():
-    spec = LatticeSpec(2, 2, 2, 2)
-    rng = np.random.default_rng(26)
-    st = build_state(spec, rng)
-    loss = all_losses(spec)[0]
-    grid = gradient_map(st, loss)
-    assert analytic_gradient(st, (1, 0), loss) == grid[1, 0]
+    target = plus_target(spec)
+    proj = plus_projector(2)
+    for loss in [LossSpec(kind=GLOBAL_PURE, target=target),
+                 LossSpec(kind=GLOBAL_NORMALIZED, target=target),
+                 LossSpec(kind=LOCAL_UNNORMALIZED, observable=proj, site=(2, 1)),
+                 LossSpec(kind=LOCAL_NORMALIZED, observable=proj, site=(2, 1))]:
+        grid = gradient_map(st, loss)
+        for site in spec.sites():
+            fd = finite_difference(st, site, loss)
+            rel = abs(grid[site] - fd) / max(abs(grid[site]), 1e-12)
+            assert rel < 1e-6, (loss.kind, site, grid[site], fd)
 
 
 def test_identity_generator_gives_zero_gradient():

@@ -1,5 +1,10 @@
 """Tests for the two-layer spin model: weight tables, amplitudes, partition functions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,3 +180,19 @@ def test_weight_table_json_export():
     assert len(doc["entries"]) == 8
     flat = {(e["spin"], e["right"], e["down"]): e["weight"] for e in doc["entries"]}
     assert flat[("down", "down", "down")] == 1.0
+
+
+def test_invalid_table_rejected_under_optimize():
+    # the table invariants are real checks, so python -O keeps them
+    code = ("import numpy as np\n"
+            "from tnlab.spinmodel import WeightTable\n"
+            "try:\n"
+            "    WeightTable(2, 2, 'norm', np.zeros((2, 2, 2)))\n"
+            "except ValueError:\n"
+            "    print('rejected')\n")
+    src = str(Path(tnlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"

@@ -1,7 +1,11 @@
 """Tests for random state construction, contraction consistency, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats as scipy_stats
 
 import tnlab
@@ -48,9 +52,6 @@ def test_toric_manhattan_metric():
                         <= spec.toric_manhattan(a, b) + spec.toric_manhattan(b, c))
     assert spec.toric_manhattan((0, 0), (3, 4)) == 2  # both wraps
     assert spec.toric_manhattan((0, 0), (2, 2)) == 4
-    # right/down-only alternative metric is asymmetric but respects the wrap
-    assert spec.monotone_distance((0, 0), (3, 4)) == 7
-    assert spec.monotone_distance((3, 4), (0, 0)) == 2
 
 
 def test_build_state_shapes_and_determinism():
@@ -68,9 +69,28 @@ def test_build_state_shapes_and_determinism():
         assert s1.theta == s2.theta
 
 
-def test_build_state_cap():
-    with pytest.raises(ResourceLimitError):
-        build_state(LatticeSpec(5, 5, 2, 2), np.random.default_rng(0))
+def test_dense_cap_applies_to_statevector_only():
+    # 26 sites exceed the 2**24-amplitude dense cap; the network runs at
+    # transfer dimension 16
+    spec = LatticeSpec(2, 13, 2, 2)
+    assert spec.amplitude_count() > spec.cap
+    st = build_state(spec, np.random.default_rng(0))
+    assert 0.0 < norm_squared(st) < np.inf
+    with pytest.raises(ResourceLimitError, match="dense cap"):
+        to_statevector(st)
+
+
+def test_network_budget_refuses_6x6_before_allocating():
+    # 4096 x 4096 transfer matrices: about 5 GiB with their ring environments
+    st = build_state(LatticeSpec(6, 6, 2, 2), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="network budget"):
+            norm_squared(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_embedded_unitary_is_unitary():
@@ -125,6 +145,25 @@ def test_statevector_consistency(shape):
     assert psi.shape == (2,) * spec.n_sites
     ns = norm_squared(st)
     assert abs(np.vdot(psi, psi).real - ns) < 1e-10 * max(1.0, ns)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 4)])
+def test_statevector_matches_bond_sum(shape):
+    # oracle independent of the column layout: one einsum over every bond
+    spec = LatticeSpec(shape[0], shape[1], 2, 2)
+    st = build_state(spec, np.random.default_rng(10))
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    down = {s: next(letters) for s in spec.sites()}  # bond (x, y) -> (x + 1, y)
+    right = {s: next(letters) for s in spec.sites()}  # bond (x, y) -> (x, y + 1)
+    phys = {s: next(letters) for s in spec.sites()}
+    operands, terms = [], []
+    for x, y in spec.sites():
+        up, left = down[(x - 1) % spec.l1, y], right[x, (y - 1) % spec.l2]
+        terms.append(up + left + down[x, y] + right[x, y] + phys[x, y])
+        operands.append(local_tensor(st.site(x, y), 2, 2))
+    expr = ",".join(terms) + "->" + "".join(phys[s] for s in spec.sites())
+    dense = np.einsum(expr, *operands, optimize="greedy")
+    assert np.abs(to_statevector(st) - dense).max() < 1e-12 * np.abs(dense).max()
 
 
 def test_overlap_against_dense():
@@ -225,3 +264,64 @@ def test_serialization_rejects_unknown_format(tmp_path):
     path.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         load_state(path)
+
+
+@pytest.fixture(scope="module")
+def saved_state(tmp_path_factory):
+    """Bytes of a saved 2x3 state and the length of its header line."""
+    path = tmp_path_factory.mktemp("state") / "state.tns"
+    save_state(build_state(LatticeSpec(2, 3, 2, 2), np.random.default_rng(17)), path)
+    data = path.read_bytes()
+    return data, data.index(b"\n") + 1
+
+
+def _load_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("bad") / "state.tns"
+    path.write_bytes(data)
+    return load_state(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(frac=hst.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_load_state_rejects_truncated_file(tmp_path_factory, saved_state, frac):
+    data, header_len = saved_state
+    cut = header_len + int(frac * (len(data) - header_len))
+    with pytest.raises(ValueError, match="bytes"):
+        _load_bytes(tmp_path_factory, data[:cut])
+
+
+@settings(max_examples=25, deadline=None)
+@given(junk=hst.binary(min_size=1, max_size=64))
+def test_load_state_rejects_trailing_junk(tmp_path_factory, saved_state, junk):
+    data, _ = saved_state
+    with pytest.raises(ValueError, match="bytes"):
+        _load_bytes(tmp_path_factory, data + junk)
+
+
+@settings(max_examples=25, deadline=None)
+@given(site=hst.integers(min_value=0, max_value=5), factor=hst.integers(min_value=0, max_value=1),
+       entry=hst.integers(min_value=0, max_value=63))
+def test_load_state_rejects_non_unitary_factor(tmp_path_factory, saved_state, site, factor,
+                                               entry):
+    data, header_len = saved_state
+    mat_bytes = 64 * 16
+    offset = header_len + site * (3 * mat_bytes + 8) + factor * mat_bytes + 16 * entry
+    arr = bytearray(data)
+    value = np.frombuffer(data, dtype="<c16", count=1, offset=offset)[0]
+    arr[offset:offset + 16] = np.array([value + 1e-6], dtype="<c16").tobytes()
+    with pytest.raises(ValueError, match="not unitary"):
+        _load_bytes(tmp_path_factory, bytes(arr))
+
+
+@pytest.mark.parametrize("offset, raw, message", [
+    # generator entry (0, 1) of site (0, 0)
+    (2 * 64 * 16 + 16, np.array([5.0 + 1.0j], dtype="<c16").tobytes(), "Hermitian"),
+    # theta of site (0, 0)
+    (3 * 64 * 16, np.array([np.nan], dtype="<f8").tobytes(), "finite"),
+])
+def test_load_state_rejects_bad_site_values(tmp_path_factory, saved_state, offset, raw,
+                                            message):
+    data, header_len = saved_state
+    start = header_len + offset
+    with pytest.raises(ValueError, match=message):
+        _load_bytes(tmp_path_factory, data[:start] + raw + data[start + len(raw):])

@@ -1,10 +1,10 @@
-"""Tests for Haar sampling, label contraction, and the two-fold Haar average."""
+"""Tests for Haar sampling and the two-fold Haar average."""
 
 import numpy as np
 import pytest
 
-from tnlab.tensors import (SecondMomentWeights, contract, haar_unitaries,
-                           haar_unitary, random_hermitian, second_moment_channel)
+from tnlab.tensors import (SecondMomentWeights, haar_unitaries, haar_unitary,
+                           random_hermitian, second_moment_channel)
 
 
 def mc_channel(n, tensor, samples, rng):
@@ -71,52 +71,6 @@ def test_random_hermitian_real_spectrum():
     for _ in range(100):
         w = np.linalg.eigvals(random_hermitian(8, rng))
         assert np.abs(w.imag).max() < 1e-12
-
-
-def test_contract_trace_of_identity():
-    out = contract([np.eye(8)], [("a", "a")], ())
-    assert abs(out - 8.0) < 1e-14
-
-
-def test_contract_unitary_pair_gives_identity():
-    rng = np.random.default_rng(7)
-    u = haar_unitary(6, rng)
-    out = contract([u, u.conj()], [("i", "k"), ("j", "k")], ("i", "j"))
-    assert np.abs(out - np.eye(6)).max() < 1e-12
-
-
-def test_contract_order_independence():
-    rng = np.random.default_rng(8)
-    ts = [rng.standard_normal((4, 5, 6)) + 1j * rng.standard_normal((4, 5, 6)),
-          rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7)),
-          rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))]
-    labels = [("a", "b", "c"), ("c", "d"), ("d", "b")]
-    out1 = contract(ts, labels, ("a",))
-    # pin a left-to-right pairwise order as the reference
-    step1 = np.einsum("abc,cd->abd", ts[0], ts[1])
-    ref = np.einsum("abd,db->a", step1, ts[2])
-    assert np.abs(out1 - ref).max() < 1e-10 * np.abs(ref).max()
-
-
-def test_contract_is_multilinear():
-    rng = np.random.default_rng(9)
-    ts = [rng.standard_normal((3, 4)), rng.standard_normal((4, 3))]
-    labels = [("a", "b"), ("b", "c")]
-    base = contract(ts, labels, ("a", "c"))
-    scaled = contract([2.5 * ts[0], ts[1]], labels, ("a", "c"))
-    assert np.abs(scaled - 2.5 * base).max() < 1e-12 * np.abs(base).max()
-
-
-def test_contract_errors():
-    with pytest.raises(ValueError):
-        contract([np.eye(3), np.eye(4)], [("a", "b"), ("b", "c")], ("a", "c"))
-    with pytest.raises(ValueError):
-        contract([np.eye(3)], [("a", "b")], ("a", "z"))
-    with pytest.raises(ValueError):
-        contract([np.eye(3)], [("a", "b")], ("a",))  # free label b unlisted
-    with pytest.raises(ValueError):
-        contract([np.eye(3), np.eye(3), np.eye(3)],
-                 [("a", "b"), ("b", "c"), ("b", "d")], ("a", "c", "d"))
 
 
 def test_weights_invariants():

@@ -1,5 +1,7 @@
 """Tests for variance scans, jackknife errors, and distance profiles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ def test_distance_profile_groups():
     assert profile[0][2] == 1  # exactly one on-site entry
     assert sum(v[2] for v in profile.values()) == spec.n_sites
     assert set(profile) == {0, 1, 2, 3}
+
+
+def test_distance_profile_with_two_samples_has_nan_errors():
+    spec = LatticeSpec(2, 3, 2, 2)
+    report = variance_scan(spec, local_loss(), 2, seed=15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = distance_profile(report)
+    assert all(np.isfinite(mean) and np.isnan(se) for mean, se, _ in profile.values())
 
 
 def test_distance_profile_requires_local_loss():

@@ -118,23 +118,3 @@ def onsite_floor_prefactors(D, d, tr_o2, tr_o=0.0):
     den = (D**2 * d) ** 2 - 1.0
     return (D**2 * (1.0 - 1.0 / d) / den,
             D**2 * (tr_o2 - tr_o**2 / d) / den)
-
-
-def onsite_floor_reports(records, tr_o2):
-    """Size-independence check: every on-site variance within a factor-3 band.
-
-    records: output of variance.onsite_floor_check. The compared quantity for
-    each size is the on-site variance; the bound is 3x the minimum across
-    sizes (a floor statement, so slack = compared / bound).
-    """
-    values = [r["onsite_variance"] for r in records]
-    lo = min(values)
-    out = []
-    for r in records:
-        v = r["onsite_variance"]
-        ok = v <= 3.0 * lo and v >= lo
-        out.append(BoundReport(
-            "onsite_floor_band",
-            {"l1": r["l1"], "l2": r["l2"], "D": r["D"], "d": r["d"], "tr_o2": tr_o2},
-            3.0 * lo, v, ok, v / (3.0 * lo)))
-    return out

@@ -2,8 +2,7 @@
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
-
+# amplitudes that the dense statevector (`states.to_statevector`) may hold
 DEFAULT_AMPLITUDE_CAP = 2**24
 
 
@@ -12,15 +11,13 @@ class LatticeSpec:
     """An l1 x l2 periodic lattice with bond dimension D and physical dimension d.
 
     Sites are (x, y) with x in [0, l1) (rows) and y in [0, l2) (columns); the
-    successors of (x, y) are ((x+1) % l1, y) and (x, (y+1) % l2). Dense
-    evaluation is allowed only while d**(l1*l2) stays within `cap`.
+    successors of (x, y) are ((x+1) % l1, y) and (x, (y+1) % l2).
     """
 
     l1: int
     l2: int
     D: int
     d: int
-    cap: int = DEFAULT_AMPLITUDE_CAP
 
     def __post_init__(self):
         if self.l1 < 2 or self.l2 < 2:
@@ -40,14 +37,6 @@ class LatticeSpec:
         for x in range(self.l1):
             for y in range(self.l2):
                 yield (x, y)
-
-    def amplitude_count(self):
-        return self.d ** self.n_sites
-
-    def check_cap(self):
-        if self.amplitude_count() > self.cap:
-            raise ResourceLimitError(
-                f"d**(l1*l2) = {self.d}**{self.n_sites} exceeds the dense cap {self.cap}")
 
     def toric_manhattan(self, a, b):
         """Shortest |dx| + |dy| between sites, minimized over torus windings."""

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import network
 from .errors import DegenerateStateError
-from .states import local_derivative_tensor, local_tensor, to_statevector
+from .states import (check_product_state, local_derivative_tensor, local_tensor,
+                     to_statevector)
 
 GLOBAL_PURE = "global_pure"
 GLOBAL_NORMALIZED = "global_normalized"
@@ -101,7 +102,7 @@ def loss_value(state, loss):
     spec = state.spec
     psi = to_statevector(state).reshape(-1)
     if loss.kind in GLOBAL_KINDS:
-        target = _check_target(spec, loss.target)
+        target = check_product_state(spec, loss.target)
         w = _dense_overlap(psi, target)
         val = abs(w) ** 2
     else:
@@ -114,15 +115,6 @@ def loss_value(state, loss):
     if loss.kind in GLOBAL_KINDS:
         return 1.0 - val
     return float(val)
-
-
-def _check_target(spec, target):
-    t = np.asarray(target, dtype=complex)
-    if t.shape != (spec.l1, spec.l2, spec.d):
-        raise ValueError(f"target must have shape {(spec.l1, spec.l2, spec.d)}")
-    if np.abs(np.linalg.norm(t, axis=2) - 1.0).max() > 1e-10:
-        raise ValueError("target site vectors must be normalized")
-    return t
 
 
 def _dense_local_expectation(psi, spec, site, obs):
@@ -176,7 +168,7 @@ def gradient_map(state, loss):
         dz = 2.0 * _derivative_sweep(layout, e_base, envs_z, d_double).real
 
     if loss.kind in GLOBAL_KINDS:
-        target = _check_target(spec, loss.target)
+        target = check_product_state(spec, loss.target)
 
         def single(tensors, c, r):
             return network.site_single_tensor(tensors[c][r], target[layout.coords(c, r)])

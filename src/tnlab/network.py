@@ -99,22 +99,6 @@ def column_transfer(tensors):
     return out.transpose(0, 2, 1, 3).reshape(nB * nb, nL * nl)
 
 
-def column_transfer_phys(tensors):
-    """Column transfer keeping physical legs open; returns [left, phys, right]."""
-    t0 = tensors[0]
-    cur = t0.transpose(0, 1, 4, 2, 3)  # (a, B, J, g, L)
-    for t in tensors[1:-1]:
-        na, nB, nJ, _, nL = cur.shape
-        _, nb, nh, nl, nj = t.shape
-        cur = np.einsum("aBJgL,gbhlj->aBbJjhLl", cur, t).reshape(
-            na, nB * nb, nJ * nj, nh, nL * nl)
-    t = tensors[-1]
-    _, nB, nJ, _, nL = cur.shape
-    _, nb, _, nl, nj = t.shape
-    out = np.einsum("aBJgL,gbalj->BbJjLl", cur, t)
-    return out.reshape(nB * nb, nJ * nj, nL * nl)
-
-
 def transfer_matrices(columns):
     """Column transfer matrices of an oriented ring of 4-leg site tensors.
 

@@ -10,13 +10,12 @@ both directions, upper perimeter n = number of pairs with (x, y) empty and
 Toric polyominoes are the nonzero-weight upper-layer spin configurations of
 the two-layer model: boolean (L, L) grids in which every occupied cell has an
 occupied successor to the right or below (modulo L). `toric_to_plane`
-decomposes one into rooted plane polyominoes by building the one-out-edge
-successor graph, rooting each weakly connected component on its unique cycle,
-and backtracing every vertex's path to the root.
+decomposes one into rooted plane polyominoes: it walks from every occupied
+cell along the one out-edge of each cell to the unique cycle of its component,
+which it roots when first found.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -145,62 +144,48 @@ def directed_gf(q, p):
     return p / 2.0 * (np.sqrt(rad) - 1.0)
 
 
-def _poly_mul(a, b, m_max, n_max):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i > m_max or j > n_max:
-                continue
-            key = (i, j)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
 def series_coefficients(m_max, n_max):
     """Exact integer D_{m,n} from the power series of the closed form.
 
-    The series is expanded over rationals (geometric series for the reciprocal
-    denominator, binomial series for the square root); a non-integer
-    coefficient in the result signals an internal expansion error.
+    With A = (1+q)(1+q-qp) and B = 1 - q(2+p) + q^2(1-p), the closed form is
+    G = p/2 (y - 1) with y^2 = Y = A/B. Each q-coefficient of Y and then of y
+    is solved one order at a time from B Y = A and y^2 = Y, as a polynomial in
+    p with Python-integer coefficients. Both steps halve integers; an odd one
+    signals an internal expansion error.
     """
     if m_max > SERIES_BUDGET:
         raise ResourceLimitError(f"series expansion capped at area {SERIES_BUDGET}")
-    one = Fraction(1)
-    # 1 - denominator = q(2 + p) - q^2(1 - p)
-    u = {(1, 0): 2 * one, (1, 1): one, (2, 0): -one, (2, 1): one}
-    inv_den = {(0, 0): one}
-    power = {(0, 0): one}
-    for _ in range(m_max):
-        power = _poly_mul(power, u, m_max, m_max)
-        if not power:
-            break
-        for k, v in power.items():
-            inv_den[k] = inv_den.get(k, Fraction(0)) + v
-    numer = {(0, 0): one, (1, 0): 2 * one, (2, 0): one, (1, 1): -one, (2, 1): -one}
-    r = _poly_mul(numer, inv_den, m_max, m_max)
-    r[(0, 0)] -= one  # r = A/B - 1 has no constant term
-    r = {k: v for k, v in r.items() if v}
-    sqrt_minus_one = {}
-    coeff = one  # binomial(1/2, k), starting at k = 1 below
-    power = {(0, 0): one}
+    width = m_max + 2  # the q^k coefficient has p-degree <= k, and A, B have p-degree 1
+
+    def poly(*coeffs):
+        out = np.zeros(width, dtype=object)
+        out[:len(coeffs)] = coeffs
+        return out
+
+    def mul(a, b):
+        return np.convolve(a, b)[:width]
+
+    def half(v, m):
+        if any(c % 2 for c in v):
+            raise RuntimeError(f"non-integer series coefficient {list(v)}/2 at q^{m}")
+        return v // 2
+
+    # q^0, q^1, q^2 coefficients of A and B
+    a = [poly(1), poly(2, -1), poly(1, -1)]
+    b = [poly(1), poly(-2, -1), poly(1, -1)]
+    big_y = []
+    for k in range(m_max + 1):
+        yk = a[k] if k < len(a) else poly()
+        big_y.append(yk - sum(mul(b[j], big_y[k - j]) for j in (1, 2) if j <= k))
+    y = [poly(1)]
     for k in range(1, m_max + 1):
-        coeff *= Fraction(1, 2) - (k - 1)
-        coeff /= k
-        power = _poly_mul(power, r, m_max, m_max)
-        if not power:
-            break
-        for key, v in power.items():
-            sqrt_minus_one[key] = sqrt_minus_one.get(key, Fraction(0)) + coeff * v
+        y.append(half(big_y[k] - sum(mul(y[j], y[k - j]) for j in range(1, k)), k))
     counts = {}
-    for (m, n_shift), v in sqrt_minus_one.items():
-        v = v / 2  # overall p/2 factor
-        n = n_shift + 1
-        if v == 0 or m > m_max or n > n_max:
-            continue
-        if v.denominator != 1:
-            raise RuntimeError(f"non-integer series coefficient {v} at ({m}, {n})")
-        counts[(m, n)] = int(v)
+    for m in range(1, m_max + 1):
+        # G_m = p/2 y_m: D_{m,n} is the p^(n-1) coefficient of y_m / 2
+        for n, c in enumerate(half(y[m], m), start=1):
+            if c and n <= n_max:
+                counts[(m, n)] = int(c)
     return PolyominoCounts(m_max, counts)
 
 
@@ -239,77 +224,41 @@ def _successor_graph(config):
     return L, edges
 
 
-def _weak_components(edges):
-    parent = {v: v for v in edges}
+def toric_to_plane(config, root_rule=min):
+    """Decompose a toric polyomino into rooted plane polyominoes.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in edges.items():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps = {}
-    for v in edges:
-        comps.setdefault(find(v), []).append(v)
-    return list(comps.values())
-
-
-def _component_cycle(vertices, edges):
-    seen = {}
-    v = vertices[0]
-    order = 0
-    while v not in seen:
-        seen[v] = order
-        order += 1
-        v = edges[v]
-    cycle = [v]
-    w = edges[v]
-    while w != v:
-        cycle.append(w)
-        w = edges[w]
-    return cycle
-
-
-def _trace_component(vertices, edges, root, L):
-    # move counts to the root along the unique out-path; root maps to (0, 0)
-    moves = {root: (0, 0)}
-    for start in vertices:
-        path = []
+    Every occupied cell (x, y) has one out-edge, to (x+1, y) if occupied,
+    else to (x, y+1), so the walk from any cell ends on the cycle of its
+    component. A walk that closes a cycle not seen before roots that component
+    at `root_rule(cycle vertices)`. Going back along the walk, every cell that
+    reaches its root by a steps in x and b steps in y maps to plane cell
+    (-a, -b).
+    """
+    L, edges = _successor_graph(config)
+    moves = {}  # cell -> (root, a, b)
+    for start in edges:
+        path, on_path = [], {}
         v = start
         while v not in moves:
+            if v in on_path:
+                root = root_rule(path[on_path[v]:])
+                moves[root] = (root, 0, 0)
+                # cycle cells after the root are reached by later walks
+                del path[on_path[root]:]
+                break
+            on_path[v] = len(path)
             path.append(v)
             v = edges[v]
         for u in reversed(path):
             w = edges[u]
-            da, db = (1, 0) if w == ((u[0] + 1) % L, u[1]) else (0, 1)
-            wa, wb = moves[w]
-            moves[u] = (wa + da, wb + db)
-    cells = frozenset((-a, -b) for a, b in (moves[v] for v in vertices))
-    if len(cells) != len(vertices):
+            root, a, b = moves[w]
+            moves[u] = (root, a + 1, b) if w == ((u[0] + 1) % L, u[1]) else (root, a, b + 1)
+    if len(set(moves.values())) != len(moves):
         raise RuntimeError("backtrace produced colliding plane cells")
-    return Polyomino(cells, frame=None, root=(0, 0))
-
-
-def toric_to_plane(config, root_rule=min):
-    """Decompose a toric polyomino into rooted plane polyominoes.
-
-    Builds the directed successor graph (edge to the down neighbor if
-    occupied, else to the right neighbor), splits it into weakly connected
-    components, roots each component at `root_rule(cycle vertices)`, and maps
-    every vertex reached by a right-moves and b down-moves to plane cell
-    (-a, -b).
-    """
-    L, edges = _successor_graph(config)
-    pieces = []
-    for vertices in _weak_components(edges):
-        cycle = _component_cycle(vertices, edges)
-        root = root_rule(cycle)
-        pieces.append(_trace_component(vertices, edges, root, L))
-    return pieces
+    pieces = {}
+    for root, a, b in moves.values():
+        pieces.setdefault(root, set()).add((-a, -b))
+    return [Polyomino(frozenset(cells), frame=None, root=(0, 0)) for cells in pieces.values()]
 
 
 def toric_stats(config):
@@ -331,34 +280,40 @@ class DecompositionReport:
         return self.n_violations == 0
 
 
-def verify_decomposition(L, root_rule=min):
-    """Exhaustively check the toric-to-plane decomposition invariants at size L.
+def decomposition_problems(config, root_rule=min):
+    """Violated decomposition invariants of one toric polyomino, as messages.
 
-    For every nonzero configuration with toric stats (m, n) producing k plane
-    pieces with stats (m_i, n_i): k <= m/L <= L, every m_i >= L,
-    sum m_i = m, and n <= sum n_i <= n + k.
+    With toric stats (m, n) and k plane pieces with stats (m_i, n_i) the
+    invariants are: k <= m/L <= L, every m_i >= L, sum m_i = m, and
+    n <= sum n_i <= n + k. An empty list means all hold.
     """
+    L = len(config)
+    ts = toric_stats(config)
+    piece_stats = [stats(p) for p in toric_to_plane(config, root_rule=root_rule)]
+    k = len(piece_stats)
+    total_area = sum(s.area for s in piece_stats)
+    total_upper = sum(s.upper_perimeter for s in piece_stats)
+    problems = []
+    if not (k <= ts.area / L <= L):
+        problems.append(f"k={k} outside [.., m/L={ts.area / L}, L={L}]")
+    if any(s.area < L for s in piece_stats):
+        problems.append(f"piece areas {[s.area for s in piece_stats]} below L")
+    if total_area != ts.area:
+        problems.append(f"area sum {total_area} != {ts.area}")
+    if not (ts.upper_perimeter <= total_upper <= ts.upper_perimeter + k):
+        problems.append(
+            f"upper perimeter sum {total_upper} outside "
+            f"[{ts.upper_perimeter}, {ts.upper_perimeter + k}]")
+    return problems
+
+
+def verify_decomposition(L, root_rule=min):
+    """Exhaustively check `decomposition_problems` on every configuration at size L."""
     violations = []
     n_valid = 0
     for config in enumerate_toric(L):
         n_valid += 1
-        ts = toric_stats(config)
-        pieces = toric_to_plane(config, root_rule=root_rule)
-        piece_stats = [stats(p) for p in pieces]
-        k = len(pieces)
-        total_area = sum(s.area for s in piece_stats)
-        total_upper = sum(s.upper_perimeter for s in piece_stats)
-        problems = []
-        if not (k <= ts.area / L <= L):
-            problems.append(f"k={k} outside [.., m/L={ts.area / L}, L={L}]")
-        if any(s.area < L for s in piece_stats):
-            problems.append(f"piece areas {[s.area for s in piece_stats]} below L")
-        if total_area != ts.area:
-            problems.append(f"area sum {total_area} != {ts.area}")
-        if not (ts.upper_perimeter <= total_upper <= ts.upper_perimeter + k):
-            problems.append(
-                f"upper perimeter sum {total_upper} outside "
-                f"[{ts.upper_perimeter}, {ts.upper_perimeter + k}]")
+        problems = decomposition_problems(config, root_rule=root_rule)
         if problems:
             violations.append((ascii_art(config), "; ".join(problems)))
     return DecompositionReport(L, n_valid, len(violations), tuple(violations))

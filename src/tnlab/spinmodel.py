@@ -62,10 +62,6 @@ class IsingCouplings:
     def hz(self):
         return float(np.log(self.d))
 
-    def c_norm(self, volume):
-        """Global normalization constant [i N^2 / (N^2 - 1)]^volume."""
-        return (1j * self.N**2 / (self.N**2 - 1)) ** volume
-
     def site_prefactor(self, field):
         """Per-site constant multiplying the bottom-layer Boltzmann sum.
 

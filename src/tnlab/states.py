@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .lattice import LatticeSpec
+from .errors import ResourceLimitError
+from .lattice import DEFAULT_AMPLITUDE_CAP, LatticeSpec
 from .tensors import haar_unitary, is_hermitian, is_unitary, random_hermitian
 
 EMBED_TOL = 1e-10
@@ -100,10 +101,22 @@ def _ket(state):
 def to_statevector(state):
     """Dense amplitude tensor, one leg of extent d per site in row-major (x, y) order."""
     spec = state.spec
-    spec.check_cap()
+    if spec.d ** spec.n_sites > DEFAULT_AMPLITUDE_CAP:
+        raise ResourceLimitError(
+            f"d**(l1*l2) = {spec.d}**{spec.n_sites} exceeds the dense cap "
+            f"{DEFAULT_AMPLITUDE_CAP}")
     layout = network.Layout(spec.l1, spec.l2)
-    columns = [network.column_transfer_phys(ts) for ts in layout.columns(_ket(state))]
-    psi = network.ring_statevector(columns).reshape((spec.d,) * spec.n_sites)
+    D, d, n = spec.D, spec.d, layout.n_rows
+    columns = []
+    for ts in layout.columns(_ket(state)):
+        # fold each physical leg onto the left bond: (a, (b, j), g, l)
+        m = network.column_transfer(
+            [t.transpose(0, 1, 4, 2, 3).reshape(D, D * d, D, D) for t in ts])
+        # split the left index (b0, j0, b1, j1, ...) into [bonds, phys, right]
+        m = m.reshape((D, d) * n + (-1,))
+        m = m.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n)
+        columns.append(m.reshape(D**n, d**n, -1))
+    psi = network.ring_statevector(columns).reshape((d,) * spec.n_sites)
     # ring order is (column, row-within-column); map back to row-major sites
     perm = [c * layout.n_rows + r for c, r in (layout.coords(x, y) for x, y in spec.sites())]
     return np.ascontiguousarray(psi.transpose(perm))
@@ -129,7 +142,7 @@ def norm_squared(state):
     return _bra_ket_value(state)
 
 
-def _check_product_state(spec, product_state):
+def check_product_state(spec, product_state):
     phi = np.asarray(product_state, dtype=complex)
     if phi.shape != (spec.l1, spec.l2, spec.d):
         raise ValueError(f"product state must have shape {(spec.l1, spec.l2, spec.d)}")
@@ -142,7 +155,7 @@ def _check_product_state(spec, product_state):
 def overlap(state, product_state):
     """<phi|psi> for a normalized per-site product state phi, shape (l1, l2, d)."""
     spec = state.spec
-    phi = _check_product_state(spec, product_state)
+    phi = check_product_state(spec, product_state)
     ket = _ket(state)
     columns = network.Layout(spec.l1, spec.l2).columns(
         lambda x, y: network.site_single_tensor(ket(x, y), phi[x, y]))
@@ -168,7 +181,7 @@ def save_state(state, path, seed=None):
     """
     spec = state.spec
     header = {"format": STATE_FORMAT, "l1": spec.l1, "l2": spec.l2,
-              "D": spec.D, "d": spec.d, "cap": spec.cap, "seed": seed}
+              "D": spec.D, "d": spec.d, "seed": seed}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for x in range(spec.l1):
@@ -191,8 +204,7 @@ def load_state(path):
         if not isinstance(header, dict) or header.get("format") != STATE_FORMAT:
             raise ValueError(f"expected a {STATE_FORMAT} header, got {header!r:.80}")
         try:
-            spec = LatticeSpec(header["l1"], header["l2"], header["D"], header["d"],
-                               cap=header.get("cap", LatticeSpec.cap))
+            spec = LatticeSpec(header["l1"], header["l2"], header["D"], header["d"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad state header {header!r}: {exc!r}") from None
         n = spec.unitary_dim

@@ -1,14 +1,18 @@
 """Tests for polyomino enumeration, the generating function, and the toric decomposition."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from tnlab.errors import ResourceLimitError
-from tnlab.polyomino import (Polyomino, ascii_art, directed_gf, enumerate_directed,
-                             enumerate_toric, generate_directed, series_coefficients,
-                             stats, toric_stats, toric_to_plane, verify_decomposition)
+from tnlab.polyomino import (Polyomino, ascii_art, decomposition_problems, directed_gf,
+                             enumerate_directed, enumerate_toric, generate_directed,
+                             series_coefficients, stats, toric_stats, toric_to_plane,
+                             verify_decomposition)
 from tnlab.spinmodel import ConfigClass, classify_config
 
 # area-6 directed polyomino with perimeter 14 and upper perimeter 3:
@@ -80,6 +84,14 @@ def test_series_matches_enumeration_exactly():
     enum = enumerate_directed(8)
     series = series_coefficients(8, 8)
     assert series.counts == enum.counts
+
+
+def test_series_by_area_matches_directed_animal_numbers():
+    # D_m summed over n is the number of directed animals of size m (OEIS A005773,
+    # Gouyou-Beauchamps & Viennot 1988), well past the reach of enumeration
+    by_area = series_coefficients(24, 24).by_area()
+    for m in range(1, 25):
+        assert by_area[m] == sum(comb(m - 1, k) * comb(k, k // 2) for k in range(m))
 
 
 def test_series_properties():
@@ -194,6 +206,23 @@ def test_decomposition_invariants_exhaustive(L):
     report = verify_decomposition(L)
     assert report.n_valid > 0
     assert report.n_violations == 0, report.violations[:3]
+
+
+# cells up with probability about 2/3, so that pruning mostly leaves some
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(min_value=5, max_value=7).flatmap(
+    lambda L: hst.lists(hst.integers(0, 2).map(bool), min_size=L * L, max_size=L * L).map(
+        lambda cells: np.array(cells).reshape(L, L))))
+def test_decomposition_invariants_random_large(cfg):
+    # prune every up cell whose right and down successors are both down, until
+    # none is left; what remains is a valid toric configuration
+    while True:
+        dead = cfg & ~np.roll(cfg, -1, axis=1) & ~np.roll(cfg, -1, axis=0)
+        if not dead.any():
+            break
+        cfg = cfg & ~dead
+    assume(cfg.any())
+    assert decomposition_problems(cfg) == []
 
 
 def test_decomposition_rejects_invalid_config():

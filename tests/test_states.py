@@ -1,5 +1,6 @@
 """Tests for random state construction, contraction consistency, and serialization."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import stats as scipy_stats
 
 import tnlab
 from tnlab.errors import ResourceLimitError
-from tnlab.lattice import LatticeSpec
+from tnlab.lattice import DEFAULT_AMPLITUDE_CAP, LatticeSpec
 from tnlab.states import (SiteParams, TNState, build_state, load_state, local_derivative_tensor,
                           local_expectation, local_tensor, norm_squared, overlap,
                           save_state, to_statevector)
@@ -73,7 +74,7 @@ def test_dense_cap_applies_to_statevector_only():
     # 26 sites exceed the 2**24-amplitude dense cap; the network runs at
     # transfer dimension 16
     spec = LatticeSpec(2, 13, 2, 2)
-    assert spec.amplitude_count() > spec.cap
+    assert spec.d ** spec.n_sites > DEFAULT_AMPLITUDE_CAP
     st = build_state(spec, np.random.default_rng(0))
     assert 0.0 < norm_squared(st) < np.inf
     with pytest.raises(ResourceLimitError, match="dense cap"):
@@ -279,6 +280,16 @@ def _load_bytes(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("bad") / "state.tns"
     path.write_bytes(data)
     return load_state(path)
+
+
+def test_load_state_ignores_cap_key(tmp_path_factory, saved_state):
+    # headers written before the dense cap became a constant carry a "cap" key
+    data, header_len = saved_state
+    header = json.loads(data[:header_len])
+    assert "cap" not in header
+    header["cap"] = 2**24
+    old = json.dumps(header, sort_keys=True).encode() + b"\n" + data[header_len:]
+    assert _load_bytes(tmp_path_factory, old).spec == LatticeSpec(2, 3, 2, 2)
 
 
 @settings(max_examples=25, deadline=None)

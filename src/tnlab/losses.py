@@ -2,10 +2,9 @@
 
 Four loss kinds: fidelity against a product state (pure or normalized by
 Z = <psi|psi>) and a single-site observable expectation (unnormalized or
-normalized). Values are evaluated densely through the statevector; gradients
-are evaluated by network contraction with the derivative tensor inserted at
-one site, which stays cheap on lattices where the statevector would be
-rebuilt once per parameter.
+normalized). Values and gradients are evaluated by network contraction, so
+neither builds the statevector; a gradient is a sweep over ring values with
+the derivative tensor inserted at one site.
 """
 
 from dataclasses import dataclass
@@ -14,8 +13,8 @@ import numpy as np
 
 from . import network
 from .errors import DegenerateStateError
-from .states import (check_product_state, local_derivative_tensor, local_tensor,
-                     to_statevector)
+from .states import (check_product_state, local_derivative_tensor, local_expectation,
+                     local_tensor, norm_squared, overlap)
 
 GLOBAL_PURE = "global_pure"
 GLOBAL_NORMALIZED = "global_normalized"
@@ -88,58 +87,37 @@ def traceless_observable(d):
     return o
 
 
-def _dense_overlap(psi, target):
-    l1, l2, d = target.shape
-    w = psi.reshape(-1)
-    for x in range(l1):
-        for y in range(l2):
-            w = target[x, y].conj() @ w.reshape(d, -1)
-    return complex(w[0])
-
-
 def loss_value(state, loss):
-    """Exact dense loss evaluation (statevector within the lattice cap)."""
-    spec = state.spec
-    psi = to_statevector(state).reshape(-1)
+    """Exact loss value by network contraction (no statevector is built)."""
     if loss.kind in GLOBAL_KINDS:
-        target = check_product_state(spec, loss.target)
-        w = _dense_overlap(psi, target)
-        val = abs(w) ** 2
+        val = abs(overlap(state, loss.target)) ** 2
     else:
-        val = _dense_local_expectation(psi, spec, loss.site, np.asarray(loss.observable))
+        val = local_expectation(state, loss.site, loss.observable)
     if loss.normalized:
-        z = float(np.vdot(psi, psi).real)
+        z = norm_squared(state)
         if z < Z_FLOOR:
             raise DegenerateStateError(f"norm^2 = {z} below {Z_FLOOR}")
         val = val / z
-    if loss.kind in GLOBAL_KINDS:
-        return 1.0 - val
-    return float(val)
+    return 1.0 - val if loss.kind in GLOBAL_KINDS else val
 
 
-def _dense_local_expectation(psi, spec, site, obs):
-    k = site[0] * spec.l2 + site[1]
-    d = spec.d
-    psi_nd = psi.reshape((d,) * spec.n_sites)
-    front = np.moveaxis(psi_nd, k, 0).reshape(d, -1)
-    return float(np.vdot(front, obs @ front).real)
+def _ring(layout, base, derivative):
+    """Ring value of the oriented [column][row] tensors `base`, and its derivative sweep.
 
-
-def _derivative_sweep(layout, base, envs, derivative):
-    """Ring values with one site tensor replaced, as an (l1, l2) complex grid.
-
-    base holds the ring's oriented [column][row] tensors and envs their ring
-    environments; the value at site coords(c, r) has base[c][r] replaced by
+    Returns (value, grid): grid is the (l1, l2) complex array whose entry at
+    site coords(c, r) is the ring value with base[c][r] replaced by
     derivative(c, r).
     """
-    out = np.empty(layout.shape, dtype=complex)
+    cols = network.transfer_matrices(base)
+    value, envs = network.ring_environments(cols)
+    grid = np.empty(layout.shape, dtype=complex)
     for c, col in enumerate(base):
         for r in range(layout.n_rows):
             ts = list(col)
             ts[r] = derivative(c, r)
-            out[layout.coords(c, r)] = network.replace_value(
+            grid[layout.coords(c, r)] = network.replace_value(
                 network.column_transfer(ts), envs[c])
-    return out
+    return value, grid
 
 
 def gradient_map(state, loss):
@@ -152,20 +130,13 @@ def gradient_map(state, loss):
     def d_double(c, r, op=None):
         return network.site_double_tensor(dket[c][r], bra=ket[c][r], op=op)
 
-    z = dz = None
-    if loss.normalized or loss.kind in LOCAL_KINDS:
+    if loss.kind != GLOBAL_PURE:
         e_base = [[network.site_double_tensor(t) for t in col] for col in ket]
-    # the transfer matrices (cols_*) stay referenced until gradient_map
-    # returns: released before the sweeps, their pages go back to the OS and
-    # the sweeps fault them in again (1.6x the minor page faults over 8 local
-    # 4x5 and 16 global 4x4 gradients)
     if loss.normalized:
-        cols_z = network.transfer_matrices(e_base)
-        zval, envs_z = network.ring_environments(cols_z)
-        z = zval.real
+        z, dz = _ring(layout, e_base, d_double)
+        z, dz = z.real, 2.0 * dz.real
         if z < Z_FLOOR:
             raise DegenerateStateError(f"norm^2 = {z} below {Z_FLOOR}")
-        dz = 2.0 * _derivative_sweep(layout, e_base, envs_z, d_double).real
 
     if loss.kind in GLOBAL_KINDS:
         target = check_product_state(spec, loss.target)
@@ -174,9 +145,7 @@ def gradient_map(state, loss):
             return network.site_single_tensor(tensors[c][r], target[layout.coords(c, r)])
 
         m = [[single(ket, c, r) for r in range(layout.n_rows)] for c in range(layout.n_cols)]
-        cols_w = network.transfer_matrices(m)
-        w, envs_w = network.ring_environments(cols_w)
-        dw = _derivative_sweep(layout, m, envs_w, lambda c, r: single(dket, c, r))
+        w, dw = _ring(layout, m, lambda c, r: single(dket, c, r))
         d_fid = 2.0 * (w.real * dw.real + w.imag * dw.imag)  # 2 Re(conj(w) dw)
         if loss.kind == GLOBAL_PURE:
             return -d_fid
@@ -187,12 +156,9 @@ def gradient_map(state, loss):
     c_obs, r_obs = obs_slot
     n_base = [list(col) for col in e_base]
     n_base[c_obs][r_obs] = network.site_double_tensor(ket[c_obs][r_obs], op=obs)
-    cols_n = network.transfer_matrices(n_base)
-    nval, envs_n = network.ring_environments(cols_n)
-    nval = nval.real
-    dn = 2.0 * _derivative_sweep(
-        layout, n_base, envs_n,
-        lambda c, r: d_double(c, r, obs if (c, r) == obs_slot else None)).real
+    nval, dn = _ring(layout, n_base,
+                     lambda c, r: d_double(c, r, obs if (c, r) == obs_slot else None))
+    nval, dn = nval.real, 2.0 * dn.real
     if loss.kind == LOCAL_UNNORMALIZED:
         return dn
     return (dn * z - nval * dz) / z**2

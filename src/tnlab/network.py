@@ -14,6 +14,7 @@ chi^(2*min(l1,l2)) for bond extent chi. The transfer matrices of one ring
 are kept within `NETWORK_BUDGET` bytes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -108,8 +109,8 @@ def transfer_matrices(columns):
     first = columns[0]
     n_left = math.prod(t.shape[1] for t in first)
     n_right = math.prod(t.shape[3] for t in first)
-    # ring_environments holds prefix and suffix products (one more each than
-    # columns) and one environment per column
+    # room for 3 matrices per column plus 2: ring_environments forms 3k - 5
+    # products beside the k transfer matrices
     need = (3 * len(columns) + 2) * n_left * n_right * first[0].itemsize
     if need > NETWORK_BUDGET:
         raise ResourceLimitError(
@@ -128,23 +129,21 @@ def ring_value(columns):
 
 
 def ring_environments(columns):
-    """Per-column ring environments.
+    """Ring value and per-column ring environments of a ring of at least two columns.
 
     Returns (value, envs) where envs[y] is the matrix E such that replacing
     column y by T' gives ring value sum_ab T'[a, b] E[b, a]; i.e. E is the
-    product of the other columns in ring order starting after y.
+    product of the other columns in ring order starting after y. Only the
+    products that are returned get formed: the prefixes T0...Ty (k - 1
+    products), the suffixes T(y+1)...T(k-1) (k - 2) and the environments of
+    the middle columns (k - 2).
     """
     k = len(columns)
-    n = columns[0].shape[0]
-    eye = np.eye(n, dtype=columns[0].dtype)
-    prefix = [eye]
-    for m in columns:
-        prefix.append(prefix[-1] @ m)
-    suffix = [eye] * (k + 1)
-    for y in range(k - 1, -1, -1):
-        suffix[y] = columns[y] @ suffix[y + 1]
-    envs = [suffix[y + 1] @ prefix[y] for y in range(k)]
-    return complex(np.trace(prefix[k])), envs
+    head = list(itertools.accumulate(columns, np.matmul))  # head[y] = T0...Ty
+    # tail[y] = T(y+1)...T(k-1), built from the right
+    tail = list(itertools.accumulate(columns[:0:-1], lambda acc, m: m @ acc))[::-1]
+    envs = [tail[0], *(tail[y] @ head[y - 1] for y in range(1, k - 1)), head[k - 2]]
+    return complex(np.trace(head[-1])), envs
 
 
 def replace_value(replacement, env):

@@ -113,12 +113,6 @@ class PolyominoCounts:
             out[m] = out.get(m, 0) + c
         return out
 
-    def csv_rows(self):
-        rows = [("area", "upper_perimeter", "count")]
-        for (m, n) in sorted(self.counts):
-            rows.append((m, n, self.counts[(m, n)]))
-        return rows
-
 
 def enumerate_directed(m_max):
     """Exact D_{m,n} counts by exhaustive generation."""

@@ -125,16 +125,6 @@ class WeightTable:
     def __call__(self, s, s_right, s_down):
         return float(self.values[s, s_right, s_down])
 
-    def to_json_dict(self):
-        keys = []
-        for s1 in (0, 1):
-            for s2 in (0, 1):
-                for s3 in (0, 1):
-                    arrow = lambda s: "up" if s else "down"
-                    keys.append({"spin": arrow(s1), "right": arrow(s2),
-                                 "down": arrow(s3), "weight": float(self.values[s1, s2, s3])})
-        return {"D": self.D, "d": self.d, "kind": self.kind, "entries": keys}
-
 
 def norm_weights(D, d):
     """Single-site weights of the norm second moment (field case), closed form."""
@@ -252,11 +242,6 @@ class PartitionResult:
     z: float
     ground_value: float
     excited_sum: float
-
-    def to_json_dict(self):
-        return {"l1": self.l1, "l2": self.l2, "D": self.D, "d": self.d,
-                "kind": self.kind, "z": self.z, "ground_value": self.ground_value,
-                "excited_sum": self.excited_sum}
 
 
 def exact_partition_function(l1, l2, table):

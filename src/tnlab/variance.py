@@ -17,20 +17,28 @@ from .losses import LOCAL_KINDS, gradient_map
 from .states import build_state
 
 
-def jackknife_variance_se(values):
-    """Delete-one jackknife standard error of the unbiased sample variance."""
-    x = np.asarray(values, dtype=float)
+def _delete_one_variances(x):
+    """Unbiased variances of samples x (axis 0) with each sample deleted in turn."""
     n = x.shape[0]
-    if n < 3:
-        return np.full(x.shape[1:], np.nan) if x.ndim > 1 else float("nan")
     s1 = np.sum(x, axis=0)
     s2 = np.sum(x * x, axis=0)
     m = n - 1
     s1_i = s1 - x
-    s2_i = s2 - x * x
-    var_i = (s2_i - s1_i * s1_i / m) / (m - 1)
-    var_bar = np.mean(var_i, axis=0)
-    se = np.sqrt((n - 1) / n * np.sum((var_i - var_bar) ** 2, axis=0))
+    return ((s2 - x * x) - s1_i * s1_i / m) / (m - 1)
+
+
+def _jackknife_se(stat_i):
+    """Jackknife standard error from the delete-one statistics stat_i (axis 0)."""
+    n = stat_i.shape[0]
+    return np.sqrt((n - 1) / n * np.sum((stat_i - np.mean(stat_i, axis=0)) ** 2, axis=0))
+
+
+def jackknife_variance_se(values):
+    """Delete-one jackknife standard error of the unbiased sample variance."""
+    x = np.asarray(values, dtype=float)
+    if x.shape[0] < 3:
+        return np.full(x.shape[1:], np.nan) if x.ndim > 1 else float("nan")
+    se = _jackknife_se(_delete_one_variances(x))
     return se if x.ndim > 1 else float(se)
 
 
@@ -122,15 +130,16 @@ def variance_scan(spec, loss, n_samples, seed, workers=1):
 def distance_profile(report):
     """Mean gradient variance grouped by toric Manhattan distance to the observable site.
 
-    Returns {distance: (mean_variance, std_error, n_sites)}. With the raw
-    sample grid available the SE of each group mean is jackknifed over
-    samples; otherwise per-site SEs are combined assuming independence.
+    Returns {distance: (mean_variance, std_error, n_sites)}; the SE of each
+    group mean is jackknifed over the report's raw samples.
     """
     from .lattice import LatticeSpec
 
     if report.loss.get("kind") not in LOCAL_KINDS:
         raise ValueError("distance profile requires a local loss report")
     samples = report.samples
+    if samples is None:
+        raise ValueError("distance profile requires a report with its raw samples")
     spec = LatticeSpec(report.l1, report.l2, report.D, report.d)
     obs = tuple(report.loss["site"])
     groups = {}
@@ -141,20 +150,11 @@ def distance_profile(report):
     for delta in sorted(groups):
         sites = groups[delta]
         mean_var = float(np.mean([report.variance[s] for s in sites]))
-        if samples is None:
-            se = float(np.sqrt(np.sum([report.std_error[s] ** 2 for s in sites]))
-                       / len(sites))
-        elif samples.shape[0] < 3:
+        if samples.shape[0] < 3:
             se = float("nan")  # as in jackknife_variance_se: too few samples
         else:
             per_site = np.stack([samples[:, s[0], s[1]] for s in sites], axis=1)
-            n = per_site.shape[0]
-            s1 = per_site.sum(axis=0)
-            s2 = (per_site**2).sum(axis=0)
-            m = n - 1
-            var_i = ((s2 - per_site**2) - (s1 - per_site) ** 2 / m) / (m - 1)
-            stat_i = var_i.mean(axis=1)
-            se = float(np.sqrt((n - 1) / n * np.sum((stat_i - stat_i.mean()) ** 2)))
+            se = float(_jackknife_se(_delete_one_variances(per_site).mean(axis=1)))
         profile[delta] = (mean_var, se, len(sites))
     return profile
 

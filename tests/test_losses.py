@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import tnlab
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value,
                           plus_projector, plus_target, traceless_observable)
-from tnlab.states import TNState, build_state, norm_squared, overlap, to_statevector
+from tnlab.states import (TNState, build_state, local_expectation, norm_squared, overlap,
+                          to_statevector)
 
 
 def finite_difference(state, site, loss, h=1e-5):
@@ -19,6 +22,27 @@ def finite_difference(state, site, loss, h=1e-5):
         return TNState(state.spec, tuple(tuple(r) for r in sites))
 
     return (loss_value(shifted(h), loss) - loss_value(shifted(-h), loss)) / (2 * h)
+
+
+def dense_overlap(psi, target):
+    """<target|psi> with the product target's site vectors contracted one by one."""
+    w = psi.reshape(-1)
+    for v in target.reshape(-1, target.shape[-1]):
+        w = v.conj() @ w.reshape(v.size, -1)
+    return complex(w[0])
+
+
+def dense_expectation(psi, spec, site, obs):
+    """<psi| obs at site |psi> with the site's leg moved to the front."""
+    k = site[0] * spec.l2 + site[1]
+    front = np.moveaxis(psi, k, 0).reshape(spec.d, -1)
+    return float(np.vdot(front, obs @ front).real)
+
+
+def random_product_target(spec, rng):
+    phi = rng.standard_normal((spec.l1, spec.l2, spec.d)) \
+        + 1j * rng.standard_normal((spec.l1, spec.l2, spec.d))
+    return phi / np.linalg.norm(phi, axis=2, keepdims=True)
 
 
 def all_losses(spec):
@@ -56,7 +80,7 @@ def test_global_pure_matches_overlap_formula():
     st = build_state(spec, rng)
     target = plus_target(spec)
     loss = LossSpec(kind=GLOBAL_PURE, target=target)
-    w = overlap(st, target)
+    w = dense_overlap(to_statevector(st), target)
     assert abs(loss_value(st, loss) - (1.0 - abs(w) ** 2)) < 1e-12
 
 
@@ -84,7 +108,37 @@ def test_local_unnormalized_matches_expectation():
     st = build_state(spec, rng)
     obs = traceless_observable(2)
     loss = LossSpec(kind=LOCAL_UNNORMALIZED, observable=obs, site=(0, 1))
-    assert abs(loss_value(st, loss) - tnlab.local_expectation(st, (0, 1), obs)) < 1e-10
+    expected = dense_expectation(to_statevector(st), spec, (0, 1), obs)
+    assert abs(loss_value(st, loss) - expected) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(l1=hst.integers(2, 3), l2=hst.integers(2, 3), D=hst.sampled_from([2, 3]),
+       seed=hst.integers(0, 2**32 - 1), site_index=hst.integers(0, 8))
+def test_network_values_match_dense_statevector(l1, l2, D, seed, site_index):
+    spec = LatticeSpec(l1, l2, D, 2)
+    rng = np.random.default_rng(seed)
+    st = build_state(spec, rng)
+    target = random_product_target(spec, rng)
+    site = divmod(site_index % spec.n_sites, l2)
+    obs = traceless_observable(2)
+    psi = to_statevector(st)
+    z = float(np.vdot(psi, psi).real)
+    w = dense_overlap(psi, target)
+    n = dense_expectation(psi, spec, site, obs)
+
+    def close(value, expected, scale):
+        assert abs(value - expected) <= 1e-10 * max(abs(expected), scale)
+
+    close(norm_squared(st), z, z)
+    close(overlap(st, target), w, np.sqrt(z))
+    close(local_expectation(st, site, obs), n, z)
+    close(loss_value(st, LossSpec(kind=GLOBAL_PURE, target=target)), 1.0 - abs(w) ** 2, 1.0)
+    close(loss_value(st, LossSpec(kind=GLOBAL_NORMALIZED, target=target)),
+          1.0 - abs(w) ** 2 / z, 1.0)
+    close(loss_value(st, LossSpec(kind=LOCAL_UNNORMALIZED, observable=obs, site=site)), n, z)
+    close(loss_value(st, LossSpec(kind=LOCAL_NORMALIZED, observable=obs, site=site)),
+          n / z, 1.0)
 
 
 def test_gradients_match_finite_differences():

@@ -174,14 +174,6 @@ def test_mc_second_moment_consistent_with_exact():
     assert est - 1.0 >= -3 * se
 
 
-def test_weight_table_json_export():
-    doc = norm_weights(2, 2).to_json_dict()
-    assert doc["kind"] == KIND_NORM
-    assert len(doc["entries"]) == 8
-    flat = {(e["spin"], e["right"], e["down"]): e["weight"] for e in doc["entries"]}
-    assert flat[("down", "down", "down")] == 1.0
-
-
 def test_invalid_table_rejected_under_optimize():
     # the table invariants are real checks, so python -O keeps them
     code = ("import numpy as np\n"

@@ -10,8 +10,11 @@ from hypothesis import strategies as hst
 from scipy import stats as scipy_stats
 
 import tnlab
+from tnlab import network
 from tnlab.errors import ResourceLimitError
 from tnlab.lattice import DEFAULT_AMPLITUDE_CAP, LatticeSpec
+from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
+                          LOCAL_UNNORMALIZED, LossSpec, loss_value, plus_projector, plus_target)
 from tnlab.states import (SiteParams, TNState, build_state, load_state, local_derivative_tensor,
                           local_expectation, local_tensor, norm_squared, overlap,
                           save_state, to_statevector)
@@ -77,6 +80,12 @@ def test_dense_cap_applies_to_statevector_only():
     assert spec.d ** spec.n_sites > DEFAULT_AMPLITUDE_CAP
     st = build_state(spec, np.random.default_rng(0))
     assert 0.0 < norm_squared(st) < np.inf
+    target = plus_target(spec)
+    for loss in [LossSpec(kind=GLOBAL_PURE, target=target),
+                 LossSpec(kind=GLOBAL_NORMALIZED, target=target),
+                 LossSpec(kind=LOCAL_UNNORMALIZED, observable=plus_projector(2), site=(1, 7)),
+                 LossSpec(kind=LOCAL_NORMALIZED, observable=plus_projector(2), site=(1, 7))]:
+        assert np.isfinite(loss_value(st, loss))
     with pytest.raises(ResourceLimitError, match="dense cap"):
         to_statevector(st)
 
@@ -92,6 +101,27 @@ def test_network_budget_refuses_6x6_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ring_environments_against_explicit_products(k):
+    rng = np.random.default_rng(k)
+    cols = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(k)]
+    value, envs = network.ring_environments(cols)
+    assert value == network.ring_value(cols)
+    assert len(envs) == k
+    if k == 2:  # no middle environment: each is the other column itself
+        assert np.array_equal(envs[0], cols[1]) and np.array_equal(envs[1], cols[0])
+    for y in range(k):
+        others = [cols[(y + 1 + i) % k] for i in range(k - 1)]
+        expected = others[0]
+        for m in others[1:]:
+            expected = expected @ m
+        assert np.allclose(envs[y], expected, rtol=1e-12, atol=0)
+        replacement = rng.standard_normal((6, 6))
+        ring = cols[:y] + [replacement] + cols[y + 1:]
+        assert np.isclose(network.replace_value(replacement, envs[y]),
+                          network.ring_value(ring), rtol=1e-12)
 
 
 def test_embedded_unitary_is_unitary():

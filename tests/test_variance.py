@@ -1,15 +1,18 @@
 """Tests for variance scans, jackknife errors, and distance profiles."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import tnlab
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZED,
                           LossSpec, plus_projector, plus_target, traceless_observable)
-from tnlab.variance import (distance_profile, jackknife_variance_se,
+from tnlab.variance import (VarianceReport, distance_profile, jackknife_variance_se,
                             onsite_floor_check, variance_scan)
 
 
@@ -28,6 +31,34 @@ def test_jackknife_matches_brute_force():
     brute = np.asarray(brute)
     expected = np.sqrt((n - 1) / n * np.sum((brute - brute.mean()) ** 2))
     assert abs(jackknife_variance_se(x) - expected) < 1e-12
+
+
+def brute_jackknife_se(stat_i):
+    n = len(stat_i)
+    return np.sqrt((n - 1) / n * np.sum((stat_i - stat_i.mean()) ** 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(l1=hst.integers(2, 4), l2=hst.integers(2, 4), n=hst.integers(3, 20),
+       seed=hst.integers(0, 2**32 - 1))
+def test_jackknife_errors_match_brute_force_delete_one(l1, l2, n, seed):
+    spec = LatticeSpec(l1, l2, 2, 2)
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((n, l1, l2)) * np.exp(rng.standard_normal((l1, l2)))
+    site = (int(rng.integers(l1)), int(rng.integers(l2)))
+    var_i = np.array([np.var(np.delete(samples, i, axis=0), axis=0, ddof=1) for i in range(n)])
+    se = jackknife_variance_se(samples)
+    for x, y in spec.sites():
+        assert np.isclose(se[x, y], brute_jackknife_se(var_i[:, x, y]), rtol=1e-9, atol=0)
+    report = VarianceReport(
+        l1=l1, l2=l2, D=2, d=2, loss={"kind": LOCAL_NORMALIZED, "site": list(site)},
+        n_samples=n, n_failures=0, seed=seed, variance=np.var(samples, axis=0, ddof=1),
+        mean=samples.mean(axis=0), std_error=se, samples=samples)
+    for delta, (_, group_se, count) in distance_profile(report).items():
+        sites = [s for s in spec.sites() if spec.toric_manhattan(s, site) == delta]
+        stat_i = np.mean([var_i[:, x, y] for x, y in sites], axis=0)
+        assert count == len(sites)
+        assert np.isclose(group_se, brute_jackknife_se(stat_i), rtol=1e-9, atol=1e-15)
 
 
 def test_scan_reproducible_bit_for_bit():
@@ -77,6 +108,12 @@ def test_distance_profile_with_two_samples_has_nan_errors():
         warnings.simplefilter("error")
         profile = distance_profile(report)
     assert all(np.isfinite(mean) and np.isnan(se) for mean, se, _ in profile.values())
+
+
+def test_distance_profile_requires_raw_samples():
+    report = variance_scan(LatticeSpec(2, 3, 2, 2), local_loss(), 5, seed=16)
+    with pytest.raises(ValueError, match="raw samples"):
+        distance_profile(dataclasses.replace(report, samples=None))
 
 
 def test_distance_profile_requires_local_loss():

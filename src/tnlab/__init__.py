@@ -40,7 +40,6 @@ from .spinmodel import (
     IsingCouplings,
     WeightTable,
     classify_config,
-    config_amplitude,
     exact_partition_function,
     global_loss_weights,
     mc_second_moment,

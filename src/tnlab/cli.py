@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 acceptance-check failure,
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -252,6 +253,8 @@ def main(argv=None):
                        phys_dim=args.phys_dim, samples=args.samples, seed=args.seed,
                        out=args.out, format=args.format, workers=args.workers)
     try:
+        if not 1 <= config.workers <= (os.cpu_count() or 1):
+            raise ValueError(f"--workers must be between 1 and the CPU count, {os.cpu_count()}")
         if args.command == "norm-stats":
             return cmd_norm_stats(config)
         if args.command == "var-scan":

@@ -103,9 +103,13 @@ def column_transfer(tensors):
 def transfer_matrices(columns):
     """Column transfer matrices of an oriented ring of 4-leg site tensors.
 
-    Raises ResourceLimitError, before any matrix is built, when the ring's
-    matrices and their environments would exceed NETWORK_BUDGET bytes.
+    Raises ValueError when a column has fewer than two sites (`column_transfer`
+    would contract a lone site with itself), and ResourceLimitError, before any
+    matrix is built, when the ring's matrices and their environments would
+    exceed NETWORK_BUDGET bytes.
     """
+    if not columns or len(columns[0]) < 2:
+        raise ValueError("network columns need two sites: lattice sides must be >= 2")
     first = columns[0]
     n_left = math.prod(t.shape[1] for t in first)
     n_right = math.prod(t.shape[3] for t in first)

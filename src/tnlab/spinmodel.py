@@ -3,8 +3,10 @@
 Upper-layer spin configurations are boolean arrays of shape (l1, l2) with
 True = up. A weight table assigns a real factor to each site as a function of
 (own spin, right-neighbor spin, down-neighbor spin); the amplitude of a
-configuration is the product of these factors over the torus, and the
-partition function is the sum of amplitudes over all 2**(l1*l2) configurations.
+configuration is the product of these factors over the torus. The partition
+function, the sum of amplitudes over all 2**(l1*l2) configurations, is a
+bond-2 tensor network that `exact_partition_function` contracts on the
+`network` engine; the exhaustive sums are oracles, capped at PARTITION_CAP.
 
 Two tables appear: the "norm" table (physical legs closed with the identity
 pairing, i.e. a uniform external field) drives E[<psi|psi>^2]; the "global"
@@ -23,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import network
 from .errors import ResourceLimitError
 
 PARTITION_CAP = 2**25
@@ -153,6 +156,12 @@ def global_loss_weights(D, d):
     return WeightTable(D, d, KIND_GLOBAL, v)
 
 
+def _boltzmann_weights(couplings, field):
+    """Site Boltzmann factors exp(-H_site) indexed [s1, s2, s3, s4], 0 = down."""
+    s1, s2, s3, s4 = np.ix_(_SIGN, _SIGN, _SIGN, _SIGN)
+    return two_layer_site_weight(couplings, s1, s2, s3, s4, field)
+
+
 def table_from_boltzmann(D, d, kind):
     """Rebuild a weight table by summing the bottom layer of the Boltzmann form.
 
@@ -161,20 +170,10 @@ def table_from_boltzmann(D, d, kind):
     """
     couplings = IsingCouplings(D, d)
     field = kind == KIND_NORM
-    pref = couplings.site_prefactor(field)
-    v = np.zeros((2, 2, 2))
-    for s2 in (0, 1):
-        for s3 in (0, 1):
-            for s4 in (0, 1):
-                tot = sum(
-                    two_layer_site_weight(couplings, _SIGN[s1], _SIGN[s2],
-                                          _SIGN[s3], _SIGN[s4], field)
-                    for s1 in (0, 1))
-                w = pref * tot
-                if abs(w.imag) >= 1e-12:
-                    raise RuntimeError(f"Boltzmann site weight {w} is not real")
-                v[s2, s3, s4] = w.real
-    return WeightTable(D, d, kind, v)
+    w = couplings.site_prefactor(field) * _boltzmann_weights(couplings, field).sum(axis=0)
+    if np.abs(w.imag).max() >= 1e-12:
+        raise RuntimeError(f"Boltzmann site weights {w.tolist()} are not real")
+    return WeightTable(D, d, kind, w.real.copy())
 
 
 class ConfigClass(Enum):
@@ -195,14 +194,6 @@ def classify_config(config):
     return ConfigClass.VALID
 
 
-def config_amplitude(config, table):
-    """Product over sites of table(spin, right spin, down spin) on the torus."""
-    c = np.asarray(config, dtype=np.int8)
-    right = np.roll(c, -1, axis=1)
-    down = np.roll(c, -1, axis=0)
-    return float(np.prod(table.values[c, right, down]))
-
-
 def _successor_indexing(l1, l2):
     idx = np.arange(l1 * l2)
     x, y = idx // l2, idx % l2
@@ -211,25 +202,26 @@ def _successor_indexing(l1, l2):
     return right, down
 
 
+def _config_bits(n):
+    """Bit rows of the codes 0 .. 2**n - 1 in order, in chunks; bit k is column k."""
+    total = 1 << n
+    if total > PARTITION_CAP:
+        raise ResourceLimitError(f"2**{n} configurations exceed cap {PARTITION_CAP}")
+    shifts = np.arange(n, dtype=np.uint32)
+    for start in range(0, total, _ENUM_CHUNK):
+        codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
+        yield (codes[:, None] >> shifts) & 1
+
+
 def all_config_amplitudes(l1, l2, table):
     """Amplitudes of all 2**(l1*l2) upper-layer configurations, indexed by bit pattern.
 
     Bit k of the configuration index is site (k // l2, k % l2).
     """
-    n = l1 * l2
-    if 2**n > PARTITION_CAP:
-        raise ResourceLimitError(f"2**{n} configurations exceed cap {PARTITION_CAP}")
     right, down = _successor_indexing(l1, l2)
     flat = table.values.reshape(-1)
-    total = 1 << n
-    out = np.empty(total)
-    shifts = np.arange(n, dtype=np.uint32)
-    for start in range(0, total, _ENUM_CHUNK):
-        codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
-        bits = (codes[:, None] >> shifts) & 1
-        key = 4 * bits + 2 * bits[:, right] + bits[:, down]
-        out[start:start + codes.size] = np.prod(flat[key], axis=1)
-    return out
+    return np.concatenate([np.prod(flat[4 * bits + 2 * bits[:, right] + bits[:, down]], axis=1)
+                           for bits in _config_bits(l1 * l2)])
 
 
 @dataclass(frozen=True)
@@ -245,14 +237,21 @@ class PartitionResult:
 
 
 def exact_partition_function(l1, l2, table):
-    """Exhaustive sum of configuration amplitudes over the upper layer.
+    """Sum of configuration amplitudes over the upper layer, by network contraction.
 
-    For the norm table the ground configuration contributes exactly 1 and the
-    result decomposes as Z = 1 + (sum over excited configurations).
+    Every site carries A[a, b, g, l] = [a = b = s] table(s, l, g): its spin s
+    goes out on the up and left legs, and the spins of its right and down
+    neighbors come in on l and g. For the norm table the ground configuration
+    contributes exactly 1 and the result decomposes as Z = 1 + (sum over
+    excited configurations).
     """
-    amps = all_config_amplitudes(l1, l2, table)
-    ground = float(amps[0])
-    z = float(np.sum(amps))
+    v = table.values
+    site = np.zeros((2, 2, 2, 2))
+    for s in (0, 1):
+        site[s, s] = v[s].T
+    columns = network.Layout(l1, l2).columns(lambda x, y: site)
+    z = network.ring_value(network.transfer_matrices(columns)).real
+    ground = float(v[0, 0, 0]) ** (l1 * l2)
     return PartitionResult(l1, l2, table.D, table.d, table.kind, z, ground, z - ground)
 
 
@@ -263,30 +262,15 @@ def exact_partition_function_two_layer(l1, l2, D, d, kind=KIND_NORM):
     vanish; used as a cross-check of the single-layer table path at small sizes.
     """
     n = l1 * l2
-    if 4**n > PARTITION_CAP:
-        raise ResourceLimitError(f"4**{n} two-layer configurations exceed cap {PARTITION_CAP}")
     couplings = IsingCouplings(D, d)
     field = kind == KIND_NORM
-    pref = couplings.site_prefactor(field)
+    w = (couplings.site_prefactor(field) * _boltzmann_weights(couplings, field)).reshape(-1)
     right, down = _successor_indexing(l1, l2)
-
-    w = np.empty((2, 2, 2, 2), dtype=complex)
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for s3 in (0, 1):
-                for s4 in (0, 1):
-                    w[s1, s2, s3, s4] = pref * two_layer_site_weight(
-                        couplings, _SIGN[s1], _SIGN[s2], _SIGN[s3], _SIGN[s4], field)
-
-    shifts = np.arange(2 * n, dtype=np.uint32)
-    total = 1 << (2 * n)
     z = 0.0 + 0.0j
-    for start in range(0, total, _ENUM_CHUNK):
-        codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
-        bits = (codes[:, None] >> shifts) & 1
+    for bits in _config_bits(2 * n):
         bottom, upper = bits[:, :n], bits[:, n:]
         key = 8 * bottom + 4 * upper + 2 * upper[:, right] + upper[:, down]
-        z += np.sum(np.prod(w.reshape(-1)[key], axis=1))
+        z += np.sum(np.prod(w[key], axis=1))
     if abs(z.imag) >= 1e-10:
         raise RuntimeError(f"two-layer partition function {z} is not real")
     return float(z.real)

@@ -104,7 +104,7 @@ def variance_scan(spec, loss, n_samples, seed, workers=1):
         chunks = np.array_split(np.arange(n_samples), min(workers, n_samples))
         jobs = [(spec, loss, [sample_keys[i] for i in idx]) for idx in chunks if len(idx)]
         grads, failures = [], 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             for g, f in pool.map(_scan_chunk, jobs):
                 grads.extend(g)
                 failures += f

@@ -1,9 +1,11 @@
 """Tests for the command-line front end: outputs, determinism, exit codes."""
 
 import json
+import os
 
 import pytest
 
+import tnlab
 from tnlab.cli import main
 
 
@@ -95,9 +97,27 @@ def test_seed_is_mandatory(tmp_path):
 
 
 def test_resource_cap_exit_code(tmp_path):
-    code = main(["norm-stats", "--sizes", "6x5", "--samples", "10", "--seed", "2",
+    # the 6x6 bra-ket ring (about 5 GiB) exceeds the network budget
+    code = main(["norm-stats", "--sizes", "6x6", "--samples", "10", "--seed", "2",
                  "--out", str(tmp_path / "x")])
     assert code == 4
+
+
+def test_bounds_rejects_single_row(tmp_path):
+    code = main(["bounds", "--sizes", "1x1", "--seed", "5", "--out", str(tmp_path / "x")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("workers", (0, (os.cpu_count() or 1) + 1))
+def test_workers_outside_cpu_count_rejected(tmp_path, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr(tnlab.variance, "ProcessPoolExecutor", no_pool)
+    code = main(["var-scan", "--sizes", "2x2", "--samples", "4", "--seed", "1",
+                 "--workers", str(workers), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_invalid_size_string(tmp_path):

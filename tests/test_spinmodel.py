@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import tnlab
 from tnlab.lattice import LatticeSpec
 from tnlab.spinmodel import (ConfigClass, IsingCouplings, KIND_GLOBAL, KIND_NORM,
-                             all_config_amplitudes, classify_config, config_amplitude,
+                             all_config_amplitudes, classify_config,
                              exact_partition_function, exact_partition_function_two_layer,
                              global_loss_weights, mc_second_moment, norm_weights,
                              table_from_boltzmann, two_layer_site_weight)
@@ -97,15 +99,12 @@ def test_classify_config():
 
 def test_config_amplitude_examples():
     f = norm_weights(2, 2)
-    assert config_amplitude(np.zeros((3, 3), dtype=bool), f) == 1.0
-    single = np.zeros((3, 3), dtype=bool)
-    single[0, 0] = True
-    assert config_amplitude(single, f) == 0.0
-    row = np.zeros((3, 3), dtype=bool)
-    row[0, :] = True
-    # direct product: three (up, up-right, down-below) sites, three below-row sites
+    amps = all_config_amplitudes(3, 3, f)
+    assert amps[0] == 1.0  # all down
+    assert amps[1] == 0.0  # site (0, 0) up alone
+    # code 7 is row 0 up: three (up, up-right, down-below) sites, three below-row sites
     expected = f(UP, UP, DOWN) ** 3 * f(DOWN, DOWN, UP) ** 3
-    assert abs(config_amplitude(row, f) - expected) < 1e-15
+    assert abs(amps[7] - expected) < 1e-15
 
 
 def test_zero_amplitude_iff_classified_zero_small():
@@ -134,6 +133,33 @@ def test_partition_function_matches_two_layer_sum():
         z_table = exact_partition_function(2, 2, table).z
         z_two = exact_partition_function_two_layer(2, 2, 2, 2, kind)
         assert abs(z_table - z_two) < 1e-12
+
+
+class _RandomTable:
+    """Duck-typed weight table: WeightTable rejects values without its symmetries."""
+
+    D, d, kind = 2, 2, "random"
+
+    def __init__(self, values):
+        self.values = values
+
+
+@settings(max_examples=40, deadline=None)
+@given(l1=hst.integers(2, 4), l2=hst.integers(2, 4),
+       values=hst.lists(hst.floats(0.05, 1.0), min_size=8, max_size=8))
+def test_partition_function_matches_enumeration_on_random_tables(l1, l2, values):
+    # random tables are not symmetric in (right, down), so this pins the leg
+    # orientation of the network site tensor, transposed layouts included
+    table = _RandomTable(np.array(values).reshape(2, 2, 2))
+    z = exact_partition_function(l1, l2, table).z
+    z_enum = all_config_amplitudes(l1, l2, table).sum()
+    assert abs(z - z_enum) <= 1e-12 * abs(z_enum)
+
+
+@pytest.mark.parametrize("l1, l2", ((1, 3), (3, 1)))
+def test_partition_function_rejects_single_row(l1, l2):
+    with pytest.raises(ValueError):
+        exact_partition_function(l1, l2, norm_weights(2, 2))
 
 
 def test_global_partition_bounded_by_max_entry():

@@ -58,6 +58,24 @@ def test_toric_manhattan_metric():
     assert spec.toric_manhattan((0, 0), (2, 2)) == 4
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data(), l1=hst.integers(2, 12), l2=hst.integers(2, 12))
+def test_toric_metric_axioms(data, l1, l2):
+    spec = LatticeSpec(l1, l2, 2, 2)
+    site = hst.tuples(hst.integers(0, l1 - 1), hst.integers(0, l2 - 1))
+    a, b, c, shift = (data.draw(site) for _ in range(4))
+    dist = spec.toric_manhattan
+    assert (dist(a, b) == 0) == (a == b)
+    assert dist(a, b) == dist(b, a)
+    assert dist(a, c) <= dist(a, b) + dist(b, c)
+
+    def move(s):
+        return ((s[0] + shift[0]) % l1, (s[1] + shift[1]) % l2)
+
+    assert dist(move(a), move(b)) == dist(a, b)
+    assert dist(a, b) <= l1 // 2 + l2 // 2
+
+
 def test_build_state_shapes_and_determinism():
     spec = LatticeSpec(2, 2, 2, 2)
     st1 = build_state(spec, np.random.default_rng(5))

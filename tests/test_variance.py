@@ -80,6 +80,33 @@ def test_scan_worker_count_does_not_change_results():
     assert np.array_equal(serial.mean, parallel.mean)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_pool_sized_by_jobs_not_workers(monkeypatch):
+    monkeypatch.setattr(tnlab.variance, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    spec = LatticeSpec(2, 2, 2, 2)
+    report = variance_scan(spec, local_loss(), 2, seed=16, workers=3)
+    assert _RecordingPool.max_workers == [2]
+    assert report.n_samples == 2
+
+
 def test_variances_nonnegative():
     spec = LatticeSpec(2, 3, 2, 2)
     report = variance_scan(spec, local_loss(), 30, seed=14)

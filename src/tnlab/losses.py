@@ -106,7 +106,7 @@ def _ring(layout, base, derivative):
 
     Returns (value, grid): grid is the (l1, l2) complex array whose entry at
     site coords(c, r) is the ring value with base[c][r] replaced by
-    derivative(c, r).
+    derivative[c][r].
     """
     cols = network.transfer_matrices(base)
     value, envs = network.ring_environments(cols)
@@ -114,50 +114,52 @@ def _ring(layout, base, derivative):
     for c, col in enumerate(base):
         for r in range(layout.n_rows):
             ts = list(col)
-            ts[r] = derivative(c, r)
+            ts[r] = derivative[c][r]
             grid[layout.coords(c, r)] = network.replace_value(
                 network.column_transfer(ts), envs[c])
     return value, grid
+
+
+def _replaced(columns, slot, tensor):
+    """[column][row] lists of `columns` with the tensor at slot (c, r) replaced."""
+    out = [list(col) for col in columns]
+    out[slot[0]][slot[1]] = tensor
+    return out
 
 
 def gradient_map(state, loss):
     """d(loss)/d(theta) for every site's parameter, as an (l1, l2) array."""
     spec = state.spec
     layout = network.Layout(spec.l1, spec.l2)
-    ket = layout.columns(lambda x, y: local_tensor(state.site(x, y), spec.D, spec.d))
-    dket = layout.columns(lambda x, y: local_derivative_tensor(state.site(x, y), spec.D, spec.d))
-
-    def d_double(c, r, op=None):
-        return network.site_double_tensor(dket[c][r], bra=ket[c][r], op=op)
+    ket = local_tensor(state.params, spec.D, spec.d)
+    dket = local_derivative_tensor(state.params, spec.D, spec.d)
 
     if loss.kind != GLOBAL_PURE:
-        e_base = [[network.site_double_tensor(t) for t in col] for col in ket]
+        e_base = layout.columns(network.site_double_tensor(ket))
+        d_base = layout.columns(network.site_double_tensor(dket, bra=ket))
     if loss.normalized:
-        z, dz = _ring(layout, e_base, d_double)
+        z, dz = _ring(layout, e_base, d_base)
         z, dz = z.real, 2.0 * dz.real
         if z < Z_FLOOR:
             raise DegenerateStateError(f"norm^2 = {z} below {Z_FLOOR}")
 
     if loss.kind in GLOBAL_KINDS:
         target = check_product_state(spec, loss.target)
-
-        def single(tensors, c, r):
-            return network.site_single_tensor(tensors[c][r], target[layout.coords(c, r)])
-
-        m = [[single(ket, c, r) for r in range(layout.n_rows)] for c in range(layout.n_cols)]
-        w, dw = _ring(layout, m, lambda c, r: single(dket, c, r))
+        w, dw = _ring(layout, layout.columns(network.site_single_tensor(ket, target)),
+                      layout.columns(network.site_single_tensor(dket, target)))
         d_fid = 2.0 * (w.real * dw.real + w.imag * dw.imag)  # 2 Re(conj(w) dw)
         if loss.kind == GLOBAL_PURE:
             return -d_fid
         return -(d_fid * z - abs(w) ** 2 * dz) / z**2
 
     obs = np.asarray(loss.observable, dtype=complex)
-    obs_slot = layout.coords(*loss.site)
-    c_obs, r_obs = obs_slot
-    n_base = [list(col) for col in e_base]
-    n_base[c_obs][r_obs] = network.site_double_tensor(ket[c_obs][r_obs], op=obs)
-    nval, dn = _ring(layout, n_base,
-                     lambda c, r: d_double(c, r, obs if (c, r) == obs_slot else None))
+    slot = layout.coords(*loss.site)
+    # from the oriented views: the order of a three-operand einsum's sums follows its
+    # operands' strides, and this one keeps the gradients bit-for-bit reproducible
+    ket_obs, dket_obs = layout.columns(ket)[slot], layout.columns(dket)[slot]
+    nval, dn = _ring(
+        layout, _replaced(e_base, slot, network.site_double_tensor(ket_obs, op=obs)),
+        _replaced(d_base, slot, network.site_double_tensor(dket_obs, bra=ket_obs, op=obs)))
     nval, dn = nval.real, 2.0 * dn.real
     if loss.kind == LOCAL_UNNORMALIZED:
         return dn

@@ -42,41 +42,40 @@ class Layout:
     def coords(self, c, r):
         return (c, r) if self.transposed else (r, c)
 
-    def columns(self, site_fn):
-        """Oriented [column][row] tensors from site_fn(x, y) in original coordinates.
+    def columns(self, grid):
+        """Oriented [column, row] view of an (l1, l2, ...) array of site tensors.
 
-        site_fn returns 4-leg (a, b, g, l) or 5-leg (a, b, g, l, j) site
+        The grid holds 4-leg (a, b, g, l) or 5-leg (a, b, g, l, j) site
         tensors; when transposed their (a, b) and (g, l) legs are swapped.
         """
-        return [[self._orient(site_fn(*self.coords(c, r))) for r in range(self.n_rows)]
-                for c in range(self.n_cols)]
-
-    def _orient(self, t):
         if not self.transposed:
-            return t
-        return t.transpose(1, 0, 3, 2, *range(4, t.ndim))
+            return grid.swapaxes(0, 1)
+        return grid.transpose(0, 1, 3, 2, 5, 4, *range(6, grid.ndim))
 
 
 def site_double_tensor(ket, bra=None, op=None):
-    """Double-layer site tensor with combined (ket, bra) legs of extent D^2.
+    """Double-layer site tensors with combined (ket, bra) legs of extent D^2.
 
-    ket/bra are 5-leg site tensors (a, b, g, l, j); bra defaults to ket. With
-    `op` (a d x d matrix) the physical legs are closed through <j'|op|j>,
-    otherwise through the identity.
+    ket/bra are 5-leg site tensors (..., a, b, g, l, j) with any leading axes;
+    bra defaults to ket. With `op` (a d x d matrix) the physical legs are
+    closed through <j'|op|j>, otherwise through the identity.
     """
     if bra is None:
         bra = ket
     if op is None:
-        e = np.einsum("abglj,ABGLj->aAbBgGlL", ket, bra.conj())
+        e = np.einsum("...abglj,...ABGLj->...aAbBgGlL", ket, bra.conj())
     else:
-        e = np.einsum("abglj,ABGLk,kj->aAbBgGlL", ket, bra.conj(), op)
-    D = ket.shape[0]
-    return e.reshape(D * D, D * D, D * D, D * D)
+        e = np.einsum("...abglj,...ABGLk,kj->...aAbBgGlL", ket, bra.conj(), op)
+    D = ket.shape[-5]
+    return e.reshape(*e.shape[:-8], D * D, D * D, D * D, D * D)
 
 
 def site_single_tensor(ket, site_vector):
-    """Single-layer site tensor <v|A>: physical leg closed with conj(site_vector)."""
-    return np.einsum("abglj,j->abgl", ket, site_vector.conj())
+    """Single-layer site tensors <v|A>: physical legs closed with conj(site_vector).
+
+    ket has shape (..., a, b, g, l, j) and site_vector (..., j).
+    """
+    return np.einsum("...abglj,...j->...abgl", ket, site_vector.conj())
 
 
 def column_transfer(tensors):
@@ -108,7 +107,7 @@ def transfer_matrices(columns):
     matrix is built, when the ring's matrices and their environments would
     exceed NETWORK_BUDGET bytes.
     """
-    if not columns or len(columns[0]) < 2:
+    if len(columns) == 0 or len(columns[0]) < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
     first = columns[0]
     n_left = math.prod(t.shape[1] for t in first)

@@ -249,7 +249,7 @@ def exact_partition_function(l1, l2, table):
     site = np.zeros((2, 2, 2, 2))
     for s in (0, 1):
         site[s, s] = v[s].T
-    columns = network.Layout(l1, l2).columns(lambda x, y: site)
+    columns = network.Layout(l1, l2).columns(np.broadcast_to(site, (l1, l2, *site.shape)))
     z = network.ring_value(network.transfer_matrices(columns)).real
     ground = float(v[0, 0, 0]) ** (l1 * l2)
     return PartitionResult(l1, l2, table.D, table.d, table.kind, z, ground, z - ground)

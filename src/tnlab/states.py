@@ -7,17 +7,18 @@ neighbors. theta is the site's single variational parameter and G its
 Hermitian generator.
 """
 
+import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import network
 from .errors import ResourceLimitError
 from .lattice import DEFAULT_AMPLITUDE_CAP, LatticeSpec
-from .tensors import haar_unitary, is_hermitian, is_unitary, random_hermitian
+from .tensors import haar_from_ginibre, hermitian_from_gaussian, is_hermitian, is_unitary
 
 EMBED_TOL = 1e-10
 STATE_FORMAT = "tnlab-state-v1"
@@ -25,77 +26,103 @@ STATE_FORMAT = "tnlab-state-v1"
 
 @dataclass(frozen=True)
 class SiteParams:
-    """One site's unitary factorization U = u_minus exp(-i theta G) u_plus."""
+    """Unitary factorizations U = u_minus exp(-i theta G) u_plus, batched over leading axes.
+
+    u_minus, u_plus and generator have shape (..., N, N) and theta shape (...):
+    a state holds one SiteParams with leading (l1, l2) axes, `TNState.site`
+    gives one site's.
+    """
 
     u_minus: np.ndarray
     u_plus: np.ndarray
     generator: np.ndarray
-    theta: float
+    theta: np.ndarray
+
+    @cached_property
+    def exponential(self):
+        """exp(-i theta G), from one batched eigh that U and dU/dtheta share."""
+        return _expm_herm(-np.asarray(self.theta), self.generator)
 
     def embedded_unitary(self):
-        return self.u_minus @ _expm_herm(-self.theta, self.generator) @ self.u_plus
+        return self.u_minus @ self.exponential @ self.u_plus
 
     def derivative_unitary(self):
         """d/d theta of the embedded unitary: -iG inserted next to the exponential."""
-        mid = (-1j * self.generator) @ _expm_herm(-self.theta, self.generator)
+        mid = (-1j * self.generator) @ self.exponential
         return self.u_minus @ mid @ self.u_plus
-
-    def with_theta(self, theta):
-        return SiteParams(self.u_minus, self.u_plus, self.generator, float(theta))
 
 
 def _expm_herm(scale, h):
-    """exp(1j * scale * h) for Hermitian h via eigendecomposition."""
+    """exp(1j * scale * h) for Hermitian h via eigendecomposition, batched over leading axes."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
+    return (v * np.exp(1j * scale[..., None] * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class TNState:
+    """A random state: `params` holds every site's factors with leading (l1, l2) axes."""
+
     spec: LatticeSpec
-    sites: tuple  # tuple of tuples of SiteParams, indexed [x][y]
+    params: SiteParams
 
     def site(self, x, y):
-        return self.sites[x][y]
+        p = self.params
+        return SiteParams(p.u_minus[x, y], p.u_plus[x, y], p.generator[x, y], p.theta[x, y])
+
+    def with_theta(self, x, y, theta):
+        """This state with site (x, y)'s parameter set to theta."""
+        thetas = np.array(self.params.theta, dtype=float)
+        thetas[x, y] = theta
+        return TNState(self.spec, dataclasses.replace(self.params, theta=thetas))
 
 
 def build_state(spec, rng):
-    """Independent Haar u_minus/u_plus, Gaussian Hermitian generator, uniform theta per site."""
+    """Independent Haar u_minus/u_plus, Gaussian Hermitian generator, uniform theta per site.
+
+    Site by site in row-major order the stream gives the real and imaginary
+    Ginibre parts of u_minus, u_plus and the generator, then theta; the
+    transforms then run once over every site. Raises ResourceLimitError,
+    before any draw, when the draws and the state's complex factors would
+    exceed network.NETWORK_BUDGET bytes.
+    """
     n = spec.unitary_dim
-    rows = []
-    for _ in range(spec.l1):
-        row = []
-        for _ in range(spec.l2):
-            row.append(SiteParams(
-                u_minus=haar_unitary(n, rng),
-                u_plus=haar_unitary(n, rng),
-                generator=random_hermitian(n, rng),
-                theta=float(rng.uniform(0.0, 2.0 * np.pi)),
-            ))
-        rows.append(tuple(row))
-    return TNState(spec, tuple(rows))
+    # a (6, N, N) float64 block of draws and three (N, N) complex128 factors per site
+    need = spec.n_sites * n * n * (6 * 8 + 3 * 16)
+    if need > network.NETWORK_BUDGET:
+        raise ResourceLimitError(
+            f"{spec.n_sites} sites of {n} x {n} unitaries need about {need / 2**30:.1f} GiB, "
+            f"above the network budget of {network.NETWORK_BUDGET / 2**30:.1f} GiB")
+    raw = np.empty((spec.l1, spec.l2, 6, n, n))
+    theta = np.empty((spec.l1, spec.l2))
+    for x, y in spec.sites():
+        rng.standard_normal(out=raw[x, y])
+        theta[x, y] = rng.uniform(0.0, 2.0 * np.pi)
+    u = haar_from_ginibre(raw[:, :, 0:4:2], raw[:, :, 1:4:2])
+    generator = hermitian_from_gaussian(raw[:, :, 4], raw[:, :, 5])
+    return TNState(spec, SiteParams(u[:, :, 0], u[:, :, 1], generator, theta))
 
 
 def _tensor_from_unitary(u, D, d):
-    # A[a, b, g, l, j] = U[(g, l, j), (a, b, 0)]
-    u6 = np.asarray(u).reshape(D, D, d, D, D, d)
-    return np.ascontiguousarray(u6[:, :, :, :, :, 0].transpose(3, 4, 0, 1, 2))
+    # A[..., a, b, g, l, j] = U[..., (g, l, j), (a, b, 0)]
+    k = u.ndim - 2
+    u6 = u.reshape(*u.shape[:k], D, D, d, D, D, d)[..., 0]
+    return np.ascontiguousarray(u6.transpose(*range(k), k + 3, k + 4, k, k + 1, k + 2))
 
 
-def local_tensor(site, D, d):
-    """Site tensor A[a, b, g, l, j]: the embedded unitary applied to |0> on the physical input."""
-    return _tensor_from_unitary(site.embedded_unitary(), D, d)
+def local_tensor(params, D, d):
+    """Site tensors A[..., a, b, g, l, j]: the embedded unitaries applied to |0> on the physical
+    input."""
+    return _tensor_from_unitary(params.embedded_unitary(), D, d)
 
 
-def local_derivative_tensor(site, D, d):
-    """d/d theta of the site tensor."""
-    return _tensor_from_unitary(site.derivative_unitary(), D, d)
+def local_derivative_tensor(params, D, d):
+    """d/d theta of the site tensors."""
+    return _tensor_from_unitary(params.derivative_unitary(), D, d)
 
 
 def _ket(state):
-    """site_fn(x, y) returning the state's 5-leg site tensor at (x, y)."""
-    spec = state.spec
-    return lambda x, y: local_tensor(state.site(x, y), spec.D, spec.d)
+    """Every site tensor of the state, shape (l1, l2, D, D, D, D, d)."""
+    return local_tensor(state.params, state.spec.D, state.spec.d)
 
 
 def to_statevector(state):
@@ -126,10 +153,9 @@ def _bra_ket_value(state, site=None, op=None):
     """<psi| op at site |psi> by bra-ket network contraction; <psi|psi> without op."""
     spec = state.spec
     ket = _ket(state)
-
-    def double(x, y):
-        return network.site_double_tensor(ket(x, y), op=op if (x, y) == site else None)
-
+    double = network.site_double_tensor(ket)
+    if site is not None:
+        double[site] = network.site_double_tensor(ket[site], op=op)
     columns = network.Layout(spec.l1, spec.l2).columns(double)
     val = network.ring_value(network.transfer_matrices(columns))
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
@@ -156,9 +182,8 @@ def overlap(state, product_state):
     """<phi|psi> for a normalized per-site product state phi, shape (l1, l2, d)."""
     spec = state.spec
     phi = check_product_state(spec, product_state)
-    ket = _ket(state)
     columns = network.Layout(spec.l1, spec.l2).columns(
-        lambda x, y: network.site_single_tensor(ket(x, y), phi[x, y]))
+        network.site_single_tensor(_ket(state), phi))
     return complex(network.ring_value(network.transfer_matrices(columns)))
 
 
@@ -173,6 +198,12 @@ def local_expectation(state, site_index, observable):
     return _bra_ket_value(state, tuple(site_index), obs)
 
 
+def _record_dtype(n):
+    """One site's record in a state file: three (n, n) complex128 factors, then theta."""
+    return np.dtype([("u_minus", "<c16", (n, n)), ("u_plus", "<c16", (n, n)),
+                     ("generator", "<c16", (n, n)), ("theta", "<f8")])
+
+
 def save_state(state, path, seed=None):
     """Versioned hybrid format: one JSON header line, then raw little-endian arrays.
 
@@ -182,14 +213,12 @@ def save_state(state, path, seed=None):
     spec = state.spec
     header = {"format": STATE_FORMAT, "l1": spec.l1, "l2": spec.l2,
               "D": spec.D, "d": spec.d, "seed": seed}
+    records = np.empty((spec.l1, spec.l2), dtype=_record_dtype(spec.unitary_dim))
+    for name in records.dtype.names:
+        records[name] = getattr(state.params, name)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for x in range(spec.l1):
-            for y in range(spec.l2):
-                s = state.site(x, y)
-                for arr in (s.u_minus, s.u_plus, s.generator):
-                    fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
-                fh.write(np.float64(s.theta).astype("<f8").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_state(path):
@@ -197,7 +226,7 @@ def load_state(path):
 
     Raises ValueError unless the body has exactly the length that the header
     implies, every u_minus and u_plus is unitary, every generator Hermitian
-    and every theta finite.
+    and every theta finite; the message names the first bad site.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
@@ -207,26 +236,21 @@ def load_state(path):
             spec = LatticeSpec(header["l1"], header["l2"], header["D"], header["d"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad state header {header!r}: {exc!r}") from None
-        n = spec.unitary_dim
-        mat_bytes = n * n * 16
-        expected = spec.n_sites * (3 * mat_bytes + 8)
+        dtype = _record_dtype(spec.unitary_dim)
+        expected = spec.n_sites * dtype.itemsize
         body = os.fstat(fh.fileno()).st_size - fh.tell()
         if body != expected:
             raise ValueError(f"state body has {body} bytes; its header implies {expected}")
-        rows = []
-        for x in range(spec.l1):
-            row = []
-            for y in range(spec.l2):
-                u_minus, u_plus, generator = (
-                    np.frombuffer(fh.read(mat_bytes), dtype="<c16").reshape(n, n)
-                    for _ in range(3))
-                theta = float(np.frombuffer(fh.read(8), dtype="<f8")[0])
-                if not (is_unitary(u_minus) and is_unitary(u_plus)):
-                    raise ValueError(f"site ({x}, {y}): u_minus or u_plus is not unitary")
-                if not is_hermitian(generator):
-                    raise ValueError(f"site ({x}, {y}): generator is not Hermitian")
-                if not math.isfinite(theta):
-                    raise ValueError(f"site ({x}, {y}): theta = {theta} is not finite")
-                row.append(SiteParams(u_minus, u_plus, generator, theta))
-            rows.append(tuple(row))
-    return TNState(spec, tuple(rows))
+        records = np.frombuffer(fh.read(), dtype=dtype).reshape(spec.l1, spec.l2)
+    u_minus, u_plus, generator = (np.array(records[name], dtype=complex)
+                                  for name in ("u_minus", "u_plus", "generator"))
+    theta = np.array(records["theta"], dtype=float)
+    checks = [(~(is_unitary(u_minus) & is_unitary(u_plus)), "u_minus or u_plus is not unitary"),
+              (~is_hermitian(generator), "generator is not Hermitian"),
+              (~np.isfinite(theta), "theta = {} is not finite")]
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if bad.any():
+        x, y = (int(i) for i in np.argwhere(bad)[0])
+        message = next(text for failed, text in checks if failed[x, y])
+        raise ValueError(f"site ({x}, {y}): " + message.format(theta[x, y]))
+    return TNState(spec, SiteParams(u_minus, u_plus, generator, theta))

@@ -11,46 +11,62 @@ UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-14
 
 
-def haar_unitary(dim, rng):
-    """Draw a dim x dim unitary from the Haar measure.
-
-    Uses the Ginibre + QR construction with the diagonal phase fix that makes
-    the distribution exactly Haar (not just approximately).
-    """
+def _check_dim(dim):
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+
+
+def haar_from_ginibre(re, im):
+    """Haar unitaries from the real and imaginary parts of Ginibre matrices.
+
+    Mezzadri's construction (Notices AMS 54, 592, 2007): the QR factors of
+    (re + i im) / sqrt(2), with the phases of R's diagonal moved into Q, which
+    makes the distribution exactly Haar (not just approximately). Batches over
+    leading axes.
+    """
+    z = (re + 1j * im) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def hermitian_from_gaussian(re, im):
+    """(A + A^dag) / 2 for A = re + i im, batched over leading axes."""
+    a = re + 1j * im
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def haar_unitaries(dim, count, rng):
-    """Batch of `count` independent Haar unitaries, shape (count, dim, dim)."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    z = (rng.standard_normal((count, dim, dim))
-         + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    """Batch of `count` independent Haar unitaries, shape (count, dim, dim).
+
+    Draws every real part, then every imaginary part.
+    """
+    _check_dim(dim)
+    re, im = rng.standard_normal((2, count, dim, dim))
+    return haar_from_ginibre(re, im)
+
+
+def haar_unitary(dim, rng):
+    """Draw a dim x dim unitary from the Haar measure."""
+    return haar_unitaries(dim, 1, rng)[0]
 
 
 def random_hermitian(dim, rng):
     """Gaussian-ensemble Hermitian matrix H = (A + A^dag)/2 with A complex standard normal."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (a + a.conj().T) / 2.0
+    _check_dim(dim)
+    re, im = rng.standard_normal((2, dim, dim))
+    return hermitian_from_gaussian(re, im)
 
 
 def is_unitary(u, tol=UNITARITY_TOL):
-    dim = u.shape[0]
-    return np.abs(u.conj().T @ u - np.eye(dim)).max() <= tol
+    """Whether u is unitary to `tol`; an array of answers over leading axes."""
+    dim = u.shape[-1]
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1)) <= tol
 
 
 def is_hermitian(h, tol=HERMITICITY_TOL):
-    return np.abs(h - h.conj().T).max() <= tol
+    """Whether h is Hermitian to `tol`; an array of answers over leading axes."""
+    return np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from tnlab.polyomino import (Polyomino, directed_gf, enumerate_directed,
 from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
                              exact_partition_function, global_loss_weights,
                              mc_second_moment, norm_weights, table_from_boltzmann)
-from tnlab.states import TNState, build_state, norm_squared
+from tnlab.states import build_state, norm_squared
 from tnlab.tensors import SecondMomentWeights, haar_unitaries, second_moment_channel
 from tnlab.variance import distance_profile, onsite_floor_check, variance_scan
 
@@ -141,10 +141,7 @@ def test_criterion_07_gradient_oracle():
 
     def fd(state, site, loss, h=1e-5):
         def shifted(dt):
-            sites = [list(row) for row in state.sites]
-            x, y = site
-            sites[x][y] = sites[x][y].with_theta(sites[x][y].theta + dt)
-            return TNState(state.spec, tuple(tuple(r) for r in sites))
+            return state.with_theta(*site, state.site(*site).theta + dt)
         return (loss_value(shifted(h), loss) - loss_value(shifted(-h), loss)) / (2 * h)
 
     worst = 0.0

@@ -103,6 +103,13 @@ def test_resource_cap_exit_code(tmp_path):
     assert code == 4
 
 
+def test_oversized_state_exit_code(tmp_path):
+    # bond dimension 64 makes 8192 x 8192 site unitaries: build_state refuses them
+    code = main(["norm-stats", "--bond-dim", "64", "--sizes", "2x2", "--samples", "2",
+                 "--seed", "2", "--out", str(tmp_path / "x")])
+    assert code == 4
+
+
 def test_bounds_rejects_single_row(tmp_path):
     code = main(["bounds", "--sizes", "1x1", "--seed", "5", "--out", str(tmp_path / "x")])
     assert code == 2

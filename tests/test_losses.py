@@ -1,5 +1,7 @@
 """Tests for loss evaluation and analytic gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,7 @@ from tnlab.states import (TNState, build_state, local_expectation, norm_squared,
 
 def finite_difference(state, site, loss, h=1e-5):
     def shifted(dt):
-        sites = [list(row) for row in state.sites]
-        x, y = site
-        sites[x][y] = sites[x][y].with_theta(sites[x][y].theta + dt)
-        return TNState(state.spec, tuple(tuple(r) for r in sites))
+        return state.with_theta(*site, state.site(*site).theta + dt)
 
     return (loss_value(shifted(h), loss) - loss_value(shifted(-h), loss)) / (2 * h)
 
@@ -177,10 +176,8 @@ def test_identity_generator_gives_zero_gradient():
     spec = LatticeSpec(2, 2, 2, 2)
     rng = np.random.default_rng(27)
     st = build_state(spec, rng)
-    sites = tuple(
-        tuple(type(s)(s.u_minus, s.u_plus, np.eye(spec.unitary_dim, dtype=complex), s.theta)
-              for s in row) for row in st.sites)
-    st_phase = TNState(spec, sites)
+    eye = np.broadcast_to(np.eye(spec.unitary_dim, dtype=complex), st.params.generator.shape)
+    st_phase = TNState(spec, dataclasses.replace(st.params, generator=eye))
     loss = LossSpec(kind=GLOBAL_PURE, target=plus_target(spec))
     assert np.abs(gradient_map(st_phase, loss)).max() < 1e-12
 

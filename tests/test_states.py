@@ -1,7 +1,10 @@
 """Tests for random state construction, contraction consistency, and serialization."""
 
+import dataclasses
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +22,13 @@ from tnlab.states import (SiteParams, TNState, build_state, load_state, local_de
                           local_expectation, local_tensor, norm_squared, overlap,
                           save_state, to_statevector)
 
+BENCHMARK_DATA = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+
 
 def identity_state(spec):
     n = spec.unitary_dim
-    site = SiteParams(np.eye(n, dtype=complex), np.eye(n, dtype=complex),
-                      np.zeros((n, n), dtype=complex), 0.0)
-    return TNState(spec, tuple(tuple(site for _ in range(spec.l2))
-                               for _ in range(spec.l1)))
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (spec.l1, spec.l2, n, n))
+    return TNState(spec, SiteParams(eye, eye, np.zeros_like(eye), np.zeros((spec.l1, spec.l2))))
 
 
 def random_product_state(spec, rng):
@@ -80,7 +83,7 @@ def test_build_state_shapes_and_determinism():
     spec = LatticeSpec(2, 2, 2, 2)
     st1 = build_state(spec, np.random.default_rng(5))
     st2 = build_state(spec, np.random.default_rng(5))
-    assert len(st1.sites) == 2 and len(st1.sites[0]) == 2
+    assert st1.params.u_minus.shape == (2, 2, 8, 8) and st1.params.theta.shape == (2, 2)
     a = local_tensor(st1.site(0, 0), 2, 2)
     assert a.shape == (2, 2, 2, 2, 2) and a.size == 32
     for x, y in spec.sites():
@@ -89,6 +92,59 @@ def test_build_state_shapes_and_determinism():
         assert np.array_equal(s1.u_plus, s2.u_plus)
         assert np.array_equal(s1.generator, s2.generator)
         assert s1.theta == s2.theta
+
+
+@pytest.mark.parametrize("l1, l2", [(2, 2), (3, 2), (2, 3)])
+def test_build_state_keeps_the_site_by_site_stream(l1, l2):
+    # oracle: each site draws u_minus, u_plus, the generator, then theta
+    spec = LatticeSpec(l1, l2, 3, 2)
+    rng = np.random.default_rng(l1 * 10 + l2)
+    n = spec.unitary_dim
+    expected = {}
+    for site in spec.sites():
+        expected[site] = (tnlab.haar_unitary(n, rng), tnlab.haar_unitary(n, rng),
+                          tnlab.random_hermitian(n, rng), float(rng.uniform(0.0, 2.0 * np.pi)))
+    st = build_state(spec, np.random.default_rng(l1 * 10 + l2))
+    for site, (u_minus, u_plus, generator, theta) in expected.items():
+        s = st.site(*site)
+        assert np.array_equal(s.u_minus, u_minus)
+        assert np.array_equal(s.u_plus, u_plus)
+        assert np.array_equal(s.generator, generator)
+        assert s.theta == theta
+
+
+@settings(max_examples=30, deadline=None)
+@given(l1=hst.integers(2, 4), l2=hst.integers(2, 4), D=hst.sampled_from([2, 3]),
+       d=hst.sampled_from([2, 3]), seed=hst.integers(0, 2**32 - 1))
+def test_batched_site_tensors_equal_per_site_calls(l1, l2, D, d, seed):
+    st = build_state(LatticeSpec(l1, l2, D, d), np.random.default_rng(seed))
+    ket = local_tensor(st.params, D, d)
+    dket = local_derivative_tensor(st.params, D, d)
+    double = network.site_double_tensor(ket)
+    d_double = network.site_double_tensor(dket, bra=ket)
+    for x, y in st.spec.sites():
+        a = local_tensor(st.site(x, y), D, d)
+        da = local_derivative_tensor(st.site(x, y), D, d)
+        assert np.array_equal(ket[x, y], a)
+        assert np.array_equal(dket[x, y], da)
+        assert np.array_equal(double[x, y], network.site_double_tensor(a))
+        assert np.array_equal(d_double[x, y], network.site_double_tensor(da, bra=a))
+
+
+def test_build_state_refuses_oversized_state_before_drawing():
+    # 2 x 2 sites of 8192 x 8192 unitaries: about 24 GiB of draws and factors
+    spec = LatticeSpec(2, 2, 64, 2)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="network budget"):
+            build_state(spec, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert rng.bit_generator.state == before
 
 
 def test_dense_cap_applies_to_statevector_only():
@@ -179,7 +235,7 @@ def test_site_tensor_isometry_sum():
 def test_derivative_tensor_at_theta_zero():
     spec = LatticeSpec(2, 2, 2, 2)
     st = build_state(spec, np.random.default_rng(8))
-    site = st.site(0, 0).with_theta(0.0)
+    site = st.with_theta(0, 0, 0.0).site(0, 0)
     da = local_derivative_tensor(site, 2, 2)
     u_ref = site.u_minus @ (-1j * site.generator) @ site.u_plus
     ref = u_ref.reshape(2, 2, 2, 2, 2, 2)[:, :, :, :, :, 0].transpose(3, 4, 0, 1, 2)
@@ -281,11 +337,8 @@ def test_haar_invariance_of_norm_statistics():
     fixed = tnlab.haar_unitary(spec.unitary_dim, rng)
 
     def twisted(state):
-        sites = tuple(
-            tuple(SiteParams(fixed @ s.u_minus, s.u_plus, s.generator, s.theta)
-                  for s in row)
-            for row in state.sites)
-        return TNState(spec, sites)
+        params = state.params
+        return TNState(spec, dataclasses.replace(params, u_minus=fixed @ params.u_minus))
 
     base = np.array([norm_squared(build_state(spec, rng)) for _ in range(2000)])
     twist = np.array([norm_squared(twisted(build_state(spec, rng))) for _ in range(2000)])
@@ -306,6 +359,19 @@ def test_serialization_roundtrip(tmp_path):
         assert np.array_equal(s1.generator, s2.generator)
         assert s1.theta == s2.theta
     assert abs(norm_squared(loaded) - norm_squared(st)) == 0.0
+
+
+@pytest.mark.parametrize("path", sorted(BENCHMARK_DATA.glob("state_*.bin")), ids=lambda p: p.name)
+def test_committed_state_files_save_back_identically(tmp_path, path):
+    # the committed headers also carry the retired "cap" key, which save_state drops
+    data = path.read_bytes()
+    header_len = data.index(b"\n") + 1
+    header = json.loads(data[:header_len])
+    save_state(load_state(path), tmp_path / "again.bin", seed=header["seed"])
+    again = (tmp_path / "again.bin").read_bytes()
+    again_len = again.index(b"\n") + 1
+    assert json.loads(again[:again_len]) == {k: v for k, v in header.items() if k != "cap"}
+    assert again[again_len:] == data[header_len:]
 
 
 def test_serialization_rejects_unknown_format(tmp_path):
@@ -369,6 +435,28 @@ def test_load_state_rejects_non_unitary_factor(tmp_path_factory, saved_state, si
     value = np.frombuffer(data, dtype="<c16", count=1, offset=offset)[0]
     arr[offset:offset + 16] = np.array([value + 1e-6], dtype="<c16").tobytes()
     with pytest.raises(ValueError, match="not unitary"):
+        _load_bytes(tmp_path_factory, bytes(arr))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # theta of site (1, 2), generator of site (0, 1): the row-major first is named
+    ([((1, 2), "theta"), ((0, 1), "generator")], "site (0, 1): generator is not Hermitian"),
+    # two faults at one site: unitarity is checked first
+    ([((1, 0), "theta"), ((1, 0), "u_plus")], "site (1, 0): u_minus or u_plus is not unitary"),
+    ([((0, 2), "theta"), ((1, 1), "u_minus")], "site (0, 2): theta = nan is not finite"),
+])
+def test_load_state_names_the_first_bad_site(tmp_path_factory, saved_state, corrupt, message):
+    data, header_len = saved_state
+    mat_bytes = 64 * 16
+    arr = bytearray(data)
+    for (x, y), field in corrupt:
+        start = header_len + (3 * x + y) * (3 * mat_bytes + 8)
+        if field == "theta":
+            arr[start + 3 * mat_bytes:start + 3 * mat_bytes + 8] = np.float64(np.nan).tobytes()
+        else:
+            at = start + ["u_minus", "u_plus", "generator"].index(field) * mat_bytes + 16
+            arr[at:at + 16] = np.array([5.0 + 1.0j], dtype="<c16").tobytes()
+    with pytest.raises(ValueError, match=re.escape(message)):
         _load_bytes(tmp_path_factory, bytes(arr))
 
 

@@ -18,6 +18,21 @@ def mc_channel(n, tensor, samples, rng):
     return acc.reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 18])
+def test_single_draws_keep_the_ginibre_stream(dim):
+    # the one-matrix formulas the batched transforms replaced, draw for draw
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (a + a.conj().T) / 2.0
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(haar_unitary(dim, rng), u)
+        assert np.array_equal(random_hermitian(dim, rng), h)
+
+
 def test_haar_unitary_dim_one_is_a_phase():
     rng = np.random.default_rng(0)
     u = haar_unitary(1, rng)

@@ -6,7 +6,6 @@ from .bounds import (
     global_variance_bound,
     global_variance_ratio,
     norm_excess_bound,
-    offsite_reference_profile,
     onsite_floor_prefactors,
 )
 from .errors import DegenerateStateError, ResourceLimitError
@@ -36,10 +35,8 @@ from .polyomino import (
     verify_decomposition,
 )
 from .spinmodel import (
-    ConfigClass,
     IsingCouplings,
     WeightTable,
-    classify_config,
     exact_partition_function,
     global_loss_weights,
     mc_second_moment,
@@ -66,7 +63,6 @@ from .tensors import (
 from .variance import (
     VarianceReport,
     distance_profile,
-    onsite_floor_check,
     variance_scan,
 )
 

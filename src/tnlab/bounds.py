@@ -3,7 +3,7 @@ empirical quantities.
 
 All bounds are checked as one-sided inequalities with explicit slack; the
 unspecified constants of the underlying statements are either dropped (pure
-upper-bound chains), or fitted once at the smallest size and held fixed.
+upper-bound chains) or cancel in ratios between sizes.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,6 @@ from .polyomino import directed_gf
 from .spinmodel import global_loss_weights, norm_weights
 
 NORM_DECAY_RATE = 0.97      # headline rate of the norm-concentration statement
-OFFSITE_DECAY_RATE = 0.93   # off-site local-loss decay rate
 GF_RESCALE = 25.0 / 26.0    # area rescale keeping the generating function finite
 
 
@@ -63,49 +62,10 @@ def global_variance_ratio(D, d):
     return 2.0 * (D**4 - 1.0 / d) / ((D**2 * d) ** 2 - 1.0)
 
 
-def global_variance_bound(n_sites, D, d, scale=1.0):
-    """scale * 2^V * g_max^(V-1): the global-loss variance bound at V sites."""
+def global_variance_bound(n_sites, D, d):
+    """2^V * g_max^(V-1): the global-loss variance bound at V sites."""
     g_max = global_loss_weights(D, d)(0, 0, 0)
-    return scale * 2.0**n_sites * g_max ** (n_sites - 1)
-
-
-def fit_global_scale(n_sites, empirical_variance, D, d):
-    """Constant making the bound tight at one (smallest) size; held fixed elsewhere."""
-    return empirical_variance / global_variance_bound(n_sites, D, d, scale=1.0)
-
-
-def global_variance_reports(size_variances, D, d):
-    """Bound-vs-empirical reports across sizes, scale fitted at the smallest size.
-
-    size_variances: list of (n_sites, empirical mean variance), any order.
-    """
-    pairs = sorted(size_variances)
-    scale = fit_global_scale(pairs[0][0], pairs[0][1], D, d)
-    return [_upper_report("global_variance",
-                          {"n_sites": v, "D": D, "d": d, "scale": scale},
-                          global_variance_bound(v, D, d, scale=scale), var)
-            for v, var in pairs]
-
-
-def offsite_reference_profile(deltas, D):
-    """Reference decay shape 0.93^delta / D^2 for the off-site local-loss variance."""
-    return [OFFSITE_DECAY_RATE**delta / D**2 for delta in deltas]
-
-
-def offsite_profile_reports(profile, D):
-    """Check an empirical distance profile against the reference decay shape.
-
-    profile: {delta: mean variance}. The scale is fitted at the smallest
-    positive distance; each larger distance must lie below the fitted
-    reference curve (the reference rate is an upper bound on the decay, so
-    faster empirical decay satisfies it).
-    """
-    deltas = sorted(k for k in profile if k > 0)
-    ref = dict(zip(deltas, offsite_reference_profile(deltas, D)))
-    scale = profile[deltas[0]] / ref[deltas[0]]
-    return [_upper_report("offsite_decay", {"delta": delta, "D": D, "scale": scale},
-                          scale * ref[delta], profile[delta])
-            for delta in deltas]
+    return 2.0**n_sites * g_max ** (n_sites - 1)
 
 
 def onsite_floor_prefactors(D, d, tr_o2, tr_o=0.0):

@@ -1,8 +1,9 @@
 """Torus geometry: lattice sizes, site indexing, and toric distances."""
 
 from dataclasses import dataclass
+from numbers import Integral
 
-# amplitudes that the dense statevector (`states.to_statevector`) may hold
+# amplitudes that the dense statevector (`network.statevector`) may hold
 DEFAULT_AMPLITUDE_CAP = 2**24
 
 
@@ -20,6 +21,10 @@ class LatticeSpec:
     d: int
 
     def __post_init__(self):
+        for name in ("l1", "l2", "D", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.l1 < 2 or self.l2 < 2:
             raise ValueError("lattice sides must both be >= 2")
         if self.D < 2 or self.d < 2:

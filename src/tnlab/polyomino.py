@@ -107,12 +107,6 @@ class PolyominoCounts:
     def get(self, m, n):
         return self.counts.get((m, n), 0)
 
-    def by_area(self):
-        out = {}
-        for (m, _), c in self.counts.items():
-            out[m] = out.get(m, 0) + c
-        return out
-
 
 def enumerate_directed(m_max):
     """Exact D_{m,n} counts by exhaustive generation."""

@@ -21,7 +21,6 @@ tables, which are themselves verified against Monte-Carlo Haar integration.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -176,24 +175,6 @@ def table_from_boltzmann(D, d, kind):
     return WeightTable(D, d, kind, w.real.copy())
 
 
-class ConfigClass(Enum):
-    GROUND = "ground"
-    VALID = "valid"
-    ZERO = "zero"
-
-
-def classify_config(config):
-    """Ground (all down), zero (some up spin with both successors down), or valid."""
-    c = np.asarray(config, dtype=bool)
-    if not c.any():
-        return ConfigClass.GROUND
-    right = np.roll(c, -1, axis=1)
-    down = np.roll(c, -1, axis=0)
-    if np.any(c & ~right & ~down):
-        return ConfigClass.ZERO
-    return ConfigClass.VALID
-
-
 def _successor_indexing(l1, l2):
     idx = np.arange(l1 * l2)
     x, y = idx // l2, idx % l2
@@ -249,8 +230,7 @@ def exact_partition_function(l1, l2, table):
     site = np.zeros((2, 2, 2, 2))
     for s in (0, 1):
         site[s, s] = v[s].T
-    columns = network.Layout(l1, l2).columns(np.broadcast_to(site, (l1, l2, *site.shape)))
-    z = network.ring_value(network.transfer_matrices(columns)).real
+    z = network.contract(np.broadcast_to(site, (l1, l2, *site.shape))).real
     ground = float(v[0, 0, 0]) ** (l1 * l2)
     return PartitionResult(l1, l2, table.D, table.d, table.kind, z, ground, z - ground)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import network
 from .errors import ResourceLimitError
-from .lattice import DEFAULT_AMPLITUDE_CAP, LatticeSpec
+from .lattice import LatticeSpec
 from .tensors import haar_from_ginibre, hermitian_from_gaussian, is_hermitian, is_unitary
 
 EMBED_TOL = 1e-10
@@ -127,45 +127,12 @@ def _ket(state):
 
 def to_statevector(state):
     """Dense amplitude tensor, one leg of extent d per site in row-major (x, y) order."""
-    spec = state.spec
-    if spec.d ** spec.n_sites > DEFAULT_AMPLITUDE_CAP:
-        raise ResourceLimitError(
-            f"d**(l1*l2) = {spec.d}**{spec.n_sites} exceeds the dense cap "
-            f"{DEFAULT_AMPLITUDE_CAP}")
-    layout = network.Layout(spec.l1, spec.l2)
-    D, d, n = spec.D, spec.d, layout.n_rows
-    columns = []
-    for ts in layout.columns(_ket(state)):
-        # fold each physical leg onto the left bond: (a, (b, j), g, l)
-        m = network.column_transfer(
-            [t.transpose(0, 1, 4, 2, 3).reshape(D, D * d, D, D) for t in ts])
-        # split the left index (b0, j0, b1, j1, ...) into [bonds, phys, right]
-        m = m.reshape((D, d) * n + (-1,))
-        m = m.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n)
-        columns.append(m.reshape(D**n, d**n, -1))
-    psi = network.ring_statevector(columns).reshape((d,) * spec.n_sites)
-    # ring order is (column, row-within-column); map back to row-major sites
-    perm = [c * layout.n_rows + r for c, r in (layout.coords(x, y) for x, y in spec.sites())]
-    return np.ascontiguousarray(psi.transpose(perm))
-
-
-def _bra_ket_value(state, site=None, op=None):
-    """<psi| op at site |psi> by bra-ket network contraction; <psi|psi> without op."""
-    spec = state.spec
-    ket = _ket(state)
-    double = network.site_double_tensor(ket)
-    if site is not None:
-        double[site] = network.site_double_tensor(ket[site], op=op)
-    columns = network.Layout(spec.l1, spec.l2).columns(double)
-    val = network.ring_value(network.transfer_matrices(columns))
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise RuntimeError(f"bra-ket value {val} has a non-negligible imaginary part")
-    return float(val.real)
+    return network.statevector(_ket(state))
 
 
 def norm_squared(state):
     """<psi|psi> by bra-ket network contraction (no statevector materialized)."""
-    return _bra_ket_value(state)
+    return network.bra_ket(_ket(state))
 
 
 def check_product_state(spec, product_state):
@@ -180,11 +147,7 @@ def check_product_state(spec, product_state):
 
 def overlap(state, product_state):
     """<phi|psi> for a normalized per-site product state phi, shape (l1, l2, d)."""
-    spec = state.spec
-    phi = check_product_state(spec, product_state)
-    columns = network.Layout(spec.l1, spec.l2).columns(
-        network.site_single_tensor(_ket(state), phi))
-    return complex(network.ring_value(network.transfer_matrices(columns)))
+    return network.overlap(_ket(state), check_product_state(state.spec, product_state))
 
 
 def local_expectation(state, site_index, observable):
@@ -195,7 +158,7 @@ def local_expectation(state, site_index, observable):
         raise ValueError(f"observable must be {spec.d} x {spec.d}")
     if np.abs(obs - obs.conj().T).max() > 1e-12:
         raise ValueError("observable must be Hermitian")
-    return _bra_ket_value(state, tuple(site_index), obs)
+    return network.bra_ket(_ket(state), site=tuple(site_index), op=obs)
 
 
 def _record_dtype(n):
@@ -234,7 +197,7 @@ def load_state(path):
             raise ValueError(f"expected a {STATE_FORMAT} header, got {header!r:.80}")
         try:
             spec = LatticeSpec(header["l1"], header["l2"], header["D"], header["d"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"bad state header {header!r}: {exc!r}") from None
         dtype = _record_dtype(spec.unitary_dim)
         expected = spec.n_sites * dtype.itemsize

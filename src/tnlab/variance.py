@@ -158,25 +158,3 @@ def distance_profile(report):
         profile[delta] = (mean_var, se, len(sites))
     return profile
 
-
-def onsite_floor_check(specs, observable, n_samples, seed, site=(0, 0), workers=1):
-    """On-site gradient variance of the unnormalized local loss across lattice sizes.
-
-    Returns one record per spec with the variance at the observable site, its
-    jackknife SE, and the sample count; used to check that the on-site floor
-    does not decay with volume.
-    """
-    from .losses import LOCAL_UNNORMALIZED, LossSpec
-
-    records = []
-    for i, spec in enumerate(specs):
-        loss = LossSpec(kind=LOCAL_UNNORMALIZED, observable=observable,
-                        site=site, theory_mode=True)
-        report = variance_scan(spec, loss, n_samples, seed + i, workers=workers)
-        records.append({
-            "l1": spec.l1, "l2": spec.l2, "D": spec.D, "d": spec.d,
-            "n_samples": report.n_samples,
-            "onsite_variance": float(report.variance[site]),
-            "std_error": float(report.std_error[site]),
-        })
-    return records

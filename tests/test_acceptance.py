@@ -12,8 +12,8 @@ import pytest
 import tnlab
 from tnlab.bounds import norm_excess_bound
 from tnlab.lattice import LatticeSpec
-from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LossSpec,
-                          gradient_map, loss_value, plus_projector, plus_target,
+from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZED,
+                          LossSpec, gradient_map, loss_value, plus_projector, plus_target,
                           traceless_observable)
 from tnlab.polyomino import (Polyomino, directed_gf, enumerate_directed,
                              series_coefficients, stats, verify_decomposition)
@@ -22,7 +22,7 @@ from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
                              mc_second_moment, norm_weights, table_from_boltzmann)
 from tnlab.states import build_state, norm_squared
 from tnlab.tensors import SecondMomentWeights, haar_unitaries, second_moment_channel
-from tnlab.variance import distance_profile, onsite_floor_check, variance_scan
+from tnlab.variance import distance_profile, variance_scan
 
 from conftest import record_criterion
 
@@ -204,12 +204,12 @@ def test_criterion_09_local_loss_structure():
 
 
 def test_criterion_10_onsite_floor():
-    records = onsite_floor_check(
-        [LatticeSpec(2, 3, 2, 2), LatticeSpec(3, 3, 2, 2), LatticeSpec(3, 4, 2, 2)],
-        traceless_observable(2), 400, seed=999)
-    values = [r["onsite_variance"] for r in records]
+    loss = LossSpec(kind=LOCAL_UNNORMALIZED, observable=traceless_observable(2), site=(0, 0))
+    specs = [LatticeSpec(2, 3, 2, 2), LatticeSpec(3, 3, 2, 2), LatticeSpec(3, 4, 2, 2)]
+    reports = [variance_scan(spec, loss, 400, seed=999 + i) for i, spec in enumerate(specs)]
+    values = [float(r.variance[0, 0]) for r in reports]
     band_ok = max(values) / min(values) <= 3.0
-    positive_ok = all(r["onsite_variance"] > 3 * r["std_error"] for r in records)
+    positive_ok = all(v > 3 * float(r.std_error[0, 0]) for v, r in zip(values, reports))
     ok = band_ok and positive_ok
     record_criterion(10, "on-site local-loss variance stays in a factor-3 band across sizes",
                      ok, f"band ratio {max(values) / min(values):.2f}")

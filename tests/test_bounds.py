@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 import tnlab
-from tnlab.bounds import (GF_RESCALE, NORM_DECAY_RATE, fit_global_scale,
-                          global_variance_bound, global_variance_ratio,
-                          global_variance_reports, norm_excess_bound,
-                          norm_excess_report, offsite_profile_reports,
-                          offsite_reference_profile, onsite_floor_prefactors)
+from tnlab.bounds import (GF_RESCALE, NORM_DECAY_RATE, global_variance_bound,
+                          global_variance_ratio, norm_excess_bound, norm_excess_report,
+                          onsite_floor_prefactors)
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import GLOBAL_PURE, LossSpec, plus_target
 from tnlab.spinmodel import exact_partition_function, norm_weights
@@ -56,41 +54,19 @@ def test_global_variance_bound_decreases_with_volume():
 
 
 def test_global_variance_reports_fitted_at_smallest_size():
-    # empirical decay must stay below the fitted 2^V g_max^(V-1) envelope
+    # the empirical decay from 2x2 to 3x3 must stay below that of the
+    # 2^V g_max^(V-1) envelope, whose unspecified constant cancels in the ratio
     variances = {}
     for l1, l2 in [(2, 2), (3, 3)]:
         spec = LatticeSpec(l1, l2, 2, 2)
         loss = LossSpec(kind=GLOBAL_PURE, target=plus_target(spec))
         report = variance_scan(spec, loss, 800, seed=606)
         variances[spec.n_sites] = float(np.mean(report.variance))
-    reports = global_variance_reports(sorted(variances.items()), 2, 2)
-    assert all(r.satisfied for r in reports)
+    v4, v9 = variances[4], variances[9]
+    assert v9 <= v4 * global_variance_bound(9, 2, 2) / global_variance_bound(4, 2, 2)
     # the empirical (3,3)/(2,2) ratio sits far below ratio^5 with 10x slack
-    ratio = variances[9] / variances[4]
+    ratio = v9 / v4
     assert ratio <= global_variance_ratio(2, 2) ** 5 * 10.0
-
-
-def test_fit_global_scale_roundtrip():
-    scale = fit_global_scale(4, 1e-2, 2, 2)
-    assert abs(global_variance_bound(4, 2, 2, scale=scale) - 1e-2) < 1e-18
-
-
-def test_offsite_reference_profile():
-    prof = offsite_reference_profile([0, 1, 2, 3], 2)
-    assert prof[0] == 0.25
-    assert all(b < a for a, b in zip(prof, prof[1:]))
-
-
-def test_offsite_profile_reports_accept_fast_decay():
-    profile = {0: 1.0, 1: 0.1, 2: 0.01, 3: 0.001}
-    reports = offsite_profile_reports(profile, 2)
-    assert all(r.satisfied for r in reports)
-
-
-def test_offsite_profile_reports_flag_slow_decay():
-    profile = {1: 0.1, 2: 0.099, 3: 0.098}
-    reports = offsite_profile_reports(profile, 2)
-    assert not all(r.satisfied for r in reports)
 
 
 def test_onsite_floor_prefactors():

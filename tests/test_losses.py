@@ -66,11 +66,7 @@ def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(kind=LOCAL_UNNORMALIZED,
                  observable=np.array([[0, 1], [0, 0]]), site=(0, 0))
-    with pytest.raises(ValueError):
-        LossSpec(kind=LOCAL_UNNORMALIZED, observable=np.eye(2), site=(0, 0),
-                 theory_mode=True)  # identity is not traceless
-    LossSpec(kind=LOCAL_UNNORMALIZED, observable=traceless_observable(2),
-             site=(0, 0), theory_mode=True)
+    LossSpec(kind=LOCAL_UNNORMALIZED, observable=traceless_observable(2), site=(0, 0))
 
 
 def test_global_pure_matches_overlap_formula():

@@ -12,11 +12,12 @@ from hypothesis import strategies as hst
 
 import tnlab
 from tnlab.lattice import LatticeSpec
-from tnlab.spinmodel import (ConfigClass, IsingCouplings, KIND_GLOBAL, KIND_NORM,
-                             all_config_amplitudes, classify_config,
+from tnlab.spinmodel import (IsingCouplings, KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
                              exact_partition_function, exact_partition_function_two_layer,
                              global_loss_weights, mc_second_moment, norm_weights,
                              table_from_boltzmann, two_layer_site_weight)
+
+from oracles import ConfigClass, classify_config
 
 DOWN, UP = 0, 1
 

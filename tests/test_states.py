@@ -406,6 +406,24 @@ def test_load_state_ignores_cap_key(tmp_path_factory, saved_state):
     assert _load_bytes(tmp_path_factory, old).spec == LatticeSpec(2, 3, 2, 2)
 
 
+@pytest.mark.parametrize("field, value, n_records", [
+    ("l1", 2.5, 5),     # 2.5 x 2 sites: a body of five records matches the header
+    ("d", 2.0, 6),      # N = 2 * 2 * 2.0 gives the 2x3 body's own length
+    ("D", True, 6),
+    ("l2", "3", 6),
+])
+def test_load_state_rejects_non_integer_header_fields(tmp_path_factory, saved_state, field,
+                                                      value, n_records):
+    data, header_len = saved_state
+    header = json.loads(data[:header_len])
+    header[field] = value
+    if field == "l1":
+        header["l2"] = 2
+    body = data[header_len:header_len + n_records * (3 * 64 * 16 + 8)]
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _load_bytes(tmp_path_factory, json.dumps(header).encode() + b"\n" + body)
+
+
 @settings(max_examples=25, deadline=None)
 @given(frac=hst.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 def test_load_state_rejects_truncated_file(tmp_path_factory, saved_state, frac):

@@ -13,7 +13,7 @@ from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZED,
                           LossSpec, plus_projector, plus_target, traceless_observable)
 from tnlab.variance import (VarianceReport, distance_profile, jackknife_variance_se,
-                            onsite_floor_check, variance_scan)
+                            variance_scan)
 
 
 def local_loss(site=(0, 0), normalized=True):
@@ -152,16 +152,15 @@ def test_distance_profile_requires_local_loss():
 
 
 def test_zero_observable_gives_zero_variances():
-    specs = [LatticeSpec(2, 2, 2, 2)]
-    records = onsite_floor_check(specs, np.zeros((2, 2)), 5, seed=17)
-    assert records[0]["onsite_variance"] == 0.0
+    loss = LossSpec(kind=LOCAL_UNNORMALIZED, observable=np.zeros((2, 2)), site=(0, 0))
+    report = variance_scan(LatticeSpec(2, 2, 2, 2), loss, 5, seed=17)
+    assert report.variance[0, 0] == 0.0
 
 
 def test_onsite_variance_positive_for_traceless_observable():
-    records = onsite_floor_check([LatticeSpec(2, 2, 2, 2)],
-                                 traceless_observable(2), 60, seed=18)
-    rec = records[0]
-    assert rec["onsite_variance"] > 3 * rec["std_error"] > 0
+    loss = LossSpec(kind=LOCAL_UNNORMALIZED, observable=traceless_observable(2), site=(0, 0))
+    report = variance_scan(LatticeSpec(2, 2, 2, 2), loss, 60, seed=18)
+    assert report.variance[0, 0] > 3 * report.std_error[0, 0] > 0
 
 
 def test_report_serialization():

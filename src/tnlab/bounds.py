@@ -35,19 +35,19 @@ def _upper_report(name, params, bound, compared):
                        compared <= bound, float(bound / max(compared, 1e-300)))
 
 
-def norm_excess_bound(L, D, d, rescale=GF_RESCALE):
+def norm_excess_bound(L, D, d):
     """Upper bound on Z - 1 for the L x L norm partition function.
 
     Chains the per-configuration area/perimeter decay through the plane
-    generating function: with q_a = f(up,up,up), p_u = f(down,down,up)^2 and
-    S = rescale^L * G(q_a/rescale, p_u) >= sum_{m >= L} D_{m,n} q_a^m p_u^n,
+    generating function: with q_a = f(up,up,up), p_u = f(down,down,up)^2,
+    r = GF_RESCALE and S = r^L * G(q_a/r, p_u) >= sum_{m >= L} D_{m,n} q_a^m p_u^n,
     the toric-to-plane counting gives
     Z - 1 <= L/(1-p_u) * max_{k <= L} (L^2 S / p_u)^k.
     """
     tab = norm_weights(D, d)
     q_a = tab(1, 1, 1)
     p_u = tab(0, 0, 1) ** 2
-    s = rescale**L * directed_gf(q_a / rescale, p_u)
+    s = GF_RESCALE**L * directed_gf(q_a / GF_RESCALE, p_u)
     x = L * L / p_u * s
     return (L / (1.0 - p_u)) * max(x, x**L)
 

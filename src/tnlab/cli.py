@@ -237,7 +237,8 @@ def build_parser():
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--out", default="tnlab-out")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes; only var-scan uses them")
         if name == "var-scan":
             p.add_argument("--loss", choices=(GLOBAL_NORMALIZED, LOCAL_NORMALIZED),
                            default=GLOBAL_NORMALIZED)

@@ -5,6 +5,11 @@ Z = <psi|psi>) and a single-site observable expectation (unnormalized or
 normalized). Values and gradients are evaluated by network contraction, so
 neither builds the statevector; a gradient is a sweep over ring values with
 the derivative tensor inserted at one site.
+
+A local gradient takes one sweep. N = <psi|O|psi> and its sweep are linear
+in O, so the normalized gradient (dN z - N dZ) / z^2 is the sweep of the
+folded observable O' = (O - (N/z) 1) / z, with z and N from two value-only
+rings.
 """
 
 from dataclasses import dataclass
@@ -50,7 +55,7 @@ class LossSpec:
             if self.observable is None or self.site is None:
                 raise ValueError("local losses need an observable and a site")
             obs = np.asarray(self.observable)
-            if np.abs(obs - obs.conj().T).max() > 1e-12:
+            if obs.shape != obs.T.shape or np.abs(obs - obs.conj().T).max() > 1e-12:
                 raise ValueError("observable must be Hermitian")
 
     @property
@@ -82,6 +87,13 @@ def traceless_observable(d):
     return o
 
 
+def _above_floor(z):
+    """z = <psi|psi>, or DegenerateStateError when it is below Z_FLOOR."""
+    if z < Z_FLOOR:
+        raise DegenerateStateError(f"norm^2 = {z} below {Z_FLOOR}")
+    return z
+
+
 def loss_value(state, loss):
     """Exact loss value by network contraction (no statevector is built)."""
     if loss.kind in GLOBAL_KINDS:
@@ -89,10 +101,7 @@ def loss_value(state, loss):
     else:
         val = local_expectation(state, loss.site, loss.observable)
     if loss.normalized:
-        z = norm_squared(state)
-        if z < Z_FLOOR:
-            raise DegenerateStateError(f"norm^2 = {z} below {Z_FLOOR}")
-        val = val / z
+        val = val / _above_floor(norm_squared(state))
     return 1.0 - val if loss.kind in GLOBAL_KINDS else val
 
 
@@ -102,22 +111,19 @@ def gradient_map(state, loss):
     ket = local_tensor(state.params, spec.D, spec.d)
     dket = local_derivative_tensor(state.params, spec.D, spec.d)
 
-    if loss.normalized:
-        z, dz = network.bra_ket(ket, dket)
-        dz = 2.0 * dz.real
-        if z < Z_FLOOR:
-            raise DegenerateStateError(f"norm^2 = {z} below {Z_FLOOR}")
-
     if loss.kind in GLOBAL_KINDS:
         w, dw = network.overlap(ket, check_product_state(spec, loss.target), dket)
         d_fid = 2.0 * (w.real * dw.real + w.imag * dw.imag)  # 2 Re(conj(w) dw)
         if loss.kind == GLOBAL_PURE:
             return -d_fid
-        return -(d_fid * z - abs(w) ** 2 * dz) / z**2
+        z, dz = network.bra_ket(ket, dket)
+        z = _above_floor(z)
+        return -(d_fid * z - abs(w) ** 2 * 2.0 * dz.real) / z**2
 
-    nval, dn = network.bra_ket(ket, dket, tuple(loss.site),
-                               np.asarray(loss.observable, dtype=complex))
-    dn = 2.0 * dn.real
-    if loss.kind == LOCAL_UNNORMALIZED:
-        return dn
-    return (dn * z - nval * dz) / z**2
+    site = tuple(loss.site)
+    op = np.asarray(loss.observable, dtype=complex)
+    if loss.kind == LOCAL_NORMALIZED:
+        # fold the quotient rule into the observable (see the module docstring)
+        z = _above_floor(network.bra_ket(ket))
+        op = (op - network.bra_ket(ket, site=site, op=op) / z * np.eye(spec.d)) / z
+    return 2.0 * network.bra_ket(ket, dket, site, op)[1].real

@@ -186,29 +186,29 @@ def contract(grid):
 def bra_ket(ket, dket=None, site=None, op=None):
     """<psi|psi>, or <psi| op at site |psi>, of the (l1, l2, a, b, g, l, j) site tensors ket.
 
-    site is an (x, y) tuple and op a d x d matrix. The value must be real: an
-    imaginary part above 1e-9 of its size raises RuntimeError. With dket, the
-    derivative tensors of every site, returns (value, sweep): sweep[x, y] is
-    the value with the ket-layer tensor of site (x, y) replaced by dket[x, y].
+    site is an (x, y) tuple inside the lattice and op a d x d matrix, else
+    ValueError. The value must be real: an imaginary part above 1e-9 of its
+    size raises RuntimeError. With dket, the derivative tensors of every site,
+    returns (value, sweep): sweep[x, y] is the value with the ket-layer tensor
+    of site (x, y) replaced by dket[x, y].
     """
-    transposed = _transposed(ket)
-    # every tensor is built on the contiguous kets and then oriented, except the
-    # op site's tensors of a sweep, which are built from the oriented views: the
-    # order of a three-operand einsum's sums follows its operands' strides, and
-    # these two orders keep both kinds of value bit-for-bit reproducible
     double = site_double_tensor(ket)
-    if site is not None and dket is None:
+    if site is not None:
+        (l1, l2), d = ket.shape[:2], ket.shape[-1]
+        x, y = site
+        if not (isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer))
+                and 0 <= x < l1 and 0 <= y < l2):
+            raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
+        if np.shape(op) != (d, d):
+            raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
         double[site] = site_double_tensor(ket[site], op=op)
     base = [list(col) for col in _orient(double)]
     if dket is None:
         return _real(_ring(base))
-    deriv = [list(col) for col in _orient(site_double_tensor(dket, bra=ket))]
+    deriv = site_double_tensor(dket, bra=ket)
     if site is not None:
-        c, r = site if transposed else site[::-1]
-        ket_op = _orient(ket)[c, r]
-        base[c][r] = site_double_tensor(ket_op, op=op)
-        deriv[c][r] = site_double_tensor(_orient(dket)[c, r], bra=ket_op, op=op)
-    value, sweep = _ring(base, deriv, transposed)
+        deriv[site] = site_double_tensor(dket[site], bra=ket[site], op=op)
+    value, sweep = _ring(base, _orient(deriv), _transposed(ket))
     return _real(value), sweep
 
 

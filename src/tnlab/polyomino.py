@@ -75,8 +75,11 @@ def generate_directed(m_max):
     Grows by attaching one cell at a time: any absent cell whose right or
     down neighbor is present may be added, and every directed polyomino of
     area m + 1 arises this way from one of area m (remove a cell of minimal
-    x + y). Yields (area, frozenset of cells) pairs.
+    x + y). Yields (area, frozenset of cells) pairs; raises ValueError when
+    m_max < 1.
     """
+    if m_max < 1:
+        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
     if m_max > ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"exhaustive enumeration capped at area {ENUMERATION_BUDGET}")
@@ -139,8 +142,12 @@ def series_coefficients(m_max, n_max):
     G = p/2 (y - 1) with y^2 = Y = A/B. Each q-coefficient of Y and then of y
     is solved one order at a time from B Y = A and y^2 = Y, as a polynomial in
     p with Python-integer coefficients. Both steps halve integers; an odd one
-    signals an internal expansion error.
+    signals an internal expansion error. Raises ValueError when m_max or n_max
+    is below 1.
     """
+    if min(m_max, n_max) < 1:
+        raise ValueError(f"the maximum area and upper perimeter must be at least 1, "
+                         f"got {m_max} and {n_max}")
     if m_max > SERIES_BUDGET:
         raise ResourceLimitError(f"series expansion capped at area {SERIES_BUDGET}")
     width = m_max + 2  # the q^k coefficient has p-degree <= k, and A, B have p-degree 1
@@ -268,7 +275,7 @@ class DecompositionReport:
         return self.n_violations == 0
 
 
-def decomposition_problems(config, root_rule=min):
+def decomposition_problems(config):
     """Violated decomposition invariants of one toric polyomino, as messages.
 
     With toric stats (m, n) and k plane pieces with stats (m_i, n_i) the
@@ -277,7 +284,7 @@ def decomposition_problems(config, root_rule=min):
     """
     L = len(config)
     ts = toric_stats(config)
-    piece_stats = [stats(p) for p in toric_to_plane(config, root_rule=root_rule)]
+    piece_stats = [stats(p) for p in toric_to_plane(config)]
     k = len(piece_stats)
     total_area = sum(s.area for s in piece_stats)
     total_upper = sum(s.upper_perimeter for s in piece_stats)
@@ -295,13 +302,13 @@ def decomposition_problems(config, root_rule=min):
     return problems
 
 
-def verify_decomposition(L, root_rule=min):
+def verify_decomposition(L):
     """Exhaustively check `decomposition_problems` on every configuration at size L."""
     violations = []
     n_valid = 0
     for config in enumerate_toric(L):
         n_valid += 1
-        problems = decomposition_problems(config, root_rule=root_rule)
+        problems = decomposition_problems(config)
         if problems:
             violations.append((ascii_art(config), "; ".join(problems)))
     return DecompositionReport(L, n_valid, len(violations), tuple(violations))

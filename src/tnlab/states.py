@@ -152,11 +152,8 @@ def overlap(state, product_state):
 
 def local_expectation(state, site_index, observable):
     """Unnormalized <psi| O at site |psi> for a Hermitian d x d observable."""
-    spec = state.spec
     obs = np.asarray(observable, dtype=complex)
-    if obs.shape != (spec.d, spec.d):
-        raise ValueError(f"observable must be {spec.d} x {spec.d}")
-    if np.abs(obs - obs.conj().T).max() > 1e-12:
+    if obs.shape != obs.T.shape or np.abs(obs - obs.conj().T).max() > 1e-12:
         raise ValueError("observable must be Hermitian")
     return network.bra_ket(_ket(state), site=tuple(site_index), op=obs)
 

@@ -58,15 +58,15 @@ def random_hermitian(dim, rng):
     return hermitian_from_gaussian(re, im)
 
 
-def is_unitary(u, tol=UNITARITY_TOL):
-    """Whether u is unitary to `tol`; an array of answers over leading axes."""
+def is_unitary(u):
+    """Whether u is unitary to UNITARITY_TOL; an array of answers over leading axes."""
     dim = u.shape[-1]
-    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1)) <= tol
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1)) <= UNITARITY_TOL
 
 
-def is_hermitian(h, tol=HERMITICITY_TOL):
-    """Whether h is Hermitian to `tol`; an array of answers over leading axes."""
-    return np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol
+def is_hermitian(h):
+    """Whether h is Hermitian to HERMITICITY_TOL; an array of answers over leading axes."""
+    return np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= HERMITICITY_TOL
 
 
 @dataclass(frozen=True)

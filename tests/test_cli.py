@@ -115,6 +115,15 @@ def test_bounds_rejects_single_row(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_area", ("-3", "0"))
+def test_polyomino_rejects_max_area_below_one(tmp_path, capsys, max_area):
+    code = main(["polyomino", "--max-area", max_area, "--sizes", "2x2", "--seed", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "maximum area must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("workers", (0, (os.cpu_count() or 1) + 1))
 def test_workers_outside_cpu_count_rejected(tmp_path, monkeypatch, workers):
     def no_pool(*args, **kwargs):

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 
 import tnlab
 from tnlab.lattice import LatticeSpec
-from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
+from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value,
                           plus_projector, plus_target, traceless_observable)
 from tnlab.states import (TNState, build_state, local_expectation, norm_squared, overlap,
@@ -67,6 +67,26 @@ def test_loss_spec_validation():
         LossSpec(kind=LOCAL_UNNORMALIZED,
                  observable=np.array([[0, 1], [0, 0]]), site=(0, 0))
     LossSpec(kind=LOCAL_UNNORMALIZED, observable=traceless_observable(2), site=(0, 0))
+
+
+@pytest.mark.parametrize("site, op, message", [
+    ((-1, 0), np.eye(2), r"site \(-1, 0\) is not a site of the 2 x 3 lattice"),
+    ((2, 0), np.eye(2), r"site \(2, 0\) is not a site of the 2 x 3 lattice"),
+    ((0.5, 0), np.eye(2), r"site \(0.5, 0\) is not a site of the 2 x 3 lattice"),
+    ((0, 0), np.eye(3), r"op must be 2 x 2, got shape \(3, 3\)"),
+    ((0, 0), np.ones((2, 3)), "observable must be Hermitian"),
+], ids=["negative_site", "site_past_edge", "fractional_site", "op_3x3", "op_2x3"])
+@pytest.mark.parametrize("call, kind", [("local_expectation", None),
+                                        *((c, k) for c in ("loss_value", "gradient_map")
+                                          for k in LOCAL_KINDS)])
+def test_sites_and_ops_are_checked_against_the_lattice(call, kind, site, op, message):
+    st = build_state(LatticeSpec(2, 3, 2, 2), np.random.default_rng(30))
+    with pytest.raises(ValueError, match=message):
+        if kind is None:
+            local_expectation(st, site, op)
+        else:
+            loss = LossSpec(kind=kind, observable=op, site=site)
+            (loss_value if call == "loss_value" else gradient_map)(st, loss)
 
 
 def test_global_pure_matches_overlap_formula():
@@ -176,6 +196,25 @@ def test_identity_generator_gives_zero_gradient():
     st_phase = TNState(spec, dataclasses.replace(st.params, generator=eye))
     loss = LossSpec(kind=GLOBAL_PURE, target=plus_target(spec))
     assert np.abs(gradient_map(st_phase, loss)).max() < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(l1=hst.integers(2, 4), l2=hst.integers(2, 4), data=hst.data(),
+       seed=hst.integers(0, 2**32 - 1), c=hst.floats(-5.0, 5.0))
+def test_normalized_local_gradient_ignores_the_identity_part(l1, l2, data, seed, c):
+    # N/z changes by c under O -> O + c 1, so its gradient does not; for O = 1 it is 0
+    spec = LatticeSpec(l1, l2, 2, 2)
+    site = (data.draw(hst.integers(0, l1 - 1)), data.draw(hst.integers(0, l2 - 1)))
+    rng = np.random.default_rng(seed)
+    st = build_state(spec, rng)
+    obs = tnlab.random_hermitian(2, rng)
+
+    def grad(o):
+        return gradient_map(st, LossSpec(kind=LOCAL_NORMALIZED, observable=o, site=site))
+
+    g = grad(obs)
+    assert np.abs(grad(obs + c * np.eye(2)) - g).max() <= 1e-12 * max(1.0, np.abs(g).max())
+    assert np.abs(grad(np.eye(2))).max() <= 1e-12
 
 
 def test_global_gradient_mean_is_zero():

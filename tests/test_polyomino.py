@@ -74,6 +74,15 @@ def test_enumeration_respects_budget():
         enumerate_directed(13)
 
 
+@pytest.mark.parametrize("m_max, n_max", [(0, 3), (-3, 3), (3, 0)])
+def test_areas_and_perimeters_below_one_rejected(m_max, n_max):
+    with pytest.raises(ValueError, match="at least 1"):
+        series_coefficients(m_max, n_max)
+    if m_max < 1:
+        with pytest.raises(ValueError, match="at least 1"):
+            list(generate_directed(m_max))
+
+
 def test_perimeter_at_least_twice_upper_perimeter():
     for _, cells in generate_directed(7):
         st = stats(Polyomino(cells))

@@ -1,34 +1,46 @@
 """Exact contraction of site-tensor networks on the torus.
 
-Every network handled here is a ring of column transfer matrices: the sites of
-one lattice column are contracted over their vertical bond ring, giving a
-matrix from the column's combined left legs to its combined right legs; the
-torus value is the trace of the matrix product around the horizontal ring.
+Every network handled here is a ring of column transfer matrices; the torus
+value is the trace of their product around the horizontal ring. This is the
+one module that orients a lattice and assembles a ring. Its entry points take
+plain (l1, l2, ...) grids of site tensors:
 
-This is the one module that orients a lattice and assembles a ring. Its
-entry points take plain (l1, l2, ...) grids of site tensors: `contract` (any
-4-leg grid, e.g. the spin model), `bra_ket` (double-layer networks of bond
-extent D^2: norms and local expectations), `overlap` (single-layer networks
-of bond extent D against a product state) and `statevector` (the dense
-amplitudes). Given the derivative tensors of every site, `bra_ket` and
-`overlap` also return the sweep: the value with each site's tensor replaced
-in turn.
+- `contract` (any 4-leg grid, e.g. the spin model) contracts each column's
+  vertical bond ring into a matrix from its combined left legs to its
+  combined right legs.
+- `bra_ket` (norms and local expectations) and `overlap` (against a product
+  state) first build each column's ket column K[L, P, R]: its sites
+  contracted over the vertical ring, with left bonds L, the physical legs P
+  of its rows and right bonds R. A double-layer transfer matrix is one
+  product over the physical legs, T[(L, L'), (R, R')] = sum_P K[L, P, R]
+  conj(K[L', P, R']), with an op applied to K's physical leg at its site;
+  an overlap column closes P with the product state instead.
+- `statevector` chains the ket columns into the dense amplitudes.
+
+Given the derivative tensors of every site, `bra_ket` and `overlap` also
+return the sweep: the value with each site's tensor replaced in turn. Each
+column's ring environment E (the product of the other columns) is contracted
+with the column's bra side once, G[L, P, R] = sum conj(K[L', P, R'])
+E[(R, R'), (L, L')] (for an overlap, conj(phi_P) E[R, L]); a site's sweep
+value is then sum K' G, where K' is the ket column with that site's tensor
+replaced by its derivative. `site_double_tensor` and `site_single_tensor`
+build the same networks site by site, for `contract`.
 
 Contraction is always performed along the shorter lattice side (the grid is
-transposed if needed), which keeps the largest intermediate at
-chi^(2*min(l1,l2)) for bond extent chi. The transfer matrices of one ring
-are kept within `NETWORK_BUDGET` bytes.
+transposed if needed), which keeps the transfer matrices at chi^(2*min(l1,l2))
+entries for bond extent chi. A ring's transfer matrices, ket columns and
+their environments are kept within `NETWORK_BUDGET` bytes.
 """
 
+import functools
 import itertools
-import math
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .lattice import DEFAULT_AMPLITUDE_CAP
 
-# bytes that the transfer matrices of one ring and their environments may take
+# bytes that the transfer matrices and ket columns of one ring and their environments may take
 NETWORK_BUDGET = 2**30
 
 
@@ -78,28 +90,25 @@ def column_transfer(tensors):
     return out.transpose(0, 2, 1, 3).reshape(nB * nb, nL * nl)
 
 
-def transfer_matrices(columns):
-    """Column transfer matrices of an oriented ring of 4-leg site tensors.
+def _check_ring(n_cols, n_rows, itemsize, transfer_size, ket_size=0):
+    """Raise, before anything is built, when a ring cannot or may not be contracted.
 
-    Raises ValueError when a column has fewer than two sites (`column_transfer`
-    would contract a lone site with itself), and ResourceLimitError, before any
-    matrix is built, when the ring's matrices and their environments would
-    exceed NETWORK_BUDGET bytes.
+    ValueError when a column has fewer than two sites (`column_transfer` would
+    contract a lone site with itself). ResourceLimitError when the ring would
+    exceed NETWORK_BUDGET bytes, at itemsize bytes an entry: 3 transfer
+    matrices of transfer_size entries per column plus 2 (ring_environments
+    forms 3k - 5 products beside the k matrices), and one ket column of
+    ket_size entries per column plus 4 (a sweep's environment tensor and the
+    temporaries of a rebuilt column).
     """
-    if len(columns) == 0 or len(columns[0]) < 2:
+    if n_cols == 0 or n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
-    first = columns[0]
-    n_left = math.prod(t.shape[1] for t in first)
-    n_right = math.prod(t.shape[3] for t in first)
-    # room for 3 matrices per column plus 2: ring_environments forms 3k - 5
-    # products beside the k transfer matrices
-    need = (3 * len(columns) + 2) * n_left * n_right * first[0].itemsize
+    need = ((3 * n_cols + 2) * transfer_size + (n_cols + 4) * ket_size) * itemsize
     if need > NETWORK_BUDGET:
         raise ResourceLimitError(
-            f"{len(columns)} transfer matrices of {n_left} x {n_right} need about "
+            f"a ring of {n_cols} columns of {n_rows} sites needs about "
             f"{need / 2**30:.1f} GiB, above the network budget of "
             f"{NETWORK_BUDGET / 2**30:.1f} GiB")
-    return [column_transfer(ts) for ts in columns]
 
 
 def ring_value(columns):
@@ -149,27 +158,61 @@ def _orient(grid):
     return grid.transpose(0, 1, 3, 2, 5, 4, *range(6, grid.ndim))
 
 
-def _ring(columns, derivative=None, transposed=False):
-    """Value of an oriented ring of [column][row] site tensors and, given
-    `derivative` of the same layout, its sweep.
+def _ket_column(ts):
+    """Ket column K[L, P, R] of one oriented column of 5-leg site tensors (a, b, g, l, j).
 
-    The sweep is the (l1, l2) array whose entry at a site is the ring value
-    with that site's tensor replaced by its derivative tensor.
+    L and R combine the sites' left (b) and right (l) bonds and P their
+    physical legs, each in row order. Each physical leg is folded onto the
+    left bond, so one `column_transfer` contracts the column.
     """
-    # the transfer matrices stay referenced until the sweep ends: releasing them
-    # earlier makes the sweep's column transfers fault their pages in again
-    cols = transfer_matrices(columns)
-    if derivative is None:
-        return ring_value(cols)
-    value, envs = ring_environments(cols)
+    n = len(ts)
+    na, nb, ng, nl, d = ts[0].shape
+    # fold each physical leg onto the left bond: (a, (b, j), g, l)
+    m = column_transfer([t.transpose(0, 1, 4, 2, 3).reshape(na, nb * d, ng, nl) for t in ts])
+    # split the left index (b0, j0, b1, j1, ...) into [bonds, phys, right]
+    m = m.reshape((nb, d) * n + (-1,))
+    m = m.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n)
+    return m.reshape(nb**n, d**n, -1)
+
+
+def _on_row(op, column, row):
+    """op applied to the physical leg of `row` of a [L, P, R] column tensor."""
+    d = op.shape[0]
+    return (op @ column.reshape(column.shape[0] * d**row, d, -1)).reshape(column.shape)
+
+
+def _double_column(ket_col, bra_col):
+    """Double-layer transfer matrix T[(L, L'), (R, R')] = sum_P ket[L, P, R] conj(bra[L', P, R'])."""
+    nl, _, nr = ket_col.shape
+    # one (R x P) @ (P x R') product per (L, L'), written straight into (L, L', R, R') order
+    t = np.matmul(ket_col.transpose(0, 2, 1)[:, None], bra_col.conj()[None])
+    return t.reshape(nl * nl, nr * nr)
+
+
+def _sweep_tensor(bra_col, env):
+    """G[L, P, R] = sum conj(bra[L', P, R']) env[(R, R'), (L, L')]: replacing the column's
+    ket side by K' gives the ring value sum K' G."""
+    nl, _, nr = bra_col.shape
+    g = np.tensordot(env.reshape(nr, nr, nl, nl), bra_col.conj(), axes=([1, 3], [2, 0]))
+    return np.ascontiguousarray(g.transpose(1, 2, 0))
+
+
+def _sweep(columns, dcolumns, tensors, transposed):
+    """The (l1, l2) sweep of an oriented ring of [column][row] 5-leg site tensors.
+
+    `tensors` yields each column's G (see `_sweep_tensor`); the entry of
+    column c, row r is sum K' G_c, where K' is column c's ket column with row
+    r's tensor replaced by dcolumns[c][r].
+    """
     shape = (len(columns), len(columns[0]))
     sweep = np.empty(shape if transposed else shape[::-1], dtype=complex)
-    for c, col in enumerate(columns):
-        for r in range(len(col)):
-            ts = list(col)
-            ts[r] = derivative[c][r]
-            sweep[(c, r) if transposed else (r, c)] = replace_value(column_transfer(ts), envs[c])
-    return value, sweep
+    for c, g in enumerate(tensors):
+        g = g.reshape(-1)
+        for r in range(shape[1]):
+            ts = list(columns[c])
+            ts[r] = dcolumns[c][r]
+            sweep[(c, r) if transposed else (r, c)] = _ket_column(ts).reshape(-1) @ g
+    return sweep
 
 
 def _real(value):
@@ -179,8 +222,24 @@ def _real(value):
 
 
 def contract(grid):
-    """Ring value of an (l1, l2, a, b, g, l) grid of 4-leg site tensors."""
-    return _ring(_orient(grid))
+    """Ring value of an (l1, l2, a, b, g, l) grid of 4-leg site tensors.
+
+    Raises as `_check_ring` does, before any transfer matrix is built.
+    """
+    columns = _orient(grid)
+    n_cols, n_rows, _, n_b, _, n_l = columns.shape
+    _check_ring(n_cols, n_rows, grid.itemsize, (n_b * n_l) ** n_rows)
+    return ring_value([column_transfer(ts) for ts in columns])
+
+
+def _ket_columns(ket, chi):
+    """Oriented [column][row] site tensors of ket and their ket columns, built after
+    `_check_ring` passes for a ring of transfer matrices of bond extent chi."""
+    columns = _orient(ket)
+    n_cols, n_rows = columns.shape[:2]
+    D, d = ket.shape[2], ket.shape[-1]
+    _check_ring(n_cols, n_rows, ket.itemsize, chi ** (2 * n_rows), D ** (2 * n_rows) * d**n_rows)
+    return columns, [_ket_column(col) for col in columns]
 
 
 def bra_ket(ket, dket=None, site=None, op=None):
@@ -192,7 +251,8 @@ def bra_ket(ket, dket=None, site=None, op=None):
     returns (value, sweep): sweep[x, y] is the value with the ket-layer tensor
     of site (x, y) replaced by dket[x, y].
     """
-    double = site_double_tensor(ket)
+    transposed = _transposed(ket)
+    op_column = None
     if site is not None:
         (l1, l2), d = ket.shape[:2], ket.shape[-1]
         x, y = site
@@ -201,15 +261,24 @@ def bra_ket(ket, dket=None, site=None, op=None):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):
             raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
-        double[site] = site_double_tensor(ket[site], op=op)
-    base = [list(col) for col in _orient(double)]
+        op = np.asarray(op)
+        op_column, op_row = (x, y) if transposed else (y, x)
+
+    def at_op(c, column, transpose=False):
+        # column with op (or op.T) applied on the op site's physical leg, if column c holds it
+        if c != op_column:
+            return column
+        return _on_row(op.T if transpose else op, column, op_row)
+
+    columns, kets = _ket_columns(ket, ket.shape[2] ** 2)
+    cols = [_double_column(at_op(c, k), k) for c, k in enumerate(kets)]
     if dket is None:
-        return _real(_ring(base))
-    deriv = site_double_tensor(dket, bra=ket)
-    if site is not None:
-        deriv[site] = site_double_tensor(dket[site], bra=ket[site], op=op)
-    value, sweep = _ring(base, _orient(deriv), _transposed(ket))
-    return _real(value), sweep
+        return _real(ring_value(cols))
+    value, envs = ring_environments(cols)
+    # sum (op K') G = sum K' (op.T G) on the op site's physical leg
+    tensors = (at_op(c, _sweep_tensor(k, env), transpose=True)
+               for c, (k, env) in enumerate(zip(kets, envs)))
+    return _real(value), _sweep(columns, _orient(dket), tensors, transposed)
 
 
 def overlap(ket, phi, dket=None):
@@ -218,33 +287,31 @@ def overlap(ket, phi, dket=None):
     phi has shape (l1, l2, j). With dket, the derivative tensors of every
     site, returns (value, sweep) as `bra_ket` does.
     """
-    base = _orient(site_single_tensor(ket, phi))
+    transposed = _transposed(ket)
+    columns, kets = _ket_columns(ket, ket.shape[2])
+    # conj(phi_P) of each column: the product of its rows' vectors, row 0 slowest
+    phis = [functools.reduce(np.kron, col).conj()
+            for col in (phi if transposed else phi.swapaxes(0, 1))]
+    cols = [np.tensordot(k, p, axes=(1, 0)) for k, p in zip(kets, phis)]
     if dket is None:
-        return _ring(base)
-    return _ring(base, _orient(site_single_tensor(dket, phi)), _transposed(ket))
+        return ring_value(cols)
+    value, envs = ring_environments(cols)
+    tensors = (p[None, :, None] * env.T[:, None, :] for p, env in zip(phis, envs))
+    return value, _sweep(columns, _orient(dket), tensors, transposed)
 
 
 def statevector(ket):
     """Dense amplitudes of the (l1, l2, a, b, g, l, j) site tensors ket.
 
-    One leg of extent d per site, in row-major (x, y) order. The columns are
-    folded one by one (each physical leg joins the left bond) and the ring is
-    closed from two halves. Raises ResourceLimitError, before any work, when
+    One leg of extent d per site, in row-major (x, y) order. The ket columns
+    are chained into two halves, which close the ring. Raises ResourceLimitError, before any work, when
     the d**(l1*l2) amplitudes exceed DEFAULT_AMPLITUDE_CAP.
     """
-    l1, l2, D, d = *ket.shape[:3], ket.shape[-1]
+    l1, l2, d = *ket.shape[:2], ket.shape[-1]
     if d ** (l1 * l2) > DEFAULT_AMPLITUDE_CAP:
         raise ResourceLimitError(
             f"d**(l1*l2) = {d}**{l1 * l2} exceeds the dense cap {DEFAULT_AMPLITUDE_CAP}")
-    n = min(l1, l2)
-    columns = []
-    for ts in _orient(ket):
-        # fold each physical leg onto the left bond: (a, (b, j), g, l)
-        m = column_transfer([t.transpose(0, 1, 4, 2, 3).reshape(D, D * d, D, D) for t in ts])
-        # split the left index (b0, j0, b1, j1, ...) into [bonds, phys, right]
-        m = m.reshape((D, d) * n + (-1,))
-        m = m.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n)
-        columns.append(m.reshape(D**n, d**n, -1))
+    columns = [_ket_column(ts) for ts in _orient(ket)]
 
     def chain(cols):
         acc = cols[0]
@@ -257,6 +324,6 @@ def statevector(ket):
     half = (len(columns) + 1) // 2
     psi = np.tensordot(chain(columns[:half]), chain(columns[half:]), axes=[(0, 2), (2, 0)])
     # the legs run in (column, row) order; map them back to row-major sites
-    legs = np.arange(l1 * l2).reshape(len(columns), n)
+    legs = np.arange(l1 * l2).reshape(len(columns), -1)
     perm = (legs if l1 > l2 else legs.T).reshape(-1)
     return np.ascontiguousarray(psi.reshape((d,) * (l1 * l2)).transpose(perm))

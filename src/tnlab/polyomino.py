@@ -75,14 +75,19 @@ def generate_directed(m_max):
     Grows by attaching one cell at a time: any absent cell whose right or
     down neighbor is present may be added, and every directed polyomino of
     area m + 1 arises this way from one of area m (remove a cell of minimal
-    x + y). Yields (area, frozenset of cells) pairs; raises ValueError when
-    m_max < 1.
+    x + y). Returns a generator of (area, frozenset of cells) pairs; raises
+    ValueError when m_max < 1 and ResourceLimitError when m_max exceeds
+    ENUMERATION_BUDGET, at call time.
     """
     if m_max < 1:
         raise ValueError(f"the maximum area must be at least 1, got {m_max}")
     if m_max > ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"exhaustive enumeration capped at area {ENUMERATION_BUDGET}")
+    return _grow_directed(m_max)
+
+
+def _grow_directed(m_max):
     level = {frozenset({(0, 0)})}
     for m in range(1, m_max + 1):
         for cells in level:

@@ -48,12 +48,8 @@ def _cases(draw):
     return l1, l2, D, site, draw(hst.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=12, deadline=None)
-@given(case=_cases())
-def test_sweeps_equal_contractions_with_one_site_replaced(case):
-    # both orientations: l1 > l2 transposes the grid, l1 <= l2 does not
-    l1, l2, D, site, seed = case
-    d = 2
+def _check_sweeps(l1, l2, D, d, site, seed):
+    """Both sweeps, entry by entry, against `contract` with that one site's tensor replaced."""
     ket, dket = _tensors(l1, l2, D, d, seed)
     rng = np.random.default_rng(seed)
     op = random_hermitian(d, rng)
@@ -79,6 +75,26 @@ def test_sweeps_equal_contractions_with_one_site_replaced(case):
         tensor = network.site_single_tensor(dket[x, y], phi[x, y])
         expected[x, y] = network.contract(_replaced(single, (x, y), tensor))
     assert _close(sweep, expected)
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_cases())
+def test_sweeps_equal_contractions_with_one_site_replaced(case):
+    # both orientations: l1 > l2 transposes the grid, l1 <= l2 does not
+    l1, l2, D, site, seed = case
+    _check_sweeps(l1, l2, D, 2, site, seed)
+
+
+# d = 3 checks the fold of d**n physical legs into a ket column and the op's
+# row within it; 4x5 and 5x4 are the production size in both orientations
+@pytest.mark.parametrize("l1, l2, D, d, site", [
+    (2, 3, 3, 3, (1, 2)),
+    (4, 3, 2, 3, (3, 0)),
+    (4, 5, 2, 2, (2, 4)),
+    (5, 4, 2, 3, (4, 1)),
+])
+def test_sweeps_at_three_physical_levels_and_production_sizes(l1, l2, D, d, site):
+    _check_sweeps(l1, l2, D, d, site, seed=l1 * 100 + l2 * 10 + d)
 
 
 @pytest.mark.parametrize("with_sweep", [False, True])

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from tnlab.errors import ResourceLimitError
-from tnlab.polyomino import (Polyomino, ascii_art, decomposition_problems, directed_gf,
-                             enumerate_directed, enumerate_toric, generate_directed,
+from tnlab.polyomino import (ENUMERATION_BUDGET, Polyomino, ascii_art, decomposition_problems,
+                             directed_gf, enumerate_directed, enumerate_toric, generate_directed,
                              series_coefficients, stats, toric_stats, toric_to_plane,
                              verify_decomposition)
 from oracles import ConfigClass, by_area, classify_config
@@ -81,6 +81,14 @@ def test_areas_and_perimeters_below_one_rejected(m_max, n_max):
     if m_max < 1:
         with pytest.raises(ValueError, match="at least 1"):
             list(generate_directed(m_max))
+
+
+@pytest.mark.parametrize("m_max, error", [(-1, ValueError),
+                                           (ENUMERATION_BUDGET + 1, ResourceLimitError)])
+def test_generate_directed_checks_at_call_time(m_max, error):
+    # the checks run when the generator is made, not when its first item is drawn
+    with pytest.raises(error):
+        generate_directed(m_max)
 
 
 def test_perimeter_at_least_twice_upper_perimeter():

@@ -16,3 +16,25 @@ def test_library_has_no_assert_statements():
             found[path.name] = lines
     assert SOURCES, "no library sources found"
     assert found == {}, f"assert statements (file: lines): {found}"
+
+
+# the network entry points; everything else in `network` is its own business
+NETWORK_API = {"contract", "bra_ket", "overlap", "statevector", "NETWORK_BUDGET"}
+
+
+def test_library_uses_only_the_network_entry_points():
+    found = {}
+    for path in SOURCES:
+        if path.name == "network.py":
+            continue
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "network"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("network"):
+                used.update(alias.name for alias in node.names)
+        if used - NETWORK_API:
+            found[path.name] = sorted(used - NETWORK_API)
+    assert SOURCES, "no library sources found"
+    assert found == {}, f"network internals used (file: names): {found}"

@@ -14,6 +14,7 @@ from scipy import stats as scipy_stats
 
 import tnlab
 from tnlab import network
+from tnlab.cli import EXIT_RESOURCE, main
 from tnlab.errors import ResourceLimitError
 from tnlab.lattice import DEFAULT_AMPLITUDE_CAP, LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
@@ -175,6 +176,27 @@ def test_network_budget_refuses_6x6_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_network_budget_counts_ket_columns(tmp_path):
+    # D = 2, d = 17 on 4x5: the transfer matrices alone take about 18 MB, but
+    # each 2**8 x 17**4 x 2**4 ket column takes about 340 MB
+    st = build_state(LatticeSpec(4, 5, 2, 17), np.random.default_rng(0))
+    with pytest.raises(ResourceLimitError, match="network budget"):
+        norm_squared(st)
+    # the site tensors are built first (about 6 MiB for 20 68 x 68 unitaries);
+    # the network itself must refuse before it builds a column
+    ket = local_tensor(st.params, 2, 17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="network budget"):
+            network.bra_ket(ket)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert main(["var-scan", "--phys-dim", "17", "--sizes", "4x5", "--samples", "2",
+                 "--seed", "0", "--out", str(tmp_path / "scan")]) == EXIT_RESOURCE
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import network
 from .errors import DegenerateStateError
-from .states import (check_product_state, local_derivative_tensor, local_expectation,
-                     local_tensor, norm_squared, overlap)
+from .states import (check_observable, check_product_state, local_derivative_tensor,
+                     local_expectation, local_tensor, norm_squared, overlap)
 
 GLOBAL_PURE = "global_pure"
 GLOBAL_NORMALIZED = "global_normalized"
@@ -54,9 +54,7 @@ class LossSpec:
         else:
             if self.observable is None or self.site is None:
                 raise ValueError("local losses need an observable and a site")
-            obs = np.asarray(self.observable)
-            if obs.shape != obs.T.shape or np.abs(obs - obs.conj().T).max() > 1e-12:
-                raise ValueError("observable must be Hermitian")
+            check_observable(self.observable)
 
     @property
     def normalized(self):

@@ -9,22 +9,25 @@ plain (l1, l2, ...) grids of site tensors:
   vertical bond ring into a matrix from its combined left legs to its
   combined right legs.
 - `bra_ket` (norms and local expectations) and `overlap` (against a product
-  state) first build each column's ket column K[L, P, R]: its sites
-  contracted over the vertical ring, with left bonds L, the physical legs P
-  of its rows and right bonds R. A double-layer transfer matrix is one
-  product over the physical legs, T[(L, L'), (R, R')] = sum_P K[L, P, R]
-  conj(K[L', P, R']), with an op applied to K's physical leg at its site;
-  an overlap column closes P with the product state instead.
+  state) contract ket columns against bra columns. A ket column K[L, P, R]
+  is one column's sites contracted over the vertical ring, with left bonds
+  L, the physical legs P of its rows and right bonds R; a bra column
+  B[L', P, R'] has the same physical legs. A double-layer transfer matrix is
+  one product over the physical legs, T[(L, L'), (R, R')] = sum_P K[L, P, R]
+  conj(B[L', P, R']). For `bra_ket` the bra columns are the ket columns,
+  with an op folded into the bra at its site: <psi| op = (op^dagger
+  |psi>)^dagger. For `overlap` each bra column is the product state's
+  vectors of its rows, B[1, P, 1].
 - `statevector` chains the ket columns into the dense amplitudes.
 
 Given the derivative tensors of every site, `bra_ket` and `overlap` also
 return the sweep: the value with each site's tensor replaced in turn. Each
 column's ring environment E (the product of the other columns) is contracted
-with the column's bra side once, G[L, P, R] = sum conj(K[L', P, R'])
-E[(R, R'), (L, L')] (for an overlap, conj(phi_P) E[R, L]); a site's sweep
-value is then sum K' G, where K' is the ket column with that site's tensor
-replaced by its derivative. `site_double_tensor` and `site_single_tensor`
-build the same networks site by site, for `contract`.
+with the column's bra once, G[L, P, R] = sum conj(B[L', P, R'])
+E[(R, R'), (L, L')]; a site's sweep value is then sum K' G, where K' is the
+ket column with that site's tensor replaced by its derivative.
+`site_double_tensor` and `site_single_tensor` build the same networks site
+by site, for `contract`.
 
 Contraction is always performed along the shorter lattice side (the grid is
 transposed if needed), which keeps the transfer matrices at chi^(2*min(l1,l2))
@@ -98,8 +101,8 @@ def _check_ring(n_cols, n_rows, itemsize, transfer_size, ket_size=0):
     exceed NETWORK_BUDGET bytes, at itemsize bytes an entry: 3 transfer
     matrices of transfer_size entries per column plus 2 (ring_environments
     forms 3k - 5 products beside the k matrices), and one ket column of
-    ket_size entries per column plus 4 (a sweep's environment tensor and the
-    temporaries of a rebuilt column).
+    ket_size entries per column plus 4 (an op site's bra column, a sweep's
+    environment tensor and the temporaries of a rebuilt column).
     """
     if n_cols == 0 or n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
@@ -183,36 +186,18 @@ def _on_row(op, column, row):
 
 def _double_column(ket_col, bra_col):
     """Double-layer transfer matrix T[(L, L'), (R, R')] = sum_P ket[L, P, R] conj(bra[L', P, R'])."""
-    nl, _, nr = ket_col.shape
     # one (R x P) @ (P x R') product per (L, L'), written straight into (L, L', R, R') order
     t = np.matmul(ket_col.transpose(0, 2, 1)[:, None], bra_col.conj()[None])
-    return t.reshape(nl * nl, nr * nr)
+    return t.reshape(ket_col.shape[0] * bra_col.shape[0], -1)
 
 
 def _sweep_tensor(bra_col, env):
     """G[L, P, R] = sum conj(bra[L', P, R']) env[(R, R'), (L, L')]: replacing the column's
     ket side by K' gives the ring value sum K' G."""
     nl, _, nr = bra_col.shape
-    g = np.tensordot(env.reshape(nr, nr, nl, nl), bra_col.conj(), axes=([1, 3], [2, 0]))
+    env = env.reshape(env.shape[0] // nr, nr, env.shape[1] // nl, nl)
+    g = np.tensordot(env, bra_col.conj(), axes=([1, 3], [2, 0]))
     return np.ascontiguousarray(g.transpose(1, 2, 0))
-
-
-def _sweep(columns, dcolumns, tensors, transposed):
-    """The (l1, l2) sweep of an oriented ring of [column][row] 5-leg site tensors.
-
-    `tensors` yields each column's G (see `_sweep_tensor`); the entry of
-    column c, row r is sum K' G_c, where K' is column c's ket column with row
-    r's tensor replaced by dcolumns[c][r].
-    """
-    shape = (len(columns), len(columns[0]))
-    sweep = np.empty(shape if transposed else shape[::-1], dtype=complex)
-    for c, g in enumerate(tensors):
-        g = g.reshape(-1)
-        for r in range(shape[1]):
-            ts = list(columns[c])
-            ts[r] = dcolumns[c][r]
-            sweep[(c, r) if transposed else (r, c)] = _ket_column(ts).reshape(-1) @ g
-    return sweep
 
 
 def _real(value):
@@ -242,6 +227,30 @@ def _ket_columns(ket, chi):
     return columns, [_ket_column(col) for col in columns]
 
 
+def _ring(columns, kets, bras, dket=None):
+    """Ring value of ket columns against bra columns; with dket, (value, sweep).
+
+    `columns` holds the oriented site tensors behind `kets`. The sweep entry
+    of column c, row r is sum K' G_c, where K' is column c's ket column with
+    row r's tensor replaced by its derivative and G_c = `_sweep_tensor` of
+    the column's bra and ring environment.
+    """
+    cols = [_double_column(k, b) for k, b in zip(kets, bras)]
+    if dket is None:
+        return ring_value(cols)
+    value, envs = ring_environments(cols)
+    dcolumns = _orient(dket)
+    sweep = np.empty(dcolumns.shape[:2], dtype=complex)
+    for c, (bra, env) in enumerate(zip(bras, envs)):
+        g = _sweep_tensor(bra, env).reshape(-1)
+        for r in range(sweep.shape[1]):
+            ts = list(columns[c])
+            ts[r] = dcolumns[c, r]
+            sweep[c, r] = _ket_column(ts).reshape(-1) @ g
+    # column c, row r is site (c, r) of a transposed grid, else site (r, c)
+    return value, np.ascontiguousarray(sweep if _transposed(dket) else sweep.T)
+
+
 def bra_ket(ket, dket=None, site=None, op=None):
     """<psi|psi>, or <psi| op at site |psi>, of the (l1, l2, a, b, g, l, j) site tensors ket.
 
@@ -251,8 +260,6 @@ def bra_ket(ket, dket=None, site=None, op=None):
     returns (value, sweep): sweep[x, y] is the value with the ket-layer tensor
     of site (x, y) replaced by dket[x, y].
     """
-    transposed = _transposed(ket)
-    op_column = None
     if site is not None:
         (l1, l2), d = ket.shape[:2], ket.shape[-1]
         x, y = site
@@ -261,24 +268,14 @@ def bra_ket(ket, dket=None, site=None, op=None):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):
             raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
-        op = np.asarray(op)
-        op_column, op_row = (x, y) if transposed else (y, x)
-
-    def at_op(c, column, transpose=False):
-        # column with op (or op.T) applied on the op site's physical leg, if column c holds it
-        if c != op_column:
-            return column
-        return _on_row(op.T if transpose else op, column, op_row)
-
     columns, kets = _ket_columns(ket, ket.shape[2] ** 2)
-    cols = [_double_column(at_op(c, k), k) for c, k in enumerate(kets)]
-    if dket is None:
-        return _real(ring_value(cols))
-    value, envs = ring_environments(cols)
-    # sum (op K') G = sum K' (op.T G) on the op site's physical leg
-    tensors = (at_op(c, _sweep_tensor(k, env), transpose=True)
-               for c, (k, env) in enumerate(zip(kets, envs)))
-    return _real(value), _sweep(columns, _orient(dket), tensors, transposed)
+    bras = list(kets)
+    if site is not None:
+        # <psi| op = (op^dagger |psi>)^dagger: op joins the bra column that holds its site
+        c, row = (x, y) if _transposed(ket) else (y, x)
+        bras[c] = _on_row(np.conj(op).T, kets[c], row)
+    out = _ring(columns, kets, bras, dket)
+    return _real(out) if dket is None else (_real(out[0]), out[1])
 
 
 def overlap(ket, phi, dket=None):
@@ -287,17 +284,11 @@ def overlap(ket, phi, dket=None):
     phi has shape (l1, l2, j). With dket, the derivative tensors of every
     site, returns (value, sweep) as `bra_ket` does.
     """
-    transposed = _transposed(ket)
     columns, kets = _ket_columns(ket, ket.shape[2])
-    # conj(phi_P) of each column: the product of its rows' vectors, row 0 slowest
-    phis = [functools.reduce(np.kron, col).conj()
-            for col in (phi if transposed else phi.swapaxes(0, 1))]
-    cols = [np.tensordot(k, p, axes=(1, 0)) for k, p in zip(kets, phis)]
-    if dket is None:
-        return ring_value(cols)
-    value, envs = ring_environments(cols)
-    tensors = (p[None, :, None] * env.T[:, None, :] for p, env in zip(phis, envs))
-    return value, _sweep(columns, _orient(dket), tensors, transposed)
+    # each column's bra [1, P, 1]: the product of its rows' vectors, row 0 slowest
+    bras = [functools.reduce(np.kron, col)[None, :, None]
+            for col in (phi if _transposed(ket) else phi.swapaxes(0, 1))]
+    return _ring(columns, kets, bras, dket)
 
 
 def statevector(ket):

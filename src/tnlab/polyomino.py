@@ -190,7 +190,12 @@ def series_coefficients(m_max, n_max):
 
 
 def enumerate_toric(L):
-    """All nonzero-weight upper-layer configurations of the L x L torus."""
+    """All nonzero-weight upper-layer configurations of the L x L torus.
+
+    Raises ValueError when L < 1 and ResourceLimitError above TORIC_BUDGET.
+    """
+    if L < 1:
+        raise ValueError(f"torus side must be at least 1, got L = {L}")
     if L > TORIC_BUDGET:
         raise ResourceLimitError(f"toric enumeration capped at L = {TORIC_BUDGET}")
     out = []

@@ -145,6 +145,17 @@ def check_product_state(spec, product_state):
     return phi
 
 
+def check_observable(observable):
+    """observable as a complex array, or ValueError unless it is a Hermitian square matrix
+    (to 1e-12)."""
+    obs = np.asarray(observable, dtype=complex)
+    if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
+        raise ValueError(f"observable must be Hermitian: a square matrix, got shape {obs.shape}")
+    if np.abs(obs - obs.conj().T).max(initial=0.0) > 1e-12:
+        raise ValueError("observable must be Hermitian")
+    return obs
+
+
 def overlap(state, product_state):
     """<phi|psi> for a normalized per-site product state phi, shape (l1, l2, d)."""
     return network.overlap(_ket(state), check_product_state(state.spec, product_state))
@@ -152,10 +163,7 @@ def overlap(state, product_state):
 
 def local_expectation(state, site_index, observable):
     """Unnormalized <psi| O at site |psi> for a Hermitian d x d observable."""
-    obs = np.asarray(observable, dtype=complex)
-    if obs.shape != obs.T.shape or np.abs(obs - obs.conj().T).max() > 1e-12:
-        raise ValueError("observable must be Hermitian")
-    return network.bra_ket(_ket(state), site=tuple(site_index), op=obs)
+    return network.bra_ket(_ket(state), site=tuple(site_index), op=check_observable(observable))
 
 
 def _record_dtype(n):

@@ -80,6 +80,13 @@ def test_polyomino_rejects_rectangles(tmp_path):
     assert code == 2
 
 
+def test_polyomino_rejects_a_zero_torus_side(tmp_path, capsys):
+    code = main(["polyomino", "--sizes", "0x0", "--max-area", "4", "--seed", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "torus side must be at least 1, got L = 0" in capsys.readouterr().err
+
+
 def test_bounds_command(tmp_path):
     out = tmp_path / "bounds"
     code = main(["bounds", "--sizes", "2x2,3x3", "--seed", "5", "--out", str(out)])

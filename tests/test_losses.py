@@ -1,6 +1,7 @@
 """Tests for loss evaluation and analytic gradients."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ def test_sites_and_ops_are_checked_against_the_lattice(call, kind, site, op, mes
         else:
             loss = LossSpec(kind=kind, observable=op, site=site)
             (loss_value if call == "loss_value" else gradient_map)(st, loss)
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (2, 2, 2)])
+def test_observables_that_are_not_square_matrices_are_rejected_up_front(shape):
+    # each of these equals its own conjugate transpose, so only the shape can reject it
+    message = re.escape(f"observable must be Hermitian: a square matrix, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        LossSpec(kind=LOCAL_NORMALIZED, observable=np.ones(shape), site=(0, 0))
+    st = build_state(LatticeSpec(2, 2, 2, 2), np.random.default_rng(31))
+    with pytest.raises(ValueError, match=message):
+        local_expectation(st, (0, 0), np.ones(shape))
 
 
 def test_global_pure_matches_overlap_formula():

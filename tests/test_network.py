@@ -48,6 +48,21 @@ def _cases(draw):
     return l1, l2, D, site, draw(hst.integers(0, 2**32 - 1))
 
 
+def _check_op_sweep(ket, dket, site, op):
+    """The bra-ket sweep with op at site, entry by entry, against `contract`."""
+    double = _replaced(network.site_double_tensor(ket), site,
+                       network.site_double_tensor(ket[site], op=op))
+    value, sweep = network.bra_ket(ket, dket, site, op)
+    assert sweep.shape == ket.shape[:2]
+    assert _close(value, _contract_both_ways(double).real)
+    expected = np.empty(ket.shape[:2], dtype=complex)
+    for x, y in np.ndindex(*ket.shape[:2]):
+        tensor = network.site_double_tensor(dket[x, y], bra=ket[x, y],
+                                            op=op if (x, y) == site else None)
+        expected[x, y] = network.contract(_replaced(double, (x, y), tensor))
+    assert _close(sweep, expected)
+
+
 def _check_sweeps(l1, l2, D, d, site, seed):
     """Both sweeps, entry by entry, against `contract` with that one site's tensor replaced."""
     ket, dket = _tensors(l1, l2, D, d, seed)
@@ -55,22 +70,13 @@ def _check_sweeps(l1, l2, D, d, site, seed):
     op = random_hermitian(d, rng)
     phi = rng.standard_normal((l1, l2, d)) + 1j * rng.standard_normal((l1, l2, d))
 
-    double = _replaced(network.site_double_tensor(ket), site,
-                       network.site_double_tensor(ket[site], op=op))
-    value, sweep = network.bra_ket(ket, dket, site, op)
-    assert sweep.shape == (l1, l2)
-    assert _close(value, _contract_both_ways(double).real)
-    expected = np.empty((l1, l2), dtype=complex)
-    for x, y in np.ndindex(l1, l2):
-        tensor = network.site_double_tensor(dket[x, y], bra=ket[x, y],
-                                            op=op if (x, y) == site else None)
-        expected[x, y] = network.contract(_replaced(double, (x, y), tensor))
-    assert _close(sweep, expected)
+    _check_op_sweep(ket, dket, site, op)
 
     single = network.site_single_tensor(ket, phi)
     value, sweep = network.overlap(ket, phi, dket)
     assert sweep.shape == (l1, l2)
     assert _close(value, _contract_both_ways(single))
+    expected = np.empty((l1, l2), dtype=complex)
     for x, y in np.ndindex(l1, l2):
         tensor = network.site_single_tensor(dket[x, y], phi[x, y])
         expected[x, y] = network.contract(_replaced(single, (x, y), tensor))
@@ -97,9 +103,32 @@ def test_sweeps_at_three_physical_levels_and_production_sizes(l1, l2, D, d, site
     _check_sweeps(l1, l2, D, d, site, seed=l1 * 100 + l2 * 10 + d)
 
 
+@pytest.mark.parametrize("l1, l2", [(2, 3), (3, 2)])
+def test_op_sweep_with_a_non_hermitian_op(l1, l2):
+    # op = H + iA with <A> = 0 has a real value, but its sweep differs from that of
+    # op^dagger: this pins which layer the op acts on
+    ket, dket = _tensors(l1, l2, 2, 2, 7)
+    rng = np.random.default_rng(7)
+    h, b = random_hermitian(2, rng), random_hermitian(2, rng)
+    a = b - network.bra_ket(ket, site=(1, 1), op=b) / network.bra_ket(ket) * np.eye(2)
+    _check_op_sweep(ket, dket, (1, 1), h + 1j * a)
+
+
 @pytest.mark.parametrize("with_sweep", [False, True])
 def test_bra_ket_rejects_non_hermitian_op(with_sweep):
     ket, dket = _tensors(2, 3, 2, 2, 0)
     op = 1j * np.eye(2)  # anti-Hermitian: <op> = i <psi|psi>
     with pytest.raises(RuntimeError, match="imaginary part"):
         network.bra_ket(ket, dket if with_sweep else None, (1, 2), op)
+
+
+@pytest.mark.parametrize("site, op, message", [
+    ((6, 0), np.eye(2), "not a site"),
+    ((0, 0), np.eye(3), "op must be 2 x 2"),
+])
+def test_bra_ket_checks_site_and_op_before_the_budget(site, op, message):
+    # a 6x6 ring exceeds the network budget, so a check made after the budget's would raise
+    # ResourceLimitError instead
+    ket = np.zeros((6, 6, 2, 2, 2, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        network.bra_ket(ket, site=site, op=op)

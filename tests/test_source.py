@@ -38,3 +38,19 @@ def test_library_uses_only_the_network_entry_points():
             found[path.name] = sorted(used - NETWORK_API)
     assert SOURCES, "no library sources found"
     assert found == {}, f"network internals used (file: names): {found}"
+
+
+def test_network_builds_every_bra_ket_ring_in_one_place():
+    # `bra_ket` and `overlap` share one ring: its transfer matrices, environments
+    # and sweep tensors are each formed by a single function of `network`
+    ring_parts = {"ring_environments", "_double_column", "_sweep_tensor"}
+    path = next(p for p in SOURCES if p.name == "network.py")
+    callers = {name: set() for name in ring_parts}
+    for func in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ring_parts):
+                callers[node.func.id].add(func.name)
+    assert all(len(names) == 1 for names in callers.values()), f"callers: {callers}"

@@ -148,15 +148,7 @@ def cmd_var_scan(config, loss_kind):
 
 def cmd_polyomino(config, max_area):
     t0 = time.monotonic()
-    enum = enumerate_directed(max_area)
-    series = series_coefficients(max_area, max_area)
-    rows = [("area", "upper_perimeter", "enumerated", "series", "match")]
-    mismatch = False
-    for key in sorted(set(enum.counts) | set(series.counts)):
-        a, b = enum.counts.get(key, 0), series.counts.get(key, 0)
-        mismatch = mismatch or a != b
-        rows.append((key[0], key[1], a, b, a == b))
-
+    # the sizes go first, so that a bad one exits before the directed enumeration
     bridge_rows = [("L", "n_valid_configs", "n_violations")]
     bridge_ok = True
     bridge_records = []
@@ -168,6 +160,15 @@ def cmd_polyomino(config, max_area):
         bridge_rows.append((l1, rep.n_valid, rep.n_violations))
         bridge_records.append({"L": l1, "n_valid": rep.n_valid,
                                "n_violations": rep.n_violations})
+
+    enum = enumerate_directed(max_area)
+    series = series_coefficients(max_area, max_area)
+    rows = [("area", "upper_perimeter", "enumerated", "series", "match")]
+    mismatch = False
+    for key in sorted(set(enum.counts) | set(series.counts)):
+        a, b = enum.counts.get(key, 0), series.counts.get(key, 0)
+        mismatch = mismatch or a != b
+        rows.append((key[0], key[1], a, b, a == b))
 
     # reference shape: directed polyomino with the documented statistics (6, 14, 3)
     ref = Polyomino(frozenset({(-3, -1), (-2, -1), (-1, -2), (-1, -1), (-1, 0), (0, 0)}))

@@ -1,11 +1,12 @@
-"""Directed plane polyominoes, toric polyominoes, and the decomposition between them.
+r"""Directed plane polyominoes, toric polyominoes, and the decomposition between them.
 
 A directed plane polyomino rooted at (0, 0) is a finite cell set containing
 the root in which every other cell (x, y) has (x+1, y) or (x, y+1) in the set;
-all cells therefore lie in the quadrant {(-a, -b): a, b >= 0}. Statistics:
-area m = |cells|, perimeter p = number of occupied/empty neighbor pairs in
-both directions, upper perimeter n = number of pairs with (x, y) empty and
-(x+1, y) occupied.
+all cells therefore lie in the quadrant {(-a, -b): a, b >= 0}. The statistics
+of a cell set S are set differences of S and its one-step shifts S + e:
+area m = |S|, perimeter p = sum over the four unit steps e of |S \ (S + e)|,
+and upper perimeter n = |S \ (S + e_x)|, the occupied cells (x, y) whose
+(x - 1, y) is empty. On the L x L torus, S + e is taken mod L.
 
 Toric polyominoes are the nonzero-weight upper-layer spin configurations of
 the two-layer model: boolean (L, L) grids in which every occupied cell has an
@@ -29,11 +30,10 @@ TORIC_BUDGET = 4
 
 @dataclass(frozen=True)
 class Polyomino:
-    """Cell set with an optional root; frame is None for the plane or L for the L x L torus."""
+    """Cell set; frame is None for the plane or L for the L x L torus."""
 
     cells: frozenset
     frame: int = None
-    root: tuple = None
 
 
 class PolyominoStats(NamedTuple):
@@ -42,31 +42,22 @@ class PolyominoStats(NamedTuple):
     upper_perimeter: int
 
 
+def _shift(cells, dx, dy, frame=None):
+    """The cell set moved by (dx, dy), taken mod frame on the torus."""
+    if frame is None:
+        return {(x + dx, y + dy) for x, y in cells}
+    return {((x + dx) % frame, (y + dy) % frame) for x, y in cells}
+
+
 def stats(poly):
-    """(area, perimeter, upper perimeter) from the defining formulas."""
+    """(area, perimeter, upper perimeter) from the defining set formulas."""
     cells = poly.cells
     if not cells:
         raise ValueError("empty cell set")
-    if poly.frame is None:
-        def occupied(x, y):
-            return (x, y) in cells
-        span = cells | {(x - 1, y) for x, y in cells} | {(x, y - 1) for x, y in cells}
-    else:
-        L = poly.frame
-        def occupied(x, y):
-            return (x % L, y % L) in cells
-        span = {(x, y) for x in range(L) for y in range(L)}
-    perimeter = 0
-    upper = 0
-    for x, y in span:
-        here = occupied(x, y)
-        if here != occupied(x + 1, y):
-            perimeter += 1
-            if not here:
-                upper += 1
-        if here != occupied(x, y + 1):
-            perimeter += 1
-    return PolyominoStats(len(cells), perimeter, upper)
+    # exposed[0] is |S \ (S + e_x)|, the upper perimeter
+    exposed = [len(cells - _shift(cells, dx, dy, poly.frame))
+               for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    return PolyominoStats(len(cells), sum(exposed), exposed[0])
 
 
 def generate_directed(m_max):
@@ -96,12 +87,8 @@ def _grow_directed(m_max):
             break
         nxt = set()
         for cells in level:
-            candidates = set()
-            for x, y in cells:
-                candidates.add((x - 1, y))
-                candidates.add((x, y - 1))
-            for c in candidates - cells:
-                nxt.add(cells | {c})
+            candidates = (_shift(cells, -1, 0) | _shift(cells, 0, -1)) - cells
+            nxt.update(cells | {c} for c in candidates)
         level = nxt
 
 
@@ -263,7 +250,7 @@ def toric_to_plane(config, root_rule=min):
     pieces = {}
     for root, a, b in moves.values():
         pieces.setdefault(root, set()).add((-a, -b))
-    return [Polyomino(frozenset(cells), frame=None, root=(0, 0)) for cells in pieces.values()]
+    return [Polyomino(frozenset(cells)) for cells in pieces.values()]
 
 
 def toric_stats(config):

@@ -20,7 +20,6 @@ from .errors import ResourceLimitError
 from .lattice import LatticeSpec
 from .tensors import haar_from_ginibre, hermitian_from_gaussian, is_hermitian, is_unitary
 
-EMBED_TOL = 1e-10
 STATE_FORMAT = "tnlab-state-v1"
 
 

@@ -13,6 +13,30 @@ def by_area(counts):
     return out
 
 
+def grid_stats(cells, frame=None):
+    """(area, perimeter, upper perimeter) of a cell set, counted on a boolean grid.
+
+    Cell (x, y) is grid[x, y]. The perimeter counts the neighbor pairs with one
+    cell occupied and one empty, and the upper perimeter the pairs with (x, y)
+    empty and (x + 1, y) occupied. On the plane the cells are padded into a grid
+    with an empty border and each pair is taken once by slicing; on the L x L
+    torus (frame = L) each cell is paired with its successor by np.roll.
+    """
+    xy = np.array(sorted(cells))
+    if frame is None:
+        xy = xy - xy.min(axis=0) + 1
+        grid = np.zeros(xy.max(axis=0) + 2, dtype=bool)
+        grid[xy[:, 0], xy[:, 1]] = True
+        pairs = [(grid[:-1], grid[1:]), (grid[:, :-1], grid[:, 1:])]
+    else:
+        grid = np.zeros((frame, frame), dtype=bool)
+        grid[xy[:, 0], xy[:, 1]] = True
+        pairs = [(grid, np.roll(grid, -1, axis=0)), (grid, np.roll(grid, -1, axis=1))]
+    perimeter = sum(int(np.count_nonzero(a != b)) for a, b in pairs)
+    here, below = pairs[0]
+    return int(grid.sum()), perimeter, int(np.count_nonzero(~here & below))
+
+
 class ConfigClass(Enum):
     GROUND = "ground"
     VALID = "valid"

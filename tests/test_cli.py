@@ -74,17 +74,20 @@ def test_polyomino_command(tmp_path):
     assert "6,14,3" in ref_csv
 
 
-def test_polyomino_rejects_rectangles(tmp_path):
-    code = main(["polyomino", "--sizes", "2x3", "--seed", "1",
-                 "--out", str(tmp_path / "x")])
-    assert code == 2
+@pytest.mark.parametrize("size, code, message", [
+    ("2x3", 2, "needs square sizes"),
+    ("0x0", 2, "torus side must be at least 1, got L = 0"),
+    ("5x5", 4, "toric enumeration capped at L = 4"),
+])
+def test_polyomino_rejects_bad_sizes_before_enumerating(tmp_path, capsys, monkeypatch,
+                                                        size, code, message):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerate_directed ran before the sizes were checked")
 
-
-def test_polyomino_rejects_a_zero_torus_side(tmp_path, capsys):
-    code = main(["polyomino", "--sizes", "0x0", "--max-area", "4", "--seed", "1",
-                 "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "torus side must be at least 1, got L = 0" in capsys.readouterr().err
+    monkeypatch.setattr(tnlab.cli, "enumerate_directed", no_enumeration)
+    assert main(["polyomino", "--sizes", size, "--max-area", "12", "--seed", "1",
+                 "--out", str(tmp_path / "x")]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_bounds_command(tmp_path):

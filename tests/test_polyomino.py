@@ -13,7 +13,7 @@ from tnlab.polyomino import (ENUMERATION_BUDGET, Polyomino, ascii_art, decomposi
                              directed_gf, enumerate_directed, enumerate_toric, generate_directed,
                              series_coefficients, stats, toric_stats, toric_to_plane,
                              verify_decomposition)
-from oracles import ConfigClass, by_area, classify_config
+from oracles import ConfigClass, by_area, classify_config, grid_stats
 
 # area-6 directed polyomino with perimeter 14 and upper perimeter 3:
 #   .#.
@@ -55,6 +55,20 @@ def test_domino_stats():
 def test_stats_rejects_empty():
     with pytest.raises(ValueError):
         stats(Polyomino(frozenset()))
+
+
+def _cell_sets(hi):
+    return hst.sets(hst.tuples(hst.integers(0, hi), hst.integers(0, hi)), min_size=1)
+
+
+# plane sets in a small box, directed or not, and toric sets on the L x L torus
+@settings(max_examples=300, deadline=None)
+@given(hst.one_of(
+    hst.tuples(_cell_sets(5).map(lambda s: {(x - 3, y - 2) for x, y in s}), hst.none()),
+    hst.integers(1, 5).flatmap(lambda L: hst.tuples(_cell_sets(L - 1), hst.just(L)))))
+def test_stats_match_a_grid_count(case):
+    cells, frame = case
+    assert stats(Polyomino(frozenset(cells), frame)) == grid_stats(cells, frame)
 
 
 def test_counts_by_area_match_independent_oracle():

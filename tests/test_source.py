@@ -54,3 +54,24 @@ def test_network_builds_every_bra_ket_ring_in_one_place():
                     and node.func.id in ring_parts):
                 callers[node.func.id].add(func.name)
     assert all(len(names) == 1 for names in callers.values()), f"callers: {callers}"
+
+
+def test_every_library_constant_is_read():
+    # a module-level UPPER_CASE name that nothing reads is dead configuration
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assigned, read = {}, set()
+    for path in SOURCES + tests:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path in SOURCES:
+            for node in tree.body:
+                for target in node.targets if isinstance(node, ast.Assign) else []:
+                    if isinstance(target, ast.Name) and target.id.isupper():
+                        assigned[target.id] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert assigned, "no library constants found"
+    unread = {name: module for name, module in assigned.items() if name not in read}
+    assert unread == {}, f"constants never read (name: module): {unread}"

@@ -8,8 +8,9 @@ the derivative tensor inserted at one site.
 
 A local gradient takes one sweep. N = <psi|O|psi> and its sweep are linear
 in O, so the normalized gradient (dN z - N dZ) / z^2 is the sweep of the
-folded observable O' = (O - (N/z) 1) / z, with z and N from two value-only
-rings.
+folded observable O' = (O - (N/z) 1) / z. `network.bra_ket` reads z and N
+from the observable column's environment and folds O inside the same ring
+pass; z is checked against Z_FLOOR before it divides anything.
 """
 
 from dataclasses import dataclass
@@ -118,10 +119,12 @@ def gradient_map(state, loss):
         z = _above_floor(z)
         return -(d_fid * z - abs(w) ** 2 * 2.0 * dz.real) / z**2
 
-    site = tuple(loss.site)
-    op = np.asarray(loss.observable, dtype=complex)
+    fold = None
     if loss.kind == LOCAL_NORMALIZED:
         # fold the quotient rule into the observable (see the module docstring)
-        z = _above_floor(network.bra_ket(ket))
-        op = (op - network.bra_ket(ket, site=site, op=op) / z * np.eye(spec.d)) / z
-    return 2.0 * network.bra_ket(ket, dket, site, op)[1].real
+        def fold(z, n):
+            z = _above_floor(z)
+            return 1.0 / z, -n / z**2
+
+    op = np.asarray(loss.observable, dtype=complex)
+    return 2.0 * network.bra_ket(ket, dket, tuple(loss.site), op, fold)[1].real

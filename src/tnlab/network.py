@@ -25,9 +25,23 @@ return the sweep: the value with each site's tensor replaced in turn. Each
 column's ring environment E (the product of the other columns) is contracted
 with the column's bra once, G[L, P, R] = sum conj(B[L', P, R'])
 E[(R, R'), (L, L')]; a site's sweep value is then sum K' G, where K' is the
-ket column with that site's tensor replaced by its derivative.
+ket column with that site's tensor replaced by its derivative. A ring of k
+columns forms 3k - 6 matrix products for its environments and value, and
+k - 2 for a value alone: the trace of the last product is read as an
+elementwise sum, trace(A B) = sum A * B^T.
+
+`bra_ket` can also refold its op within that one ring (the normalized local
+gradient sweeps O' = (O - (N/z) 1) / z). The ring then starts at the op
+column, whose environment E is the first suffix product. z and N are read
+from E with that column's plain and op transfer matrices, and the caller's
+fold(z, N) gives the op to put in its place, as a combination of the op and
+the identity, before the prefix products are formed. So the pass builds
+k + 1 double-layer columns and forms the products of one sweep.
+
 `site_double_tensor` and `site_single_tensor` build the same networks site
-by site, for `contract`.
+by site. No library code calls them: the tests build with them the
+networks that `contract` checks `bra_ket` and `overlap` against, and the
+benchmark's span tracer wraps them.
 
 Contraction is always performed along the shorter lattice side (the grid is
 transposed if needed), which keeps the transfer matrices at chi^(2*min(l1,l2))
@@ -98,15 +112,21 @@ def _check_ring(n_cols, n_rows, itemsize, transfer_size, ket_size=0):
 
     ValueError when a column has fewer than two sites (`column_transfer` would
     contract a lone site with itself). ResourceLimitError when the ring would
-    exceed NETWORK_BUDGET bytes, at itemsize bytes an entry: 3 transfer
-    matrices of transfer_size entries per column plus 2 (ring_environments
-    forms 3k - 5 products beside the k matrices), and one ket column of
-    ket_size entries per column plus 4 (an op site's bra column, a sweep's
-    environment tensor and the temporaries of a rebuilt column).
+    exceed NETWORK_BUDGET bytes, at itemsize bytes an entry. The charge is what
+    the costliest ring, a fused `bra_ket` pass, holds at once:
+    - 4 k - 4 transfer matrices of transfer_size entries for k = n_cols: the k
+      columns, the op column's plain transfer matrix, the k - 2 suffixes,
+      k - 2 prefixes and k - 2 middle environments of `ring_environments`,
+      and one temporary (the sweep that follows holds at most 2 k + 2, a
+      plain sweep 4 k - 6 and a value-only ring k + 3);
+    - k + 6 ket columns of ket_size entries: the k ket columns, the op
+      column's bra, and up to 5 more that a sweep holds beside them while it
+      forms a sweep tensor (the bra conjugated and transposed, the product
+      and its contiguous copy) or rebuilds a ket column.
     """
     if n_cols == 0 or n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
-    need = ((3 * n_cols + 2) * transfer_size + (n_cols + 4) * ket_size) * itemsize
+    need = ((4 * n_cols - 4) * transfer_size + (n_cols + 6) * ket_size) * itemsize
     if need > NETWORK_BUDGET:
         raise ResourceLimitError(
             f"a ring of {n_cols} columns of {n_rows} sites needs about "
@@ -115,33 +135,45 @@ def _check_ring(n_cols, n_rows, itemsize, transfer_size, ket_size=0):
 
 
 def ring_value(columns):
-    """Trace of the product of column transfer matrices around the ring."""
-    acc = columns[0]
-    for m in columns[1:]:
-        acc = acc @ m
-    return complex(np.trace(acc))
+    """Trace of the product of column transfer matrices around a ring of at least two columns.
+
+    The last product is not formed: the trace is `replace_value` of the last
+    column against the product of the others, k - 2 products in all.
+    """
+    return replace_value(columns[-1], functools.reduce(np.matmul, columns[:-1]))
 
 
-def ring_environments(columns):
+def ring_environments(columns, replace_first=None):
     """Ring value and per-column ring environments of a ring of at least two columns.
 
     Returns (value, envs) where envs[y] is the matrix E such that replacing
     column y by T' gives ring value sum_ab T'[a, b] E[b, a]; i.e. E is the
     product of the other columns in ring order starting after y. Only the
-    products that are returned get formed: the prefixes T0...Ty (k - 1
-    products), the suffixes T(y+1)...T(k-1) (k - 2) and the environments of
-    the middle columns (k - 2).
+    products that are returned get formed: the suffixes T(y+1)...T(k-1)
+    (k - 2 products), the prefixes T0...Ty of the first k - 1 columns (k - 2)
+    and the environments of the middle columns (k - 2). The value is taken
+    as `ring_value` takes it.
+
+    No suffix holds column 0, so its environment is known before any prefix
+    is formed. With replace_first, a function of that environment that
+    returns a new column 0, the prefixes, the other environments and the
+    value are those of the ring with the new column in place.
     """
     k = len(columns)
-    head = list(itertools.accumulate(columns, np.matmul))  # head[y] = T0...Ty
     # tail[y] = T(y+1)...T(k-1), built from the right
     tail = list(itertools.accumulate(columns[:0:-1], lambda acc, m: m @ acc))[::-1]
-    envs = [tail[0], *(tail[y] @ head[y - 1] for y in range(1, k - 1)), head[k - 2]]
-    return complex(np.trace(head[-1])), envs
+    if replace_first is not None:
+        columns = [replace_first(tail[0]), *columns[1:]]
+    head = list(itertools.accumulate(columns[:-1], np.matmul))  # head[y] = T0...Ty
+    value = replace_value(columns[-1], head[-1])
+    return value, [tail[0], *(tail[y] @ head[y - 1] for y in range(1, k - 1)), head[-1]]
 
 
 def replace_value(replacement, env):
-    """Ring value with one column replaced, given that column's environment."""
+    """Ring value with one column replaced, given that column's environment.
+
+    trace(replacement @ env), as the sum of replacement * env^T: no product is formed.
+    """
     return complex(np.sum(replacement * env.T))
 
 
@@ -227,22 +259,46 @@ def _ket_columns(ket, chi):
     return columns, [_ket_column(col) for col in columns]
 
 
-def _ring(columns, kets, bras, dket=None):
+def _ring(columns, kets, bras, dket=None, first=0, fold=None):
     """Ring value of ket columns against bra columns; with dket, (value, sweep).
 
-    `columns` holds the oriented site tensors behind `kets`. The sweep entry
-    of column c, row r is sum K' G_c, where K' is column c's ket column with
-    row r's tensor replaced by its derivative and G_c = `_sweep_tensor` of
-    the column's bra and ring environment.
+    `columns` holds the oriented site tensors behind `kets`, and the ring is
+    multiplied from column `first` on. The sweep entry of column c, row r is
+    sum K' G_c, where K' is column c's ket column with row r's tensor
+    replaced by its derivative and G_c = `_sweep_tensor` of the column's bra
+    and ring environment.
+
+    With fold (and dket), bras[first] holds the op of `bra_ket`. No suffix
+    product holds that column, so its environment E is formed first, and
+    z = <psi|psi> and N = <psi|op|psi> are read from E with the column's plain
+    and op transfer matrices, T and T_op. fold(z, N) returns (a, b), and the
+    column becomes that of the op a op + b 1, with transfer matrix
+    a T_op + b T and bra conj(a) B_op + conj(b) K, before the prefixes are
+    formed. T_op and bras[first] are replaced in place, so neither is kept.
+    The value and sweep are those of the new op.
     """
-    cols = [_double_column(k, b) for k, b in zip(kets, bras)]
+    order = [*range(first, len(kets)), *range(first)]
+    cols = [_double_column(kets[c], bras[c]) for c in order]
     if dket is None:
         return ring_value(cols)
-    value, envs = ring_environments(cols)
+    replace_first = None
+    if fold is not None:
+        plain = _double_column(kets[first], kets[first])
+
+        def replace_first(env):
+            a, b = fold(_real(replace_value(plain, env)), _real(replace_value(cols[0], env)))
+            bras[first] = np.conj(a) * bras[first] + np.conj(b) * kets[first]
+            # T_op is read: the new column takes its place and its memory
+            cols[0] *= a
+            cols[0] += b * plain
+            return cols[0]
+
+    value, envs = ring_environments(cols, replace_first)
+    envs = dict(zip(order, envs))
     dcolumns = _orient(dket)
     sweep = np.empty(dcolumns.shape[:2], dtype=complex)
-    for c, (bra, env) in enumerate(zip(bras, envs)):
-        g = _sweep_tensor(bra, env).reshape(-1)
+    for c, bra in enumerate(bras):
+        g = _sweep_tensor(bra, envs[c]).reshape(-1)
         for r in range(sweep.shape[1]):
             ts = list(columns[c])
             ts[r] = dcolumns[c, r]
@@ -251,7 +307,7 @@ def _ring(columns, kets, bras, dket=None):
     return value, np.ascontiguousarray(sweep if _transposed(dket) else sweep.T)
 
 
-def bra_ket(ket, dket=None, site=None, op=None):
+def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     """<psi|psi>, or <psi| op at site |psi>, of the (l1, l2, a, b, g, l, j) site tensors ket.
 
     site is an (x, y) tuple inside the lattice and op a d x d matrix, else
@@ -259,7 +315,15 @@ def bra_ket(ket, dket=None, site=None, op=None):
     size raises RuntimeError. With dket, the derivative tensors of every site,
     returns (value, sweep): sweep[x, y] is the value with the ket-layer tensor
     of site (x, y) replaced by dket[x, y].
+
+    fold, which needs dket, site and op, refolds the op inside the same ring
+    pass: fold(z, N) is called with the real values z = <psi|psi> and
+    N = <psi| op |psi> and returns numbers (a, b); the value and sweep
+    returned are then those of the op a op + b 1. The whole call makes one
+    ring of products, as a plain sweep does.
     """
+    if fold is not None and (dket is None or site is None):
+        raise ValueError("fold needs dket, a site and an op")
     if site is not None:
         (l1, l2), d = ket.shape[:2], ket.shape[-1]
         x, y = site
@@ -270,11 +334,12 @@ def bra_ket(ket, dket=None, site=None, op=None):
             raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
     columns, kets = _ket_columns(ket, ket.shape[2] ** 2)
     bras = list(kets)
+    c = 0
     if site is not None:
         # <psi| op = (op^dagger |psi>)^dagger: op joins the bra column that holds its site
         c, row = (x, y) if _transposed(ket) else (y, x)
         bras[c] = _on_row(np.conj(op).T, kets[c], row)
-    out = _ring(columns, kets, bras, dket)
+    out = _ring(columns, kets, bras, dket, c, fold)
     return _real(out) if dket is None else (_real(out[0]), out[1])
 
 

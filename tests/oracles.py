@@ -4,6 +4,8 @@ from enum import Enum
 
 import numpy as np
 
+from tnlab import network
+
 
 def by_area(counts):
     """Totals of a `PolyominoCounts` per area, summed over the upper perimeter."""
@@ -53,3 +55,15 @@ def classify_config(config):
     if np.any(c & ~right & ~down):
         return ConfigClass.ZERO
     return ConfigClass.VALID
+
+
+def normalized_local_gradient(ket, dket, site, op):
+    """Gradient of N/z, N = <psi| op at site |psi> and z = <psi|psi>, by the quotient rule.
+
+    (dN z - N dz) / z^2 from two public sweeps, with dN and dz twice the real
+    part of the sweeps of `network.bra_ket` with and without the op (ket and
+    dket are site tensors and their derivatives; op is Hermitian).
+    """
+    z, dz = network.bra_ket(ket, dket)
+    n, dn = network.bra_ket(ket, dket, site, op)
+    return 2.0 * (dn.real * z - n * dz.real) / z**2

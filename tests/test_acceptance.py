@@ -183,6 +183,7 @@ def test_criterion_08_global_barren_plateau():
 
 
 def test_criterion_09_local_loss_structure():
+    start = time.monotonic()
     spec = LatticeSpec(4, 5, 2, 2)
     obs_site = (0, 0)
     loss = LossSpec(kind=LOCAL_NORMALIZED, observable=plus_projector(2), site=obs_site)
@@ -196,8 +197,10 @@ def test_criterion_09_local_loss_structure():
         for a, b in zip(deltas, deltas[1:]))
     slope = np.polyfit(deltas, [np.log(profile[d][0]) for d in deltas], 1)[0]
     ok = peak_ok and monotone_ok and slope < 0
+    elapsed = time.monotonic() - start
     record_criterion(9, "local-loss variance peaks at the observable site and decays with distance",
-                     ok, f"peak at {tuple(int(v) for v in argmax)}, log-slope {slope:.2f}")
+                     ok, f"peak at {tuple(int(v) for v in argmax)}, log-slope {slope:.2f}, "
+                         f"{elapsed:.0f}s")
     assert peak_ok
     assert monotone_ok
     assert slope < 0

@@ -2,19 +2,24 @@
 
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import tnlab
+from tnlab import losses, network, states
+from tnlab.errors import DegenerateStateError
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value,
                           plus_projector, plus_target, traceless_observable)
-from tnlab.states import (TNState, build_state, local_expectation, norm_squared, overlap,
-                          to_statevector)
+from tnlab.states import (TNState, build_state, local_derivative_tensor, local_expectation,
+                          local_tensor, norm_squared, overlap, to_statevector)
+
+from oracles import normalized_local_gradient
 
 
 def finite_difference(state, site, loss, h=1e-5):
@@ -235,3 +240,76 @@ def test_global_gradient_mean_is_zero():
     report = tnlab.variance_scan(spec, loss, 2000, seed=404)
     se = np.sqrt(report.variance / report.n_samples)
     assert np.all(np.abs(report.mean) <= 3 * se)
+
+
+@hst.composite
+def _normalized_cases(draw):
+    D, d = draw(hst.sampled_from([2, 3])), draw(hst.sampled_from([2, 3]))
+    l1, l2 = draw(hst.integers(2, 5)), draw(hst.integers(2, 5))
+    # at most 4 rows (256 x 256 transfer matrices) at D = 2 and 3 rows (729 x 729) at D = 3
+    rows = 4 if D == 2 else 3
+    if min(l1, l2) > rows:
+        l1 = rows
+    site = (draw(hst.integers(0, l1 - 1)), draw(hst.integers(0, l2 - 1)))
+    return l1, l2, D, d, site, draw(hst.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_normalized_cases())
+# the op in the last column, with the grid transposed and not
+@example(case=(2, 5, 2, 3, (1, 4), 1)).via("the last column")
+@example(case=(5, 3, 3, 2, (4, 0), 2)).via("the last column, transposed")
+def test_local_normalized_gradient_matches_the_quotient_rule(case):
+    # gradient_map folds z and N into one ring pass; the oracle takes them from two sweeps
+    l1, l2, D, d, site, seed = case
+    rng = np.random.default_rng(seed)
+    st = build_state(LatticeSpec(l1, l2, D, d), rng)
+    op = tnlab.random_hermitian(d, rng)
+    expected = normalized_local_gradient(local_tensor(st.params, D, d),
+                                         local_derivative_tensor(st.params, D, d), site, op)
+    g = gradient_map(st, LossSpec(kind=LOCAL_NORMALIZED, observable=op, site=site))
+    assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("l1, l2", [(3, 4), (4, 3)])
+def test_a_local_gradient_makes_one_ring_pass(l1, l2, monkeypatch):
+    # one ring of k = max(l1, l2) columns: z and N come from the op column's environment, so
+    # the normalized gradient builds one double column more than the unnormalized one and
+    # contracts no value-only ring
+    counts = Counter()
+    for name in ("_double_column", "ring_value", "ring_environments"):
+        def counted(*args, _name=name, _fn=getattr(network, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(network, name, counted)
+    st = build_state(LatticeSpec(l1, l2, 2, 2), np.random.default_rng(40))
+    k = max(l1, l2)
+    for kind, columns in ((LOCAL_NORMALIZED, k + 1), (LOCAL_UNNORMALIZED, k)):
+        counts.clear()
+        gradient_map(st, LossSpec(kind=kind, observable=plus_projector(2), site=(1, 2)))
+        assert dict(counts) == {"_double_column": columns, "ring_environments": 1}, kind
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-4])
+@pytest.mark.parametrize("call, kind", [("loss_value", LOCAL_NORMALIZED),
+                                        ("loss_value", GLOBAL_NORMALIZED),
+                                        ("gradient_map", LOCAL_NORMALIZED),
+                                        ("gradient_map", GLOBAL_NORMALIZED)])
+def test_degenerate_states_raise_before_z_divides(call, kind, scale, monkeypatch):
+    # site tensors scaled by `scale` scale z = <psi|psi> by scale**12 at 2x3, to 0 or to about
+    # 1e-48 of its value, below Z_FLOOR; under errstate(all="raise") a division by z = 0
+    # before the check would raise FloatingPointError or ZeroDivisionError instead
+    spec = LatticeSpec(2, 3, 2, 2)
+    st = build_state(spec, np.random.default_rng(41))
+
+    def scaled(params, D, d):
+        return scale * local_tensor(params, D, d)
+
+    monkeypatch.setattr(states, "local_tensor", scaled)
+    monkeypatch.setattr(losses, "local_tensor", scaled)
+    if kind == LOCAL_NORMALIZED:
+        loss = LossSpec(kind=kind, observable=plus_projector(2), site=(1, 2))
+    else:
+        loss = LossSpec(kind=kind, target=plus_target(spec))
+    with np.errstate(all="raise"), pytest.raises(DegenerateStateError, match="below"):
+        (loss_value if call == "loss_value" else gradient_map)(st, loss)

@@ -1,11 +1,14 @@
 """Tests for the ring entry points of the network engine: values and derivative sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from tnlab import network
+from tnlab.errors import ResourceLimitError
 from tnlab.lattice import LatticeSpec
 from tnlab.states import build_state, local_derivative_tensor, local_tensor
 from tnlab.tensors import random_hermitian
@@ -132,3 +135,48 @@ def test_bra_ket_checks_site_and_op_before_the_budget(site, op, message):
     ket = np.zeros((6, 6, 2, 2, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError, match=message):
         network.bra_ket(ket, site=site, op=op)
+
+
+def _quotient_fold(z, n):
+    return 1.0 / z, -n / z**2
+
+
+# each ring kind of the network, on site tensors ket and derivatives dket
+_RINGS = {
+    "value": lambda ket, dket: network.bra_ket(ket),
+    "sweep": lambda ket, dket: network.bra_ket(ket, dket),
+    "fused": lambda ket, dket: network.bra_ket(ket, dket, (1, 1), np.eye(ket.shape[-1]),
+                                               _quotient_fold),
+    "overlap": lambda ket, dket: network.overlap(ket, np.ones((*ket.shape[:2], ket.shape[-1])),
+                                                 dket),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+@pytest.mark.parametrize("k", [5, 8, 12])
+@pytest.mark.parametrize("rows, d", [(3, 2), (2, 17)], ids=["transfer-bound", "ket-bound"])
+def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
+    # the charge that `_check_ring` makes before any column is built is at least the
+    # tracemalloc peak P of the ring itself: a budget of P - 1 bytes refuses the ring; the
+    # fused pass is the costliest ring, and its charge is within 1.5 P
+    ket, dket = _tensors(rows, k, 2, d, k)
+    run = _RINGS[ring]
+    tracemalloc.start()
+    try:
+        run(ket, dket)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(network, "NETWORK_BUDGET", peak - 1)
+    with pytest.raises(ResourceLimitError, match="network budget"):
+        run(ket, dket)
+    if ring == "fused":
+        monkeypatch.setattr(network, "NETWORK_BUDGET", int(1.5 * peak))
+        run(ket, dket)
+
+
+@pytest.mark.parametrize("with_dket, site", [(False, (0, 0)), (True, None)])
+def test_fold_needs_dket_and_a_site(with_dket, site):
+    ket, dket = _tensors(2, 2, 2, 2, 0)
+    with pytest.raises(ValueError, match="fold needs dket, a site and an op"):
+        network.bra_ket(ket, dket if with_dket else None, site, np.eye(2), _quotient_fold)

@@ -6,6 +6,7 @@ unspecified constants of the underlying statements are either dropped (pure
 upper-bound chains) or cancel in ratios between sizes.
 """
 
+import math
 from dataclasses import dataclass
 
 from .polyomino import directed_gf
@@ -43,13 +44,24 @@ def norm_excess_bound(L, D, d):
     r = GF_RESCALE and S = r^L * G(q_a/r, p_u) >= sum_{m >= L} D_{m,n} q_a^m p_u^n,
     the toric-to-plane counting gives
     Z - 1 <= L/(1-p_u) * max_{k <= L} (L^2 S / p_u)^k.
+
+    The bound is formed in log space (`_log_norm_excess_bound`); where it
+    exceeds the float range (at D = d = 2 for L = 139..189) it is inf.
     """
+    try:
+        return math.exp(_log_norm_excess_bound(L, D, d))
+    except OverflowError:
+        return math.inf
+
+
+def _log_norm_excess_bound(L, D, d):
+    """log of `norm_excess_bound`: log(L/(1-p_u)) + max(log x, L log x) for x = L^2 S / p_u."""
     tab = norm_weights(D, d)
     q_a = tab(1, 1, 1)
     p_u = tab(0, 0, 1) ** 2
-    s = GF_RESCALE**L * directed_gf(q_a / GF_RESCALE, p_u)
-    x = L * L / p_u * s
-    return (L / (1.0 - p_u)) * max(x, x**L)
+    log_x = (math.log(L * L / p_u) + L * math.log(GF_RESCALE)
+             + math.log(directed_gf(q_a / GF_RESCALE, p_u)))
+    return math.log(L / (1.0 - p_u)) + max(log_x, L * log_x)
 
 
 def norm_excess_report(L, D, d, z_exact):

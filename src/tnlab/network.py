@@ -9,26 +9,38 @@ plain (l1, l2, ...) grids of site tensors:
   vertical bond ring into a matrix from its combined left legs to its
   combined right legs.
 - `bra_ket` (norms and local expectations) and `overlap` (against a product
-  state) contract ket columns against bra columns. A ket column K[L, P, R]
+  state) contract ket columns against bra columns. A ket column K[L, R, P]
   is one column's sites contracted over the vertical ring, with left bonds
-  L, the physical legs P of its rows and right bonds R; a bra column
-  B[L', P, R'] has the same physical legs. A double-layer transfer matrix is
-  one product over the physical legs, T[(L, L'), (R, R')] = sum_P K[L, P, R]
-  conj(B[L', P, R']). For `bra_ket` the bra columns are the ket columns,
+  L, right bonds R and the physical legs P of its rows; a bra column
+  B[L', R', P] has the same physical legs. A double-layer transfer matrix is
+  one product over the physical legs, T[(L, L'), (R, R')] = sum_P K[L, R, P]
+  conj(B[L', R', P]). For `bra_ket` the bra columns are the ket columns,
   with an op folded into the bra at its site: <psi| op = (op^dagger
   |psi>)^dagger. For `overlap` each bra column is the product state's
-  vectors of its rows, B[1, P, 1].
+  vectors of its rows, B[1, 1, P].
 - `statevector` chains the ket columns into the dense amplitudes.
+
+A `bra_ket` column is a completely positive map X -> sum_P K_P X K_P^dagger,
+which takes Hermitian matrices to Hermitian matrices. Its ring runs in a
+basis of Hermitian matrices: on each (L, L') and (R, R') pair leg it uses the
+unitary U = ((1 - i) 1 + (1 + i) SWAP) / 2 and multiplies M = U T U^dagger,
+which leaves every trace unchanged. When T is swap-symmetric,
+T[L', L, R', R] = conj(T[L, L', R, R']), M is real: M = Re T + Im T^R, where
+T^R swaps R and R'. That holds when the bra is the ket, and for the op
+column of a Hermitian op, so such a ring multiplies real matrices. A
+non-Hermitian op gives complex M, and `overlap` rings, single-layer rings
+of D^n bonds, stay in the plain basis.
 
 Given the derivative tensors of every site, `bra_ket` and `overlap` also
 return the sweep: the value with each site's tensor replaced in turn. Each
-column's ring environment E (the product of the other columns) is contracted
-with the column's bra once, G[L, P, R] = sum conj(B[L', P, R'])
-E[(R, R'), (L, L')]; a site's sweep value is then sum K' G, where K' is the
-ket column with that site's tensor replaced by its derivative. A ring of k
-columns forms 3k - 6 matrix products for its environments and value, and
-k - 2 for a value alone: the trace of the last product is read as an
-elementwise sum, trace(A B) = sum A * B^T.
+column's ring environment E (the product of the other columns, taken back
+to the plain basis) is contracted with the column's bra once,
+G[L, R, P] = sum conj(B[L', R', P]) E[(R, R'), (L, L')]; a site's sweep
+value is then sum K' G, where K' is the ket column with that site's tensor
+replaced by its derivative. A ring of k columns forms 3k - 6 matrix
+products for its environments and value, and k - 2 for a value alone: the
+trace of the last product is read as an elementwise sum,
+trace(A B) = sum A * B^T.
 
 `bra_ket` can also refold its op within that one ring (the normalized local
 gradient sweeps O' = (O - (N/z) 1) / z). The ring then starts at the op
@@ -107,26 +119,29 @@ def column_transfer(tensors):
     return out.transpose(0, 2, 1, 3).reshape(nB * nb, nL * nl)
 
 
-def _check_ring(n_cols, n_rows, itemsize, transfer_size, ket_size=0):
+def _check_ring(n_cols, n_rows, transfer_bytes, ket_bytes=0):
     """Raise, before anything is built, when a ring cannot or may not be contracted.
 
     ValueError when a column has fewer than two sites (`column_transfer` would
     contract a lone site with itself). ResourceLimitError when the ring would
-    exceed NETWORK_BUDGET bytes, at itemsize bytes an entry. The charge is what
-    the costliest ring, a fused `bra_ket` pass, holds at once:
-    - 4 k - 4 transfer matrices of transfer_size entries for k = n_cols: the k
-      columns, the op column's plain transfer matrix, the k - 2 suffixes,
-      k - 2 prefixes and k - 2 middle environments of `ring_environments`,
-      and one temporary (the sweep that follows holds at most 2 k + 2, a
-      plain sweep 4 k - 6 and a value-only ring k + 3);
-    - k + 6 ket columns of ket_size entries: the k ket columns, the op
-      column's bra, and up to 5 more that a sweep holds beside them while it
-      forms a sweep tensor (the bra conjugated and transposed, the product
-      and its contiguous copy) or rebuilds a ket column.
+    exceed NETWORK_BUDGET bytes, for transfer matrices of transfer_bytes each
+    (real for `bra_ket` with a Hermitian op or none, complex otherwise) and ket
+    columns of ket_bytes each. The charge is what the costliest ring, a fused
+    `bra_ket` pass, holds at once:
+    - 4 k - 4 transfer matrices for k = n_cols: the k columns, the op column's
+      plain transfer matrix, the k - 2 suffixes, k - 2 prefixes and k - 2
+      middle environments of `ring_environments`, and one temporary. The
+      sweep that follows holds its k environments and the one it takes back
+      to the plain basis, as two real matrices or a complex matrix and a
+      temporary: k + 2 in all. A value-only ring holds at most k + 3;
+    - k + 4 ket columns: the k ket columns, the op column's bra, a column's
+      sweep tensor, and a rebuilt ket column with its one transposed copy.
+      Forming a sweep tensor takes two products of a ket column's size, and
+      a double-layer column takes its bra and the bra times i.
     """
     if n_cols == 0 or n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
-    need = ((4 * n_cols - 4) * transfer_size + (n_cols + 6) * ket_size) * itemsize
+    need = (4 * n_cols - 4) * transfer_bytes + (n_cols + 4) * ket_bytes
     if need > NETWORK_BUDGET:
         raise ResourceLimitError(
             f"a ring of {n_cols} columns of {n_rows} sites needs about "
@@ -194,42 +209,112 @@ def _orient(grid):
 
 
 def _ket_column(ts):
-    """Ket column K[L, P, R] of one oriented column of 5-leg site tensors (a, b, g, l, j).
+    """Ket column K[L, R, P] of one oriented column of 5-leg site tensors (a, b, g, l, j).
 
     L and R combine the sites' left (b) and right (l) bonds and P their
     physical legs, each in row order. Each physical leg is folded onto the
-    left bond, so one `column_transfer` contracts the column.
+    right bond, so one `column_transfer` contracts the column.
     """
     n = len(ts)
     na, nb, ng, nl, d = ts[0].shape
-    # fold each physical leg onto the left bond: (a, (b, j), g, l)
-    m = column_transfer([t.transpose(0, 1, 4, 2, 3).reshape(na, nb * d, ng, nl) for t in ts])
-    # split the left index (b0, j0, b1, j1, ...) into [bonds, phys, right]
-    m = m.reshape((nb, d) * n + (-1,))
-    m = m.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n)
-    return m.reshape(nb**n, d**n, -1)
+    # fold each physical leg onto the right bond: (a, b, g, (l, j)) is a view
+    m = column_transfer([t.reshape(na, nb, ng, nl * d) for t in ts])
+    # split the right index (l0, j0, l1, j1, ...) into [right, phys]
+    m = m.reshape((nb**n,) + (nl, d) * n)
+    m = m.transpose(0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2))
+    return m.reshape(nb**n, nl**n, d**n)
 
 
 def _on_row(op, column, row):
-    """op applied to the physical leg of `row` of a [L, P, R] column tensor."""
+    """op applied to the physical leg of `row` of a [L, R, P] column tensor."""
     d = op.shape[0]
-    return (op @ column.reshape(column.shape[0] * d**row, d, -1)).reshape(column.shape)
+    nl, nr, _ = column.shape
+    return (op @ column.reshape(nl * nr * d**row, d, -1)).reshape(column.shape)
 
 
-def _double_column(ket_col, bra_col):
-    """Double-layer transfer matrix T[(L, L'), (R, R')] = sum_P ket[L, P, R] conj(bra[L', P, R'])."""
-    # one (R x P) @ (P x R') product per (L, L'), written straight into (L, L', R, R') order
-    t = np.matmul(ket_col.transpose(0, 2, 1)[:, None], bra_col.conj()[None])
-    return t.reshape(ket_col.shape[0] * bra_col.shape[0], -1)
+# the bases of a ring's double-layer transfer matrices (see `_double_column`)
+PLAIN, REAL, COMPLEX = "plain", "real", "complex"
+# times a column tensor: the stack [column, i column]
+_ONE_I = np.array([1, 1j]).reshape(2, 1, 1, 1)
 
 
-def _sweep_tensor(bra_col, env):
-    """G[L, P, R] = sum conj(bra[L', P, R']) env[(R, R'), (L, L')]: replacing the column's
-    ket side by K' gives the ring value sum K' G."""
-    nl, _, nr = bra_col.shape
-    env = env.reshape(env.shape[0] // nr, nr, env.shape[1] // nl, nl)
-    g = np.tensordot(env, bra_col.conj(), axes=([1, 3], [2, 0]))
-    return np.ascontiguousarray(g.transpose(1, 2, 0))
+def _parts(col):
+    """Real view [(..., L, R), (P, re/im)] of C-contiguous complex [..., L, R, P] column tensors."""
+    return col.view(col.real.dtype).reshape(-1, 2 * col.shape[-1])
+
+
+def _double_column(ket_col, bra_col, basis):
+    """Double-layer transfer matrix of a ket column against a bra column.
+
+    With basis PLAIN, T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]).
+    Otherwise the bra has the ket's bonds, and the matrix is M = U T U^dagger in the
+    Hermitian basis of both pair legs (see the module docstring): COMPLEX gives
+    M = (T + T^LR) / 2 + i (T^L - T^R) / 2, where T^L, T^R and T^LR swap L with L',
+    R with R' and both, and REAL, for a swap-symmetric T, gives the real
+    M = Re T + Im T^R. Re T and Im T are then real products over the parts of P, with
+    rows (L, R) and columns (L', R'): no complex T is formed.
+    """
+    nl, nr, n_p = ket_col.shape
+    if basis == PLAIN:
+        nl2, nr2 = bra_col.shape[:2]
+        t = ket_col.reshape(-1, n_p) @ bra_col.reshape(-1, n_p).conj().T
+        return t.reshape(nl, nr, nl2, nr2).transpose(0, 2, 1, 3).reshape(nl * nl2, nr * nr2)
+    # [bra, i bra]: i bra has the parts (-bi, br), so one real product over the parts of P
+    # gives re = sum kr br + ki bi and im = sum ki br - kr bi, at [L, R, (re, im), L', R']
+    t = (_parts(ket_col) @ _parts(_ONE_I * bra_col).T).reshape(nl, nr, 2, nl, nr)
+    re, im = t[:, :, 0], t[:, :, 1]
+    # as [L, L', R, R'] arrays, T is re + i im transposed (0, 2, 1, 3) and T^R (0, 2, 3, 1)
+    if basis == REAL:
+        return np.add(re.transpose(0, 2, 1, 3), im.transpose(0, 2, 3, 1)).reshape(nl * nl, -1)
+    t = re + 1j * im
+    m = t.transpose(0, 2, 1, 3) + t.transpose(2, 0, 3, 1)
+    m += 1j * (t.transpose(2, 0, 1, 3) - t.transpose(0, 2, 3, 1))
+    m *= 0.5
+    return m.reshape(nl * nl, -1)
+
+
+def _sweep_tensor(bra_col, env, basis):
+    """G[L, R, P] = sum conj(bra[L', R', P]) E[(R, R'), (L, L')]: replacing the column's
+    ket side by K' gives the ring value sum K' G.
+
+    E is env taken back from `basis` to the plain one: for REAL and COMPLEX,
+    E = U^dagger env U = (e + e^RL) / 2 + i (e^L - e^R) / 2 with e = env and e^RL,
+    e^L and e^R the matrices with both pairs, the (L, L') pair and the (R, R') pair
+    swapped. That step writes E as a matrix Y[(L, R), (L', R')], and G = Y conj(B) is
+    one product with the bra as a [(L', R'), P] matrix, taken as conj(conj(Y) B) so
+    that the bra is not copied. For a real env, the real and imaginary parts of Y each
+    multiply the real view of the bra, and the two products are combined into G in
+    place.
+    """
+    nl2, nr2, n_p = bra_col.shape
+    nr, nl = env.shape[0] // nr2, env.shape[1] // nl2
+    # e[L, R, L', R'] = env[(R, R'), (L, L')]
+    e = env.reshape(nr, nr2, nl, nl2).transpose(2, 0, 3, 1)
+    if basis == PLAIN:
+        y = np.conjugate(e, order="C")
+    else:
+        # 2 E = (e + e^RL) + i (e^L - e^R), each term at [L, R, L', R']
+        sym = e, e.transpose(2, 3, 0, 1)
+        anti = e.transpose(2, 1, 0, 3), e.transpose(0, 3, 2, 1)
+        if basis == REAL:
+            y = np.empty((2, nl * nr, nl2 * nr2))
+            np.add(*sym, out=y[0].reshape(e.shape))
+            np.subtract(*anti, out=y[1].reshape(e.shape))
+            b = _parts(bra_col)
+            # (Y_re + i Y_im) conj(B): Re G = Y_re br + Y_im bi, Im G = Y_im br - Y_re bi
+            g, gi = (y[0] @ b).reshape(-1, n_p, 2), (y[1] @ b).reshape(-1, n_p, 2)
+            g[..., 0] += gi[..., 1]
+            np.subtract(gi[..., 0], g[..., 1], out=g[..., 1])
+            g *= 0.5
+            return g.view(bra_col.dtype).reshape(nl, nr, n_p)
+        y = np.add(*sym, order="C")
+        d = np.subtract(*anti)
+        d *= 1j
+        y += d
+        np.conjugate(y, out=y)
+        y *= 0.5
+    g = y.reshape(nl * nr, -1) @ bra_col.reshape(-1, n_p)
+    return np.conjugate(g, out=g).reshape(nl, nr, n_p)
 
 
 def _real(value):
@@ -245,66 +330,76 @@ def contract(grid):
     """
     columns = _orient(grid)
     n_cols, n_rows, _, n_b, _, n_l = columns.shape
-    _check_ring(n_cols, n_rows, grid.itemsize, (n_b * n_l) ** n_rows)
+    _check_ring(n_cols, n_rows, (n_b * n_l) ** n_rows * grid.itemsize)
     return ring_value([column_transfer(ts) for ts in columns])
 
 
-def _ket_columns(ket, chi):
+def _ket_columns(ket, chi, transfer_itemsize):
     """Oriented [column][row] site tensors of ket and their ket columns, built after
     `_check_ring` passes for a ring of transfer matrices of bond extent chi."""
     columns = _orient(ket)
     n_cols, n_rows = columns.shape[:2]
     D, d = ket.shape[2], ket.shape[-1]
-    _check_ring(n_cols, n_rows, ket.itemsize, chi ** (2 * n_rows), D ** (2 * n_rows) * d**n_rows)
+    _check_ring(n_cols, n_rows, chi ** (2 * n_rows) * transfer_itemsize,
+                D ** (2 * n_rows) * d**n_rows * ket.itemsize)
     return columns, [_ket_column(col) for col in columns]
 
 
-def _ring(columns, kets, bras, dket=None, first=0, fold=None):
+def _ring(columns, kets, bras, dket=None, first=0, fold=None, basis=PLAIN):
     """Ring value of ket columns against bra columns; with dket, (value, sweep).
 
     `columns` holds the oriented site tensors behind `kets`, and the ring is
-    multiplied from column `first` on. The sweep entry of column c, row r is
-    sum K' G_c, where K' is column c's ket column with row r's tensor
-    replaced by its derivative and G_c = `_sweep_tensor` of the column's bra
-    and ring environment.
+    multiplied from column `first` on, in `basis` (see `_double_column`). The sweep
+    entry of column c, row r is sum K' G_c, where K' is column c's ket column with
+    row r's tensor replaced by its derivative and G_c = `_sweep_tensor` of the
+    column's bra and ring environment.
 
     With fold (and dket), bras[first] holds the op of `bra_ket`. No suffix
     product holds that column, so its environment E is formed first, and
     z = <psi|psi> and N = <psi|op|psi> are read from E with the column's plain
-    and op transfer matrices, T and T_op. fold(z, N) returns (a, b), and the
-    column becomes that of the op a op + b 1, with transfer matrix
-    a T_op + b T and bra conj(a) B_op + conj(b) K, before the prefixes are
-    formed. T_op and bras[first] are replaced in place, so neither is kept.
-    The value and sweep are those of the new op.
+    and op transfer matrices, T and T_op. fold(z, N) returns real (a, b), else
+    ValueError, and the column becomes that of the op a op + b 1, with transfer
+    matrix a T_op + b T and bra a B_op + b K, before the prefixes are formed.
+    T_op and bras[first] are replaced in place, so neither is kept. The value
+    and sweep are those of the new op.
     """
     order = [*range(first, len(kets)), *range(first)]
-    cols = [_double_column(kets[c], bras[c]) for c in order]
+    cols = [_double_column(kets[c], bras[c], basis) for c in order]
     if dket is None:
         return ring_value(cols)
     replace_first = None
     if fold is not None:
-        plain = _double_column(kets[first], kets[first])
+        plain = _double_column(kets[first], kets[first], basis)
 
         def replace_first(env):
             a, b = fold(_real(replace_value(plain, env)), _real(replace_value(cols[0], env)))
-            bras[first] = np.conj(a) * bras[first] + np.conj(b) * kets[first]
-            # T_op is read: the new column takes its place and its memory
+            if np.imag(a) or np.imag(b):
+                raise ValueError(f"fold must return real (a, b), got ({a}, {b})")
+            a, b = float(np.real(a)), float(np.real(b))
+            # bras[first] is the op's own bra, and T_op is read: both are replaced in place
+            bras[first] *= a
+            bras[first] += b * kets[first]
             cols[0] *= a
             cols[0] += b * plain
             return cols[0]
 
     value, envs = ring_environments(cols, replace_first)
+    # the sweep holds only the environments
+    cols = plain = replace_first = None
     envs = dict(zip(order, envs))
     dcolumns = _orient(dket)
-    sweep = np.empty(dcolumns.shape[:2], dtype=complex)
-    for c, bra in enumerate(bras):
-        g = _sweep_tensor(bra, envs[c]).reshape(-1)
-        for r in range(sweep.shape[1]):
-            ts = list(columns[c])
-            ts[r] = dcolumns[c, r]
-            sweep[c, r] = _ket_column(ts).reshape(-1) @ g
+    sweep = np.array([
+        _column_sweep(columns[c], dcolumns[c], _sweep_tensor(bras[c], envs.pop(c), basis))
+        for c in range(len(bras))])
     # column c, row r is site (c, r) of a transposed grid, else site (r, c)
     return value, np.ascontiguousarray(sweep if _transposed(dket) else sweep.T)
+
+
+def _column_sweep(ts, dts, g):
+    """sum K' G for each row of a column: K' is the ket column of its site tensors ts with
+    that row's tensor replaced by its derivative in dts."""
+    g = g.reshape(-1)
+    return [_ket_column([*ts[:r], dts[r], *ts[r + 1:]]).reshape(-1) @ g for r in range(len(ts))]
 
 
 def bra_ket(ket, dket=None, site=None, op=None, fold=None):
@@ -318,12 +413,15 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
 
     fold, which needs dket, site and op, refolds the op inside the same ring
     pass: fold(z, N) is called with the real values z = <psi|psi> and
-    N = <psi| op |psi> and returns numbers (a, b); the value and sweep
-    returned are then those of the op a op + b 1. The whole call makes one
-    ring of products, as a plain sweep does.
+    N = <psi| op |psi> and returns real numbers (a, b), else ValueError; the
+    value and sweep returned are then those of the op a op + b 1. The whole
+    call makes one ring of products, as a plain sweep does.
+
+    The ring runs on real transfer matrices unless op is not exactly Hermitian.
     """
     if fold is not None and (dket is None or site is None):
         raise ValueError("fold needs dket, a site and an op")
+    basis = REAL
     if site is not None:
         (l1, l2), d = ket.shape[:2], ket.shape[-1]
         x, y = site
@@ -332,14 +430,17 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):
             raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
-    columns, kets = _ket_columns(ket, ket.shape[2] ** 2)
+        if not np.array_equal(op, np.conj(op).T):
+            basis = COMPLEX
+    columns, kets = _ket_columns(ket, ket.shape[2] ** 2,
+                                 ket.itemsize // 2 if basis == REAL else ket.itemsize)
     bras = list(kets)
     c = 0
     if site is not None:
         # <psi| op = (op^dagger |psi>)^dagger: op joins the bra column that holds its site
         c, row = (x, y) if _transposed(ket) else (y, x)
         bras[c] = _on_row(np.conj(op).T, kets[c], row)
-    out = _ring(columns, kets, bras, dket, c, fold)
+    out = _ring(columns, kets, bras, dket, c, fold, basis)
     return _real(out) if dket is None else (_real(out[0]), out[1])
 
 
@@ -349,9 +450,9 @@ def overlap(ket, phi, dket=None):
     phi has shape (l1, l2, j). With dket, the derivative tensors of every
     site, returns (value, sweep) as `bra_ket` does.
     """
-    columns, kets = _ket_columns(ket, ket.shape[2])
-    # each column's bra [1, P, 1]: the product of its rows' vectors, row 0 slowest
-    bras = [functools.reduce(np.kron, col)[None, :, None]
+    columns, kets = _ket_columns(ket, ket.shape[2], ket.itemsize)
+    # each column's bra [1, 1, P]: the product of its rows' vectors, row 0 slowest
+    bras = [functools.reduce(np.kron, col)[None, None, :]
             for col in (phi if _transposed(ket) else phi.swapaxes(0, 1))]
     return _ring(columns, kets, bras, dket)
 
@@ -370,11 +471,12 @@ def statevector(ket):
     columns = [_ket_column(ts) for ts in _orient(ket)]
 
     def chain(cols):
-        acc = cols[0]
+        # acc[L, P, R] over the columns so far
+        acc = cols[0].transpose(0, 2, 1)
         for c in cols[1:]:
             na, nJ, _ = acc.shape
-            _, nj, nr = c.shape
-            acc = np.einsum("aJb,bjc->aJjc", acc, c).reshape(na, nJ * nj, nr)
+            _, nr, nj = c.shape
+            acc = np.einsum("aJb,bcj->aJjc", acc, c).reshape(na, nJ * nj, nr)
         return acc
 
     half = (len(columns) + 1) // 2

@@ -1,14 +1,18 @@
 """Tests for the closed-form bound evaluators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import tnlab
+from tnlab import bounds
 from tnlab.bounds import (GF_RESCALE, NORM_DECAY_RATE, global_variance_bound,
                           global_variance_ratio, norm_excess_bound, norm_excess_report,
                           onsite_floor_prefactors)
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import GLOBAL_PURE, LossSpec, plus_target
+from tnlab.polyomino import directed_gf
 from tnlab.spinmodel import exact_partition_function, norm_weights
 from tnlab.variance import variance_scan
 
@@ -83,3 +87,25 @@ def test_onsite_floor_prefactor_asymptotics():
     for D, v in zip((8, 16, 32), vals):
         assert 0.2 < v * (D**2 * 4) < 1.2
     assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.05)
+
+
+@pytest.mark.parametrize("D", [2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_norm_excess_bound_in_log_space_matches_the_direct_form(D, d):
+    # the direct form L/(1-p_u) * max(x, x^L) overflows float64 at D = d = 2 for L = 139..189;
+    # the log-space bound stays finite, and the bound is the direct form wherever that is finite
+    tab = norm_weights(D, d)
+    q_a, p_u = tab(1, 1, 1), tab(0, 0, 1) ** 2
+    for L in range(2, 601):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_bound = bounds._log_norm_excess_bound(L, D, d)
+            bound = norm_excess_bound(L, D, d)
+        assert np.isfinite(log_bound)
+        with np.errstate(over="ignore"):
+            x = L * L / p_u * GF_RESCALE**L * directed_gf(q_a / GF_RESCALE, p_u)
+            direct = (L / (1.0 - p_u)) * max(x, x**L)
+        if np.isfinite(direct):
+            assert bound == pytest.approx(direct, rel=1e-12)
+        else:
+            assert bound == np.inf and log_bound > np.log(np.finfo(float).max)

@@ -175,8 +175,84 @@ def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
         run(ket, dket)
 
 
+@pytest.mark.parametrize("k", [5, 8])
+def test_ring_budget_charges_a_non_hermitian_ring_as_complex(k, monkeypatch):
+    # op = H + iA with <A> = 0 keeps the ring's matrices complex, at twice the bytes of a
+    # Hermitian ring's: a budget of its tracemalloc peak P - 1 bytes refuses it
+    ket, dket = _tensors(3, k, 2, 2, k)
+    rng = np.random.default_rng(k)
+    h, b = random_hermitian(2, rng), random_hermitian(2, rng)
+    op = h + 1j * (b - network.bra_ket(ket, site=(1, 1), op=b) / network.bra_ket(ket) * np.eye(2))
+    tracemalloc.start()
+    try:
+        network.bra_ket(ket, dket, (1, 1), op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(network, "NETWORK_BUDGET", peak - 1)
+    with pytest.raises(ResourceLimitError, match="network budget"):
+        network.bra_ket(ket, dket, (1, 1), op)
+
+
 @pytest.mark.parametrize("with_dket, site", [(False, (0, 0)), (True, None)])
 def test_fold_needs_dket_and_a_site(with_dket, site):
     ket, dket = _tensors(2, 2, 2, 2, 0)
     with pytest.raises(ValueError, match="fold needs dket, a site and an op"):
         network.bra_ket(ket, dket if with_dket else None, site, np.eye(2), _quotient_fold)
+
+
+def test_fold_must_return_real_numbers():
+    # a complex (a, b) would make the op a op + b 1 non-Hermitian inside a real ring
+    ket, dket = _tensors(2, 3, 2, 2, 0)
+    with pytest.raises(ValueError, match=r"fold must return real \(a, b\), got \(1j, 0.5\)"):
+        network.bra_ket(ket, dket, (1, 1), np.eye(2), lambda z, n: (1j, 0.5))
+    # numbers with a zero imaginary part are real
+    value, _ = network.bra_ket(ket, dket, (1, 1), np.eye(2), lambda z, n: (1 + 0j, 0.0))
+    assert _close(value, network.bra_ket(ket, site=(1, 1), op=np.eye(2)))
+
+
+def _hermitian_basis(n):
+    """U = ((1 - i) 1 + (1 + i) SWAP) / 2 on a pair leg of n x n states."""
+    swap = np.eye(n * n).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+    return ((1 - 1j) * np.eye(n * n) + (1 + 1j) * swap) / 2
+
+
+@hst.composite
+def _columns(draw):
+    """A random ket column K[L, R, P], a bra column op K (op acting on P), and whether op is
+    Hermitian; op is the identity, a random Hermitian matrix or a random complex one."""
+    nl, nr, n_p = draw(hst.integers(1, 4)), draw(hst.integers(1, 4)), draw(hst.integers(1, 5))
+    kind = draw(hst.sampled_from(["ket", "hermitian", "complex"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    ket = rng.standard_normal((nl, nr, n_p)) + 1j * rng.standard_normal((nl, nr, n_p))
+    op = {"ket": np.eye(n_p), "hermitian": random_hermitian(n_p, rng),
+          "complex": rng.standard_normal((n_p, n_p)) + 1j * rng.standard_normal((n_p, n_p))}[kind]
+    return ket, ket @ op.T, kind != "complex", rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_columns())
+def test_double_columns_are_the_ring_in_the_hermitian_basis(case):
+    # M = U T U^dagger on both pair legs, real when the bra is the ket or a Hermitian op
+    # of it; the sweep tensor takes an environment E' back to the plain basis, U^dagger E' U
+    ket, bra, hermitian, rng = case
+    nl, nr, _ = ket.shape
+    t = np.einsum("arp,bsp->abrs", ket, bra.conj()).reshape(nl * nl, nr * nr)
+    dense = _hermitian_basis(nl) @ t @ _hermitian_basis(nr).conj().T
+    scale = np.abs(t).max()
+    basis = network.REAL if hermitian else network.COMPLEX
+    m = network._double_column(ket, bra, basis)
+    assert m.shape == t.shape
+    assert np.abs(m - dense).max() <= 1e-13 * scale
+    assert np.abs(network._double_column(ket, bra, network.PLAIN) - t).max() <= 1e-13 * scale
+    if hermitian:
+        assert m.dtype == np.float64
+        assert np.abs(dense.imag).max() <= 1e-13 * scale
+        env = rng.standard_normal((nr * nr, nl * nl))
+    else:
+        env = rng.standard_normal((nr * nr, nl * nl)) + 1j * rng.standard_normal((nr * nr, nl * nl))
+    plain_env = _hermitian_basis(nr).conj().T @ env @ _hermitian_basis(nl)
+    g = np.einsum("bsp,rsab->arp", bra.conj(), plain_env.reshape(nr, nr, nl, nl))
+    scale = np.abs(g).max()
+    assert np.abs(network._sweep_tensor(bra, env, basis) - g).max() <= 1e-13 * scale
+    assert np.abs(network._sweep_tensor(bra, plain_env, network.PLAIN) - g).max() <= 1e-13 * scale

@@ -126,5 +126,5 @@ def gradient_map(state, loss):
             z = _above_floor(z)
             return 1.0 / z, -n / z**2
 
-    op = np.asarray(loss.observable, dtype=complex)
+    op = check_observable(loss.observable)
     return 2.0 * network.bra_ket(ket, dket, tuple(loss.site), op, fold)[1].real

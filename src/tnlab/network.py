@@ -27,9 +27,9 @@ unitary U = ((1 - i) 1 + (1 + i) SWAP) / 2 and multiplies M = U T U^dagger,
 which leaves every trace unchanged. When T is swap-symmetric,
 T[L', L, R', R] = conj(T[L, L', R, R']), M is real: M = Re T + Im T^R, where
 T^R swaps R and R'. That holds when the bra is the ket, and for the op
-column of a Hermitian op, so such a ring multiplies real matrices. A
-non-Hermitian op gives complex M, and `overlap` rings, single-layer rings
-of D^n bonds, stay in the plain basis.
+column of a Hermitian op, so such a ring multiplies real matrices. A ring
+with a non-Hermitian op, and an `overlap` ring (single-layer, of D^n
+bonds), multiplies the complex T in the plain basis.
 
 Given the derivative tensors of every site, `bra_ket` and `overlap` also
 return the sweep: the value with each site's tensor replaced in turn. Each
@@ -131,9 +131,10 @@ def _check_ring(n_cols, n_rows, transfer_bytes, ket_bytes=0):
     - 4 k - 4 transfer matrices for k = n_cols: the k columns, the op column's
       plain transfer matrix, the k - 2 suffixes, k - 2 prefixes and k - 2
       middle environments of `ring_environments`, and one temporary. The
-      sweep that follows holds its k environments and the one it takes back
-      to the plain basis, as two real matrices or a complex matrix and a
-      temporary: k + 2 in all. A value-only ring holds at most k + 3;
+      sweep that follows holds its k environments and the one it arranges
+      for its sweep tensor: two real matrices (the environment taken back to
+      the plain basis) in a real ring, one complex matrix in a complex ring,
+      so at most k + 2 in all. A value-only ring holds at most k + 3;
     - k + 4 ket columns: the k ket columns, the op column's bra, a column's
       sweep tensor, and a rebuilt ket column with its one transposed copy.
       Forming a sweep tensor takes two products of a ket column's size, and
@@ -232,30 +233,27 @@ def _on_row(op, column, row):
     return (op @ column.reshape(nl * nr * d**row, d, -1)).reshape(column.shape)
 
 
-# the bases of a ring's double-layer transfer matrices (see `_double_column`)
-PLAIN, REAL, COMPLEX = "plain", "real", "complex"
 # times a column tensor: the stack [column, i column]
 _ONE_I = np.array([1, 1j]).reshape(2, 1, 1, 1)
 
 
 def _parts(col):
-    """Real view [(..., L, R), (P, re/im)] of C-contiguous complex [..., L, R, P] column tensors."""
-    return col.view(col.real.dtype).reshape(-1, 2 * col.shape[-1])
+    """Real view [(..., L, R), (P, re/im)] of C-contiguous complex128 [..., L, R, P] column tensors."""
+    return col.view(np.float64).reshape(-1, 2 * col.shape[-1])
 
 
-def _double_column(ket_col, bra_col, basis):
+def _double_column(ket_col, bra_col, real=False):
     """Double-layer transfer matrix of a ket column against a bra column.
 
-    With basis PLAIN, T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]).
-    Otherwise the bra has the ket's bonds, and the matrix is M = U T U^dagger in the
-    Hermitian basis of both pair legs (see the module docstring): COMPLEX gives
-    M = (T + T^LR) / 2 + i (T^L - T^R) / 2, where T^L, T^R and T^LR swap L with L',
-    R with R' and both, and REAL, for a swap-symmetric T, gives the real
-    M = Re T + Im T^R. Re T and Im T are then real products over the parts of P, with
-    rows (L, R) and columns (L', R'): no complex T is formed.
+    T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]). With real, the bra
+    has the ket's bonds and T is swap-symmetric (the bra is the ket or a Hermitian op
+    of it), and the matrix is the real M = U T U^dagger = Re T + Im T^R in the
+    Hermitian basis of both pair legs (see the module docstring). Re T and Im T are
+    then real products over the parts of P, with rows (L, R) and columns (L', R'): no
+    complex T is formed.
     """
     nl, nr, n_p = ket_col.shape
-    if basis == PLAIN:
+    if not real:
         nl2, nr2 = bra_col.shape[:2]
         t = ket_col.reshape(-1, n_p) @ bra_col.reshape(-1, n_p).conj().T
         return t.reshape(nl, nr, nl2, nr2).transpose(0, 2, 1, 3).reshape(nl * nl2, nr * nr2)
@@ -264,57 +262,40 @@ def _double_column(ket_col, bra_col, basis):
     t = (_parts(ket_col) @ _parts(_ONE_I * bra_col).T).reshape(nl, nr, 2, nl, nr)
     re, im = t[:, :, 0], t[:, :, 1]
     # as [L, L', R, R'] arrays, T is re + i im transposed (0, 2, 1, 3) and T^R (0, 2, 3, 1)
-    if basis == REAL:
-        return np.add(re.transpose(0, 2, 1, 3), im.transpose(0, 2, 3, 1)).reshape(nl * nl, -1)
-    t = re + 1j * im
-    m = t.transpose(0, 2, 1, 3) + t.transpose(2, 0, 3, 1)
-    m += 1j * (t.transpose(2, 0, 1, 3) - t.transpose(0, 2, 3, 1))
-    m *= 0.5
-    return m.reshape(nl * nl, -1)
+    return np.add(re.transpose(0, 2, 1, 3), im.transpose(0, 2, 3, 1)).reshape(nl * nl, -1)
 
 
-def _sweep_tensor(bra_col, env, basis):
+def _sweep_tensor(bra_col, env):
     """G[L, R, P] = sum conj(bra[L', R', P]) E[(R, R'), (L, L')]: replacing the column's
     ket side by K' gives the ring value sum K' G.
 
-    E is env taken back from `basis` to the plain one: for REAL and COMPLEX,
-    E = U^dagger env U = (e + e^RL) / 2 + i (e^L - e^R) / 2 with e = env and e^RL,
-    e^L and e^R the matrices with both pairs, the (L, L') pair and the (R, R') pair
-    swapped. That step writes E as a matrix Y[(L, R), (L', R')], and G = Y conj(B) is
-    one product with the bra as a [(L', R'), P] matrix, taken as conj(conj(Y) B) so
-    that the bra is not copied. For a real env, the real and imaginary parts of Y each
-    multiply the real view of the bra, and the two products are combined into G in
-    place.
+    A real env comes from a ring in the Hermitian basis, and E is env taken back to the
+    plain basis, E = U^dagger env U = (e + e^RL) / 2 + i (e^L - e^R) / 2, with e = env
+    and e^RL, e^L and e^R the matrices with both pairs, the (L, L') pair and the (R, R')
+    pair swapped; a complex env is E itself. That step writes E as a matrix
+    Y[(L, R), (L', R')], and G = Y conj(B) is one product with the bra as a
+    [(L', R'), P] matrix. For a complex E it is taken as conj(conj(Y) B), so that the
+    bra is not copied; for a real env the real and imaginary parts of Y each multiply
+    the real view of the bra, and the two products are combined into G in place.
     """
     nl2, nr2, n_p = bra_col.shape
     nr, nl = env.shape[0] // nr2, env.shape[1] // nl2
     # e[L, R, L', R'] = env[(R, R'), (L, L')]
     e = env.reshape(nr, nr2, nl, nl2).transpose(2, 0, 3, 1)
-    if basis == PLAIN:
-        y = np.conjugate(e, order="C")
-    else:
-        # 2 E = (e + e^RL) + i (e^L - e^R), each term at [L, R, L', R']
-        sym = e, e.transpose(2, 3, 0, 1)
-        anti = e.transpose(2, 1, 0, 3), e.transpose(0, 3, 2, 1)
-        if basis == REAL:
-            y = np.empty((2, nl * nr, nl2 * nr2))
-            np.add(*sym, out=y[0].reshape(e.shape))
-            np.subtract(*anti, out=y[1].reshape(e.shape))
-            b = _parts(bra_col)
-            # (Y_re + i Y_im) conj(B): Re G = Y_re br + Y_im bi, Im G = Y_im br - Y_re bi
-            g, gi = (y[0] @ b).reshape(-1, n_p, 2), (y[1] @ b).reshape(-1, n_p, 2)
-            g[..., 0] += gi[..., 1]
-            np.subtract(gi[..., 0], g[..., 1], out=g[..., 1])
-            g *= 0.5
-            return g.view(bra_col.dtype).reshape(nl, nr, n_p)
-        y = np.add(*sym, order="C")
-        d = np.subtract(*anti)
-        d *= 1j
-        y += d
-        np.conjugate(y, out=y)
-        y *= 0.5
-    g = y.reshape(nl * nr, -1) @ bra_col.reshape(-1, n_p)
-    return np.conjugate(g, out=g).reshape(nl, nr, n_p)
+    if not np.isrealobj(env):
+        g = np.conjugate(e, order="C").reshape(nl * nr, -1) @ bra_col.reshape(-1, n_p)
+        return np.conjugate(g, out=g).reshape(nl, nr, n_p)
+    # 2 E = (e + e^RL) + i (e^L - e^R), each term at [L, R, L', R']
+    y = np.empty((2, nl * nr, nl2 * nr2))
+    np.add(e, e.transpose(2, 3, 0, 1), out=y[0].reshape(e.shape))
+    np.subtract(e.transpose(2, 1, 0, 3), e.transpose(0, 3, 2, 1), out=y[1].reshape(e.shape))
+    b = _parts(bra_col)
+    # (Y_re + i Y_im) conj(B): Re G = Y_re br + Y_im bi, Im G = Y_im br - Y_re bi
+    g, gi = (y[0] @ b).reshape(-1, n_p, 2), (y[1] @ b).reshape(-1, n_p, 2)
+    g[..., 0] += gi[..., 1]
+    np.subtract(gi[..., 0], g[..., 1], out=g[..., 1])
+    g *= 0.5
+    return g.view(bra_col.dtype).reshape(nl, nr, n_p)
 
 
 def _real(value):
@@ -345,11 +326,12 @@ def _ket_columns(ket, chi, transfer_itemsize):
     return columns, [_ket_column(col) for col in columns]
 
 
-def _ring(columns, kets, bras, dket=None, first=0, fold=None, basis=PLAIN):
+def _ring(columns, kets, bras, dket=None, first=0, fold=None, real=False):
     """Ring value of ket columns against bra columns; with dket, (value, sweep).
 
     `columns` holds the oriented site tensors behind `kets`, and the ring is
-    multiplied from column `first` on, in `basis` (see `_double_column`). The sweep
+    multiplied from column `first` on, in real matrices if `real` (see
+    `_double_column`). The sweep
     entry of column c, row r is sum K' G_c, where K' is column c's ket column with
     row r's tensor replaced by its derivative and G_c = `_sweep_tensor` of the
     column's bra and ring environment.
@@ -364,12 +346,12 @@ def _ring(columns, kets, bras, dket=None, first=0, fold=None, basis=PLAIN):
     and sweep are those of the new op.
     """
     order = [*range(first, len(kets)), *range(first)]
-    cols = [_double_column(kets[c], bras[c], basis) for c in order]
+    cols = [_double_column(kets[c], bras[c], real) for c in order]
     if dket is None:
         return ring_value(cols)
     replace_first = None
     if fold is not None:
-        plain = _double_column(kets[first], kets[first], basis)
+        plain = _double_column(kets[first], kets[first], real)
 
         def replace_first(env):
             a, b = fold(_real(replace_value(plain, env)), _real(replace_value(cols[0], env)))
@@ -389,7 +371,7 @@ def _ring(columns, kets, bras, dket=None, first=0, fold=None, basis=PLAIN):
     envs = dict(zip(order, envs))
     dcolumns = _orient(dket)
     sweep = np.array([
-        _column_sweep(columns[c], dcolumns[c], _sweep_tensor(bras[c], envs.pop(c), basis))
+        _column_sweep(columns[c], dcolumns[c], _sweep_tensor(bras[c], envs.pop(c)))
         for c in range(len(bras))])
     # column c, row r is site (c, r) of a transposed grid, else site (r, c)
     return value, np.ascontiguousarray(sweep if _transposed(dket) else sweep.T)
@@ -417,11 +399,13 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     value and sweep returned are then those of the op a op + b 1. The whole
     call makes one ring of products, as a plain sweep does.
 
-    The ring runs on real transfer matrices unless op is not exactly Hermitian.
+    The ring runs on real transfer matrices unless op is not exactly Hermitian
+    (op == op^dagger entry by entry); a non-Hermitian op runs a complex ring.
     """
     if fold is not None and (dket is None or site is None):
         raise ValueError("fold needs dket, a site and an op")
-    basis = REAL
+    ket = np.asarray(ket, dtype=complex)
+    real = True
     if site is not None:
         (l1, l2), d = ket.shape[:2], ket.shape[-1]
         x, y = site
@@ -430,17 +414,17 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):
             raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
-        if not np.array_equal(op, np.conj(op).T):
-            basis = COMPLEX
+        real = np.array_equal(op, np.conj(op).T)
+    # a real ring's transfer matrices are float64, half the bytes of the complex128 ket
     columns, kets = _ket_columns(ket, ket.shape[2] ** 2,
-                                 ket.itemsize // 2 if basis == REAL else ket.itemsize)
+                                 ket.itemsize // 2 if real else ket.itemsize)
     bras = list(kets)
     c = 0
     if site is not None:
         # <psi| op = (op^dagger |psi>)^dagger: op joins the bra column that holds its site
         c, row = (x, y) if _transposed(ket) else (y, x)
         bras[c] = _on_row(np.conj(op).T, kets[c], row)
-    out = _ring(columns, kets, bras, dket, c, fold, basis)
+    out = _ring(columns, kets, bras, dket, c, fold, real)
     return _real(out) if dket is None else (_real(out[0]), out[1])
 
 

@@ -145,14 +145,18 @@ def check_product_state(spec, product_state):
 
 
 def check_observable(observable):
-    """observable as a complex array, or ValueError unless it is a Hermitian square matrix
-    (to 1e-12)."""
+    """observable's Hermitian part (O + O^dagger) / 2 as a complex array, or ValueError
+    unless it is a Hermitian square matrix (to 1e-12).
+
+    The Hermitian part is exactly Hermitian, so `network.bra_ket` runs it on real
+    transfer matrices, and it is observable itself when observable is exactly Hermitian.
+    """
     obs = np.asarray(observable, dtype=complex)
     if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
         raise ValueError(f"observable must be Hermitian: a square matrix, got shape {obs.shape}")
     if np.abs(obs - obs.conj().T).max(initial=0.0) > 1e-12:
         raise ValueError("observable must be Hermitian")
-    return obs
+    return (obs + obs.conj().T) / 2
 
 
 def overlap(state, product_state):

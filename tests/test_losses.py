@@ -290,6 +290,30 @@ def test_a_local_gradient_makes_one_ring_pass(l1, l2, monkeypatch):
         assert dict(counts) == {"_double_column": columns, "ring_environments": 1}, kind
 
 
+def test_an_observable_hermitian_to_1e12_runs_its_hermitian_part_on_real_rings(monkeypatch):
+    # check_observable accepts O with |O - O^dagger| <= 1e-12 and returns (O + O^dagger) / 2,
+    # which is exactly Hermitian (and is O itself when O is), so its rings stay real
+    st = build_state(LatticeSpec(3, 3, 2, 2), np.random.default_rng(41))
+    obs = plus_projector(2)
+    near = obs + 4e-13j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(states.check_observable(obs), obs)
+    part = states.check_observable(near)
+    assert np.array_equal(part, part.conj().T) and np.abs(part - obs).max() <= 1e-15
+    dtypes = []
+
+    def recorded(*args, _fn=network._double_column):
+        m = _fn(*args)
+        dtypes.append(m.dtype)
+        return m
+    monkeypatch.setattr(network, "_double_column", recorded)
+    for kind in LOCAL_KINDS:
+        loss = LossSpec(kind=kind, observable=near, site=(1, 2))
+        assert np.abs(gradient_map(st, loss)
+                      - gradient_map(st, dataclasses.replace(loss, observable=part))).max() == 0
+    assert local_expectation(st, (1, 2), near) == local_expectation(st, (1, 2), part)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-4])
 @pytest.mark.parametrize("call, kind", [("loss_value", LOCAL_NORMALIZED),
                                         ("loss_value", GLOBAL_NORMALIZED),

@@ -234,25 +234,36 @@ def _columns(draw):
 @given(case=_columns())
 def test_double_columns_are_the_ring_in_the_hermitian_basis(case):
     # M = U T U^dagger on both pair legs, real when the bra is the ket or a Hermitian op
-    # of it; the sweep tensor takes an environment E' back to the plain basis, U^dagger E' U
+    # of it; the sweep tensor takes a real environment E' back to the plain basis,
+    # U^dagger E' U. A complex ring (a non-Hermitian op) multiplies T itself
     ket, bra, hermitian, rng = case
     nl, nr, _ = ket.shape
     t = np.einsum("arp,bsp->abrs", ket, bra.conj()).reshape(nl * nl, nr * nr)
-    dense = _hermitian_basis(nl) @ t @ _hermitian_basis(nr).conj().T
     scale = np.abs(t).max()
-    basis = network.REAL if hermitian else network.COMPLEX
-    m = network._double_column(ket, bra, basis)
-    assert m.shape == t.shape
-    assert np.abs(m - dense).max() <= 1e-13 * scale
-    assert np.abs(network._double_column(ket, bra, network.PLAIN) - t).max() <= 1e-13 * scale
-    if hermitian:
-        assert m.dtype == np.float64
-        assert np.abs(dense.imag).max() <= 1e-13 * scale
-        env = rng.standard_normal((nr * nr, nl * nl))
-    else:
+    assert np.abs(network._double_column(ket, bra) - t).max() <= 1e-13 * scale
+    g_of = lambda env: np.einsum("bsp,rsab->arp", bra.conj(), env.reshape(nr, nr, nl, nl))
+    if not hermitian:
         env = rng.standard_normal((nr * nr, nl * nl)) + 1j * rng.standard_normal((nr * nr, nl * nl))
-    plain_env = _hermitian_basis(nr).conj().T @ env @ _hermitian_basis(nl)
-    g = np.einsum("bsp,rsab->arp", bra.conj(), plain_env.reshape(nr, nr, nl, nl))
-    scale = np.abs(g).max()
-    assert np.abs(network._sweep_tensor(bra, env, basis) - g).max() <= 1e-13 * scale
-    assert np.abs(network._sweep_tensor(bra, plain_env, network.PLAIN) - g).max() <= 1e-13 * scale
+        g = g_of(env)
+        assert np.abs(network._sweep_tensor(bra, env) - g).max() <= 1e-13 * np.abs(g).max()
+        return
+    dense = _hermitian_basis(nl) @ t @ _hermitian_basis(nr).conj().T
+    assert np.abs(dense.imag).max() <= 1e-13 * scale
+    m = network._double_column(ket, bra, real=True)
+    assert m.dtype == np.float64 and m.shape == t.shape
+    assert np.abs(m - dense).max() <= 1e-13 * scale
+    env = rng.standard_normal((nr * nr, nl * nl))
+    g = g_of(_hermitian_basis(nr).conj().T @ env @ _hermitian_basis(nl))
+    assert np.abs(network._sweep_tensor(bra, env) - g).max() <= 1e-13 * np.abs(g).max()
+
+
+def test_a_real_or_single_precision_ket_gives_the_complex128_value():
+    # bra_ket takes any ket as complex128: real site tensors give the values that
+    # `contract` gives for them, and complex64 ones those of the same tensors cast up
+    ket, dket = _tensors(3, 4, 2, 2, 3)
+    op = random_hermitian(2, np.random.default_rng(3))
+    _check_op_sweep(ket.real, dket.real, (1, 2), op.real)
+    low = ket.astype(np.complex64)
+    assert network.bra_ket(low) == network.bra_ket(low.astype(complex))
+    assert (network.bra_ket(low, site=(2, 1), op=op)
+            == network.bra_ket(low.astype(complex), site=(2, 1), op=op))

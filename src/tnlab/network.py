@@ -15,8 +15,8 @@ plain (l1, l2, ...) grids of site tensors:
   B[L', R', P] has the same physical legs. A double-layer transfer matrix is
   one product over the physical legs, T[(L, L'), (R, R')] = sum_P K[L, R, P]
   conj(B[L', R', P]). For `bra_ket` the bra columns are the ket columns,
-  with an op folded into the bra at its site: <psi| op = (op^dagger
-  |psi>)^dagger. For `overlap` each bra column is the product state's
+  with a Hermitian op folded into the bra at its site: <psi| op =
+  (op |psi>)^dagger. For `overlap` each bra column is the product state's
   vectors of its rows, B[1, 1, P].
 - `statevector` chains the ket columns into the dense amplitudes.
 
@@ -27,9 +27,9 @@ unitary U = ((1 - i) 1 + (1 + i) SWAP) / 2 and multiplies M = U T U^dagger,
 which leaves every trace unchanged. When T is swap-symmetric,
 T[L', L, R', R] = conj(T[L, L', R, R']), M is real: M = Re T + Im T^R, where
 T^R swaps R and R'. That holds when the bra is the ket, and for the op
-column of a Hermitian op, so such a ring multiplies real matrices. A ring
-with a non-Hermitian op, and an `overlap` ring (single-layer, of D^n
-bonds), multiplies the complex T in the plain basis.
+column, because `bra_ket` takes only an exactly Hermitian op; so every
+`bra_ket` ring multiplies real matrices. An `overlap` ring (single-layer,
+of D^n bonds) multiplies the complex T in the plain basis.
 
 Given the derivative tensors of every site, `bra_ket` and `overlap` also
 return the sweep: the value with each site's tensor replaced in turn. Each
@@ -125,7 +125,7 @@ def _check_ring(n_cols, n_rows, transfer_bytes, ket_bytes=0):
     ValueError when a column has fewer than two sites (`column_transfer` would
     contract a lone site with itself). ResourceLimitError when the ring would
     exceed NETWORK_BUDGET bytes, for transfer matrices of transfer_bytes each
-    (real for `bra_ket` with a Hermitian op or none, complex otherwise) and ket
+    (real for `bra_ket`, complex for `overlap` and `contract`) and ket
     columns of ket_bytes each. The charge is what the costliest ring, a fused
     `bra_ket` pass, holds at once:
     - 4 k - 4 transfer matrices for k = n_cols: the k columns, the op column's
@@ -133,8 +133,8 @@ def _check_ring(n_cols, n_rows, transfer_bytes, ket_bytes=0):
       middle environments of `ring_environments`, and one temporary. The
       sweep that follows holds its k environments and the one it arranges
       for its sweep tensor: two real matrices (the environment taken back to
-      the plain basis) in a real ring, one complex matrix in a complex ring,
-      so at most k + 2 in all. A value-only ring holds at most k + 3;
+      the plain basis) in a `bra_ket` ring, one complex matrix in an
+      `overlap` ring, so at most k + 2 in all. A value-only ring holds at most k + 3;
     - k + 4 ket columns: the k ket columns, the op column's bra, a column's
       sweep tensor, and a rebuilt ket column with its one transposed copy.
       Forming a sweep tensor takes two products of a ket column's size, and
@@ -245,12 +245,12 @@ def _parts(col):
 def _double_column(ket_col, bra_col, real=False):
     """Double-layer transfer matrix of a ket column against a bra column.
 
-    T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]). With real, the bra
-    has the ket's bonds and T is swap-symmetric (the bra is the ket or a Hermitian op
-    of it), and the matrix is the real M = U T U^dagger = Re T + Im T^R in the
-    Hermitian basis of both pair legs (see the module docstring). Re T and Im T are
-    then real products over the parts of P, with rows (L, R) and columns (L', R'): no
-    complex T is formed.
+    T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]), the matrix of an
+    `overlap` ring. With real (a `bra_ket` ring), the bra has the ket's bonds and T is
+    swap-symmetric (the bra is the ket or a Hermitian op of it), and the matrix is the
+    real M = U T U^dagger = Re T + Im T^R in the Hermitian basis of both pair legs (see
+    the module docstring). Re T and Im T are then real products over the parts of P,
+    with rows (L, R) and columns (L', R'): no complex T is formed.
     """
     nl, nr, n_p = ket_col.shape
     if not real:
@@ -269,14 +269,15 @@ def _sweep_tensor(bra_col, env):
     """G[L, R, P] = sum conj(bra[L', R', P]) E[(R, R'), (L, L')]: replacing the column's
     ket side by K' gives the ring value sum K' G.
 
-    A real env comes from a ring in the Hermitian basis, and E is env taken back to the
-    plain basis, E = U^dagger env U = (e + e^RL) / 2 + i (e^L - e^R) / 2, with e = env
-    and e^RL, e^L and e^R the matrices with both pairs, the (L, L') pair and the (R, R')
-    pair swapped; a complex env is E itself. That step writes E as a matrix
-    Y[(L, R), (L', R')], and G = Y conj(B) is one product with the bra as a
-    [(L', R'), P] matrix. For a complex E it is taken as conj(conj(Y) B), so that the
-    bra is not copied; for a real env the real and imaginary parts of Y each multiply
-    the real view of the bra, and the two products are combined into G in place.
+    A real env comes from a `bra_ket` ring, in the Hermitian basis, and E is env taken
+    back to the plain basis, E = U^dagger env U = (e + e^RL) / 2 + i (e^L - e^R) / 2,
+    with e = env and e^RL, e^L and e^R the matrices with both pairs, the (L, L') pair
+    and the (R, R') pair swapped; a complex env, from an `overlap` ring, is E itself.
+    That step writes E as a matrix Y[(L, R), (L', R')], and G = Y conj(B) is one
+    product with the bra as a [(L', R'), P] matrix. For a complex E it is taken as
+    conj(conj(Y) B), so that the bra is not copied; for a real env the real and
+    imaginary parts of Y each multiply the real view of the bra, and the two products
+    are combined into G in place.
     """
     nl2, nr2, n_p = bra_col.shape
     nr, nl = env.shape[0] // nr2, env.shape[1] // nl2
@@ -296,12 +297,6 @@ def _sweep_tensor(bra_col, env):
     np.subtract(gi[..., 0], g[..., 1], out=g[..., 1])
     g *= 0.5
     return g.view(bra_col.dtype).reshape(nl, nr, n_p)
-
-
-def _real(value):
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise RuntimeError(f"bra-ket value {value} has a non-negligible imaginary part")
-    return float(value.real)
 
 
 def contract(grid):
@@ -354,7 +349,8 @@ def _ring(columns, kets, bras, dket=None, first=0, fold=None, real=False):
         plain = _double_column(kets[first], kets[first], real)
 
         def replace_first(env):
-            a, b = fold(_real(replace_value(plain, env)), _real(replace_value(cols[0], env)))
+            # a real ring's traces have an imaginary part of exactly 0
+            a, b = fold(replace_value(plain, env).real, replace_value(cols[0], env).real)
             if np.imag(a) or np.imag(b):
                 raise ValueError(f"fold must return real (a, b), got ({a}, {b})")
             a, b = float(np.real(a)), float(np.real(b))
@@ -387,25 +383,24 @@ def _column_sweep(ts, dts, g):
 def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     """<psi|psi>, or <psi| op at site |psi>, of the (l1, l2, a, b, g, l, j) site tensors ket.
 
-    site is an (x, y) tuple inside the lattice and op a d x d matrix, else
-    ValueError. The value must be real: an imaginary part above 1e-9 of its
-    size raises RuntimeError. With dket, the derivative tensors of every site,
-    returns (value, sweep): sweep[x, y] is the value with the ket-layer tensor
-    of site (x, y) replaced by dket[x, y].
+    site is an (x, y) tuple inside the lattice and op, which needs a site, an
+    exactly Hermitian d x d matrix (op == op^dagger entry by entry), else
+    ValueError before anything is built. With dket, the derivative tensors of
+    every site, returns (value, sweep): sweep[x, y] is the value with the
+    ket-layer tensor of site (x, y) replaced by dket[x, y].
 
     fold, which needs dket, site and op, refolds the op inside the same ring
     pass: fold(z, N) is called with the real values z = <psi|psi> and
     N = <psi| op |psi> and returns real numbers (a, b), else ValueError; the
     value and sweep returned are then those of the op a op + b 1. The whole
-    call makes one ring of products, as a plain sweep does.
-
-    The ring runs on real transfer matrices unless op is not exactly Hermitian
-    (op == op^dagger entry by entry); a non-Hermitian op runs a complex ring.
+    call makes one ring of products, as a plain sweep does, on real transfer
+    matrices.
     """
     if fold is not None and (dket is None or site is None):
         raise ValueError("fold needs dket, a site and an op")
+    if op is not None and site is None:
+        raise ValueError("op needs a site")
     ket = np.asarray(ket, dtype=complex)
-    real = True
     if site is not None:
         (l1, l2), d = ket.shape[:2], ket.shape[-1]
         x, y = site
@@ -414,18 +409,20 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):
             raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
-        real = np.array_equal(op, np.conj(op).T)
-    # a real ring's transfer matrices are float64, half the bytes of the complex128 ket
-    columns, kets = _ket_columns(ket, ket.shape[2] ** 2,
-                                 ket.itemsize // 2 if real else ket.itemsize)
+        op = np.asarray(op, dtype=complex)
+        if not np.array_equal(op, op.conj().T):
+            raise ValueError("op must be exactly Hermitian: op == op^dagger entry by entry")
+    # the ring's transfer matrices are float64, half the bytes of the complex128 ket
+    columns, kets = _ket_columns(ket, ket.shape[2] ** 2, ket.itemsize // 2)
     bras = list(kets)
     c = 0
     if site is not None:
-        # <psi| op = (op^dagger |psi>)^dagger: op joins the bra column that holds its site
+        # <psi| op = (op |psi>)^dagger: op joins the bra column that holds its site
         c, row = (x, y) if _transposed(ket) else (y, x)
-        bras[c] = _on_row(np.conj(op).T, kets[c], row)
-    out = _ring(columns, kets, bras, dket, c, fold, real)
-    return _real(out) if dket is None else (_real(out[0]), out[1])
+        bras[c] = _on_row(op, kets[c], row)
+    out = _ring(columns, kets, bras, dket, c, fold, real=True)
+    # a real ring's value has an imaginary part of exactly 0
+    return out.real if dket is None else (out[0].real, out[1])
 
 
 def overlap(ket, phi, dket=None):

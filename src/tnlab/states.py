@@ -148,8 +148,9 @@ def check_observable(observable):
     """observable's Hermitian part (O + O^dagger) / 2 as a complex array, or ValueError
     unless it is a Hermitian square matrix (to 1e-12).
 
-    The Hermitian part is exactly Hermitian, so `network.bra_ket` runs it on real
-    transfer matrices, and it is observable itself when observable is exactly Hermitian.
+    `network.bra_ket` takes only an exactly Hermitian op, and the Hermitian part is one:
+    an observable Hermitian only to 1e-12 reaches `bra_ket` through it. It is observable
+    itself when observable is exactly Hermitian.
     """
     obs = np.asarray(observable, dtype=complex)
     if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:

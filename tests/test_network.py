@@ -106,28 +106,13 @@ def test_sweeps_at_three_physical_levels_and_production_sizes(l1, l2, D, d, site
     _check_sweeps(l1, l2, D, d, site, seed=l1 * 100 + l2 * 10 + d)
 
 
-@pytest.mark.parametrize("l1, l2", [(2, 3), (3, 2)])
-def test_op_sweep_with_a_non_hermitian_op(l1, l2):
-    # op = H + iA with <A> = 0 has a real value, but its sweep differs from that of
-    # op^dagger: this pins which layer the op acts on
-    ket, dket = _tensors(l1, l2, 2, 2, 7)
-    rng = np.random.default_rng(7)
-    h, b = random_hermitian(2, rng), random_hermitian(2, rng)
-    a = b - network.bra_ket(ket, site=(1, 1), op=b) / network.bra_ket(ket) * np.eye(2)
-    _check_op_sweep(ket, dket, (1, 1), h + 1j * a)
-
-
-@pytest.mark.parametrize("with_sweep", [False, True])
-def test_bra_ket_rejects_non_hermitian_op(with_sweep):
-    ket, dket = _tensors(2, 3, 2, 2, 0)
-    op = 1j * np.eye(2)  # anti-Hermitian: <op> = i <psi|psi>
-    with pytest.raises(RuntimeError, match="imaginary part"):
-        network.bra_ket(ket, dket if with_sweep else None, (1, 2), op)
-
-
 @pytest.mark.parametrize("site, op, message", [
     ((6, 0), np.eye(2), "not a site"),
     ((0, 0), np.eye(3), "op must be 2 x 2"),
+    (None, np.eye(2), "op needs a site"),
+    ((0, 0), 1j * np.eye(2), "op must be exactly Hermitian"),
+    # Hermitian to 4e-13, as `states.check_observable` accepts it, but not exactly
+    ((0, 0), np.array([[1.0, 0.5 + 4e-13j], [0.5, -1.0]]), "op must be exactly Hermitian"),
 ])
 def test_bra_ket_checks_site_and_op_before_the_budget(site, op, message):
     # a 6x6 ring exceeds the network budget, so a check made after the budget's would raise
@@ -175,25 +160,6 @@ def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
         run(ket, dket)
 
 
-@pytest.mark.parametrize("k", [5, 8])
-def test_ring_budget_charges_a_non_hermitian_ring_as_complex(k, monkeypatch):
-    # op = H + iA with <A> = 0 keeps the ring's matrices complex, at twice the bytes of a
-    # Hermitian ring's: a budget of its tracemalloc peak P - 1 bytes refuses it
-    ket, dket = _tensors(3, k, 2, 2, k)
-    rng = np.random.default_rng(k)
-    h, b = random_hermitian(2, rng), random_hermitian(2, rng)
-    op = h + 1j * (b - network.bra_ket(ket, site=(1, 1), op=b) / network.bra_ket(ket) * np.eye(2))
-    tracemalloc.start()
-    try:
-        network.bra_ket(ket, dket, (1, 1), op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(network, "NETWORK_BUDGET", peak - 1)
-    with pytest.raises(ResourceLimitError, match="network budget"):
-        network.bra_ket(ket, dket, (1, 1), op)
-
-
 @pytest.mark.parametrize("with_dket, site", [(False, (0, 0)), (True, None)])
 def test_fold_needs_dket_and_a_site(with_dket, site):
     ket, dket = _tensors(2, 2, 2, 2, 0)
@@ -235,7 +201,8 @@ def _columns(draw):
 def test_double_columns_are_the_ring_in_the_hermitian_basis(case):
     # M = U T U^dagger on both pair legs, real when the bra is the ket or a Hermitian op
     # of it; the sweep tensor takes a real environment E' back to the plain basis,
-    # U^dagger E' U. A complex ring (a non-Hermitian op) multiplies T itself
+    # U^dagger E' U. The complex kind covers the plain-basis branches that `overlap`
+    # rings run: T itself, and a complex environment used as it is
     ket, bra, hermitian, rng = case
     nl, nr, _ = ket.shape
     t = np.einsum("arp,bsp->abrs", ket, bra.conj()).reshape(nl * nl, nr * nr)
@@ -258,8 +225,9 @@ def test_double_columns_are_the_ring_in_the_hermitian_basis(case):
 
 
 def test_a_real_or_single_precision_ket_gives_the_complex128_value():
-    # bra_ket takes any ket as complex128: real site tensors give the values that
-    # `contract` gives for them, and complex64 ones those of the same tensors cast up
+    # bra_ket takes any ket and op as complex128: real site tensors give the values that
+    # `contract` gives for them, complex64 ones those of the same tensors cast up, and an
+    # op given as nested lists that of the array
     ket, dket = _tensors(3, 4, 2, 2, 3)
     op = random_hermitian(2, np.random.default_rng(3))
     _check_op_sweep(ket.real, dket.real, (1, 2), op.real)
@@ -267,3 +235,5 @@ def test_a_real_or_single_precision_ket_gives_the_complex128_value():
     assert network.bra_ket(low) == network.bra_ket(low.astype(complex))
     assert (network.bra_ket(low, site=(2, 1), op=op)
             == network.bra_ket(low.astype(complex), site=(2, 1), op=op))
+    assert (network.bra_ket(ket, site=(2, 1), op=op.tolist())
+            == network.bra_ket(ket, site=(2, 1), op=op))

@@ -106,6 +106,16 @@ def test_sweeps_at_three_physical_levels_and_production_sizes(l1, l2, D, d, site
     _check_sweeps(l1, l2, D, d, site, seed=l1 * 100 + l2 * 10 + d)
 
 
+@pytest.mark.parametrize("with_sweep", [False, True])
+def test_bra_ket_rejects_non_hermitian_op(with_sweep):
+    # the op check runs whether or not the ring sweeps: an anti-Hermitian op, whose
+    # <op> = i <psi|psi> no real ring can give, is refused with and without dket
+    ket, dket = _tensors(2, 3, 2, 2, 0)
+    op = 1j * np.eye(2)
+    with pytest.raises(ValueError, match="op must be exactly Hermitian"):
+        network.bra_ket(ket, dket if with_sweep else None, (1, 2), op)
+
+
 @pytest.mark.parametrize("site, op, message", [
     ((6, 0), np.eye(2), "not a site"),
     ((0, 0), np.eye(3), "op must be 2 x 2"),
@@ -237,3 +247,15 @@ def test_a_real_or_single_precision_ket_gives_the_complex128_value():
             == network.bra_ket(low.astype(complex), site=(2, 1), op=op))
     assert (network.bra_ket(ket, site=(2, 1), op=op.tolist())
             == network.bra_ket(ket, site=(2, 1), op=op))
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.clongdouble])
+def test_an_op_of_any_complex_precision_gives_the_complex128_value(dtype):
+    # bra_ket casts its op to complex128 once, so a complex64 or long-double op gives the
+    # value and sweep of the same op cast down first
+    ket, dket = _tensors(3, 4, 2, 2, 5)
+    op = random_hermitian(2, np.random.default_rng(5)).astype(dtype)
+    expected = network.bra_ket(ket, dket, (2, 1), op.astype(complex))
+    value, sweep = network.bra_ket(ket, dket, (2, 1), op)
+    assert value == expected[0]
+    assert np.array_equal(sweep, expected[1])

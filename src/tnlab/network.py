@@ -8,16 +8,16 @@ plain (l1, l2, ...) grids of site tensors:
 - `contract` (any 4-leg grid, e.g. the spin model) contracts each column's
   vertical bond ring into a matrix from its combined left legs to its
   combined right legs.
-- `bra_ket` (norms and local expectations) and `overlap` (against a product
-  state) contract ket columns against bra columns. A ket column K[L, R, P]
-  is one column's sites contracted over the vertical ring, with left bonds
-  L, right bonds R and the physical legs P of its rows; a bra column
-  B[L', R', P] has the same physical legs. A double-layer transfer matrix is
-  one product over the physical legs, T[(L, L'), (R, R')] = sum_P K[L, R, P]
-  conj(B[L', R', P]). For `bra_ket` the bra columns are the ket columns,
-  with a Hermitian op folded into the bra at its site: <psi| op =
-  (op |psi>)^dagger. For `overlap` each bra column is the product state's
-  vectors of its rows, B[1, 1, P].
+- `overlap` (against a product state) is the `contract` of the single-layer
+  grid `site_single_tensor`, each site's physical leg closed with its own
+  target vector: a ring of bond D.
+- `bra_ket` (norms and local expectations) contracts ket columns against bra
+  columns. A ket column K[L, R, P] is one column's sites contracted over the
+  vertical ring, with left bonds L, right bonds R and the physical legs P of
+  its rows. The bra columns are the ket columns, with a Hermitian op folded
+  into the bra at its site: <psi| op = (op |psi>)^dagger. A double-layer
+  transfer matrix is one product over the physical legs,
+  T[(L, L'), (R, R')] = sum_P K[L, R, P] conj(B[L', R', P]).
 - `statevector` chains the ket columns into the dense amplitudes.
 
 A `bra_ket` column is a completely positive map X -> sum_P K_P X K_P^dagger,
@@ -28,19 +28,19 @@ which leaves every trace unchanged. When T is swap-symmetric,
 T[L', L, R', R] = conj(T[L, L', R, R']), M is real: M = Re T + Im T^R, where
 T^R swaps R and R'. That holds when the bra is the ket, and for the op
 column, because `bra_ket` takes only an exactly Hermitian op; so every
-`bra_ket` ring multiplies real matrices. An `overlap` ring (single-layer,
-of D^n bonds) multiplies the complex T in the plain basis.
+`bra_ket` ring multiplies real matrices.
 
-Given the derivative tensors of every site, `bra_ket` and `overlap` also
-return the sweep: the value with each site's tensor replaced in turn. Each
-column's ring environment E (the product of the other columns, taken back
-to the plain basis) is contracted with the column's bra once,
-G[L, R, P] = sum conj(B[L', R', P]) E[(R, R'), (L, L')]; a site's sweep
-value is then sum K' G, where K' is the ket column with that site's tensor
-replaced by its derivative. A ring of k columns forms 3k - 6 matrix
-products for its environments and value, and k - 2 for a value alone: the
-trace of the last product is read as an elementwise sum,
-trace(A B) = sum A * B^T.
+Given the derivative tensors of every site, all three also return the sweep:
+the value with each site's tensor replaced in turn. One ring routine takes
+the values, environments and sweeps of all three. Each column's ring
+environment E (the product of the other columns) gives the column's sweep
+tensor once: E^T for `contract`, and for `bra_ket`, with E taken back to the
+plain basis, G[L, R, P] = sum conj(B[L', R', P]) E[(R, R'), (L, L')]. A
+site's sweep value is then sum T' E^T or sum K' G, where T' and K' are the
+column's transfer matrix and ket column with that site's tensor replaced by
+its derivative. A ring of k columns forms 3k - 6 matrix products for its
+environments and value, and k - 2 for a value alone: the trace of the last
+product is read as an elementwise sum, trace(A B) = sum A * B^T.
 
 `bra_ket` can also refold its op within that one ring (the normalized local
 gradient sweeps O' = (O - (N/z) 1) / z). The ring then starts at the op
@@ -50,15 +50,14 @@ fold(z, N) gives the op to put in its place, as a combination of the op and
 the identity, before the prefix products are formed. So the pass builds
 k + 1 double-layer columns and forms the products of one sweep.
 
-`site_double_tensor` and `site_single_tensor` build the same networks site
-by site. No library code calls them: the tests build with them the
-networks that `contract` checks `bra_ket` and `overlap` against, and the
-benchmark's span tracer wraps them.
+`site_double_tensor` builds the double-layer networks site by site. No
+library code calls it: the tests build with it the networks that `contract`
+checks `bra_ket` against, and the benchmark's span tracer wraps it.
 
 Contraction is always performed along the shorter lattice side (the grid is
 transposed if needed), which keeps the transfer matrices at chi^(2*min(l1,l2))
-entries for bond extent chi. A ring's transfer matrices, ket columns and
-their environments are kept within `NETWORK_BUDGET` bytes.
+entries for bond extent chi. A ring's transfer matrices, ket columns,
+single-layer grids and environments are kept within `NETWORK_BUDGET` bytes.
 """
 
 import functools
@@ -69,7 +68,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .lattice import DEFAULT_AMPLITUDE_CAP
 
-# bytes that the transfer matrices and ket columns of one ring and their environments may take
+# bytes that one ring's transfer matrices, ket columns, grids and environments may take
 NETWORK_BUDGET = 2**30
 
 
@@ -119,35 +118,47 @@ def column_transfer(tensors):
     return out.transpose(0, 2, 1, 3).reshape(nB * nb, nL * nl)
 
 
-def _check_ring(n_cols, n_rows, transfer_bytes, ket_bytes=0):
-    """Raise, before anything is built, when a ring cannot or may not be contracted.
+def _check_ring(grid, dgrid, transfer_bytes, other_bytes):
+    """Raise, before anything is built, when a ring of the site grid `grid` cannot or
+    may not be contracted.
 
     ValueError when a column has fewer than two sites (`column_transfer` would
-    contract a lone site with itself). ResourceLimitError when the ring would
-    exceed NETWORK_BUDGET bytes, for transfer matrices of transfer_bytes each
-    (real for `bra_ket`, complex for `overlap` and `contract`) and ket
-    columns of ket_bytes each. The charge is what the costliest ring, a fused
-    `bra_ket` pass, holds at once:
-    - 4 k - 4 transfer matrices for k = n_cols: the k columns, the op column's
-      plain transfer matrix, the k - 2 suffixes, k - 2 prefixes and k - 2
-      middle environments of `ring_environments`, and one temporary. The
-      sweep that follows holds its k environments and the one it arranges
-      for its sweep tensor: two real matrices (the environment taken back to
-      the plain basis) in a `bra_ket` ring, one complex matrix in an
-      `overlap` ring, so at most k + 2 in all. A value-only ring holds at most k + 3;
-    - k + 4 ket columns: the k ket columns, the op column's bra, a column's
-      sweep tensor, and a rebuilt ket column with its one transposed copy.
-      Forming a sweep tensor takes two products of a ket column's size, and
-      a double-layer column takes its bra and the bra times i.
+    contract a lone site with itself), or as `_check_sweep` does. ResourceLimitError
+    when the ring would exceed NETWORK_BUDGET bytes: 4 k - 4 transfer matrices of
+    transfer_bytes each (k = n_cols), each with 256 bytes of array header and views,
+    and the other_bytes that the entry point holds besides them. The counts are
+    what tracemalloc shows the costliest ring of each kind to hold at once:
+    - a fused `bra_ket` pass holds the k columns, the op column's plain transfer
+      matrix, k - 2 suffixes, k - 2 prefixes, k - 2 middle environments and one
+      temporary; a sweep then holds its k environments and at most three more
+      (the one taken back to the plain basis, or a column rebuilt by
+      `column_transfer` with its temporaries), and a value-only ring k + 3;
+    - `bra_ket` also holds k + 4 ket columns: the k columns, the op column's
+      bra, a sweep tensor, and a rebuilt ket column with its transposed copy;
+    - `contract` also holds four grids' worth: the grid and, for `overlap`, the
+      derivative grid and the temporaries of `site_single_tensor` (the product
+      state cast to complex and the einsum's working memory).
+    Over k = 3, 5 and 8 on lattices of 2 to 4 rows (D = 2 or 3, d = 2, and
+    d = 9 and 17), the charge is 1.01-1.33 times the peak of a fused pass and
+    1.02-1.58 times that of an `overlap` sweep.
     """
-    if n_cols == 0 or n_rows < 2:
+    n_cols, n_rows = max(grid.shape[:2]), min(grid.shape[:2])
+    if n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
-    need = (4 * n_cols - 4) * transfer_bytes + (n_cols + 4) * ket_bytes
+    _check_sweep(grid, dgrid)
+    need = (4 * n_cols - 4) * (transfer_bytes + 256) + other_bytes
     if need > NETWORK_BUDGET:
         raise ResourceLimitError(
             f"a ring of {n_cols} columns of {n_rows} sites needs about "
             f"{need / 2**30:.1f} GiB, above the network budget of "
             f"{NETWORK_BUDGET / 2**30:.1f} GiB")
+
+
+def _check_sweep(grid, dgrid):
+    """ValueError unless dgrid, the derivative tensors of a sweep, is None or has grid's shape."""
+    if dgrid is not None and np.shape(dgrid) != np.shape(grid):
+        raise ValueError(f"derivative tensors of shape {np.shape(dgrid)} for site tensors "
+                         f"of shape {np.shape(grid)}")
 
 
 def ring_value(columns):
@@ -171,15 +182,16 @@ def ring_environments(columns, replace_first=None):
     as `ring_value` takes it.
 
     No suffix holds column 0, so its environment is known before any prefix
-    is formed. With replace_first, a function of that environment that
-    returns a new column 0, the prefixes, the other environments and the
-    value are those of the ring with the new column in place.
+    is formed. With replace_first, a function of column 0 and that
+    environment that returns a new column 0, the prefixes, the other
+    environments and the value are those of the ring with the new column in
+    place.
     """
     k = len(columns)
     # tail[y] = T(y+1)...T(k-1), built from the right
     tail = list(itertools.accumulate(columns[:0:-1], lambda acc, m: m @ acc))[::-1]
     if replace_first is not None:
-        columns = [replace_first(tail[0]), *columns[1:]]
+        columns = [replace_first(columns[0], tail[0]), *columns[1:]]
     head = list(itertools.accumulate(columns[:-1], np.matmul))  # head[y] = T0...Ty
     value = replace_value(columns[-1], head[-1])
     return value, [tail[0], *(tail[y] @ head[y - 1] for y in range(1, k - 1)), head[-1]]
@@ -242,21 +254,16 @@ def _parts(col):
     return col.view(np.float64).reshape(-1, 2 * col.shape[-1])
 
 
-def _double_column(ket_col, bra_col, real=False):
-    """Double-layer transfer matrix of a ket column against a bra column.
+def _double_column(ket_col, bra_col):
+    """Double-layer transfer matrix of a ket column against a bra column with its bonds.
 
-    T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]), the matrix of an
-    `overlap` ring. With real (a `bra_ket` ring), the bra has the ket's bonds and T is
-    swap-symmetric (the bra is the ket or a Hermitian op of it), and the matrix is the
-    real M = U T U^dagger = Re T + Im T^R in the Hermitian basis of both pair legs (see
-    the module docstring). Re T and Im T are then real products over the parts of P,
-    with rows (L, R) and columns (L', R'): no complex T is formed.
+    T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]) is swap-symmetric, as the
+    bra is the ket or a Hermitian op of it, and the matrix is the real
+    M = U T U^dagger = Re T + Im T^R in the Hermitian basis of both pair legs (see the module
+    docstring). Re T and Im T are real products over the parts of P, with rows (L, R) and
+    columns (L', R'): no complex T is formed.
     """
-    nl, nr, n_p = ket_col.shape
-    if not real:
-        nl2, nr2 = bra_col.shape[:2]
-        t = ket_col.reshape(-1, n_p) @ bra_col.reshape(-1, n_p).conj().T
-        return t.reshape(nl, nr, nl2, nr2).transpose(0, 2, 1, 3).reshape(nl * nl2, nr * nr2)
+    nl, nr, _ = ket_col.shape
     # [bra, i bra]: i bra has the parts (-bi, br), so one real product over the parts of P
     # gives re = sum kr br + ki bi and im = sum ki br - kr bi, at [L, R, (re, im), L', R']
     t = (_parts(ket_col) @ _parts(_ONE_I * bra_col).T).reshape(nl, nr, 2, nl, nr)
@@ -269,25 +276,18 @@ def _sweep_tensor(bra_col, env):
     """G[L, R, P] = sum conj(bra[L', R', P]) E[(R, R'), (L, L')]: replacing the column's
     ket side by K' gives the ring value sum K' G.
 
-    A real env comes from a `bra_ket` ring, in the Hermitian basis, and E is env taken
-    back to the plain basis, E = U^dagger env U = (e + e^RL) / 2 + i (e^L - e^R) / 2,
-    with e = env and e^RL, e^L and e^R the matrices with both pairs, the (L, L') pair
-    and the (R, R') pair swapped; a complex env, from an `overlap` ring, is E itself.
-    That step writes E as a matrix Y[(L, R), (L', R')], and G = Y conj(B) is one
-    product with the bra as a [(L', R'), P] matrix. For a complex E it is taken as
-    conj(conj(Y) B), so that the bra is not copied; for a real env the real and
-    imaginary parts of Y each multiply the real view of the bra, and the two products
-    are combined into G in place.
+    env is the column's ring environment in the Hermitian basis, and E is env taken back
+    to the plain basis, E = U^dagger env U = (e + e^RL) / 2 + i (e^L - e^R) / 2, with
+    e = env and e^RL, e^L and e^R the matrices with both pairs, the (L, L') pair and the
+    (R, R') pair swapped. That step writes E as a matrix Y[(L, R), (L', R')]; the real
+    and imaginary parts of Y each multiply the real view of the bra, and the two products
+    are combined into G = Y conj(B) in place.
     """
-    nl2, nr2, n_p = bra_col.shape
-    nr, nl = env.shape[0] // nr2, env.shape[1] // nl2
+    nl, nr, n_p = bra_col.shape
     # e[L, R, L', R'] = env[(R, R'), (L, L')]
-    e = env.reshape(nr, nr2, nl, nl2).transpose(2, 0, 3, 1)
-    if not np.isrealobj(env):
-        g = np.conjugate(e, order="C").reshape(nl * nr, -1) @ bra_col.reshape(-1, n_p)
-        return np.conjugate(g, out=g).reshape(nl, nr, n_p)
+    e = env.reshape(nr, nr, nl, nl).transpose(2, 0, 3, 1)
     # 2 E = (e + e^RL) + i (e^L - e^R), each term at [L, R, L', R']
-    y = np.empty((2, nl * nr, nl2 * nr2))
+    y = np.empty((2, nl * nr, nl * nr))
     np.add(e, e.transpose(2, 3, 0, 1), out=y[0].reshape(e.shape))
     np.subtract(e.transpose(2, 1, 0, 3), e.transpose(0, 3, 2, 1), out=y[1].reshape(e.shape))
     b = _parts(bra_col)
@@ -299,85 +299,52 @@ def _sweep_tensor(bra_col, env):
     return g.view(bra_col.dtype).reshape(nl, nr, n_p)
 
 
-def contract(grid):
+def _ring(transfers, grid, dgrid=None, bras=None, first=0, replace_first=None):
+    """Ring value of the transfer matrices of grid's oriented columns, in column order and
+    multiplied from column `first` on; with dgrid, (value, sweep).
+
+    They are the `column_transfer` of grid's 4-leg site tensors, or, given `bras`, the
+    `_double_column` of the ket columns of its 5-leg ones against bras. dgrid holds every
+    site's derivative tensor, and the sweep entry of column c, row r is sum T' E^T, or sum
+    K' G with G = `_sweep_tensor` of bras[c] and E, where E is the column's ring
+    environment (replace_first is passed on to `ring_environments`) and T' and K' are the
+    column's transfer matrix and ket column with row r's tensor replaced by its derivative.
+    """
+    transfers = transfers[first:] + transfers[:first]
+    if dgrid is None:
+        return ring_value(transfers)
+    value, envs = ring_environments(transfers, replace_first)
+    # the sweep holds only the environments
+    transfers = None
+    envs = dict(zip([*range(first, len(envs)), *range(first)], envs))
+    build = column_transfer if bras is None else _ket_column
+    columns, dcolumns = _orient(grid), _orient(dgrid)
+    sweep = np.array([
+        _column_sweep(build, columns[c], dcolumns[c],
+                      envs.pop(c).T if bras is None else _sweep_tensor(bras[c], envs.pop(c)))
+        for c in range(len(columns))])
+    # column c, row r is site (c, r) of a transposed grid, else site (r, c)
+    return value, np.ascontiguousarray(sweep if _transposed(grid) else sweep.T)
+
+
+def _column_sweep(build, ts, dts, g):
+    """sum build(ts') * g for each row of a column, where ts' is its site tensors ts with that
+    row's tensor replaced by its derivative in dts."""
+    g = g.reshape(-1)
+    return [build([*ts[:r], dts[r], *ts[r + 1:]]).reshape(-1) @ g for r in range(len(ts))]
+
+
+def contract(grid, dgrid=None):
     """Ring value of an (l1, l2, a, b, g, l) grid of 4-leg site tensors.
 
-    Raises as `_check_ring` does, before any transfer matrix is built.
+    With dgrid, the derivative tensors of every site, returns (value, sweep):
+    sweep[x, y] is the value with the tensor of site (x, y) replaced by
+    dgrid[x, y]. Raises as `_check_ring` does, before any transfer matrix is built.
     """
     columns = _orient(grid)
-    n_cols, n_rows, _, n_b, _, n_l = columns.shape
-    _check_ring(n_cols, n_rows, (n_b * n_l) ** n_rows * grid.itemsize)
-    return ring_value([column_transfer(ts) for ts in columns])
-
-
-def _ket_columns(ket, chi, transfer_itemsize):
-    """Oriented [column][row] site tensors of ket and their ket columns, built after
-    `_check_ring` passes for a ring of transfer matrices of bond extent chi."""
-    columns = _orient(ket)
-    n_cols, n_rows = columns.shape[:2]
-    D, d = ket.shape[2], ket.shape[-1]
-    _check_ring(n_cols, n_rows, chi ** (2 * n_rows) * transfer_itemsize,
-                D ** (2 * n_rows) * d**n_rows * ket.itemsize)
-    return columns, [_ket_column(col) for col in columns]
-
-
-def _ring(columns, kets, bras, dket=None, first=0, fold=None, real=False):
-    """Ring value of ket columns against bra columns; with dket, (value, sweep).
-
-    `columns` holds the oriented site tensors behind `kets`, and the ring is
-    multiplied from column `first` on, in real matrices if `real` (see
-    `_double_column`). The sweep
-    entry of column c, row r is sum K' G_c, where K' is column c's ket column with
-    row r's tensor replaced by its derivative and G_c = `_sweep_tensor` of the
-    column's bra and ring environment.
-
-    With fold (and dket), bras[first] holds the op of `bra_ket`. No suffix
-    product holds that column, so its environment E is formed first, and
-    z = <psi|psi> and N = <psi|op|psi> are read from E with the column's plain
-    and op transfer matrices, T and T_op. fold(z, N) returns real (a, b), else
-    ValueError, and the column becomes that of the op a op + b 1, with transfer
-    matrix a T_op + b T and bra a B_op + b K, before the prefixes are formed.
-    T_op and bras[first] are replaced in place, so neither is kept. The value
-    and sweep are those of the new op.
-    """
-    order = [*range(first, len(kets)), *range(first)]
-    cols = [_double_column(kets[c], bras[c], real) for c in order]
-    if dket is None:
-        return ring_value(cols)
-    replace_first = None
-    if fold is not None:
-        plain = _double_column(kets[first], kets[first], real)
-
-        def replace_first(env):
-            # a real ring's traces have an imaginary part of exactly 0
-            a, b = fold(replace_value(plain, env).real, replace_value(cols[0], env).real)
-            if np.imag(a) or np.imag(b):
-                raise ValueError(f"fold must return real (a, b), got ({a}, {b})")
-            a, b = float(np.real(a)), float(np.real(b))
-            # bras[first] is the op's own bra, and T_op is read: both are replaced in place
-            bras[first] *= a
-            bras[first] += b * kets[first]
-            cols[0] *= a
-            cols[0] += b * plain
-            return cols[0]
-
-    value, envs = ring_environments(cols, replace_first)
-    # the sweep holds only the environments
-    cols = plain = replace_first = None
-    envs = dict(zip(order, envs))
-    dcolumns = _orient(dket)
-    sweep = np.array([
-        _column_sweep(columns[c], dcolumns[c], _sweep_tensor(bras[c], envs.pop(c)))
-        for c in range(len(bras))])
-    # column c, row r is site (c, r) of a transposed grid, else site (r, c)
-    return value, np.ascontiguousarray(sweep if _transposed(dket) else sweep.T)
-
-
-def _column_sweep(ts, dts, g):
-    """sum K' G for each row of a column: K' is the ket column of its site tensors ts with
-    that row's tensor replaced by its derivative in dts."""
-    g = g.reshape(-1)
-    return [_ket_column([*ts[:r], dts[r], *ts[r + 1:]]).reshape(-1) @ g for r in range(len(ts))]
+    _, n_rows, _, n_b, _, n_l = columns.shape
+    _check_ring(grid, dgrid, (n_b * n_l) ** n_rows * grid.itemsize, 4 * grid.nbytes)
+    return _ring([column_transfer(ts) for ts in columns], grid, dgrid)
 
 
 def bra_ket(ket, dket=None, site=None, op=None, fold=None):
@@ -401,8 +368,9 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     if op is not None and site is None:
         raise ValueError("op needs a site")
     ket = np.asarray(ket, dtype=complex)
+    (l1, l2), D, d = ket.shape[:2], ket.shape[2], ket.shape[-1]
+    c = 0
     if site is not None:
-        (l1, l2), d = ket.shape[:2], ket.shape[-1]
         x, y = site
         if not (isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer))
                 and 0 <= x < l1 and 0 <= y < l2):
@@ -412,15 +380,35 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
         op = np.asarray(op, dtype=complex)
         if not np.array_equal(op, op.conj().T):
             raise ValueError("op must be exactly Hermitian: op == op^dagger entry by entry")
+        c, row = (x, y) if _transposed(ket) else (y, x)
     # the ring's transfer matrices are float64, half the bytes of the complex128 ket
-    columns, kets = _ket_columns(ket, ket.shape[2] ** 2, ket.itemsize // 2)
+    _check_ring(ket, dket, D ** (4 * min(l1, l2)) * ket.itemsize // 2,
+                (max(l1, l2) + 4) * (D * D * d) ** min(l1, l2) * ket.itemsize)
+    kets = [_ket_column(col) for col in _orient(ket)]
     bras = list(kets)
-    c = 0
     if site is not None:
         # <psi| op = (op |psi>)^dagger: op joins the bra column that holds its site
-        c, row = (x, y) if _transposed(ket) else (y, x)
         bras[c] = _on_row(op, kets[c], row)
-    out = _ring(columns, kets, bras, dket, c, fold, real=True)
+    replace_first = None
+    if fold is not None:
+        # the op column's plain transfer matrix, built before the ring's products and
+        # popped when used, so that the sweep does not hold it
+        plains = [_double_column(kets[c], kets[c])]
+
+        def replace_first(t_op, env):
+            # z and N from the op column's environment; T_op and the op's own bra then
+            # become those of the op a op + b 1, in place
+            plain = plains.pop()
+            a, b = fold(replace_value(plain, env).real, replace_value(t_op, env).real)
+            if np.imag(a) or np.imag(b):
+                raise ValueError(f"fold must return real (a, b), got ({a}, {b})")
+            a, b = float(np.real(a)), float(np.real(b))
+            bras[c] *= a
+            bras[c] += b * kets[c]
+            t_op *= a
+            t_op += b * plain
+            return t_op
+    out = _ring(list(map(_double_column, kets, bras)), ket, dket, bras, c, replace_first)
     # a real ring's value has an imaginary part of exactly 0
     return out.real if dket is None else (out[0].real, out[1])
 
@@ -428,14 +416,17 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
 def overlap(ket, phi, dket=None):
     """<phi|psi> of the (l1, l2, a, b, g, l, j) site tensors ket and a product state phi.
 
-    phi has shape (l1, l2, j). With dket, the derivative tensors of every
-    site, returns (value, sweep) as `bra_ket` does.
+    phi has shape (l1, l2, j), else ValueError naming its shape before anything
+    is built. The value is the `contract` of the single-layer grid
+    `site_single_tensor(ket, phi)`; with dket, the derivative tensors of every
+    site, it returns (value, sweep) as `bra_ket` does, against the grid of dket.
     """
-    columns, kets = _ket_columns(ket, ket.shape[2], ket.itemsize)
-    # each column's bra [1, 1, P]: the product of its rows' vectors, row 0 slowest
-    bras = [functools.reduce(np.kron, col)[None, None, :]
-            for col in (phi if _transposed(ket) else phi.swapaxes(0, 1))]
-    return _ring(columns, kets, bras, dket)
+    shape = (*ket.shape[:2], ket.shape[-1])
+    if np.shape(phi) != shape:
+        raise ValueError(f"phi must have shape {shape}, got {np.shape(phi)}")
+    _check_sweep(ket, dket)
+    dgrid = None if dket is None else site_single_tensor(dket, phi)
+    return contract(site_single_tensor(ket, phi), dgrid)
 
 
 def statevector(ket):

@@ -271,17 +271,23 @@ def test_local_normalized_gradient_matches_the_quotient_rule(case):
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("l1, l2", [(3, 4), (4, 3)])
-def test_a_local_gradient_makes_one_ring_pass(l1, l2, monkeypatch):
-    # one ring of k = max(l1, l2) columns: z and N come from the op column's environment, so
-    # the normalized gradient builds one double column more than the unnormalized one and
-    # contracts no value-only ring
+def _count_ring_parts(monkeypatch):
+    """Calls of the double-layer column, value-ring and environment builders of `network`."""
     counts = Counter()
     for name in ("_double_column", "ring_value", "ring_environments"):
         def counted(*args, _name=name, _fn=getattr(network, name)):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(network, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("l1, l2", [(3, 4), (4, 3)])
+def test_a_local_gradient_makes_one_ring_pass(l1, l2, monkeypatch):
+    # one ring of k = max(l1, l2) columns: z and N come from the op column's environment, so
+    # the normalized gradient builds one double column more than the unnormalized one and
+    # contracts no value-only ring
+    counts = _count_ring_parts(monkeypatch)
     st = build_state(LatticeSpec(l1, l2, 2, 2), np.random.default_rng(40))
     k = max(l1, l2)
     for kind, columns in ((LOCAL_NORMALIZED, k + 1), (LOCAL_UNNORMALIZED, k)):
@@ -290,28 +296,36 @@ def test_a_local_gradient_makes_one_ring_pass(l1, l2, monkeypatch):
         assert dict(counts) == {"_double_column": columns, "ring_environments": 1}, kind
 
 
-def test_an_observable_hermitian_to_1e12_runs_its_hermitian_part_on_real_rings(monkeypatch):
+@pytest.mark.parametrize("l1, l2", [(3, 4), (4, 3)])
+def test_a_global_gradient_sweeps_its_overlap_as_a_single_layer_ring(l1, l2, monkeypatch):
+    # the overlap sweep is one ring of single-layer columns, with no double-layer column; the
+    # normalized gradient adds the k = max(l1, l2) double columns of one norm sweep
+    counts = _count_ring_parts(monkeypatch)
+    spec = LatticeSpec(l1, l2, 2, 2)
+    st = build_state(spec, np.random.default_rng(40))
+    k = max(l1, l2)
+    for kind, expected in ((GLOBAL_PURE, {"ring_environments": 1}),
+                           (GLOBAL_NORMALIZED, {"_double_column": k, "ring_environments": 2})):
+        counts.clear()
+        gradient_map(st, LossSpec(kind=kind, target=plus_target(spec)))
+        assert dict(counts) == expected, kind
+
+
+def test_an_observable_hermitian_to_1e12_runs_its_hermitian_part_on_real_rings():
     # check_observable accepts O with |O - O^dagger| <= 1e-12 and returns (O + O^dagger) / 2,
-    # which is exactly Hermitian (and is O itself when O is), so its rings stay real
+    # which is exactly Hermitian (and is O itself when O is), so `network.bra_ket` takes it
+    # and runs it on the real rings that every bra-ket runs
     st = build_state(LatticeSpec(3, 3, 2, 2), np.random.default_rng(41))
     obs = plus_projector(2)
     near = obs + 4e-13j * np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(states.check_observable(obs), obs)
     part = states.check_observable(near)
     assert np.array_equal(part, part.conj().T) and np.abs(part - obs).max() <= 1e-15
-    dtypes = []
-
-    def recorded(*args, _fn=network._double_column):
-        m = _fn(*args)
-        dtypes.append(m.dtype)
-        return m
-    monkeypatch.setattr(network, "_double_column", recorded)
     for kind in LOCAL_KINDS:
         loss = LossSpec(kind=kind, observable=near, site=(1, 2))
         assert np.abs(gradient_map(st, loss)
                       - gradient_map(st, dataclasses.replace(loss, observable=part))).max() == 0
     assert local_expectation(st, (1, 2), near) == local_expectation(st, (1, 2), part)
-    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-4])

@@ -1,5 +1,7 @@
 """Tests for the ring entry points of the network engine: values and derivative sweeps."""
 
+import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +108,62 @@ def test_sweeps_at_three_physical_levels_and_production_sizes(l1, l2, D, d, site
     _check_sweeps(l1, l2, D, d, site, seed=l1 * 100 + l2 * 10 + d)
 
 
+@pytest.mark.parametrize("l1, l2, d", [(2, 3, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3)])
+def test_overlap_sweep_equals_dense_overlaps_with_one_site_replaced(l1, l2, d):
+    # each sweep entry is <phi|psi'>, psi' the state with that one site's tensor replaced by
+    # its derivative, taken from the dense amplitudes: an oracle that shares no ring with
+    # `overlap`, whose sweep `_check_sweeps` checks against `contract`, its own engine
+    seed = l1 * 10 + d
+    ket, dket = _tensors(l1, l2, 2, d, seed)
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((l1, l2, d)) + 1j * rng.standard_normal((l1, l2, d))
+    # one leg per site in row-major (x, y) order, as `statevector` lays them out
+    dense_phi = functools.reduce(np.multiply.outer, phi.reshape(-1, d))
+
+    def dense_overlap(grid):
+        return np.sum(dense_phi.conj() * network.statevector(grid))
+
+    value, sweep = network.overlap(ket, phi, dket)
+    assert _close(value, dense_overlap(ket))
+    expected = np.array([[dense_overlap(_replaced(ket, (x, y), dket[x, y])) for y in range(l2)]
+                         for x in range(l1)])
+    assert sweep.shape == (l1, l2) and _close(sweep, expected)
+
+
+def _not_built(*args):
+    raise AssertionError("built before the shapes were checked")
+
+
+@pytest.mark.parametrize("lead", [(3, 2), (2, 2), (1, 3), (3,)])
+@pytest.mark.parametrize("entry", ["bra_ket", "overlap", "contract"])
+def test_a_misshapen_derivative_grid_is_refused_before_any_column(entry, lead, monkeypatch):
+    # on a 2x3 lattice a (3, 2) grid of derivatives would be swept as the transposed lattice,
+    # a (2, 2) one would fail on a missing column, and a (1, 3) or (3,) one would be broadcast
+    # by `site_single_tensor` against phi
+    ket, _ = _tensors(2, 3, 2, 2, 0)
+    phi = np.ones((2, 3, 2))
+    grid = network.site_single_tensor(ket, phi)
+    dket = np.zeros((*lead, *ket.shape[2:]), dtype=complex)
+    dgrid = np.zeros((*lead, *grid.shape[2:]), dtype=complex)
+    monkeypatch.setattr(network, "column_transfer", _not_built)
+    monkeypatch.setattr(network, "site_single_tensor", _not_built)
+    call = {"bra_ket": lambda: network.bra_ket(ket, dket),
+            "overlap": lambda: network.overlap(ket, phi, dket),
+            "contract": lambda: network.contract(grid, dgrid)}[entry]
+    bad = dgrid if entry == "contract" else dket
+    with pytest.raises(ValueError, match=re.escape(f"derivative tensors of shape {bad.shape}")):
+        call()
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 2), (1, 3, 2), (3, 2, 2), (2, 3, 3), (2, 3, 2, 1)])
+def test_overlap_checks_the_shape_of_phi_before_anything_is_built(shape, monkeypatch):
+    # `site_single_tensor` broadcasts, so phi of shape (2,), (3, 2) or (1, 3, 2) would pass it
+    ket, _ = _tensors(2, 3, 2, 2, 0)
+    monkeypatch.setattr(network, "site_single_tensor", _not_built)
+    with pytest.raises(ValueError, match=re.escape(f"phi must have shape (2, 3, 2), got {shape}")):
+        network.overlap(ket, np.ones(shape))
+
+
 @pytest.mark.parametrize("with_sweep", [False, True])
 def test_bra_ket_rejects_non_hermitian_op(with_sweep):
     # the op check runs whether or not the ring sweeps: an anti-Hermitian op, whose
@@ -195,15 +253,13 @@ def _hermitian_basis(n):
 
 @hst.composite
 def _columns(draw):
-    """A random ket column K[L, R, P], a bra column op K (op acting on P), and whether op is
-    Hermitian; op is the identity, a random Hermitian matrix or a random complex one."""
+    """A random ket column K[L, R, P] and a bra column op K (op acting on P), op the identity
+    or a random Hermitian matrix."""
     nl, nr, n_p = draw(hst.integers(1, 4)), draw(hst.integers(1, 4)), draw(hst.integers(1, 5))
-    kind = draw(hst.sampled_from(["ket", "hermitian", "complex"]))
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     ket = rng.standard_normal((nl, nr, n_p)) + 1j * rng.standard_normal((nl, nr, n_p))
-    op = {"ket": np.eye(n_p), "hermitian": random_hermitian(n_p, rng),
-          "complex": rng.standard_normal((n_p, n_p)) + 1j * rng.standard_normal((n_p, n_p))}[kind]
-    return ket, ket @ op.T, kind != "complex", rng
+    op = random_hermitian(n_p, rng) if draw(hst.booleans()) else np.eye(n_p)
+    return ket, ket @ op.T, rng
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,26 +267,19 @@ def _columns(draw):
 def test_double_columns_are_the_ring_in_the_hermitian_basis(case):
     # M = U T U^dagger on both pair legs, real when the bra is the ket or a Hermitian op
     # of it; the sweep tensor takes a real environment E' back to the plain basis,
-    # U^dagger E' U. The complex kind covers the plain-basis branches that `overlap`
-    # rings run: T itself, and a complex environment used as it is
-    ket, bra, hermitian, rng = case
+    # U^dagger E' U
+    ket, bra, rng = case
     nl, nr, _ = ket.shape
     t = np.einsum("arp,bsp->abrs", ket, bra.conj()).reshape(nl * nl, nr * nr)
     scale = np.abs(t).max()
-    assert np.abs(network._double_column(ket, bra) - t).max() <= 1e-13 * scale
-    g_of = lambda env: np.einsum("bsp,rsab->arp", bra.conj(), env.reshape(nr, nr, nl, nl))
-    if not hermitian:
-        env = rng.standard_normal((nr * nr, nl * nl)) + 1j * rng.standard_normal((nr * nr, nl * nl))
-        g = g_of(env)
-        assert np.abs(network._sweep_tensor(bra, env) - g).max() <= 1e-13 * np.abs(g).max()
-        return
     dense = _hermitian_basis(nl) @ t @ _hermitian_basis(nr).conj().T
     assert np.abs(dense.imag).max() <= 1e-13 * scale
-    m = network._double_column(ket, bra, real=True)
+    m = network._double_column(ket, bra)
     assert m.dtype == np.float64 and m.shape == t.shape
     assert np.abs(m - dense).max() <= 1e-13 * scale
     env = rng.standard_normal((nr * nr, nl * nl))
-    g = g_of(_hermitian_basis(nr).conj().T @ env @ _hermitian_basis(nl))
+    plain = _hermitian_basis(nr).conj().T @ env @ _hermitian_basis(nl)
+    g = np.einsum("bsp,rsab->arp", bra.conj(), plain.reshape(nr, nr, nl, nl))
     assert np.abs(network._sweep_tensor(bra, env) - g).max() <= 1e-13 * np.abs(g).max()
 
 

@@ -41,9 +41,10 @@ def test_library_uses_only_the_network_entry_points():
 
 
 def test_network_builds_every_bra_ket_ring_in_one_place():
-    # `bra_ket` and `overlap` share one ring: its transfer matrices, environments
-    # and sweep tensors are each formed by a single function of `network`
-    ring_parts = {"ring_environments", "_double_column", "_sweep_tensor"}
+    # `contract`, `bra_ket` and `overlap` share one ring: its values, environments,
+    # double-layer transfer matrices and sweep tensors are each formed by a single
+    # function of `network`
+    ring_parts = {"ring_value", "ring_environments", "_double_column", "_sweep_tensor"}
     path = next(p for p in SOURCES if p.name == "network.py")
     callers = {name: set() for name in ring_parts}
     for func in ast.parse(path.read_text(), filename=str(path)).body:

@@ -8,6 +8,14 @@ area m = |S|, perimeter p = sum over the four unit steps e of |S \ (S + e)|,
 and upper perimeter n = |S \ (S + e_x)|, the occupied cells (x, y) whose
 (x - 1, y) is empty. On the L x L torus, S + e is taken mod L.
 
+Cell sets are bit-packed ints: S \ T is S & ~T and |S| is int.bit_count(). Plane
+cell (x, y) is bit (x0 - x) W + (y0 - y), x0 and y0 the largest x and y (0 for a
+rooted piece): a step in x shifts by W bits and one in y by one bit, and W leaves
+a zero padding column past the y-extent, so a step in y never wraps a row. Toric
+cell (x, y) is bit x L + y, as in `enumerate_toric`'s codes: a step in x rotates
+all L^2 bits by L, and one in y rotates each row by a bit under the masks of its
+first and last columns. Frozensets of (x, y) appear only at the public API.
+
 Toric polyominoes are the nonzero-weight upper-layer spin configurations of
 the two-layer model: boolean (L, L) grids in which every occupied cell has an
 occupied successor to the right or below (modulo L). `toric_to_plane`
@@ -16,6 +24,7 @@ cell along the one out-edge of each cell to the unique cycle of its component,
 which it roots when first found.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,22 +51,67 @@ class PolyominoStats(NamedTuple):
     upper_perimeter: int
 
 
-def _shift(cells, dx, dy, frame=None):
-    """The cell set moved by (dx, dy), taken mod frame on the torus."""
-    if frame is None:
-        return {(x + dx, y + dy) for x, y in cells}
-    return {((x + dx) % frame, (y + dy) % frame) for x, y in cells}
+def _bits(s):
+    """Indices of the set bits of the packed set s, in increasing order."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _translates(s, width, torus=False):
+    """S + e for e = e_x, -e_x, e_y, -e_y of a packed set (or array of toric codes) s."""
+    if not torus:
+        return s >> width, s << width, s >> 1, s << 1
+    n = width * width
+    full = (1 << n) - 1
+    first = full // ((1 << width) - 1)  # bit y = 0 of every row
+    last = first << (width - 1)
+    return (((s << width) & full) | (s >> (n - width)),
+            (s >> width) | ((s << (n - width)) & full),
+            ((s << 1) & (full ^ first)) | ((s >> (width - 1)) & first),
+            ((s >> 1) & (full ^ last)) | ((s << (width - 1)) & last))
+
+
+def _stats(s, width, torus=False):
+    if not s:
+        raise ValueError("empty cell set")
+    # exposed[0] is |S \ (S + e_x)|, the upper perimeter
+    exposed = [(s & ~t).bit_count() for t in _translates(s, width, torus)]
+    return PolyominoStats(s.bit_count(), sum(exposed), exposed[0])
 
 
 def stats(poly):
     """(area, perimeter, upper perimeter) from the defining set formulas."""
-    cells = poly.cells
+    cells, frame = poly.cells, poly.frame
     if not cells:
         raise ValueError("empty cell set")
-    # exposed[0] is |S \ (S + e_x)|, the upper perimeter
-    exposed = [len(cells - _shift(cells, dx, dy, poly.frame))
-               for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-    return PolyominoStats(len(cells), sum(exposed), exposed[0])
+    if frame is not None:
+        if not all(0 <= c < frame for cell in cells for c in cell):
+            raise ValueError(f"cells outside the {frame} x {frame} torus")
+        return _stats(sum(1 << int(x * frame + y) for x, y in cells), frame, torus=True)
+    x0, y0 = max(x for x, _ in cells), max(y for _, y in cells)
+    width = y0 - min(y for _, y in cells) + 2
+    return _stats(sum(1 << int((x0 - x) * width + y0 - y) for x, y in cells), width)
+
+
+def _unpack(s, width):
+    """The plane cells (-a, -b) of the packed bits a * width + b."""
+    return frozenset((-(i // width), -(i % width)) for i in _bits(s))
+
+
+def _directed_levels(m_max):
+    """The packed directed polyominoes of each area 1..m_max, and their row width."""
+    if m_max < 1:
+        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
+    if m_max > ENUMERATION_BUDGET:
+        raise ResourceLimitError(f"exhaustive enumeration capped at area {ENUMERATION_BUDGET}")
+    width = m_max + 1  # a directed cell (-a, -b) of area <= m_max has b < m_max
+    levels = [{1}]
+    while len(levels) < m_max:
+        levels.append({s | 1 << c for s in levels[-1]
+                       for c in _bits(((s << width) | (s << 1)) & ~s)})
+    return levels, width
 
 
 def generate_directed(m_max):
@@ -70,26 +124,8 @@ def generate_directed(m_max):
     ValueError when m_max < 1 and ResourceLimitError when m_max exceeds
     ENUMERATION_BUDGET, at call time.
     """
-    if m_max < 1:
-        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
-    if m_max > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"exhaustive enumeration capped at area {ENUMERATION_BUDGET}")
-    return _grow_directed(m_max)
-
-
-def _grow_directed(m_max):
-    level = {frozenset({(0, 0)})}
-    for m in range(1, m_max + 1):
-        for cells in level:
-            yield m, cells
-        if m == m_max:
-            break
-        nxt = set()
-        for cells in level:
-            candidates = (_shift(cells, -1, 0) | _shift(cells, 0, -1)) - cells
-            nxt.update(cells | {c} for c in candidates)
-        level = nxt
+    levels, width = _directed_levels(m_max)
+    return ((m, _unpack(s, width)) for m, level in enumerate(levels, 1) for s in level)
 
 
 @dataclass(frozen=True)
@@ -105,11 +141,10 @@ class PolyominoCounts:
 
 def enumerate_directed(m_max):
     """Exact D_{m,n} counts by exhaustive generation."""
-    counts = {}
-    for m, cells in generate_directed(m_max):
-        n = stats(Polyomino(cells)).upper_perimeter
-        counts[(m, n)] = counts.get((m, n), 0) + 1
-    return PolyominoCounts(m_max, counts)
+    levels, width = _directed_levels(m_max)
+    # the upper perimeter |S \ (S + e_x)|
+    return PolyominoCounts(m_max, dict(Counter(
+        (m, (s & ~(s >> width)).bit_count()) for m, level in enumerate(levels, 1) for s in level)))
 
 
 def directed_gf(q, p):
@@ -176,44 +211,67 @@ def series_coefficients(m_max, n_max):
     return PolyominoCounts(m_max, counts)
 
 
+def _toric_codes(L):
+    """Packed codes, bit x * L + y for cell (x, y), of the nonzero-weight configurations."""
+    if L < 1:
+        raise ValueError(f"torus side must be at least 1, got L = {L}")
+    if L > TORIC_BUDGET:
+        raise ResourceLimitError(f"toric enumeration capped at L = {TORIC_BUDGET}")
+    codes = np.arange(1, 1 << (L * L), dtype=np.uint32)
+    _, ahead_x, _, ahead_y = _translates(codes, L, torus=True)
+    return codes[(codes & ~ahead_x & ~ahead_y) == 0]
+
+
 def enumerate_toric(L):
     """All nonzero-weight upper-layer configurations of the L x L torus.
 
     Raises ValueError when L < 1 and ResourceLimitError above TORIC_BUDGET.
     """
-    if L < 1:
-        raise ValueError(f"torus side must be at least 1, got L = {L}")
-    if L > TORIC_BUDGET:
-        raise ResourceLimitError(f"toric enumeration capped at L = {TORIC_BUDGET}")
-    out = []
-    n = L * L
-    shifts = np.arange(n, dtype=np.uint32)
-    codes = np.arange(1 << n, dtype=np.uint32)
-    bits = ((codes[:, None] >> shifts) & 1).astype(bool).reshape(-1, L, L)
-    right = np.roll(bits, -1, axis=2)
-    down = np.roll(bits, -1, axis=1)
-    bad = (bits & ~right & ~down).any(axis=(1, 2))
-    nonempty = bits.any(axis=(1, 2))
-    for i in np.nonzero(~bad & nonempty)[0]:
-        out.append(bits[i])
-    return out
+    codes = _toric_codes(L)
+    shifts = np.arange(L * L, dtype=np.uint32)
+    return list(((codes[:, None] >> shifts) & 1).astype(bool).reshape(-1, L, L))
 
 
-def _successor_graph(config):
+def _pack_torus(config):
+    """(packed set, L) of a boolean L x L grid; ValueError unless it is 2-D, square, nonempty."""
     c = np.asarray(config, dtype=bool)
-    if c.shape[0] != c.shape[1]:
-        raise ValueError("toric decomposition is defined on square tori")
-    L = c.shape[0]
-    edges = {}
-    for x, y in zip(*np.nonzero(c)):
-        x, y = int(x), int(y)
-        if c[(x + 1) % L, y]:
-            edges[(x, y)] = ((x + 1) % L, y)
-        elif c[x, (y + 1) % L]:
-            edges[(x, y)] = (x, (y + 1) % L)
-        else:
-            raise ValueError(f"cell ({x}, {y}) has no occupied successor; not a toric polyomino")
-    return L, edges
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise ValueError(f"a toric configuration is a nonempty square grid, got shape {c.shape}")
+    return int.from_bytes(np.packbits(c, axis=None, bitorder="little").tobytes(), "little"), len(c)
+
+
+def _toric_pieces(s, L, root_rule=min):
+    """The plane pieces of the packed toric polyomino s, packed with rows L^2 + 1 bits apart."""
+    n, width = L * L, L * L + 1
+    _, ahead_x, _, ahead_y = _translates(s, L, torus=True)
+    dead = s & ~ahead_x & ~ahead_y
+    if dead:
+        x, y = divmod(next(_bits(dead)), L)
+        raise ValueError(f"cell ({x}, {y}) has no occupied successor; not a toric polyomino")
+    # cell -> (successor, packed plane step): a step in x is a row, one in y a bit
+    edges = {v: ((v + L) % n, width) if ahead_x >> v & 1 else (v - v % L + (v + 1) % L, 1)
+             for v in _bits(s)}
+    moves = {}  # cell -> (root, packed plane cell)
+    for start in edges:
+        path, v = [], start
+        while v not in moves and v not in path:
+            path.append(v)
+            v = edges[v][0]
+        if v not in moves:  # the walk closed a cycle not seen before
+            x, y = root_rule([divmod(u, L) for u in path[path.index(v):]])
+            root = x * L + y
+            moves[root] = (root, 0)
+            # cycle cells after the root are reached by later walks
+            del path[path.index(root):]
+        for u in reversed(path):
+            w, step = edges[u]
+            moves[u] = (moves[w][0], moves[w][1] + step)
+    pieces = {}
+    for root, cell in moves.values():
+        if pieces.get(root, 0) >> cell & 1:
+            raise RuntimeError("backtrace produced colliding plane cells")
+        pieces[root] = pieces.get(root, 0) | 1 << cell
+    return list(pieces.values())
 
 
 def toric_to_plane(config, root_rule=min):
@@ -226,38 +284,12 @@ def toric_to_plane(config, root_rule=min):
     reaches its root by a steps in x and b steps in y maps to plane cell
     (-a, -b).
     """
-    L, edges = _successor_graph(config)
-    moves = {}  # cell -> (root, a, b)
-    for start in edges:
-        path, on_path = [], {}
-        v = start
-        while v not in moves:
-            if v in on_path:
-                root = root_rule(path[on_path[v]:])
-                moves[root] = (root, 0, 0)
-                # cycle cells after the root are reached by later walks
-                del path[on_path[root]:]
-                break
-            on_path[v] = len(path)
-            path.append(v)
-            v = edges[v]
-        for u in reversed(path):
-            w = edges[u]
-            root, a, b = moves[w]
-            moves[u] = (root, a + 1, b) if w == ((u[0] + 1) % L, u[1]) else (root, a, b + 1)
-    if len(set(moves.values())) != len(moves):
-        raise RuntimeError("backtrace produced colliding plane cells")
-    pieces = {}
-    for root, a, b in moves.values():
-        pieces.setdefault(root, set()).add((-a, -b))
-    return [Polyomino(frozenset(cells)) for cells in pieces.values()]
+    s, L = _pack_torus(config)
+    return [Polyomino(_unpack(p, L * L + 1)) for p in _toric_pieces(s, L, root_rule)]
 
 
 def toric_stats(config):
-    c = np.asarray(config, dtype=bool)
-    L = c.shape[0]
-    cells = frozenset((int(x), int(y)) for x, y in zip(*np.nonzero(c)))
-    return stats(Polyomino(cells, frame=L))
+    return _stats(*_pack_torus(config), torus=True)
 
 
 @dataclass(frozen=True)
@@ -279,9 +311,12 @@ def decomposition_problems(config):
     invariants are: k <= m/L <= L, every m_i >= L, sum m_i = m, and
     n <= sum n_i <= n + k. An empty list means all hold.
     """
-    L = len(config)
-    ts = toric_stats(config)
-    piece_stats = [stats(p) for p in toric_to_plane(config)]
+    return _problems(*_pack_torus(config))
+
+
+def _problems(code, L):
+    ts = _stats(code, L, torus=True)
+    piece_stats = [_stats(p, L * L + 1) for p in _toric_pieces(code, L)]
     k = len(piece_stats)
     total_area = sum(s.area for s in piece_stats)
     total_upper = sum(s.upper_perimeter for s in piece_stats)
@@ -301,26 +336,21 @@ def decomposition_problems(config):
 
 def verify_decomposition(L):
     """Exhaustively check `decomposition_problems` on every configuration at size L."""
+    codes = _toric_codes(L)
     violations = []
-    n_valid = 0
-    for config in enumerate_toric(L):
-        n_valid += 1
-        problems = decomposition_problems(config)
+    for code in codes.tolist():
+        problems = _problems(code, L)
         if problems:
-            violations.append((ascii_art(config), "; ".join(problems)))
-    return DecompositionReport(L, n_valid, len(violations), tuple(violations))
+            grid = [[code >> (x * L + y) & 1 for y in range(L)] for x in range(L)]
+            violations.append((ascii_art(grid), "; ".join(problems)))
+    return DecompositionReport(L, len(codes), len(violations), tuple(violations))
 
 
 def ascii_art(cells_or_config):
     """Render a polyomino or boolean grid as rows of '#' and '.'."""
-    if isinstance(cells_or_config, Polyomino):
-        cells = cells_or_config.cells
-        xs = [c[0] for c in cells]
-        ys = [c[1] for c in cells]
-        lines = []
-        for x in range(min(xs), max(xs) + 1):
-            lines.append("".join("#" if (x, y) in cells else "."
-                                 for y in range(min(ys), max(ys) + 1)))
-        return "\n".join(lines)
-    grid = np.asarray(cells_or_config, dtype=bool)
-    return "\n".join("".join("#" if v else "." for v in row) for row in grid)
+    grid = cells_or_config
+    if isinstance(grid, Polyomino):
+        xy = np.array(sorted(grid.cells))
+        grid = np.zeros(np.ptp(xy, axis=0) + 1, dtype=bool)
+        grid[tuple((xy - xy.min(axis=0)).T)] = True
+    return "\n".join("".join("#" if v else "." for v in row) for row in np.asarray(grid, bool))

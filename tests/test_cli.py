@@ -59,12 +59,24 @@ def test_var_scan_past_dense_cap(tmp_path):
     assert code == 0
 
 
+def _output_lines(out):
+    """Each output file's lines as bytes, without its elapsed_seconds line and the out path."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        lines = path.read_bytes().replace(str(out).encode(), b"").split(b"\n")
+        files[path.name] = [line for line in lines if b'"elapsed_seconds"' not in line]
+    return files
+
+
 def test_polyomino_command(tmp_path):
-    out = tmp_path / "poly"
-    code = main(["polyomino", "--sizes", "2x2,3x3", "--max-area", "6", "--seed", "1",
-                 "--out", str(out)])
-    assert code == 0
+    out, out2 = tmp_path / "poly", tmp_path / "poly2"
+    args = ["polyomino", "--sizes", "2x2,3x3", "--max-area", "6", "--seed", "1"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    assert len(_output_lines(out)) == 4
+    assert _output_lines(out) == _output_lines(out2)
     doc = read_json(out / "polyomino_counts.json")
+    assert [(rec["L"], rec["n_valid"]) for rec in doc["decomposition"]] == [(2, 9), (3, 124)]
     assert doc["series_matches_enumeration"] is True
     assert doc["reference_shape"]["area"] == 6
     assert doc["reference_shape"]["perimeter"] == 14

@@ -24,17 +24,20 @@ REFERENCE_SHAPE = frozenset({(-3, -1), (-2, -1), (-1, -2), (-1, -1), (-1, 0), (0
 
 
 def brute_force_directed_counts(m_max):
-    """Independent oracle: filter all subsets of the reachable quadrant triangle."""
+    """Independent oracle: filter all subsets of the reachable quadrant triangle.
+
+    Counts by (area, upper perimeter), the upper perimeter counted on a grid.
+    """
     universe = [(-a, -b) for a in range(m_max) for b in range(m_max - a)]
     universe.remove((0, 0))
-    counts = {m: 0 for m in range(1, m_max + 1)}
-    counts[1] = 1
-    for m in range(2, m_max + 1):
+    counts = {}
+    for m in range(1, m_max + 1):
         for extra in itertools.combinations(universe, m - 1):
             cells = set(extra) | {(0, 0)}
             if all((x + 1, y) in cells or (x, y + 1) in cells
                    for (x, y) in cells if (x, y) != (0, 0)):
-                counts[m] += 1
+                _, _, n = grid_stats(cells)
+                counts[(m, n)] = counts.get((m, n), 0) + 1
     return counts
 
 
@@ -57,6 +60,11 @@ def test_stats_rejects_empty():
         stats(Polyomino(frozenset()))
 
 
+def test_stats_rejects_cells_off_the_torus():
+    with pytest.raises(ValueError, match="outside the 3 x 3 torus"):
+        stats(Polyomino(frozenset({(0, 0), (0, 3)}), frame=3))
+
+
 def _cell_sets(hi):
     return hst.sets(hst.tuples(hst.integers(0, hi), hst.integers(0, hi)), min_size=1)
 
@@ -71,10 +79,11 @@ def test_stats_match_a_grid_count(case):
     assert stats(Polyomino(frozenset(cells), frame)) == grid_stats(cells, frame)
 
 
-def test_counts_by_area_match_independent_oracle():
-    enum = enumerate_directed(5)
-    assert by_area(enum) == brute_force_directed_counts(5)
-    assert by_area(enum) == {1: 1, 2: 2, 3: 5, 4: 13, 5: 35}
+def test_counts_match_independent_oracle():
+    # every subset of up to 5 of the 20 other cells with a + b <= 5
+    enum = enumerate_directed(6)
+    assert enum.counts == brute_force_directed_counts(6)
+    assert by_area(enum) == {1: 1, 2: 2, 3: 5, 4: 13, 5: 35, 6: 96}
 
 
 def test_area_one_counts():
@@ -112,8 +121,8 @@ def test_perimeter_at_least_twice_upper_perimeter():
 
 
 def test_series_matches_enumeration_exactly():
-    enum = enumerate_directed(8)
-    series = series_coefficients(8, 8)
+    enum = enumerate_directed(ENUMERATION_BUDGET)
+    series = series_coefficients(ENUMERATION_BUDGET, ENUMERATION_BUDGET)
     assert series.counts == enum.counts
 
 
@@ -254,6 +263,14 @@ def test_decomposition_invariants_random_large(cfg):
         cfg = cfg & ~dead
     assume(cfg.any())
     assert decomposition_problems(cfg) == []
+
+
+@pytest.mark.parametrize("check", [toric_stats, toric_to_plane, decomposition_problems])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), (0, 0)], ids=str)
+def test_toric_checks_reject_grids_that_are_not_square(check, shape):
+    # the torus side is read from the grid, so anything but a nonempty square is refused
+    with pytest.raises(ValueError, match="square grid"):
+        check(np.ones(shape, dtype=bool))
 
 
 def test_decomposition_rejects_invalid_config():

@@ -35,13 +35,11 @@ from .polyomino import (
     verify_decomposition,
 )
 from .spinmodel import (
-    IsingCouplings,
     WeightTable,
     exact_partition_function,
     global_loss_weights,
     mc_second_moment,
     norm_weights,
-    two_layer_site_weight,
 )
 from .states import (
     TNState,
@@ -52,7 +50,6 @@ from .states import (
     norm_squared,
     overlap,
     save_state,
-    to_statevector,
 )
 from .tensors import (
     SecondMomentWeights,

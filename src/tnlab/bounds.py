@@ -32,8 +32,10 @@ class BoundReport:
 
 
 def _upper_report(name, params, bound, compared):
+    """An upper-bound report; a non-finite bound (inf where it overflows) is never satisfied."""
     return BoundReport(name, params, float(bound), float(compared),
-                       compared <= bound, float(bound / max(compared, 1e-300)))
+                       math.isfinite(bound) and compared <= bound,
+                       float(bound / max(compared, 1e-300)))
 
 
 def norm_excess_bound(L, D, d):

@@ -3,9 +3,6 @@
 from dataclasses import dataclass
 from numbers import Integral
 
-# amplitudes that the dense statevector (`network.statevector`) may hold
-DEFAULT_AMPLITUDE_CAP = 2**24
-
 
 @dataclass(frozen=True)
 class LatticeSpec:

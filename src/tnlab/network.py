@@ -18,7 +18,6 @@ plain (l1, l2, ...) grids of site tensors:
   into the bra at its site: <psi| op = (op |psi>)^dagger. A double-layer
   transfer matrix is one product over the physical legs,
   T[(L, L'), (R, R')] = sum_P K[L, R, P] conj(B[L', R', P]).
-- `statevector` chains the ket columns into the dense amplitudes.
 
 A `bra_ket` column is a completely positive map X -> sum_P K_P X K_P^dagger,
 which takes Hermitian matrices to Hermitian matrices. Its ring runs in a
@@ -66,7 +65,6 @@ import itertools
 import numpy as np
 
 from .errors import ResourceLimitError
-from .lattice import DEFAULT_AMPLITUDE_CAP
 
 # bytes that one ring's transfer matrices, ket columns, grids and environments may take
 NETWORK_BUDGET = 2**30
@@ -427,33 +425,3 @@ def overlap(ket, phi, dket=None):
     _check_sweep(ket, dket)
     dgrid = None if dket is None else site_single_tensor(dket, phi)
     return contract(site_single_tensor(ket, phi), dgrid)
-
-
-def statevector(ket):
-    """Dense amplitudes of the (l1, l2, a, b, g, l, j) site tensors ket.
-
-    One leg of extent d per site, in row-major (x, y) order. The ket columns
-    are chained into two halves, which close the ring. Raises ResourceLimitError, before any work, when
-    the d**(l1*l2) amplitudes exceed DEFAULT_AMPLITUDE_CAP.
-    """
-    l1, l2, d = *ket.shape[:2], ket.shape[-1]
-    if d ** (l1 * l2) > DEFAULT_AMPLITUDE_CAP:
-        raise ResourceLimitError(
-            f"d**(l1*l2) = {d}**{l1 * l2} exceeds the dense cap {DEFAULT_AMPLITUDE_CAP}")
-    columns = [_ket_column(ts) for ts in _orient(ket)]
-
-    def chain(cols):
-        # acc[L, P, R] over the columns so far
-        acc = cols[0].transpose(0, 2, 1)
-        for c in cols[1:]:
-            na, nJ, _ = acc.shape
-            _, nr, nj = c.shape
-            acc = np.einsum("aJb,bcj->aJjc", acc, c).reshape(na, nJ * nj, nr)
-        return acc
-
-    half = (len(columns) + 1) // 2
-    psi = np.tensordot(chain(columns[:half]), chain(columns[half:]), axes=[(0, 2), (2, 0)])
-    # the legs run in (column, row) order; map them back to row-major sites
-    legs = np.arange(l1 * l2).reshape(len(columns), -1)
-    perm = (legs if l1 > l2 else legs.T).reshape(-1)
-    return np.ascontiguousarray(psi.reshape((d,) * (l1 * l2)).transpose(perm))

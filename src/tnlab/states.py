@@ -124,11 +124,6 @@ def _ket(state):
     return local_tensor(state.params, state.spec.D, state.spec.d)
 
 
-def to_statevector(state):
-    """Dense amplitude tensor, one leg of extent d per site in row-major (x, y) order."""
-    return network.statevector(_ket(state))
-
-
 def norm_squared(state):
     """<psi|psi> by bra-ket network contraction (no statevector materialized)."""
     return network.bra_ket(_ket(state))

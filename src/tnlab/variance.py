@@ -97,10 +97,12 @@ def variance_scan(spec, loss, n_samples, seed, workers=1):
     """Empirical per-site Var(d loss/d theta) over n_samples independent states."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.monotonic()
     sample_keys = np.random.SeedSequence(seed).spawn(n_samples)
 
-    if workers and workers > 1:
+    if workers > 1:
         chunks = np.array_split(np.arange(n_samples), min(workers, n_samples))
         jobs = [(spec, loss, [sample_keys[i] for i in idx]) for idx in chunks if len(idx)]
         grads, failures = [], 0

@@ -1,10 +1,34 @@
 """Test-side oracles: independent reference implementations that only the tests use."""
 
+import string
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from tnlab import network
+from tnlab.spinmodel import KIND_NORM, WeightTable
+
+
+def dense_amplitudes(ket):
+    """Dense amplitudes of the (l1, l2, a, b, g, l, j) site tensors ket: one einsum over every bond.
+
+    One leg of extent d per site, in row-major (x, y) order. The sites are
+    contracted in that order, each into the running product, which the path
+    keeps as the last operand: with optimize="greedy" the einsum takes about
+    2 s at 3x2 with D = 3, and more than two minutes at 3x3.
+    """
+    l1, l2 = ket.shape[:2]
+    sites = [(x, y) for x in range(l1) for y in range(l2)]
+    letters = iter(string.ascii_letters)
+    down = {s: next(letters) for s in sites}  # bond (x, y) -> (x + 1, y)
+    right = {s: next(letters) for s in sites}  # bond (x, y) -> (x, y + 1)
+    phys = {s: next(letters) for s in sites}
+    terms = [down[(x - 1) % l1, y] + right[x, (y - 1) % l2] + down[x, y] + right[x, y] + phys[x, y]
+             for x, y in sites]
+    expr = ",".join(terms) + "->" + "".join(phys[s] for s in sites)
+    path = ["einsum_path", (0, 1), *((0, k) for k in range(len(sites) - 2, 0, -1))]
+    return np.einsum(expr, *(ket[s] for s in sites), optimize=path)
 
 
 def by_area(counts):
@@ -67,3 +91,114 @@ def normalized_local_gradient(ket, dket, site, op):
     z, dz = network.bra_ket(ket, dket)
     n, dn = network.bra_ket(ket, dket, site, op)
     return 2.0 * (dn.real * z - n * dz.real) / z**2
+
+
+
+# The Boltzmann form of the two-layer Ising model. Spin-to-sign convention: down -> +1,
+# up -> -1. The couplings enter the per-site energy as H_site = -(J1*s1*(s3+s4) + J2*s1*s2
+# + hz*s1)/2: the printed form of the Hamiltonian in our source material carries a sign
+# typo (no +-1 convention reproduces the tabulated weights), so the signs here are fixed by
+# demanding consistency with the closed-form tables of `tnlab.spinmodel`, which are
+# themselves verified against Monte-Carlo Haar integration.
+
+_SIGN = (1, -1)  # index 0 = down, 1 = up
+
+
+@dataclass(frozen=True)
+class IsingCouplings:
+    """Couplings of the two-layer model at unitary dimension N = D^2 d.
+
+    j1 couples a bottom spin to the upper spins of its two successor sites,
+    j2 couples the two layers on one site, hz is the external field acting on
+    the bottom layer. The imaginary part pi of j2 realizes the sign of the
+    cross-pairing Weingarten weight.
+    """
+
+    D: int
+    d: int
+
+    def __post_init__(self):
+        if self.D < 2 or self.d < 2:
+            raise ValueError("D and d must be >= 2")
+
+    @property
+    def N(self):
+        return self.D * self.D * self.d
+
+    @property
+    def j1(self):
+        return complex(np.log(self.D))
+
+    @property
+    def j2(self):
+        return 1j * np.pi + np.log(self.N)
+
+    @property
+    def hz(self):
+        return float(np.log(self.d))
+
+    def site_prefactor(self, field):
+        """Per-site constant multiplying the bottom-layer Boltzmann sum.
+
+        Derived from the two-fold Weingarten identity: -i N/(N^2-1) when the
+        physical leg carries the field, -i D^3/(sqrt(N) (N^2-1)) without it.
+        """
+        n = self.N
+        if field:
+            return -1j * n / (n**2 - 1)
+        return -1j * self.D**3 / (np.sqrt(n) * (n**2 - 1))
+
+
+def two_layer_site_weight(couplings, s1, s2, s3, s4, field=True):
+    """Boltzmann factor exp(-H_site) for one site, spins given as +-1 (down = +1).
+
+    s1 is the bottom-layer spin, s2 the same-site upper spin, s3/s4 the upper
+    spins of the right/down successor sites.
+    """
+    h = couplings.j1 * s1 * (s3 + s4) + couplings.j2 * s1 * s2
+    if field:
+        h = h + couplings.hz * s1
+    return np.exp(0.5 * h)
+
+
+def _boltzmann_weights(couplings, field):
+    """Site Boltzmann factors exp(-H_site) indexed [s1, s2, s3, s4], 0 = down."""
+    s1, s2, s3, s4 = np.ix_(_SIGN, _SIGN, _SIGN, _SIGN)
+    return two_layer_site_weight(couplings, s1, s2, s3, s4, field)
+
+
+def table_from_boltzmann(D, d, kind):
+    """Rebuild a weight table by summing the bottom layer of the Boltzmann form.
+
+    Independent of the closed forms; equality of the two is the consistency
+    check tying the Hamiltonian picture to the tabulated weights.
+    """
+    couplings = IsingCouplings(D, d)
+    field = kind == KIND_NORM
+    w = couplings.site_prefactor(field) * _boltzmann_weights(couplings, field).sum(axis=0)
+    if np.abs(w.imag).max() >= 1e-12:
+        raise RuntimeError(f"Boltzmann site weights {w.tolist()} are not real")
+    return WeightTable(D, d, kind, w.real.copy())
+
+
+def exact_partition_function_two_layer(l1, l2, D, d, kind=KIND_NORM):
+    """Partition function summed over BOTH spin layers in the Boltzmann form.
+
+    Every one of the 4**(l1*l2) configurations is enumerated at once: bit k of a
+    code is the bottom spin of site k (row-major) and bit n + k its upper spin,
+    for n = l1*l2 sites. Complex weights are accumulated and the imaginary part
+    of the result must vanish; used as a cross-check of the single-layer table
+    path at small sizes.
+    """
+    n = l1 * l2
+    couplings = IsingCouplings(D, d)
+    field = kind == KIND_NORM
+    w = (couplings.site_prefactor(field) * _boltzmann_weights(couplings, field)).reshape(-1)
+    x, y = np.divmod(np.arange(n), l2)
+    right, down = x * l2 + (y + 1) % l2, (x + 1) % l1 * l2 + y
+    bits = (np.arange(1 << 2 * n)[:, None] >> np.arange(2 * n)) & 1
+    bottom, upper = bits[:, :n], bits[:, n:]
+    z = np.sum(np.prod(w[8 * bottom + 4 * upper + 2 * upper[:, right] + upper[:, down]], axis=1))
+    if abs(z.imag) >= 1e-10:
+        raise RuntimeError(f"two-layer partition function {z} is not real")
+    return float(z.real)

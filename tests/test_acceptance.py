@@ -19,12 +19,13 @@ from tnlab.polyomino import (Polyomino, directed_gf, enumerate_directed,
                              series_coefficients, stats, verify_decomposition)
 from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
                              exact_partition_function, global_loss_weights,
-                             mc_second_moment, norm_weights, table_from_boltzmann)
+                             mc_second_moment, norm_weights)
 from tnlab.states import build_state, norm_squared
 from tnlab.tensors import SecondMomentWeights, haar_unitaries, second_moment_channel
 from tnlab.variance import distance_profile, variance_scan
 
 from conftest import record_criterion
+from oracles import table_from_boltzmann
 
 
 def test_criterion_01_second_moment_channel_oracle():

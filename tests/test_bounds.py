@@ -35,6 +35,14 @@ def test_norm_excess_bound_dominates_exact_values():
         assert report.slack > 1.0
 
 
+@pytest.mark.parametrize("L", [139, 150, 189])
+def test_an_infinite_bound_is_never_satisfied(L):
+    # at D = d = 2 the norm bound overflows to inf for L = 139..189; inf bounds nothing
+    report = norm_excess_report(L, 2, 2, 0.5)
+    assert report.bound == np.inf
+    assert not report.satisfied and not report.to_json_dict()["satisfied"]
+
+
 def test_norm_excess_bound_asymptotic_rate():
     # once the single-string branch dominates, successive bounds shrink at
     # least as fast as the headline rate times the polynomial correction

@@ -53,7 +53,7 @@ def test_var_scan_local_emits_distance_profile(tmp_path):
 
 
 def test_var_scan_past_dense_cap(tmp_path):
-    # 26 sites: beyond the dense statevector cap, well within the network budget
+    # 26 sites: 2**26 dense amplitudes, which no command builds, well within the network budget
     code = main(["var-scan", "--sizes", "2x13", "--samples", "3", "--seed", "9",
                  "--out", str(tmp_path / "scan")])
     assert code == 0

@@ -17,9 +17,9 @@ from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NOR
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value,
                           plus_projector, plus_target, traceless_observable)
 from tnlab.states import (TNState, build_state, local_derivative_tensor, local_expectation,
-                          local_tensor, norm_squared, overlap, to_statevector)
+                          local_tensor, norm_squared, overlap)
 
-from oracles import normalized_local_gradient
+from oracles import dense_amplitudes, normalized_local_gradient
 
 
 def finite_difference(state, site, loss, h=1e-5):
@@ -27,6 +27,10 @@ def finite_difference(state, site, loss, h=1e-5):
         return state.with_theta(*site, state.site(*site).theta + dt)
 
     return (loss_value(shifted(h), loss) - loss_value(shifted(-h), loss)) / (2 * h)
+
+
+def dense_psi(state):
+    return dense_amplitudes(local_tensor(state.params, state.spec.D, state.spec.d))
 
 
 def dense_overlap(psi, target):
@@ -112,7 +116,7 @@ def test_global_pure_matches_overlap_formula():
     st = build_state(spec, rng)
     target = plus_target(spec)
     loss = LossSpec(kind=GLOBAL_PURE, target=target)
-    w = dense_overlap(to_statevector(st), target)
+    w = dense_overlap(dense_psi(st), target)
     assert abs(loss_value(st, loss) - (1.0 - abs(w) ** 2)) < 1e-12
 
 
@@ -140,7 +144,7 @@ def test_local_unnormalized_matches_expectation():
     st = build_state(spec, rng)
     obs = traceless_observable(2)
     loss = LossSpec(kind=LOCAL_UNNORMALIZED, observable=obs, site=(0, 1))
-    expected = dense_expectation(to_statevector(st), spec, (0, 1), obs)
+    expected = dense_expectation(dense_psi(st), spec, (0, 1), obs)
     assert abs(loss_value(st, loss) - expected) < 1e-10
 
 
@@ -154,7 +158,7 @@ def test_network_values_match_dense_statevector(l1, l2, D, seed, site_index):
     target = random_product_target(spec, rng)
     site = divmod(site_index % spec.n_sites, l2)
     obs = traceless_observable(2)
-    psi = to_statevector(st)
+    psi = dense_psi(st)
     z = float(np.vdot(psi, psi).real)
     w = dense_overlap(psi, target)
     n = dense_expectation(psi, spec, site, obs)

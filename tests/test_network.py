@@ -15,6 +15,8 @@ from tnlab.lattice import LatticeSpec
 from tnlab.states import build_state, local_derivative_tensor, local_tensor
 from tnlab.tensors import random_hermitian
 
+from oracles import dense_amplitudes
+
 
 def _tensors(l1, l2, D, d, seed):
     st = build_state(LatticeSpec(l1, l2, D, d), np.random.default_rng(seed))
@@ -117,11 +119,11 @@ def test_overlap_sweep_equals_dense_overlaps_with_one_site_replaced(l1, l2, d):
     ket, dket = _tensors(l1, l2, 2, d, seed)
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((l1, l2, d)) + 1j * rng.standard_normal((l1, l2, d))
-    # one leg per site in row-major (x, y) order, as `statevector` lays them out
+    # one leg per site in row-major (x, y) order, as `dense_amplitudes` lays them out
     dense_phi = functools.reduce(np.multiply.outer, phi.reshape(-1, d))
 
     def dense_overlap(grid):
-        return np.sum(dense_phi.conj() * network.statevector(grid))
+        return np.sum(dense_phi.conj() * dense_amplitudes(grid))
 
     value, sweep = network.overlap(ket, phi, dket)
     assert _close(value, dense_overlap(ket))

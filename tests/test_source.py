@@ -1,9 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "tnlab").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "tnlab").glob("*.py"))
 
 
 def test_library_has_no_assert_statements():
@@ -19,7 +22,7 @@ def test_library_has_no_assert_statements():
 
 
 # the network entry points; everything else in `network` is its own business
-NETWORK_API = {"contract", "bra_ket", "overlap", "statevector", "NETWORK_BUDGET"}
+NETWORK_API = {"contract", "bra_ket", "overlap", "NETWORK_BUDGET"}
 
 
 def test_library_uses_only_the_network_entry_points():
@@ -76,3 +79,20 @@ def test_every_library_constant_is_read():
     assert assigned, "no library constants found"
     unread = {name: module for name, module in assigned.items() if name not in read}
     assert unread == {}, f"constants never read (name: module): {unread}"
+
+
+def test_the_span_tracer_finds_every_name_it_wraps():
+    # benchmarks/spans.py wraps library functions by name, and deleting one of them makes
+    # Tracer.__enter__ raise AttributeError; the tracer is entered here as a traced run does
+    import tnlab.cli  # noqa: F401  (imports every module the tracer patches)
+
+    loader = importlib.util.spec_from_file_location("spans", ROOT / "benchmarks" / "spans.py")
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    names = [(sys.modules[f"tnlab.{mod}"], fn) for mod, fns in spans.TARGETS.items()
+             for fn in fns]
+    originals = [getattr(module, fn) for module, fn in names]
+    with spans.Tracer():
+        assert all(getattr(module, fn) is not original
+                   for (module, fn), original in zip(names, originals))
+    assert all(getattr(module, fn) is original for (module, fn), original in zip(names, originals))

@@ -12,12 +12,13 @@ from hypothesis import strategies as hst
 
 import tnlab
 from tnlab.lattice import LatticeSpec
-from tnlab.spinmodel import (IsingCouplings, KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
-                             exact_partition_function, exact_partition_function_two_layer,
-                             global_loss_weights, mc_second_moment, norm_weights,
-                             table_from_boltzmann, two_layer_site_weight)
+from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
+                             exact_partition_function, global_loss_weights, mc_second_moment,
+                             norm_weights)
 
-from oracles import ConfigClass, classify_config
+from oracles import (ConfigClass, IsingCouplings, classify_config,
+                     exact_partition_function_two_layer, table_from_boltzmann,
+                     two_layer_site_weight)
 
 DOWN, UP = 0, 1
 

@@ -16,12 +16,14 @@ import tnlab
 from tnlab import network
 from tnlab.cli import EXIT_RESOURCE, main
 from tnlab.errors import ResourceLimitError
-from tnlab.lattice import DEFAULT_AMPLITUDE_CAP, LatticeSpec
+from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, loss_value, plus_projector, plus_target)
 from tnlab.states import (SiteParams, TNState, build_state, load_state, local_derivative_tensor,
                           local_expectation, local_tensor, norm_squared, overlap,
-                          save_state, to_statevector)
+                          save_state)
+
+from oracles import dense_amplitudes
 
 BENCHMARK_DATA = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
 
@@ -148,11 +150,10 @@ def test_build_state_refuses_oversized_state_before_drawing():
     assert rng.bit_generator.state == before
 
 
-def test_dense_cap_applies_to_statevector_only():
-    # 26 sites exceed the 2**24-amplitude dense cap; the network runs at
+def test_every_loss_runs_at_2x13_under_the_network_budget():
+    # 26 sites: 2**26 dense amplitudes, which nothing builds; the network runs at
     # transfer dimension 16
     spec = LatticeSpec(2, 13, 2, 2)
-    assert spec.d ** spec.n_sites > DEFAULT_AMPLITUDE_CAP
     st = build_state(spec, np.random.default_rng(0))
     assert 0.0 < norm_squared(st) < np.inf
     target = plus_target(spec)
@@ -161,8 +162,6 @@ def test_dense_cap_applies_to_statevector_only():
                  LossSpec(kind=LOCAL_UNNORMALIZED, observable=plus_projector(2), site=(1, 7)),
                  LossSpec(kind=LOCAL_NORMALIZED, observable=plus_projector(2), site=(1, 7))]:
         assert np.isfinite(loss_value(st, loss))
-    with pytest.raises(ResourceLimitError, match="dense cap"):
-        to_statevector(st)
 
 
 def test_network_budget_refuses_6x6_before_allocating():
@@ -242,7 +241,7 @@ def test_identity_embedded_norm_value():
     st = identity_state(spec)
     ns = norm_squared(st)
     assert abs(ns - 256.0) < 1e-9
-    psi = to_statevector(st)
+    psi = dense_amplitudes(local_tensor(st.params, 2, 2))
     assert abs(np.vdot(psi, psi).real - ns) < 1e-9
 
 
@@ -268,29 +267,10 @@ def test_derivative_tensor_at_theta_zero():
 def test_statevector_consistency(shape):
     spec = LatticeSpec(shape[0], shape[1], 2, 2)
     st = build_state(spec, np.random.default_rng(9))
-    psi = to_statevector(st)
+    psi = dense_amplitudes(local_tensor(st.params, 2, 2))
     assert psi.shape == (2,) * spec.n_sites
     ns = norm_squared(st)
     assert abs(np.vdot(psi, psi).real - ns) < 1e-10 * max(1.0, ns)
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 4)])
-def test_statevector_matches_bond_sum(shape):
-    # oracle independent of the column layout: one einsum over every bond
-    spec = LatticeSpec(shape[0], shape[1], 2, 2)
-    st = build_state(spec, np.random.default_rng(10))
-    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-    down = {s: next(letters) for s in spec.sites()}  # bond (x, y) -> (x + 1, y)
-    right = {s: next(letters) for s in spec.sites()}  # bond (x, y) -> (x, y + 1)
-    phys = {s: next(letters) for s in spec.sites()}
-    operands, terms = [], []
-    for x, y in spec.sites():
-        up, left = down[(x - 1) % spec.l1, y], right[x, (y - 1) % spec.l2]
-        terms.append(up + left + down[x, y] + right[x, y] + phys[x, y])
-        operands.append(local_tensor(st.site(x, y), 2, 2))
-    expr = ",".join(terms) + "->" + "".join(phys[s] for s in spec.sites())
-    dense = np.einsum(expr, *operands, optimize="greedy")
-    assert np.abs(to_statevector(st) - dense).max() < 1e-12 * np.abs(dense).max()
 
 
 def test_overlap_against_dense():
@@ -298,7 +278,7 @@ def test_overlap_against_dense():
     rng = np.random.default_rng(10)
     st = build_state(spec, rng)
     phi = random_product_state(spec, rng)
-    psi = to_statevector(st).reshape(-1)
+    psi = dense_amplitudes(local_tensor(st.params, 2, 2)).reshape(-1)
     w = psi
     for x in range(spec.l1):
         for y in range(spec.l2):
@@ -325,7 +305,7 @@ def test_local_expectation():
     assert abs(local_expectation(st, (0, 1), np.eye(2)) - norm_squared(st)) < 1e-10
     assert local_expectation(st, (1, 2), np.zeros((2, 2))) == 0.0
     obs = tnlab.traceless_observable(2)
-    psi = to_statevector(st)
+    psi = dense_amplitudes(local_tensor(st.params, 2, 2))
     k = 1 * 3 + 1
     front = np.moveaxis(psi, k, 0).reshape(2, -1)
     dense = np.vdot(front, obs @ front).real

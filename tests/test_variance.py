@@ -80,6 +80,13 @@ def test_scan_worker_count_does_not_change_results():
     assert np.array_equal(serial.mean, parallel.mean)
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_scan_rejects_fewer_than_one_worker(workers):
+    spec = LatticeSpec(2, 2, 2, 2)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        variance_scan(spec, local_loss(), 2, seed=0, workers=workers)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 

@@ -23,7 +23,6 @@ from .losses import (
     traceless_observable,
 )
 from .polyomino import (
-    Polyomino,
     PolyominoCounts,
     directed_gf,
     enumerate_directed,

@@ -82,13 +82,13 @@ def global_variance_bound(n_sites, D, d):
     return 2.0**n_sites * g_max ** (n_sites - 1)
 
 
-def onsite_floor_prefactors(D, d, tr_o2, tr_o=0.0):
-    """The two explicit on-site variance floor prefactors.
+def onsite_floor_prefactors(D, d, tr_o2):
+    """The two explicit on-site variance floor prefactors, for a traceless observable O.
 
-    Returns (D^2 (1 - 1/d) / ((D^2 d)^2 - 1), D^2 (tr O^2 - (tr O)^2/d) / ((D^2 d)^2 - 1)).
+    Returns (D^2 (1 - 1/d) / ((D^2 d)^2 - 1), D^2 tr O^2 / ((D^2 d)^2 - 1)).
     """
     if tr_o2 <= 0:
         raise ValueError("tr(O^2) must be positive")
     den = (D**2 * d) ** 2 - 1.0
     return (D**2 * (1.0 - 1.0 / d) / den,
-            D**2 * (tr_o2 - tr_o**2 / d) / den)
+            D**2 * tr_o2 / den)

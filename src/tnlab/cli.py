@@ -26,8 +26,7 @@ from .errors import ResourceLimitError
 from .lattice import LatticeSpec
 from .losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LossSpec,
                      plus_projector, plus_target)
-from .polyomino import (enumerate_directed, series_coefficients, stats,
-                        Polyomino, verify_decomposition)
+from .polyomino import enumerate_directed, series_coefficients, stats, verify_decomposition
 from .spinmodel import exact_partition_function, mc_second_moment, norm_weights
 from .variance import distance_profile, variance_scan
 
@@ -162,7 +161,7 @@ def cmd_polyomino(config, max_area):
                                "n_violations": rep.n_violations})
 
     enum = enumerate_directed(max_area)
-    series = series_coefficients(max_area, max_area)
+    series = series_coefficients(max_area)
     rows = [("area", "upper_perimeter", "enumerated", "series", "match")]
     mismatch = False
     for key in sorted(set(enum.counts) | set(series.counts)):
@@ -171,11 +170,11 @@ def cmd_polyomino(config, max_area):
         rows.append((key[0], key[1], a, b, a == b))
 
     # reference shape: directed polyomino with the documented statistics (6, 14, 3)
-    ref = Polyomino(frozenset({(-3, -1), (-2, -1), (-1, -2), (-1, -1), (-1, 0), (0, 0)}))
+    ref = frozenset({(-3, -1), (-2, -1), (-1, -2), (-1, -1), (-1, 0), (0, 0)})
     ref_stats = stats(ref)
     ref_rows = [("area", "perimeter", "upper_perimeter", "cells"),
                 (ref_stats.area, ref_stats.perimeter, ref_stats.upper_perimeter,
-                 json.dumps(sorted(ref.cells)))]
+                 json.dumps(sorted(ref)))]
 
     elapsed = time.monotonic() - t0
     outdir = Path(config.out)
@@ -184,7 +183,7 @@ def cmd_polyomino(config, max_area):
         "counts": [{"area": k[0], "upper_perimeter": k[1], "count": v}
                    for k, v in sorted(enum.counts.items())],
         "series_matches_enumeration": not mismatch,
-        "reference_shape": {"cells": sorted(ref.cells), "area": ref_stats.area,
+        "reference_shape": {"cells": sorted(ref), "area": ref_stats.area,
                             "perimeter": ref_stats.perimeter,
                             "upper_perimeter": ref_stats.upper_perimeter},
         "decomposition": bridge_records,
@@ -257,6 +256,10 @@ def main(argv=None):
     try:
         if not 1 <= config.workers <= (os.cpu_count() or 1):
             raise ValueError(f"--workers must be between 1 and the CPU count, {os.cpu_count()}")
+        out = Path(config.out).absolute()
+        nearest = next(p for p in (out, *out.parents) if p.exists())  # nearest existing path
+        if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+            raise ValueError(f"--out {config.out}: {nearest} is not a writable directory")
         if args.command == "norm-stats":
             return cmd_norm_stats(config)
         if args.command == "var-scan":

@@ -106,12 +106,11 @@ def loss_value(state, loss):
 
 def gradient_map(state, loss):
     """d(loss)/d(theta) for every site's parameter, as an (l1, l2) array."""
-    spec = state.spec
-    ket = local_tensor(state.params, spec.D, spec.d)
-    dket = local_derivative_tensor(state.params, spec.D, spec.d)
+    ket = local_tensor(state)
+    dket = local_derivative_tensor(state)
 
     if loss.kind in GLOBAL_KINDS:
-        w, dw = network.overlap(ket, check_product_state(spec, loss.target), dket)
+        w, dw = network.overlap(ket, check_product_state(state.spec, loss.target), dket)
         d_fid = 2.0 * (w.real * dw.real + w.imag * dw.imag)  # 2 Re(conj(w) dw)
         if loss.kind == GLOBAL_PURE:
             return -d_fid

@@ -21,7 +21,7 @@ the two-layer model: boolean (L, L) grids in which every occupied cell has an
 occupied successor to the right or below (modulo L). `toric_to_plane`
 decomposes one into rooted plane polyominoes: it walks from every occupied
 cell along the one out-edge of each cell to the unique cycle of its component,
-which it roots when first found.
+which it roots at its smallest vertex when first found.
 """
 
 from collections import Counter
@@ -35,14 +35,6 @@ from .errors import ResourceLimitError
 ENUMERATION_BUDGET = 12
 SERIES_BUDGET = 24
 TORIC_BUDGET = 4
-
-
-@dataclass(frozen=True)
-class Polyomino:
-    """Cell set; frame is None for the plane or L for the L x L torus."""
-
-    cells: frozenset
-    frame: int = None
 
 
 class PolyominoStats(NamedTuple):
@@ -81,15 +73,10 @@ def _stats(s, width, torus=False):
     return PolyominoStats(s.bit_count(), sum(exposed), exposed[0])
 
 
-def stats(poly):
-    """(area, perimeter, upper perimeter) from the defining set formulas."""
-    cells, frame = poly.cells, poly.frame
+def stats(cells):
+    """(area, perimeter, upper perimeter) of a plane cell set, from the defining set formulas."""
     if not cells:
         raise ValueError("empty cell set")
-    if frame is not None:
-        if not all(0 <= c < frame for cell in cells for c in cell):
-            raise ValueError(f"cells outside the {frame} x {frame} torus")
-        return _stats(sum(1 << int(x * frame + y) for x, y in cells), frame, torus=True)
     x0, y0 = max(x for x, _ in cells), max(y for _, y in cells)
     width = y0 - min(y for _, y in cells) + 2
     return _stats(sum(1 << int((x0 - x) * width + y0 - y) for x, y in cells), width)
@@ -132,7 +119,6 @@ def generate_directed(m_max):
 class PolyominoCounts:
     """Counts indexed by (area, upper perimeter)."""
 
-    m_max: int
     counts: dict
 
     def get(self, m, n):
@@ -143,7 +129,7 @@ def enumerate_directed(m_max):
     """Exact D_{m,n} counts by exhaustive generation."""
     levels, width = _directed_levels(m_max)
     # the upper perimeter |S \ (S + e_x)|
-    return PolyominoCounts(m_max, dict(Counter(
+    return PolyominoCounts(dict(Counter(
         (m, (s & ~(s >> width)).bit_count()) for m, level in enumerate(levels, 1) for s in level)))
 
 
@@ -162,19 +148,17 @@ def directed_gf(q, p):
     return p / 2.0 * (np.sqrt(rad) - 1.0)
 
 
-def series_coefficients(m_max, n_max):
+def series_coefficients(m_max):
     """Exact integer D_{m,n} from the power series of the closed form.
 
     With A = (1+q)(1+q-qp) and B = 1 - q(2+p) + q^2(1-p), the closed form is
     G = p/2 (y - 1) with y^2 = Y = A/B. Each q-coefficient of Y and then of y
     is solved one order at a time from B Y = A and y^2 = Y, as a polynomial in
     p with Python-integer coefficients. Both steps halve integers; an odd one
-    signals an internal expansion error. Raises ValueError when m_max or n_max
-    is below 1.
+    signals an internal expansion error. Raises ValueError when m_max is below 1.
     """
-    if min(m_max, n_max) < 1:
-        raise ValueError(f"the maximum area and upper perimeter must be at least 1, "
-                         f"got {m_max} and {n_max}")
+    if m_max < 1:
+        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
     if m_max > SERIES_BUDGET:
         raise ResourceLimitError(f"series expansion capped at area {SERIES_BUDGET}")
     width = m_max + 2  # the q^k coefficient has p-degree <= k, and A, B have p-degree 1
@@ -206,9 +190,9 @@ def series_coefficients(m_max, n_max):
     for m in range(1, m_max + 1):
         # G_m = p/2 y_m: D_{m,n} is the p^(n-1) coefficient of y_m / 2
         for n, c in enumerate(half(y[m], m), start=1):
-            if c and n <= n_max:
+            if c:
                 counts[(m, n)] = int(c)
-    return PolyominoCounts(m_max, counts)
+    return PolyominoCounts(counts)
 
 
 def _toric_codes(L):
@@ -240,7 +224,7 @@ def _pack_torus(config):
     return int.from_bytes(np.packbits(c, axis=None, bitorder="little").tobytes(), "little"), len(c)
 
 
-def _toric_pieces(s, L, root_rule=min):
+def _toric_pieces(s, L):
     """The plane pieces of the packed toric polyomino s, packed with rows L^2 + 1 bits apart."""
     n, width = L * L, L * L + 1
     _, ahead_x, _, ahead_y = _translates(s, L, torus=True)
@@ -258,8 +242,7 @@ def _toric_pieces(s, L, root_rule=min):
             path.append(v)
             v = edges[v][0]
         if v not in moves:  # the walk closed a cycle not seen before
-            x, y = root_rule([divmod(u, L) for u in path[path.index(v):]])
-            root = x * L + y
+            root = min(path[path.index(v):])
             moves[root] = (root, 0)
             # cycle cells after the root are reached by later walks
             del path[path.index(root):]
@@ -274,18 +257,18 @@ def _toric_pieces(s, L, root_rule=min):
     return list(pieces.values())
 
 
-def toric_to_plane(config, root_rule=min):
-    """Decompose a toric polyomino into rooted plane polyominoes.
+def toric_to_plane(config):
+    """Decompose a toric polyomino into rooted plane polyominoes, as frozensets of cells.
 
     Every occupied cell (x, y) has one out-edge, to (x+1, y) if occupied,
     else to (x, y+1), so the walk from any cell ends on the cycle of its
     component. A walk that closes a cycle not seen before roots that component
-    at `root_rule(cycle vertices)`. Going back along the walk, every cell that
-    reaches its root by a steps in x and b steps in y maps to plane cell
+    at its smallest cycle vertex (x, y). Going back along the walk, every cell
+    that reaches its root by a steps in x and b steps in y maps to plane cell
     (-a, -b).
     """
     s, L = _pack_torus(config)
-    return [Polyomino(_unpack(p, L * L + 1)) for p in _toric_pieces(s, L, root_rule)]
+    return [_unpack(p, L * L + 1) for p in _toric_pieces(s, L)]
 
 
 def toric_stats(config):
@@ -294,7 +277,6 @@ def toric_stats(config):
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    L: int
     n_valid: int
     n_violations: int
     violations: tuple
@@ -343,14 +325,9 @@ def verify_decomposition(L):
         if problems:
             grid = [[code >> (x * L + y) & 1 for y in range(L)] for x in range(L)]
             violations.append((ascii_art(grid), "; ".join(problems)))
-    return DecompositionReport(L, len(codes), len(violations), tuple(violations))
+    return DecompositionReport(len(codes), len(violations), tuple(violations))
 
 
-def ascii_art(cells_or_config):
-    """Render a polyomino or boolean grid as rows of '#' and '.'."""
-    grid = cells_or_config
-    if isinstance(grid, Polyomino):
-        xy = np.array(sorted(grid.cells))
-        grid = np.zeros(np.ptp(xy, axis=0) + 1, dtype=bool)
-        grid[tuple((xy - xy.min(axis=0)).T)] = True
+def ascii_art(grid):
+    """Render a boolean grid as rows of '#' and '.'."""
     return "\n".join("".join("#" if v else "." for v in row) for row in np.asarray(grid, bool))

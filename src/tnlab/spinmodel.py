@@ -32,8 +32,6 @@ KIND_GLOBAL = "global"
 class WeightTable:
     """Eight per-site weights indexed by (spin, right spin, down spin), 0 = down."""
 
-    D: int
-    d: int
     kind: str
     values: np.ndarray
 
@@ -74,7 +72,7 @@ def norm_weights(D, d):
     v[1, 0, 0] = 0.0
     v[1, 0, 1] = v[1, 1, 0] = (D**3 * d - D * d) / den
     v[1, 1, 1] = (D**4 * d - d) / den
-    return WeightTable(D, d, KIND_NORM, v)
+    return WeightTable(KIND_NORM, v)
 
 
 def global_loss_weights(D, d):
@@ -86,7 +84,7 @@ def global_loss_weights(D, d):
     v[0, 0, 0] = v[1, 1, 1] = (D**4 - 1.0 / d) / den
     v[0, 0, 1] = v[0, 1, 0] = v[1, 0, 1] = v[1, 1, 0] = (D**3 - D / d) / den
     v[1, 0, 0] = v[0, 1, 1] = (D**2 - D**2 / d) / den
-    return WeightTable(D, d, KIND_GLOBAL, v)
+    return WeightTable(KIND_GLOBAL, v)
 
 
 def _successor_indexing(l1, l2):
@@ -121,11 +119,6 @@ def all_config_amplitudes(l1, l2, table):
 
 @dataclass(frozen=True)
 class PartitionResult:
-    l1: int
-    l2: int
-    D: int
-    d: int
-    kind: str
     z: float
     ground_value: float
     excited_sum: float
@@ -146,7 +139,7 @@ def exact_partition_function(l1, l2, table):
         site[s, s] = v[s].T
     z = network.contract(np.broadcast_to(site, (l1, l2, *site.shape))).real
     ground = float(v[0, 0, 0]) ** (l1 * l2)
-    return PartitionResult(l1, l2, table.D, table.d, table.kind, z, ground, z - ground)
+    return PartitionResult(z, ground, z - ground)
 
 
 def mc_second_moment(spec, n_samples, rng):

@@ -4,7 +4,8 @@ Each site (x, y) carries a D^2 d x D^2 d unitary U = u_minus exp(-i theta G)
 u_plus acting on (up bond, left bond, physical-in); the site tensor
 A[a, b, g, l, j] = <g l j| U |a b 0> feeds legs g/l to the down/right
 neighbors. theta is the site's single variational parameter and G its
-Hermitian generator.
+Hermitian generator. A `TNState` holds these four factors of every site with
+leading (l1, l2) axes; `local_tensor` builds every site tensor at once.
 """
 
 import dataclasses
@@ -23,15 +24,17 @@ from .tensors import haar_from_ginibre, hermitian_from_gaussian, is_hermitian, i
 STATE_FORMAT = "tnlab-state-v1"
 
 
+def _expm_herm(scale, h):
+    """exp(1j * scale * h) for Hermitian h via eigendecomposition, batched over leading axes."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * scale[..., None] * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
-class SiteParams:
-    """Unitary factorizations U = u_minus exp(-i theta G) u_plus, batched over leading axes.
+class TNState:
+    """A random state: u_minus, u_plus, generator (l1, l2, N, N) and theta (l1, l2)."""
 
-    u_minus, u_plus and generator have shape (..., N, N) and theta shape (...):
-    a state holds one SiteParams with leading (l1, l2) axes, `TNState.site`
-    gives one site's.
-    """
-
+    spec: LatticeSpec
     u_minus: np.ndarray
     u_plus: np.ndarray
     generator: np.ndarray
@@ -42,37 +45,11 @@ class SiteParams:
         """exp(-i theta G), from one batched eigh that U and dU/dtheta share."""
         return _expm_herm(-np.asarray(self.theta), self.generator)
 
-    def embedded_unitary(self):
-        return self.u_minus @ self.exponential @ self.u_plus
-
-    def derivative_unitary(self):
-        """d/d theta of the embedded unitary: -iG inserted next to the exponential."""
-        mid = (-1j * self.generator) @ self.exponential
-        return self.u_minus @ mid @ self.u_plus
-
-
-def _expm_herm(scale, h):
-    """exp(1j * scale * h) for Hermitian h via eigendecomposition, batched over leading axes."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale[..., None] * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class TNState:
-    """A random state: `params` holds every site's factors with leading (l1, l2) axes."""
-
-    spec: LatticeSpec
-    params: SiteParams
-
-    def site(self, x, y):
-        p = self.params
-        return SiteParams(p.u_minus[x, y], p.u_plus[x, y], p.generator[x, y], p.theta[x, y])
-
     def with_theta(self, x, y, theta):
         """This state with site (x, y)'s parameter set to theta."""
-        thetas = np.array(self.params.theta, dtype=float)
+        thetas = np.array(self.theta, dtype=float)
         thetas[x, y] = theta
-        return TNState(self.spec, dataclasses.replace(self.params, theta=thetas))
+        return dataclasses.replace(self, theta=thetas)
 
 
 def build_state(spec, rng):
@@ -98,41 +75,39 @@ def build_state(spec, rng):
         theta[x, y] = rng.uniform(0.0, 2.0 * np.pi)
     u = haar_from_ginibre(raw[:, :, 0:4:2], raw[:, :, 1:4:2])
     generator = hermitian_from_gaussian(raw[:, :, 4], raw[:, :, 5])
-    return TNState(spec, SiteParams(u[:, :, 0], u[:, :, 1], generator, theta))
+    return TNState(spec, u[:, :, 0], u[:, :, 1], generator, theta)
 
 
 def _tensor_from_unitary(u, D, d):
-    # A[..., a, b, g, l, j] = U[..., (g, l, j), (a, b, 0)]
-    k = u.ndim - 2
-    u6 = u.reshape(*u.shape[:k], D, D, d, D, D, d)[..., 0]
-    return np.ascontiguousarray(u6.transpose(*range(k), k + 3, k + 4, k, k + 1, k + 2))
+    # A[x, y, a, b, g, l, j] = U[x, y, (g, l, j), (a, b, 0)]
+    u6 = u.reshape(*u.shape[:2], D, D, d, D, D, d)[..., 0]
+    return np.ascontiguousarray(u6.transpose(0, 1, 5, 6, 2, 3, 4))
 
 
-def local_tensor(params, D, d):
-    """Site tensors A[..., a, b, g, l, j]: the embedded unitaries applied to |0> on the physical
-    input."""
-    return _tensor_from_unitary(params.embedded_unitary(), D, d)
+def local_tensor(state):
+    """Site tensors A[x, y, a, b, g, l, j]: the embedded unitaries applied to |0> on the
+    physical input."""
+    u = state.u_minus @ state.exponential @ state.u_plus
+    return _tensor_from_unitary(u, state.spec.D, state.spec.d)
 
 
-def local_derivative_tensor(params, D, d):
-    """d/d theta of the site tensors."""
-    return _tensor_from_unitary(params.derivative_unitary(), D, d)
-
-
-def _ket(state):
-    """Every site tensor of the state, shape (l1, l2, D, D, D, D, d)."""
-    return local_tensor(state.params, state.spec.D, state.spec.d)
+def local_derivative_tensor(state):
+    """d/d theta of the site tensors: -iG inserted next to the exponential."""
+    du = state.u_minus @ ((-1j * state.generator) @ state.exponential) @ state.u_plus
+    return _tensor_from_unitary(du, state.spec.D, state.spec.d)
 
 
 def norm_squared(state):
     """<psi|psi> by bra-ket network contraction (no statevector materialized)."""
-    return network.bra_ket(_ket(state))
+    return network.bra_ket(local_tensor(state))
 
 
 def check_product_state(spec, product_state):
     phi = np.asarray(product_state, dtype=complex)
     if phi.shape != (spec.l1, spec.l2, spec.d):
         raise ValueError(f"product state must have shape {(spec.l1, spec.l2, spec.d)}")
+    if not np.isfinite(phi).all():
+        raise ValueError("product state must be finite")
     norms = np.linalg.norm(phi, axis=2)
     if np.abs(norms - 1.0).max() > 1e-10:
         raise ValueError("product-state site vectors must be normalized")
@@ -141,7 +116,7 @@ def check_product_state(spec, product_state):
 
 def check_observable(observable):
     """observable's Hermitian part (O + O^dagger) / 2 as a complex array, or ValueError
-    unless it is a Hermitian square matrix (to 1e-12).
+    unless it is a finite Hermitian square matrix (to 1e-12).
 
     `network.bra_ket` takes only an exactly Hermitian op, and the Hermitian part is one:
     an observable Hermitian only to 1e-12 reaches `bra_ket` through it. It is observable
@@ -150,6 +125,8 @@ def check_observable(observable):
     obs = np.asarray(observable, dtype=complex)
     if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
         raise ValueError(f"observable must be Hermitian: a square matrix, got shape {obs.shape}")
+    if not np.isfinite(obs).all():
+        raise ValueError("observable must be finite")
     if np.abs(obs - obs.conj().T).max(initial=0.0) > 1e-12:
         raise ValueError("observable must be Hermitian")
     return (obs + obs.conj().T) / 2
@@ -157,12 +134,13 @@ def check_observable(observable):
 
 def overlap(state, product_state):
     """<phi|psi> for a normalized per-site product state phi, shape (l1, l2, d)."""
-    return network.overlap(_ket(state), check_product_state(state.spec, product_state))
+    return network.overlap(local_tensor(state), check_product_state(state.spec, product_state))
 
 
 def local_expectation(state, site_index, observable):
     """Unnormalized <psi| O at site |psi> for a Hermitian d x d observable."""
-    return network.bra_ket(_ket(state), site=tuple(site_index), op=check_observable(observable))
+    return network.bra_ket(local_tensor(state), site=tuple(site_index),
+                           op=check_observable(observable))
 
 
 def _record_dtype(n):
@@ -182,7 +160,7 @@ def save_state(state, path, seed=None):
               "D": spec.D, "d": spec.d, "seed": seed}
     records = np.empty((spec.l1, spec.l2), dtype=_record_dtype(spec.unitary_dim))
     for name in records.dtype.names:
-        records[name] = getattr(state.params, name)
+        records[name] = getattr(state, name)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(records.tobytes())
@@ -220,4 +198,4 @@ def load_state(path):
         x, y = (int(i) for i in np.argwhere(bad)[0])
         message = next(text for failed, text in checks if failed[x, y])
         raise ValueError(f"site ({x}, {y}): " + message.format(theta[x, y]))
-    return TNState(spec, SiteParams(u_minus, u_plus, generator, theta))
+    return TNState(spec, u_minus, u_plus, generator, theta)

@@ -34,12 +34,11 @@ def _jackknife_se(stat_i):
 
 
 def jackknife_variance_se(values):
-    """Delete-one jackknife standard error of the unbiased sample variance."""
+    """Delete-one jackknife standard errors of the unbiased variances of values (n, ...)."""
     x = np.asarray(values, dtype=float)
     if x.shape[0] < 3:
-        return np.full(x.shape[1:], np.nan) if x.ndim > 1 else float("nan")
-    se = _jackknife_se(_delete_one_variances(x))
-    return se if x.ndim > 1 else float(se)
+        return np.full(x.shape[1:], np.nan)
+    return _jackknife_se(_delete_one_variances(x))
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def table_from_boltzmann(D, d, kind):
     w = couplings.site_prefactor(field) * _boltzmann_weights(couplings, field).sum(axis=0)
     if np.abs(w.imag).max() >= 1e-12:
         raise RuntimeError(f"Boltzmann site weights {w.tolist()} are not real")
-    return WeightTable(D, d, kind, w.real.copy())
+    return WeightTable(kind, w.real.copy())
 
 
 def exact_partition_function_two_layer(l1, l2, D, d, kind=KIND_NORM):

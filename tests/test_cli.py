@@ -112,6 +112,20 @@ def test_bounds_command(tmp_path):
     assert {"norm_excess", "global_variance_ratio", "onsite_floor_prefactor"} <= names
 
 
+@pytest.mark.parametrize("out", ["file", "file/below"])
+def test_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
+    # an existing file, or a path whose directory cannot be made below one
+    (tmp_path / "file").write_text("kept\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(tnlab.cli, "exact_partition_function", no_work)
+    assert main(["bounds", "--sizes", "2x2", "--seed", "5", "--out", str(tmp_path / out)]) == 2
+    assert "is not a writable directory" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_seed_is_mandatory(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["norm-stats", "--out", str(tmp_path / "x")])

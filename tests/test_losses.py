@@ -16,21 +16,21 @@ from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value,
                           plus_projector, plus_target, traceless_observable)
-from tnlab.states import (TNState, build_state, local_derivative_tensor, local_expectation,
-                          local_tensor, norm_squared, overlap)
+from tnlab.states import (build_state, local_derivative_tensor, local_expectation, local_tensor,
+                          norm_squared, overlap)
 
 from oracles import dense_amplitudes, normalized_local_gradient
 
 
 def finite_difference(state, site, loss, h=1e-5):
     def shifted(dt):
-        return state.with_theta(*site, state.site(*site).theta + dt)
+        return state.with_theta(*site, state.theta[site] + dt)
 
     return (loss_value(shifted(h), loss) - loss_value(shifted(-h), loss)) / (2 * h)
 
 
 def dense_psi(state):
-    return dense_amplitudes(local_tensor(state.params, state.spec.D, state.spec.d))
+    return dense_amplitudes(local_tensor(state))
 
 
 def dense_overlap(psi, target):
@@ -213,8 +213,8 @@ def test_identity_generator_gives_zero_gradient():
     spec = LatticeSpec(2, 2, 2, 2)
     rng = np.random.default_rng(27)
     st = build_state(spec, rng)
-    eye = np.broadcast_to(np.eye(spec.unitary_dim, dtype=complex), st.params.generator.shape)
-    st_phase = TNState(spec, dataclasses.replace(st.params, generator=eye))
+    eye = np.broadcast_to(np.eye(spec.unitary_dim, dtype=complex), st.generator.shape)
+    st_phase = dataclasses.replace(st, generator=eye)
     loss = LossSpec(kind=GLOBAL_PURE, target=plus_target(spec))
     assert np.abs(gradient_map(st_phase, loss)).max() < 1e-12
 
@@ -269,8 +269,7 @@ def test_local_normalized_gradient_matches_the_quotient_rule(case):
     rng = np.random.default_rng(seed)
     st = build_state(LatticeSpec(l1, l2, D, d), rng)
     op = tnlab.random_hermitian(d, rng)
-    expected = normalized_local_gradient(local_tensor(st.params, D, d),
-                                         local_derivative_tensor(st.params, D, d), site, op)
+    expected = normalized_local_gradient(local_tensor(st), local_derivative_tensor(st), site, op)
     g = gradient_map(st, LossSpec(kind=LOCAL_NORMALIZED, observable=op, site=site))
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -332,6 +331,34 @@ def test_an_observable_hermitian_to_1e12_runs_its_hermitian_part_on_real_rings()
     assert local_expectation(st, (1, 2), near) == local_expectation(st, (1, 2), part)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [loss_value, gradient_map])
+def test_non_finite_product_targets_are_rejected(call, bad):
+    # a NaN entry has a NaN norm, which a "norm off by more than 1e-10" test lets through
+    spec = LatticeSpec(2, 2, 2, 2)
+    st = build_state(spec, np.random.default_rng(42))
+    target = plus_target(spec)
+    target[1, 0, 1] = bad
+    for kind in (GLOBAL_PURE, GLOBAL_NORMALIZED):
+        with pytest.raises(ValueError, match="finite"):
+            call(st, LossSpec(kind=kind, target=target))
+    with pytest.raises(ValueError, match="finite"):
+        overlap(st, target)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_observables_are_rejected(bad):
+    # checked before the Hermiticity test, whose O - O^dagger would make inf - inf = NaN
+    obs = np.diag([bad, 1.0])
+    with pytest.raises(ValueError, match="observable must be finite"):
+        states.check_observable(obs)
+    with pytest.raises(ValueError, match="observable must be finite"):
+        LossSpec(kind=LOCAL_NORMALIZED, observable=obs, site=(0, 0))
+    st = build_state(LatticeSpec(2, 2, 2, 2), np.random.default_rng(43))
+    with pytest.raises(ValueError, match="observable must be finite"):
+        local_expectation(st, (0, 0), obs)
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-4])
 @pytest.mark.parametrize("call, kind", [("loss_value", LOCAL_NORMALIZED),
                                         ("loss_value", GLOBAL_NORMALIZED),
@@ -344,8 +371,8 @@ def test_degenerate_states_raise_before_z_divides(call, kind, scale, monkeypatch
     spec = LatticeSpec(2, 3, 2, 2)
     st = build_state(spec, np.random.default_rng(41))
 
-    def scaled(params, D, d):
-        return scale * local_tensor(params, D, d)
+    def scaled(state):
+        return scale * local_tensor(state)
 
     monkeypatch.setattr(states, "local_tensor", scaled)
     monkeypatch.setattr(losses, "local_tensor", scaled)

@@ -20,7 +20,7 @@ from oracles import dense_amplitudes
 
 def _tensors(l1, l2, D, d, seed):
     st = build_state(LatticeSpec(l1, l2, D, d), np.random.default_rng(seed))
-    return local_tensor(st.params, D, d), local_derivative_tensor(st.params, D, d)
+    return local_tensor(st), local_derivative_tensor(st)
 
 
 def _replaced(grid, site, tensor):

@@ -140,8 +140,6 @@ def test_partition_function_matches_two_layer_sum():
 class _RandomTable:
     """Duck-typed weight table: WeightTable rejects values without its symmetries."""
 
-    D, d, kind = 2, 2, "random"
-
     def __init__(self, values):
         self.values = values
 
@@ -207,7 +205,7 @@ def test_invalid_table_rejected_under_optimize():
     code = ("import numpy as np\n"
             "from tnlab.spinmodel import WeightTable\n"
             "try:\n"
-            "    WeightTable(2, 2, 'norm', np.zeros((2, 2, 2)))\n"
+            "    WeightTable('norm', np.zeros((2, 2, 2)))\n"
             "except ValueError:\n"
             "    print('rejected')\n")
     src = str(Path(tnlab.__file__).resolve().parents[1])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import stats as scipy_stats
@@ -19,9 +20,9 @@ from tnlab.errors import ResourceLimitError
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, loss_value, plus_projector, plus_target)
-from tnlab.states import (SiteParams, TNState, build_state, load_state, local_derivative_tensor,
-                          local_expectation, local_tensor, norm_squared, overlap,
-                          save_state)
+from tnlab.states import (TNState, build_state, load_state, local_derivative_tensor,
+                          local_expectation, local_tensor, norm_squared, overlap, save_state)
+from tnlab.tensors import is_unitary
 
 from oracles import dense_amplitudes
 
@@ -31,7 +32,12 @@ BENCHMARK_DATA = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
 def identity_state(spec):
     n = spec.unitary_dim
     eye = np.broadcast_to(np.eye(n, dtype=complex), (spec.l1, spec.l2, n, n))
-    return TNState(spec, SiteParams(eye, eye, np.zeros_like(eye), np.zeros((spec.l1, spec.l2))))
+    return TNState(spec, eye, eye, np.zeros_like(eye), np.zeros((spec.l1, spec.l2)))
+
+
+def site_tensor_oracle(u, D, d):
+    """A[a, b, g, l, j] = U[(g, l, j), (a, b, 0)] of one site's D^2 d x D^2 d matrix U."""
+    return u.reshape(D, D, d, D, D, d)[:, :, :, :, :, 0].transpose(3, 4, 0, 1, 2)
 
 
 def random_product_state(spec, rng):
@@ -86,15 +92,10 @@ def test_build_state_shapes_and_determinism():
     spec = LatticeSpec(2, 2, 2, 2)
     st1 = build_state(spec, np.random.default_rng(5))
     st2 = build_state(spec, np.random.default_rng(5))
-    assert st1.params.u_minus.shape == (2, 2, 8, 8) and st1.params.theta.shape == (2, 2)
-    a = local_tensor(st1.site(0, 0), 2, 2)
-    assert a.shape == (2, 2, 2, 2, 2) and a.size == 32
-    for x, y in spec.sites():
-        s1, s2 = st1.site(x, y), st2.site(x, y)
-        assert np.array_equal(s1.u_minus, s2.u_minus)
-        assert np.array_equal(s1.u_plus, s2.u_plus)
-        assert np.array_equal(s1.generator, s2.generator)
-        assert s1.theta == s2.theta
+    assert st1.u_minus.shape == (2, 2, 8, 8) and st1.theta.shape == (2, 2)
+    assert local_tensor(st1).shape == (2, 2, 2, 2, 2, 2, 2)
+    for name in ("u_minus", "u_plus", "generator", "theta"):
+        assert np.array_equal(getattr(st1, name), getattr(st2, name))
 
 
 @pytest.mark.parametrize("l1, l2", [(2, 2), (3, 2), (2, 3)])
@@ -109,29 +110,32 @@ def test_build_state_keeps_the_site_by_site_stream(l1, l2):
                           tnlab.random_hermitian(n, rng), float(rng.uniform(0.0, 2.0 * np.pi)))
     st = build_state(spec, np.random.default_rng(l1 * 10 + l2))
     for site, (u_minus, u_plus, generator, theta) in expected.items():
-        s = st.site(*site)
-        assert np.array_equal(s.u_minus, u_minus)
-        assert np.array_equal(s.u_plus, u_plus)
-        assert np.array_equal(s.generator, generator)
-        assert s.theta == theta
+        assert np.array_equal(st.u_minus[site], u_minus)
+        assert np.array_equal(st.u_plus[site], u_plus)
+        assert np.array_equal(st.generator[site], generator)
+        assert st.theta[site] == theta
 
 
 @settings(max_examples=30, deadline=None)
 @given(l1=hst.integers(2, 4), l2=hst.integers(2, 4), D=hst.sampled_from([2, 3]),
        d=hst.sampled_from([2, 3]), seed=hst.integers(0, 2**32 - 1))
 def test_batched_site_tensors_equal_per_site_calls(l1, l2, D, d, seed):
+    # oracle: per site, U = u_minus expm(-i theta G) u_plus and dU = u_minus (-iG) expm u_plus
     st = build_state(LatticeSpec(l1, l2, D, d), np.random.default_rng(seed))
-    ket = local_tensor(st.params, D, d)
-    dket = local_derivative_tensor(st.params, D, d)
+    ket = local_tensor(st)
+    dket = local_derivative_tensor(st)
     double = network.site_double_tensor(ket)
     d_double = network.site_double_tensor(dket, bra=ket)
     for x, y in st.spec.sites():
-        a = local_tensor(st.site(x, y), D, d)
-        da = local_derivative_tensor(st.site(x, y), D, d)
-        assert np.array_equal(ket[x, y], a)
-        assert np.array_equal(dket[x, y], da)
-        assert np.array_equal(double[x, y], network.site_double_tensor(a))
-        assert np.array_equal(d_double[x, y], network.site_double_tensor(da, bra=a))
+        g = st.generator[x, y]
+        exp = scipy.linalg.expm(-1j * st.theta[x, y] * g)
+        u = st.u_minus[x, y] @ exp @ st.u_plus[x, y]
+        du = st.u_minus[x, y] @ (-1j * g) @ exp @ st.u_plus[x, y]
+        assert np.abs(ket[x, y] - site_tensor_oracle(u, D, d)).max() < 1e-12
+        assert np.abs(dket[x, y] - site_tensor_oracle(du, D, d)).max() < 1e-12
+        assert np.array_equal(double[x, y], network.site_double_tensor(ket[x, y]))
+        assert np.array_equal(d_double[x, y], network.site_double_tensor(dket[x, y],
+                                                                         bra=ket[x, y]))
 
 
 def test_build_state_refuses_oversized_state_before_drawing():
@@ -185,7 +189,7 @@ def test_network_budget_counts_ket_columns(tmp_path):
         norm_squared(st)
     # the site tensors are built first (about 6 MiB for 20 68 x 68 unitaries);
     # the network itself must refuse before it builds a column
-    ket = local_tensor(st.params, 2, 17)
+    ket = local_tensor(st)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="network budget"):
@@ -222,17 +226,15 @@ def test_ring_environments_against_explicit_products(k):
 def test_embedded_unitary_is_unitary():
     spec = LatticeSpec(2, 2, 2, 2)
     st = build_state(spec, np.random.default_rng(6))
-    u = st.site(0, 0).embedded_unitary()
-    assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-10
+    assert is_unitary(st.exponential).all()
+    assert is_unitary(st.u_minus @ st.exponential @ st.u_plus).all()
 
 
 def test_identity_embedding_tensor():
-    # with U = identity the site tensor is the reshaped identity column at j_in = 0
-    site = SiteParams(np.eye(8, dtype=complex), np.eye(8, dtype=complex),
-                      np.zeros((8, 8), dtype=complex), 0.0)
-    a = local_tensor(site, 2, 2)
-    expected = np.eye(8).reshape(2, 2, 2, 2, 2, 2)[:, :, :, :, :, 0].transpose(3, 4, 0, 1, 2)
-    assert np.array_equal(a, expected)
+    # with U = identity every site tensor is the reshaped identity column at j_in = 0
+    ket = local_tensor(identity_state(LatticeSpec(2, 3, 2, 2)))
+    expected = site_tensor_oracle(np.eye(8), 2, 2)
+    assert all(np.array_equal(ket[site], expected) for site in np.ndindex(2, 3))
 
 
 def test_identity_embedded_norm_value():
@@ -241,7 +243,7 @@ def test_identity_embedded_norm_value():
     st = identity_state(spec)
     ns = norm_squared(st)
     assert abs(ns - 256.0) < 1e-9
-    psi = dense_amplitudes(local_tensor(st.params, 2, 2))
+    psi = dense_amplitudes(local_tensor(st))
     assert abs(np.vdot(psi, psi).real - ns) < 1e-9
 
 
@@ -249,25 +251,24 @@ def test_site_tensor_isometry_sum():
     # sum over all entries |A|^2 = D^2 for any embedded unitary
     spec = LatticeSpec(2, 2, 3, 2)
     st = build_state(spec, np.random.default_rng(7))
-    a = local_tensor(st.site(1, 1), 3, 2)
+    a = local_tensor(st)[1, 1]
     assert abs(np.sum(np.abs(a) ** 2) - 9.0) < 1e-10
 
 
 def test_derivative_tensor_at_theta_zero():
     spec = LatticeSpec(2, 2, 2, 2)
     st = build_state(spec, np.random.default_rng(8))
-    site = st.with_theta(0, 0, 0.0).site(0, 0)
-    da = local_derivative_tensor(site, 2, 2)
-    u_ref = site.u_minus @ (-1j * site.generator) @ site.u_plus
-    ref = u_ref.reshape(2, 2, 2, 2, 2, 2)[:, :, :, :, :, 0].transpose(3, 4, 0, 1, 2)
-    assert np.abs(da - ref).max() < 1e-12
+    st0 = st.with_theta(0, 0, 0.0)
+    da = local_derivative_tensor(st0)[0, 0]
+    u_ref = st0.u_minus[0, 0] @ (-1j * st0.generator[0, 0]) @ st0.u_plus[0, 0]
+    assert np.abs(da - site_tensor_oracle(u_ref, 2, 2)).max() < 1e-12
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_statevector_consistency(shape):
     spec = LatticeSpec(shape[0], shape[1], 2, 2)
     st = build_state(spec, np.random.default_rng(9))
-    psi = dense_amplitudes(local_tensor(st.params, 2, 2))
+    psi = dense_amplitudes(local_tensor(st))
     assert psi.shape == (2,) * spec.n_sites
     ns = norm_squared(st)
     assert abs(np.vdot(psi, psi).real - ns) < 1e-10 * max(1.0, ns)
@@ -278,7 +279,7 @@ def test_overlap_against_dense():
     rng = np.random.default_rng(10)
     st = build_state(spec, rng)
     phi = random_product_state(spec, rng)
-    psi = dense_amplitudes(local_tensor(st.params, 2, 2)).reshape(-1)
+    psi = dense_amplitudes(local_tensor(st)).reshape(-1)
     w = psi
     for x in range(spec.l1):
         for y in range(spec.l2):
@@ -305,7 +306,7 @@ def test_local_expectation():
     assert abs(local_expectation(st, (0, 1), np.eye(2)) - norm_squared(st)) < 1e-10
     assert local_expectation(st, (1, 2), np.zeros((2, 2))) == 0.0
     obs = tnlab.traceless_observable(2)
-    psi = dense_amplitudes(local_tensor(st.params, 2, 2))
+    psi = dense_amplitudes(local_tensor(st))
     k = 1 * 3 + 1
     front = np.moveaxis(psi, k, 0).reshape(2, -1)
     dense = np.vdot(front, obs @ front).real
@@ -339,8 +340,7 @@ def test_haar_invariance_of_norm_statistics():
     fixed = tnlab.haar_unitary(spec.unitary_dim, rng)
 
     def twisted(state):
-        params = state.params
-        return TNState(spec, dataclasses.replace(params, u_minus=fixed @ params.u_minus))
+        return dataclasses.replace(state, u_minus=fixed @ state.u_minus)
 
     base = np.array([norm_squared(build_state(spec, rng)) for _ in range(2000)])
     twist = np.array([norm_squared(twisted(build_state(spec, rng))) for _ in range(2000)])
@@ -354,12 +354,8 @@ def test_serialization_roundtrip(tmp_path):
     save_state(st, path, seed=16)
     loaded = load_state(path)
     assert loaded.spec == spec
-    for x, y in spec.sites():
-        s1, s2 = st.site(x, y), loaded.site(x, y)
-        assert np.array_equal(s1.u_minus, s2.u_minus)
-        assert np.array_equal(s1.u_plus, s2.u_plus)
-        assert np.array_equal(s1.generator, s2.generator)
-        assert s1.theta == s2.theta
+    for name in ("u_minus", "u_plus", "generator", "theta"):
+        assert np.array_equal(getattr(st, name), getattr(loaded, name))
     assert abs(norm_squared(loaded) - norm_squared(st)) == 0.0
 
 

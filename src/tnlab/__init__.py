@@ -51,7 +51,6 @@ from .states import (
     save_state,
 )
 from .tensors import (
-    SecondMomentWeights,
     haar_unitary,
     random_hermitian,
     second_moment_channel,

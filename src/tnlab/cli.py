@@ -238,7 +238,7 @@ def build_parser():
         p.add_argument("--out", default="tnlab-out")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes; only var-scan uses them")
+                       help="worker processes for var-scan; the other commands take only 1")
         if name == "var-scan":
             p.add_argument("--loss", choices=(GLOBAL_NORMALIZED, LOCAL_NORMALIZED),
                            default=GLOBAL_NORMALIZED)
@@ -256,6 +256,8 @@ def main(argv=None):
     try:
         if not 1 <= config.workers <= (os.cpu_count() or 1):
             raise ValueError(f"--workers must be between 1 and the CPU count, {os.cpu_count()}")
+        if config.workers != 1 and args.command != "var-scan":
+            raise ValueError(f"--workers {config.workers}: only var-scan runs in parallel")
         out = Path(config.out).absolute()
         nearest = next(p for p in (out, *out.parents) if p.exists())  # nearest existing path
         if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):

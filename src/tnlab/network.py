@@ -370,7 +370,7 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     c = 0
     if site is not None:
         x, y = site
-        if not (isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer))
+        if not (all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in site)
                 and 0 <= x < l1 and 0 <= y < l2):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):

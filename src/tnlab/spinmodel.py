@@ -14,12 +14,15 @@ pairing, i.e. a uniform external field) drives E[<psi|psi>^2]; the "global"
 table (no external field) drives the global-loss gradient variance bound.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import network
 from .errors import ResourceLimitError
+from .states import norm_squared
+from .variance import sample_values
 
 PARTITION_CAP = 2**25
 _ENUM_CHUNK = 2**20
@@ -143,14 +146,14 @@ def exact_partition_function(l1, l2, table):
 
 
 def mc_second_moment(spec, n_samples, rng):
-    """Monte-Carlo estimate (mean, standard error) of E[<psi|psi>^2] over random states."""
-    from .states import build_state, norm_squared
+    """Monte-Carlo estimate (mean, standard error) of E[<psi|psi>^2] over random states.
 
+    Every sample draws from rng in turn: one sequential stream, so the run is serial.
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        vals[i] = norm_squared(build_state(spec, rng)) ** 2
+    vals, _ = sample_values(spec, lambda state: norm_squared(state) ** 2,
+                            itertools.repeat(rng, n_samples))
     mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
+    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     return mean, se

@@ -169,9 +169,11 @@ def save_state(state, path, seed=None):
 def load_state(path):
     """Read a state written by save_state.
 
-    Raises ValueError unless the body has exactly the length that the header
-    implies, every u_minus and u_plus is unitary, every generator Hermitian
-    and every theta finite; the message names the first bad site.
+    Raises ResourceLimitError, before the body is read, when the body that the
+    header implies exceeds network.NETWORK_BUDGET bytes, and ValueError unless
+    the body has exactly that length, every u_minus and u_plus is unitary,
+    every generator Hermitian and every theta finite; the message names the
+    first bad site.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
@@ -181,12 +183,16 @@ def load_state(path):
             spec = LatticeSpec(header["l1"], header["l2"], header["D"], header["d"])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad state header {header!r}: {exc!r}") from None
-        dtype = _record_dtype(spec.unitary_dim)
-        expected = spec.n_sites * dtype.itemsize
+        n = spec.unitary_dim
+        expected = spec.n_sites * (3 * n * n * 16 + 8)  # the size of _record_dtype(n) per site
+        if expected > network.NETWORK_BUDGET:
+            raise ResourceLimitError(f"the header implies a {expected / 2**30:.1f} GiB body, "
+                                     f"above the network budget of "
+                                     f"{network.NETWORK_BUDGET / 2**30:.1f} GiB")
         body = os.fstat(fh.fileno()).st_size - fh.tell()
         if body != expected:
             raise ValueError(f"state body has {body} bytes; its header implies {expected}")
-        records = np.frombuffer(fh.read(), dtype=dtype).reshape(spec.l1, spec.l2)
+        records = np.frombuffer(fh.read(), dtype=_record_dtype(n)).reshape(spec.l1, spec.l2)
     u_minus, u_plus, generator = (np.array(records[name], dtype=complex)
                                   for name in ("u_minus", "u_plus", "generator"))
     theta = np.array(records["theta"], dtype=float)

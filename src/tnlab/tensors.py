@@ -3,8 +3,6 @@
 Tensors are plain complex numpy arrays (row-major).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 UNITARITY_TOL = 1e-12
@@ -69,44 +67,23 @@ def is_hermitian(h):
     return np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= HERMITICITY_TOL
 
 
-@dataclass(frozen=True)
-class SecondMomentWeights:
-    """Diagrammatic pairing weights of the two-fold Haar average at dimension `dim`.
-
-    w_same / w_cross are the same-pairing and cross-pairing diagram weights;
-    dividing both by (dim + 1) gives the coefficients of the exact channel.
-    """
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-
-    @property
-    def w_same(self):
-        return 1.0 / (self.dim - 1)
-
-    @property
-    def w_cross(self):
-        return -1.0 / ((self.dim - 1) * self.dim)
-
-
-def second_moment_channel(weights, tensor):
+def second_moment_channel(tensor):
     """Average (U x U) X (U x U)^dag over Haar U, applied to a four-leg tensor.
 
     Leg convention: X[i, j, k, l] = <i|x1|j> <k|x2|l> for X = x1 (x) x2, i.e.
-    legs alternate (out, in, out, in). The result is a_I * I + a_S * SWAP with
-    coefficients fixed by Tr(X) and Tr(X SWAP).
+    legs alternate (out, in, out, in), each of extent n >= 2. The result is
+    a_I * I + a_S * SWAP with coefficients fixed by Tr(X) and Tr(X SWAP): the
+    same-pairing and cross-pairing diagram weights 1 / (n - 1) and
+    -1 / ((n - 1) n), each divided by n + 1.
     """
-    n = weights.dim
     x = np.asarray(tensor, dtype=complex)
-    if x.shape != (n, n, n, n):
-        raise ValueError(f"expected shape {(n, n, n, n)}, got {x.shape}")
+    n = x.shape[0] if x.ndim else 0
+    if n < 2 or x.shape != (n, n, n, n):
+        raise ValueError(f"expected shape (n, n, n, n) with n >= 2, got {x.shape}")
     t_id = np.einsum("iikk->", x)
     t_sw = np.einsum("ikki->", x)
-    c_same = weights.w_same / (n + 1)
-    c_cross = weights.w_cross / (n + 1)
+    c_same = 1.0 / (n - 1) / (n + 1)
+    c_cross = -1.0 / ((n - 1) * n) / (n + 1)
     a_id = t_id * c_same + t_sw * c_cross
     a_sw = t_sw * c_same + t_id * c_cross
     eye = np.eye(n)

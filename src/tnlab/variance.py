@@ -1,11 +1,13 @@
 """Monte-Carlo estimation of per-parameter gradient variances.
 
 Each sample is an independently drawn random state; its full gradient grid is
-evaluated analytically. Per-sample random sources are spawned from one root
-seed, so results are identical for any worker count, and partial results are
-merged in sample order.
+evaluated analytically. Sample i draws from child i of one root seed, so
+results are identical for any worker count, and partial results are merged in
+sample order. `sample_values` is the one loop that draws and measures samples,
+here and for `spinmodel.mc_second_moment`.
 """
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError
+from .lattice import LatticeSpec
 from .losses import LOCAL_KINDS, gradient_map
 from .states import build_state
 
@@ -78,18 +81,30 @@ class VarianceReport:
         }
 
 
-def _scan_chunk(args):
-    spec, loss, seeds = args
-    grads = []
+def sample_values(spec, measure, rngs):
+    """measure(build_state(spec, rng)) for each generator in rngs, in order.
+
+    Returns the list of values and the number of samples that raised
+    DegenerateStateError, which give no value. Memory grows only with the
+    samples measured so far.
+    """
+    values = []
     failures = 0
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
+    for rng in rngs:
         try:
-            state = build_state(spec, rng)
-            grads.append(gradient_map(state, loss))
+            values.append(measure(build_state(spec, rng)))
         except DegenerateStateError:
             failures += 1
-    return grads, failures
+    return values, failures
+
+
+def _scan_job(job):
+    """Gradient maps of samples start .. stop - 1; sample i draws from child i of seed."""
+    spec, loss, seed, start, stop = job
+    # SeedSequence(seed, spawn_key=(i,)) is SeedSequence(seed).spawn(n)[i], made on demand
+    rngs = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            for i in range(start, stop))
+    return sample_values(spec, functools.partial(gradient_map, loss=loss), rngs)
 
 
 def variance_scan(spec, loss, n_samples, seed, workers=1):
@@ -98,19 +113,17 @@ def variance_scan(spec, loss, n_samples, seed, workers=1):
         raise ValueError("need at least 2 samples")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    start = time.monotonic()
-    sample_keys = np.random.SeedSequence(seed).spawn(n_samples)
-
-    if workers > 1:
-        chunks = np.array_split(np.arange(n_samples), min(workers, n_samples))
-        jobs = [(spec, loss, [sample_keys[i] for i in idx]) for idx in chunks if len(idx)]
-        grads, failures = [], 0
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            for g, f in pool.map(_scan_chunk, jobs):
-                grads.extend(g)
-                failures += f
+    t0 = time.monotonic()
+    n_jobs = min(workers, n_samples)
+    jobs = [(spec, loss, seed, k * n_samples // n_jobs, (k + 1) * n_samples // n_jobs)
+            for k in range(n_jobs)]
+    if n_jobs == 1:
+        parts = [_scan_job(jobs[0])]
     else:
-        grads, failures = _scan_chunk((spec, loss, sample_keys))
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            parts = list(pool.map(_scan_job, jobs))
+    grads = [g for values, _ in parts for g in values]
+    failures = sum(f for _, f in parts)
 
     samples = np.array(grads)  # (n, l1, l2)
     n_ok = samples.shape[0]
@@ -122,7 +135,7 @@ def variance_scan(spec, loss, n_samples, seed, workers=1):
         variance=np.var(samples, axis=0, ddof=1),
         mean=np.mean(samples, axis=0),
         std_error=jackknife_variance_se(samples),
-        elapsed_seconds=time.monotonic() - start,
+        elapsed_seconds=time.monotonic() - t0,
         samples=samples,
     )
     return report
@@ -134,8 +147,6 @@ def distance_profile(report):
     Returns {distance: (mean_variance, std_error, n_sites)}; the SE of each
     group mean is jackknifed over the report's raw samples.
     """
-    from .lattice import LatticeSpec
-
     if report.loss.get("kind") not in LOCAL_KINDS:
         raise ValueError("distance profile requires a local loss report")
     samples = report.samples

@@ -21,7 +21,7 @@ from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
                              exact_partition_function, global_loss_weights,
                              mc_second_moment, norm_weights)
 from tnlab.states import build_state, norm_squared
-from tnlab.tensors import SecondMomentWeights, haar_unitaries, second_moment_channel
+from tnlab.tensors import haar_unitaries, second_moment_channel
 from tnlab.variance import distance_profile, variance_scan
 
 from conftest import record_criterion
@@ -34,7 +34,7 @@ def test_criterion_01_second_moment_channel_oracle():
     rng = np.random.default_rng(101)
     x = np.zeros((n, n, n, n), dtype=complex)
     x[0, 0, 0, 0] = 1.0  # (|0><0|) x (|0><0|)
-    exact = second_moment_channel(SecondMomentWeights(n), x)
+    exact = second_moment_channel(x)
     acc = np.zeros_like(exact)
     done = 0
     while done < samples:

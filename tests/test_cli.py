@@ -17,7 +17,7 @@ def read_json(path):
 
 def test_norm_stats_runs_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["norm-stats", "--sizes", "2x2", "--samples", "400", "--seed", "123"]
+    args = ["norm-stats", "--sizes", "2x2", "--samples", "400", "--seed", "123", "--workers", "1"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "norm_stats.csv").read_bytes().replace(str(out1).encode(), b"") \
@@ -169,6 +169,22 @@ def test_workers_outside_cpu_count_rejected(tmp_path, monkeypatch, workers):
     code = main(["var-scan", "--sizes", "2x2", "--samples", "4", "--seed", "1",
                  "--workers", str(workers), "--out", str(tmp_path / "x")])
     assert code == 2
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ("norm-stats", "polyomino", "bounds"))
+def test_workers_above_one_rejected_outside_var_scan(tmp_path, monkeypatch, capsys, command):
+    # only var-scan runs workers; the others exit 2 rather than run serially unasked
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for name in ("cmd_norm_stats", "cmd_polyomino", "cmd_bounds"):
+        monkeypatch.setattr(tnlab.cli, name, no_work)
+    code = main([command, "--sizes", "2x2", "--seed", "1", "--workers", "2",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "only var-scan runs in parallel" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -96,3 +96,21 @@ def test_the_span_tracer_finds_every_name_it_wraps():
         assert all(getattr(module, fn) is not original
                    for (module, fn), original in zip(names, originals))
     assert all(getattr(module, fn) is original for (module, fn), original in zip(names, originals))
+
+
+def test_one_sample_loop_builds_every_state():
+    # Monte-Carlo samples are drawn in one place, `variance.sample_values`, and no
+    # library function defers an import to call time
+    callers, deferred = set(), []
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "build_state"):
+                    callers.add(f"{path.stem}.{func.name}")
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    deferred.append(f"{path.stem}.{func.name}")
+    assert callers == {"variance.sample_values"}
+    assert deferred == []

@@ -315,6 +315,14 @@ def test_local_expectation():
         local_expectation(st, (0, 0), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("site", [(True, False), (0, True), (np.int64(1), False)])
+def test_local_expectation_rejects_boolean_site_coordinates(site):
+    # bool is an int subclass: (True, False) would otherwise read as site (1, 0)
+    st = build_state(LatticeSpec(2, 3, 2, 2), np.random.default_rng(12))
+    with pytest.raises(ValueError, match="is not a site"):
+        local_expectation(st, site, tnlab.traceless_observable(2))
+
+
 def test_norm_mean_is_one():
     # 1-design property: E[<psi|psi>] = 1
     spec = LatticeSpec(2, 2, 2, 2)
@@ -420,6 +428,17 @@ def test_load_state_rejects_non_integer_header_fields(tmp_path_factory, saved_st
     body = data[header_len:header_len + n_records * (3 * 64 * 16 + 8)]
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         _load_bytes(tmp_path_factory, json.dumps(header).encode() + b"\n" + body)
+
+
+@pytest.mark.parametrize("l1, l2, D", [(2, 3, 1000), (2, 3, 32)])
+def test_load_state_refuses_a_body_beyond_the_network_budget(tmp_path_factory, saved_state,
+                                                             l1, l2, D):
+    # D = 1000 gives a record too large for a numpy dtype; 2x3 sites at D = 32 imply
+    # a 1.2 GB body, a dtype that numpy builds but over the 1 GiB budget
+    data, header_len = saved_state
+    header = dict(json.loads(data[:header_len]), l1=l1, l2=l2, D=D)
+    with pytest.raises(ResourceLimitError, match="above the network budget"):
+        _load_bytes(tmp_path_factory, json.dumps(header).encode() + b"\n" + data[header_len:])
 
 
 @settings(max_examples=25, deadline=None)

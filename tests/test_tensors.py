@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tnlab.tensors import (SecondMomentWeights, haar_unitaries, haar_unitary,
-                           random_hermitian, second_moment_channel)
+from tnlab.tensors import (haar_unitaries, haar_unitary, random_hermitian,
+                           second_moment_channel)
 
 
 def mc_channel(n, tensor, samples, rng):
@@ -88,18 +88,11 @@ def test_random_hermitian_real_spectrum():
         assert np.abs(w.imag).max() < 1e-12
 
 
-def test_weights_invariants():
-    w = SecondMomentWeights(8)
-    assert w.w_same > 0
-    assert w.w_cross < 0
-    assert abs(w.w_cross) < w.w_same
-
-
 def test_channel_matches_monte_carlo_on_random_input():
     rng = np.random.default_rng(10)
     n = 4
     x = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
-    exact = second_moment_channel(SecondMomentWeights(n), x)
+    exact = second_moment_channel(x)
     mc = mc_channel(n, x, 20_000, rng)
     # per-entry Monte-Carlo SE is ~7e-3 here; allow for the max over 256 entries
     assert np.abs(exact - mc).max() < 5e-2
@@ -112,7 +105,7 @@ def test_channel_trace_preservation_on_pure_state_pair():
     v /= np.linalg.norm(v)
     rho = np.outer(v, v.conj())
     x = np.einsum("ij,kl->ijkl", rho, rho)
-    out = second_moment_channel(SecondMomentWeights(n), x)
+    out = second_moment_channel(x)
     assert abs(np.einsum("iikk->", out) - 1.0) < 1e-12
     assert abs(np.einsum("ikki->", out) - 1.0) < 1e-12
 
@@ -121,12 +114,12 @@ def test_channel_commutes_with_copy_swap():
     rng = np.random.default_rng(12)
     n = 3
     x = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
-    w = SecondMomentWeights(n)
-    swapped_in = second_moment_channel(w, x.transpose(2, 3, 0, 1))
-    swapped_out = second_moment_channel(w, x).transpose(2, 3, 0, 1)
+    swapped_in = second_moment_channel(x.transpose(2, 3, 0, 1))
+    swapped_out = second_moment_channel(x).transpose(2, 3, 0, 1)
     assert np.abs(swapped_in - swapped_out).max() < 1e-14
 
 
-def test_channel_rejects_wrong_leg_extent():
-    with pytest.raises(ValueError):
-        second_moment_channel(SecondMomentWeights(4), np.zeros((4, 4, 4, 3)))
+@pytest.mark.parametrize("shape", [(4, 4, 4, 3), (1, 1, 1, 1), (0, 0, 0, 0), (4, 4, 4), (4,), ()])
+def test_channel_rejects_wrong_leg_extent(shape):
+    with pytest.raises(ValueError, match="n >= 2"):
+        second_moment_channel(np.zeros(shape))

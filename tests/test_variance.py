@@ -1,6 +1,7 @@
 """Tests for variance scans, jackknife errors, and distance profiles."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis import strategies as hst
 import tnlab
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZED,
-                          LossSpec, plus_projector, plus_target, traceless_observable)
+                          LossSpec, gradient_map, plus_projector, plus_target,
+                          traceless_observable)
+from tnlab.spinmodel import mc_second_moment
+from tnlab.states import build_state, norm_squared
 from tnlab.variance import (VarianceReport, distance_profile, jackknife_variance_se,
                             variance_scan)
 
@@ -78,6 +82,58 @@ def test_scan_worker_count_does_not_change_results():
     parallel = variance_scan(spec, loss, 8, seed=13, workers=2)
     assert np.array_equal(serial.variance, parallel.variance)
     assert np.array_equal(serial.mean, parallel.mean)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_equals_a_loop_over_spawned_children(workers):
+    # the scan's stream: sample i draws from SeedSequence(seed).spawn(n)[i]
+    spec = LatticeSpec(2, 3, 2, 2)
+    loss = local_loss(site=(1, 1))
+    grads = [gradient_map(build_state(spec, np.random.default_rng(child)), loss)
+             for child in np.random.SeedSequence(20).spawn(5)]
+    report = variance_scan(spec, loss, 5, seed=20, workers=workers)
+    assert np.array_equal(report.samples, np.array(grads))
+    assert np.array_equal(report.variance, np.var(grads, axis=0, ddof=1))
+
+
+def test_mc_second_moment_equals_a_sequential_loop():
+    # the norm estimate's stream: every sample draws from the one generator in turn
+    spec = LatticeSpec(2, 3, 2, 2)
+    rng = np.random.default_rng(21)
+    vals = np.empty(7)
+    for i in range(7):
+        vals[i] = norm_squared(build_state(spec, rng)) ** 2
+    expected = float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(7))
+    assert mc_second_moment(spec, 7, np.random.default_rng(21)) == expected
+
+
+class _FirstSample(Exception):
+    pass
+
+
+def _raise_first_sample(spec, rng):
+    raise _FirstSample
+
+
+def test_scan_allocates_nothing_per_sample_ahead_of_the_first(monkeypatch):
+    # a spawned child costs about 376 bytes: 10**5 of them made up front would take 37 MB
+    monkeypatch.setattr(tnlab.variance, "build_state", _raise_first_sample)
+    spec = LatticeSpec(2, 2, 2, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstSample):
+            variance_scan(spec, local_loss(), 10**5, seed=22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_mc_second_moment_allocates_nothing_ahead_of_the_first_sample(monkeypatch):
+    # 10**10 samples: an up-front array of them would be 80 GB, a MemoryError
+    monkeypatch.setattr(tnlab.variance, "build_state", _raise_first_sample)
+    with pytest.raises(_FirstSample):
+        mc_second_moment(LatticeSpec(2, 2, 2, 2), 10**10, np.random.default_rng(23))
 
 
 @pytest.mark.parametrize("workers", [0, -5])

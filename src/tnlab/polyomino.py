@@ -12,16 +12,18 @@ Cell sets are bit-packed ints: S \ T is S & ~T and |S| is int.bit_count(). Plane
 cell (x, y) is bit (x0 - x) W + (y0 - y), x0 and y0 the largest x and y (0 for a
 rooted piece): a step in x shifts by W bits and one in y by one bit, and W leaves
 a zero padding column past the y-extent, so a step in y never wraps a row. Toric
-cell (x, y) is bit x L + y, as in `enumerate_toric`'s codes: a step in x rotates
-all L^2 bits by L, and one in y rotates each row by a bit under the masks of its
-first and last columns. Frozensets of (x, y) appear only at the public API.
+cell (x, y) is bit x L + y: a step in x rotates all L^2 bits by L, and one in y
+rotates each row by a bit under the masks of its first and last columns.
 
 Toric polyominoes are the nonzero-weight upper-layer spin configurations of
 the two-layer model: boolean (L, L) grids in which every occupied cell has an
-occupied successor to the right or below (modulo L). `toric_to_plane`
-decomposes one into rooted plane polyominoes: it walks from every occupied
-cell along the one out-edge of each cell to the unique cycle of its component,
-which it roots at its smallest vertex when first found.
+occupied successor to the right or below (modulo L). A stack of them is split
+into rooted plane polyominoes by arrays over the cells v = x L + y. A cell's
+successor is (x+1, y) if occupied, else (x, y+1); an empty cell is its own.
+Pointer doubling (ceil(log2 L^2) steps of np.take_along_axis) gives each cell
+the smallest vertex on its component's cycle, its root. A second doubling, with
+the roots absorbing, sums the steps: a cell a steps in x and b in y from its root
+is plane cell (-a, -b). Frozensets of (x, y) appear only at the public API.
 """
 
 from collections import Counter
@@ -35,6 +37,7 @@ from .errors import ResourceLimitError
 ENUMERATION_BUDGET = 12
 SERIES_BUDGET = 24
 TORIC_BUDGET = 4
+_BLOCK = 1024  # grids per decomposition in verify_decomposition, to bound its index arrays
 
 
 class PolyominoStats(NamedTuple):
@@ -77,6 +80,9 @@ def stats(cells):
     """(area, perimeter, upper perimeter) of a plane cell set, from the defining set formulas."""
     if not cells:
         raise ValueError("empty cell set")
+    for cell in cells:
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in cell):
+            raise ValueError(f"a plane cell is a pair of integers, got {cell!r}")
     x0, y0 = max(x for x, _ in cells), max(y for _, y in cells)
     width = y0 - min(y for _, y in cells) + 2
     return _stats(sum(1 << int((x0 - x) * width + y0 - y) for x, y in cells), width)
@@ -195,15 +201,16 @@ def series_coefficients(m_max):
     return PolyominoCounts(counts)
 
 
-def _toric_codes(L):
-    """Packed codes, bit x * L + y for cell (x, y), of the nonzero-weight configurations."""
+def _toric_grids(L):
+    """The nonzero-weight configurations as boolean (n, L, L) grids, unpacked from their codes."""
     if L < 1:
         raise ValueError(f"torus side must be at least 1, got L = {L}")
     if L > TORIC_BUDGET:
         raise ResourceLimitError(f"toric enumeration capped at L = {TORIC_BUDGET}")
-    codes = np.arange(1, 1 << (L * L), dtype=np.uint32)
+    codes = np.arange(1, 1 << (L * L), dtype=np.uint32)  # bit x L + y for cell (x, y)
     _, ahead_x, _, ahead_y = _translates(codes, L, torus=True)
-    return codes[(codes & ~ahead_x & ~ahead_y) == 0]
+    codes = codes[(codes & ~ahead_x & ~ahead_y) == 0]
+    return (codes[:, None] >> np.arange(L * L, dtype=np.uint32) & 1).astype(bool).reshape(-1, L, L)
 
 
 def enumerate_toric(L):
@@ -211,68 +218,81 @@ def enumerate_toric(L):
 
     Raises ValueError when L < 1 and ResourceLimitError above TORIC_BUDGET.
     """
-    codes = _toric_codes(L)
-    shifts = np.arange(L * L, dtype=np.uint32)
-    return list(((codes[:, None] >> shifts) & 1).astype(bool).reshape(-1, L, L))
+    return list(_toric_grids(L))
 
 
-def _pack_torus(config):
-    """(packed set, L) of a boolean L x L grid; ValueError unless it is 2-D, square, nonempty."""
-    c = np.asarray(config, dtype=bool)
+def _torus_grid(config):
+    """The boolean L x L grid of config; ValueError unless it is a nonempty square grid of 0/1."""
+    c = np.asarray(config)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
         raise ValueError(f"a toric configuration is a nonempty square grid, got shape {c.shape}")
-    return int.from_bytes(np.packbits(c, axis=None, bitorder="little").tobytes(), "little"), len(c)
+    bad = (c != 0) & (c != 1)
+    if bad.any():
+        raise ValueError(f"a toric configuration holds 0/1 or False/True, got {c[bad].tolist()}")
+    return c.astype(bool)
 
 
-def _toric_pieces(s, L):
-    """The plane pieces of the packed toric polyomino s, packed with rows L^2 + 1 bits apart."""
-    n, width = L * L, L * L + 1
-    _, ahead_x, _, ahead_y = _translates(s, L, torus=True)
-    dead = s & ~ahead_x & ~ahead_y
-    if dead:
-        x, y = divmod(next(_bits(dead)), L)
+def _decompose(grids):
+    """The (n, L^2) roots and packed displacements a (L^2 + 1) + b of n stacked toric grids."""
+    n, L = grids.shape[:2]
+    cells = L * L
+    occupied = grids.reshape(n, cells)
+    step_x = occupied & np.roll(grids, -1, axis=1).reshape(n, cells)
+    dead = occupied & ~step_x & ~np.roll(grids, -1, axis=2).reshape(n, cells)
+    if dead.any():
+        x, y = divmod(int(np.argwhere(dead)[0, 1]), L)
         raise ValueError(f"cell ({x}, {y}) has no occupied successor; not a toric polyomino")
-    # cell -> (successor, packed plane step): a step in x is a row, one in y a bit
-    edges = {v: ((v + L) % n, width) if ahead_x >> v & 1 else (v - v % L + (v + 1) % L, 1)
-             for v in _bits(s)}
-    moves = {}  # cell -> (root, packed plane cell)
-    for start in edges:
-        path, v = [], start
-        while v not in moves and v not in path:
-            path.append(v)
-            v = edges[v][0]
-        if v not in moves:  # the walk closed a cycle not seen before
-            root = min(path[path.index(v):])
-            moves[root] = (root, 0)
-            # cycle cells after the root are reached by later walks
-            del path[path.index(root):]
-        for u in reversed(path):
-            w, step = edges[u]
-            moves[u] = (moves[w][0], moves[w][1] + step)
-    pieces = {}
-    for root, cell in moves.values():
-        if pieces.get(root, 0) >> cell & 1:
-            raise RuntimeError("backtrace produced colliding plane cells")
-        pieces[root] = pieces.get(root, 0) | 1 << cell
-    return list(pieces.values())
+    v = np.arange(cells)
+    succ = np.where(step_x, (v + L) % cells, np.where(occupied, v - v % L + (v + 1) % L, v))
+    steps = (cells - 1).bit_length()
+    low, jump = np.broadcast_to(v, succ.shape), succ
+    for _ in range(steps):  # low: the smallest of the first 2^k cells of each walk
+        low = np.minimum(low, np.take_along_axis(low, jump, 1))
+        jump = np.take_along_axis(jump, jump, 1)
+    root = np.take_along_axis(low, jump, 1)
+    jump = np.where(root == v, v, succ)
+    shift = np.where(step_x, cells + 1, 1) * (root != v)
+    for _ in range(steps):
+        shift = shift + np.take_along_axis(shift, jump, 1)
+        jump = np.take_along_axis(jump, jump, 1)
+    return root, shift
+
+
+def _pieces(grids):
+    r"""Keys (i L^2 + root) W^2 + a W + b, W = L^2 + 1, of the cells of n stacked toric grids.
+
+    Returns them in row-major cell order, W, and each piece's key, area |S| and upper
+    perimeter |S \ (S + e_x)| (its cells without key + W), counted on its sorted keys.
+    """
+    n, L = grids.shape[:2]
+    width = L * L + 1
+    if n * width**3 >= 2**63:  # the keys, below n L^2 W^2, are int64
+        raise ResourceLimitError(f"plane-cell keys of {n} toric grids of side {L} overflow int64")
+    root, shift = _decompose(grids)
+    keys = ((np.arange(n)[:, None] * (L * L) + root) * width**2 + shift)[grids.reshape(n, -1)]
+    ordered = np.sort(keys)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise RuntimeError("backtrace produced colliding plane cells")
+    above = ordered + width
+    exposed = ordered[np.minimum(np.searchsorted(ordered, above), len(ordered) - 1)] != above
+    first = np.flatnonzero(np.diff(ordered // width**2, prepend=-1))
+    area = np.diff(first, append=len(ordered))
+    return keys, width, ordered[first] // width**2, area, np.add.reduceat(exposed, first)
 
 
 def toric_to_plane(config):
-    """Decompose a toric polyomino into rooted plane polyominoes, as frozensets of cells.
-
-    Every occupied cell (x, y) has one out-edge, to (x+1, y) if occupied,
-    else to (x, y+1), so the walk from any cell ends on the cycle of its
-    component. A walk that closes a cycle not seen before roots that component
-    at its smallest cycle vertex (x, y). Going back along the walk, every cell
-    that reaches its root by a steps in x and b steps in y maps to plane cell
-    (-a, -b).
-    """
-    s, L = _pack_torus(config)
-    return [_unpack(p, L * L + 1) for p in _toric_pieces(s, L)]
+    """The rooted plane pieces of a toric polyomino, as frozensets of cells."""
+    keys, width, *_ = _pieces(_torus_grid(config)[None])
+    pieces = {}
+    for root, cell in (divmod(key, width**2) for key in keys.tolist()):
+        pieces.setdefault(root, set()).add((-(cell // width), -(cell % width)))
+    return [frozenset(p) for p in pieces.values()]
 
 
 def toric_stats(config):
-    return _stats(*_pack_torus(config), torus=True)
+    c = _torus_grid(config)
+    code = int.from_bytes(np.packbits(c, axis=None, bitorder="little").tobytes(), "little")
+    return _stats(code, len(c), torus=True)
 
 
 @dataclass(frozen=True)
@@ -293,39 +313,39 @@ def decomposition_problems(config):
     invariants are: k <= m/L <= L, every m_i >= L, sum m_i = m, and
     n <= sum n_i <= n + k. An empty list means all hold.
     """
-    return _problems(*_pack_torus(config))
+    return dict(_violations(_torus_grid(config)[None])).get(0, [])
 
 
-def _problems(code, L):
-    ts = _stats(code, L, torus=True)
-    piece_stats = [_stats(p, L * L + 1) for p in _toric_pieces(code, L)]
-    k = len(piece_stats)
-    total_area = sum(s.area for s in piece_stats)
-    total_upper = sum(s.upper_perimeter for s in piece_stats)
-    problems = []
-    if not (k <= ts.area / L <= L):
-        problems.append(f"k={k} outside [.., m/L={ts.area / L}, L={L}]")
-    if any(s.area < L for s in piece_stats):
-        problems.append(f"piece areas {[s.area for s in piece_stats]} below L")
-    if total_area != ts.area:
-        problems.append(f"area sum {total_area} != {ts.area}")
-    if not (ts.upper_perimeter <= total_upper <= ts.upper_perimeter + k):
-        problems.append(
-            f"upper perimeter sum {total_upper} outside "
-            f"[{ts.upper_perimeter}, {ts.upper_perimeter + k}]")
-    return problems
+def _violations(grids):
+    """Yield (i, messages) for each grid i of stacked toric polyominoes breaking an invariant."""
+    n, L = grids.shape[:2]
+    m = grids.sum(axis=(1, 2))
+    if not m.all():
+        raise ValueError("empty cell set")
+    upper = (grids & ~np.roll(grids, 1, axis=1)).sum(axis=(1, 2))  # |S \ (S + e_x)| mod L
+    keys, width, piece, area, piece_upper = _pieces(grids)
+    grid = piece // (L * L)
+    k = np.bincount(grid, minlength=n)
+    total_area, total_upper = (np.bincount(grid, w, n).astype(int) for w in (area, piece_upper))
+    broken = [(k > m / L) | (m / L > L), np.bincount(grid, area < L, n) > 0, total_area != m,
+              (total_upper < upper) | (total_upper > upper + k)]
+    areas, starts = dict(zip(piece.tolist(), area.tolist())), np.cumsum(m) - m
+    for i in np.flatnonzero(np.any(broken, axis=0)).tolist():
+        first_seen = dict.fromkeys((keys[starts[i]:starts[i] + m[i]] // width**2).tolist())
+        texts = [f"k={k[i]} outside [.., m/L={m[i] / L}, L={L}]",
+                 f"piece areas {[areas[p] for p in first_seen]} below L",
+                 f"area sum {total_area[i]} != {m[i]}",
+                 f"upper perimeter sum {total_upper[i]} outside [{upper[i]}, {upper[i] + k[i]}]"]
+        yield i, [text for text, bad in zip(texts, broken) if bad[i]]
 
 
 def verify_decomposition(L):
-    """Exhaustively check `decomposition_problems` on every configuration at size L."""
-    codes = _toric_codes(L)
-    violations = []
-    for code in codes.tolist():
-        problems = _problems(code, L)
-        if problems:
-            grid = [[code >> (x * L + y) & 1 for y in range(L)] for x in range(L)]
-            violations.append((ascii_art(grid), "; ".join(problems)))
-    return DecompositionReport(len(codes), len(violations), tuple(violations))
+    """Exhaustively check `decomposition_problems` on every configuration at size L, in blocks."""
+    grids = _toric_grids(L)
+    blocks = (grids[j:j + _BLOCK] for j in range(0, len(grids), _BLOCK))
+    violations = tuple((ascii_art(block[i]), "; ".join(problems))
+                       for block in blocks for i, problems in _violations(block))
+    return DecompositionReport(len(grids), len(violations), violations)
 
 
 def ascii_art(grid):

@@ -7,6 +7,7 @@ from enum import Enum
 import numpy as np
 
 from tnlab import network
+from tnlab.polyomino import _bits, _translates, _unpack
 from tnlab.spinmodel import KIND_NORM, WeightTable
 
 
@@ -79,6 +80,71 @@ def classify_config(config):
     if np.any(c & ~right & ~down):
         return ConfigClass.ZERO
     return ConfigClass.VALID
+
+
+def walk_pieces(config):
+    """The plane pieces of a toric polyomino by one walk per cell: {root: frozenset of cells}.
+
+    Cell (x, y) is bit (and root) x L + y. Every occupied cell has one out-edge,
+    to (x+1, y) if occupied, else to (x, y+1), so the walk from any cell ends on
+    the cycle of its component. A walk that closes a cycle not seen before roots
+    that component at its smallest cycle vertex. Going back along the walk, every
+    cell that reaches its root by a steps in x and b steps in y maps to plane cell
+    (-a, -b); the pieces are packed with rows L^2 + 1 bits apart while they grow.
+    """
+    c = np.asarray(config, dtype=bool)
+    L = len(c)
+    s = int.from_bytes(np.packbits(c, axis=None, bitorder="little").tobytes(), "little")
+    n, width = L * L, L * L + 1
+    _, ahead_x, _, ahead_y = _translates(s, L, torus=True)
+    dead = s & ~ahead_x & ~ahead_y
+    if dead:
+        x, y = divmod(next(_bits(dead)), L)
+        raise ValueError(f"cell ({x}, {y}) has no occupied successor; not a toric polyomino")
+    # cell -> (successor, packed plane step): a step in x is a row, one in y a bit
+    edges = {v: ((v + L) % n, width) if ahead_x >> v & 1 else (v - v % L + (v + 1) % L, 1)
+             for v in _bits(s)}
+    moves = {}  # cell -> (root, packed plane cell)
+    for start in edges:
+        path, v = [], start
+        while v not in moves and v not in path:
+            path.append(v)
+            v = edges[v][0]
+        if v not in moves:  # the walk closed a cycle not seen before
+            root = min(path[path.index(v):])
+            moves[root] = (root, 0)
+            # cycle cells after the root are reached by later walks
+            del path[path.index(root):]
+        for u in reversed(path):
+            w, step = edges[u]
+            moves[u] = (moves[w][0], moves[w][1] + step)
+    pieces = {}
+    for root, cell in moves.values():
+        if pieces.get(root, 0) >> cell & 1:
+            raise RuntimeError("backtrace produced colliding plane cells")
+        pieces[root] = pieces.get(root, 0) | 1 << cell
+    return {root: _unpack(p, width) for root, p in pieces.items()}
+
+
+def walk_problems(config):
+    """The violated decomposition invariants of `walk_pieces`, with the library's messages."""
+    c = np.asarray(config, dtype=bool)
+    L = len(c)
+    m, _, n = grid_stats([tuple(xy) for xy in np.argwhere(c)], L)
+    piece_stats = [grid_stats(cells) for cells in walk_pieces(c).values()]
+    k = len(piece_stats)
+    total_area = sum(st[0] for st in piece_stats)
+    total_upper = sum(st[2] for st in piece_stats)
+    problems = []
+    if not (k <= m / L <= L):
+        problems.append(f"k={k} outside [.., m/L={m / L}, L={L}]")
+    if any(st[0] < L for st in piece_stats):
+        problems.append(f"piece areas {[st[0] for st in piece_stats]} below L")
+    if total_area != m:
+        problems.append(f"area sum {total_area} != {m}")
+    if not (n <= total_upper <= n + k):
+        problems.append(f"upper perimeter sum {total_upper} outside [{n}, {n + k}]")
+    return problems
 
 
 def normalized_local_gradient(ket, dket, site, op):

@@ -86,6 +86,14 @@ def test_polyomino_command(tmp_path):
     assert "6,14,3" in ref_csv
 
 
+def test_polyomino_command_on_the_one_cell_torus(tmp_path):
+    out = tmp_path / "poly"
+    assert main(["polyomino", "--sizes", "1x1", "--max-area", "3", "--seed", "0",
+                 "--out", str(out)]) == 0
+    doc = read_json(out / "polyomino_counts.json")
+    assert doc["decomposition"] == [{"L": 1, "n_valid": 1, "n_violations": 0}]
+
+
 @pytest.mark.parametrize("size, code, message", [
     ("2x3", 2, "needs square sizes"),
     ("0x0", 2, "torus side must be at least 1, got L = 0"),

@@ -1,19 +1,23 @@
 """Tests for polyomino enumeration, the generating function, and the toric decomposition."""
 
 import itertools
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from tnlab import polyomino
 from tnlab.errors import ResourceLimitError
 from tnlab.polyomino import (ENUMERATION_BUDGET, ascii_art, decomposition_problems,
                              directed_gf, enumerate_directed, enumerate_toric, generate_directed,
                              series_coefficients, stats, toric_stats, toric_to_plane,
                              verify_decomposition)
-from oracles import ConfigClass, by_area, classify_config, grid_stats
+from oracles import ConfigClass, by_area, classify_config, grid_stats, walk_pieces, walk_problems
 
 # area-6 directed polyomino with perimeter 14 and upper perimeter 3:
 #   .#.
@@ -58,6 +62,13 @@ def test_domino_stats():
 def test_stats_rejects_empty():
     with pytest.raises(ValueError):
         stats(frozenset())
+
+
+@pytest.mark.parametrize("cell", [(0.5, 0), (True, 0), (0, np.True_), (0, 1.0)], ids=repr)
+def test_stats_rejects_cells_that_are_not_integer_pairs(cell):
+    # a float would be packed by int() and a bool read as 0 or 1
+    with pytest.raises(ValueError, match="pair of integers"):
+        stats(frozenset({cell, (0, 0)}))
 
 
 def _cell_sets(hi):
@@ -240,7 +251,29 @@ def test_decomposition_root_invariance():
             assert sorted(stats(p).area for p in moved) == areas
 
 
-@pytest.mark.parametrize("L", (2, 3))
+def _array_pieces(grids):
+    """The pieces of the array routine for each of stacked grids, as {root: frozenset of cells}."""
+    roots, shifts = polyomino._decompose(grids)
+    width = grids[0].size + 1
+    out = []
+    for grid, root, shift in zip(grids, roots.tolist(), shifts.tolist()):
+        pieces = {}
+        for v in np.flatnonzero(grid).tolist():
+            pieces.setdefault(root[v], set()).add((-(shift[v] // width), -(shift[v] % width)))
+        out.append({r: frozenset(cells) for r, cells in pieces.items()})
+    return out
+
+
+@pytest.mark.parametrize("L", (1, 2, 3, 4))
+def test_array_decomposition_matches_the_walk_oracle(L):
+    configs = enumerate_toric(L)
+    oracle = [walk_pieces(cfg) for cfg in configs]
+    assert _array_pieces(np.array(configs)) == oracle
+    # toric_to_plane lists the pieces in the order of their components' smallest cells
+    assert [toric_to_plane(cfg) for cfg in configs] == [list(o.values()) for o in oracle]
+
+
+@pytest.mark.parametrize("L", (1, 2, 3))
 def test_decomposition_invariants_exhaustive(L):
     report = verify_decomposition(L)
     assert report.n_valid > 0
@@ -261,11 +294,76 @@ def test_decomposition_invariants_random_large(cfg):
             break
         cfg = cfg & ~dead
     assume(cfg.any())
-    assert decomposition_problems(cfg) == []
+    assert decomposition_problems(cfg) == walk_problems(cfg) == []
+    oracle = walk_pieces(cfg)
+    assert _array_pieces(cfg[None]) == [oracle]
+    assert toric_to_plane(cfg) == list(oracle.values())
+
+
+def _expected_violations(L, problems):
+    """(ascii_art, message) for every configuration at size L, from the walk oracle's pieces."""
+    out = []
+    for cfg in enumerate_toric(L):
+        m, _, n = grid_stats([tuple(xy) for xy in np.argwhere(cfg)], L)
+        pieces = [grid_stats(cells) for cells in walk_pieces(cfg).values()]
+        out.append((ascii_art(cfg), "; ".join(problems(m, n, pieces))))
+    return out
+
+
+def test_verify_reports_violations_of_corrupted_piece_statistics(monkeypatch):
+    # every piece one cell larger and two upper-perimeter cells longer breaks the area sum
+    # and the upper-perimeter bound of every configuration
+    pieces = polyomino._pieces
+
+    def corrupted(grids):
+        keys, width, piece, area, upper = pieces(grids)
+        return keys, width, piece, area + 1, upper + 2
+
+    monkeypatch.setattr(polyomino, "_pieces", corrupted)
+    report = verify_decomposition(2)
+    expected = _expected_violations(2, lambda m, n, st: [
+        f"area sum {m + len(st)} != {m}",
+        f"upper perimeter sum {sum(s[2] for s in st) + 2 * len(st)} "
+        f"outside [{n}, {n + len(st)}]"])
+    assert (report.n_valid, report.n_violations, report.ok) == (9, 9, False)
+    assert list(report.violations) == expected
+    assert decomposition_problems(enumerate_toric(2)[0]) == expected[0][1].split("; ")
+
+
+def test_verify_reports_violations_of_a_corrupted_decomposition(monkeypatch):
+    # every cell its own root splits each configuration into m one-cell pieces
+    def singletons(grids):
+        n, L = grids.shape[:2]
+        cells = np.broadcast_to(np.arange(L * L), (n, L * L))
+        return cells, np.zeros_like(cells)
+
+    monkeypatch.setattr(polyomino, "_decompose", singletons)
+    report = verify_decomposition(3)
+    expected = _expected_violations(3, lambda m, n, st: [
+        f"k={m} outside [.., m/L={m / 3}, L=3]", f"piece areas {[1] * m} below L"])
+    assert (report.n_valid, report.n_violations) == (124, 124)
+    assert list(report.violations) == expected
+
+
+def test_piece_areas_are_reported_piece_by_piece(monkeypatch):
+    # rows 0 and 2 of the 4x4 torus are two pieces, rooted at cells 0 and 8; the piece
+    # rooted at 8 is shrunk to area 2
+    cfg = np.zeros((4, 4), dtype=bool)
+    cfg[0, :] = cfg[2, :] = True
+    assert list(walk_pieces(cfg)) == [0, 8]
+    pieces = polyomino._pieces
+
+    def shrunk(grids):
+        keys, width, piece, area, upper = pieces(grids)
+        return keys, width, piece, area - piece % 16 // 4, upper
+
+    monkeypatch.setattr(polyomino, "_pieces", shrunk)
+    assert decomposition_problems(cfg) == ["piece areas [4, 2] below L", "area sum 6 != 8"]
 
 
 @pytest.mark.parametrize("check", [toric_stats, toric_to_plane, decomposition_problems])
-@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), (0, 0)], ids=str)
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2), (4,), (1,), (2, 2, 2), (0, 0)],
+                         ids=str)
 def test_toric_checks_reject_grids_that_are_not_square(check, shape):
     # the torus side is read from the grid, so anything but a nonempty square is refused
     with pytest.raises(ValueError, match="square grid"):
@@ -275,8 +373,61 @@ def test_toric_checks_reject_grids_that_are_not_square(check, shape):
 def test_decomposition_rejects_invalid_config():
     bad = np.zeros((3, 3), dtype=bool)
     bad[1, 1] = True
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cell \(1, 1\) has no occupied successor"):
         toric_to_plane(bad)
+
+
+def test_decomposition_problems_rejects_invalid_config():
+    bad = np.zeros((4, 4), dtype=bool)
+    bad[0, :] = True
+    bad[2, 3] = True
+    with pytest.raises(ValueError, match=r"cell \(2, 3\) has no occupied successor"):
+        decomposition_problems(bad)
+
+
+@pytest.mark.parametrize("check", [toric_stats, toric_to_plane, decomposition_problems])
+@pytest.mark.parametrize("entry", [0.5, 2, -1, np.nan], ids=repr)
+def test_toric_checks_reject_entries_other_than_0_and_1(check, entry):
+    # an entry is a spin, up (1 or True) or down (0 or False); no other value is read as one
+    grid = np.ones((2, 2))
+    grid[1, 0] = entry
+    with pytest.raises(ValueError, match="0/1 or False/True"):
+        check(grid)
+
+
+def test_one_cell_torus():
+    # the one cell is its own successor, a piece of area 1 = L
+    grid = np.ones((1, 1), dtype=int)
+    assert [g.tolist() for g in enumerate_toric(1)] == [[[True]]]
+    assert toric_to_plane(grid) == [frozenset({(0, 0)})]
+    assert decomposition_problems(grid) == []
+    report = verify_decomposition(1)
+    assert (report.n_valid, report.n_violations) == (1, 0)
+
+
+@pytest.mark.parametrize("check", [toric_to_plane, decomposition_problems])
+def test_decomposition_refuses_a_torus_whose_cell_keys_overflow(check):
+    # a cell's key is below L^2 (L^2 + 1)^2, which passes 2^63 at L = 1449
+    with pytest.raises(ResourceLimitError, match="overflow int64"):
+        check(np.ones((1449, 1449), dtype=bool))
+
+
+def test_empty_grid_has_no_pieces_and_no_decomposition_check():
+    assert toric_to_plane(np.zeros((3, 3), dtype=bool)) == []
+    with pytest.raises(ValueError, match="empty cell set"):
+        decomposition_problems(np.zeros((3, 3), dtype=bool))
+
+
+def test_polyomino_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma is imported on first use of np.unique or np.isin, at a cost in set-up time
+    # and memory; the polyomino command needs neither
+    code = ("import sys; from tnlab.cli import main; "
+            f"rc = main(['polyomino', '--sizes', '1x1,2x2,3x3', '--max-area', '5', '--seed', '0', "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=Path(polyomino.__file__).parents[1])
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_toric_count_bounded_by_plane_compositions():

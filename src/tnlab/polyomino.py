@@ -8,6 +8,11 @@ area m = |S|, perimeter p = sum over the four unit steps e of |S \ (S + e)|,
 and upper perimeter n = |S \ (S + e_x)|, the occupied cells (x, y) whose
 (x - 1, y) is empty. On the L x L torus, S + e is taken mod L.
 
+The counts D_{m,n} of directed polyominoes by area and upper perimeter come from
+two independent routes, both capped at area SERIES_BUDGET: the power series of
+the closed form, and a transfer over the anti-diagonal layers a + b = k that
+counts the polyominoes without generating one.
+
 Cell sets are bit-packed ints: S \ T is S & ~T and |S| is int.bit_count(). Plane
 cell (x, y) is bit (x0 - x) W + (y0 - y), x0 and y0 the largest x and y (0 for a
 rooted piece): a step in x shifts by W bits and one in y by one bit, and W leaves
@@ -26,7 +31,7 @@ the roots absorbing, sums the steps: a cell a steps in x and b in y from its roo
 is plane cell (-a, -b). Frozensets of (x, y) appear only at the public API.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +39,6 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-ENUMERATION_BUDGET = 12
 SERIES_BUDGET = 24
 TORIC_BUDGET = 4
 _BLOCK = 1024  # grids per decomposition in verify_decomposition, to bound its index arrays
@@ -44,14 +48,6 @@ class PolyominoStats(NamedTuple):
     area: int
     perimeter: int
     upper_perimeter: int
-
-
-def _bits(s):
-    """Indices of the set bits of the packed set s, in increasing order."""
-    while s:
-        low = s & -s
-        yield low.bit_length() - 1
-        s ^= low
 
 
 def _translates(s, width, torus=False):
@@ -88,39 +84,6 @@ def stats(cells):
     return _stats(sum(1 << int((x0 - x) * width + y0 - y) for x, y in cells), width)
 
 
-def _unpack(s, width):
-    """The plane cells (-a, -b) of the packed bits a * width + b."""
-    return frozenset((-(i // width), -(i % width)) for i in _bits(s))
-
-
-def _directed_levels(m_max):
-    """The packed directed polyominoes of each area 1..m_max, and their row width."""
-    if m_max < 1:
-        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
-    if m_max > ENUMERATION_BUDGET:
-        raise ResourceLimitError(f"exhaustive enumeration capped at area {ENUMERATION_BUDGET}")
-    width = m_max + 1  # a directed cell (-a, -b) of area <= m_max has b < m_max
-    levels = [{1}]
-    while len(levels) < m_max:
-        levels.append({s | 1 << c for s in levels[-1]
-                       for c in _bits(((s << width) | (s << 1)) & ~s)})
-    return levels, width
-
-
-def generate_directed(m_max):
-    """All directed plane polyominoes rooted at (0, 0) with area <= m_max.
-
-    Grows by attaching one cell at a time: any absent cell whose right or
-    down neighbor is present may be added, and every directed polyomino of
-    area m + 1 arises this way from one of area m (remove a cell of minimal
-    x + y). Returns a generator of (area, frozenset of cells) pairs; raises
-    ValueError when m_max < 1 and ResourceLimitError when m_max exceeds
-    ENUMERATION_BUDGET, at call time.
-    """
-    levels, width = _directed_levels(m_max)
-    return ((m, _unpack(s, width)) for m, level in enumerate(levels, 1) for s in level)
-
-
 @dataclass(frozen=True)
 class PolyominoCounts:
     """Counts indexed by (area, upper perimeter)."""
@@ -131,12 +94,41 @@ class PolyominoCounts:
         return self.counts.get((m, n), 0)
 
 
+def _check_area(m_max):
+    if m_max < 1:
+        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
+    if m_max > SERIES_BUDGET:
+        raise ResourceLimitError(f"directed-polyomino counts capped at area {SERIES_BUDGET}")
+
+
 def enumerate_directed(m_max):
-    """Exact D_{m,n} counts by exhaustive generation."""
-    levels, width = _directed_levels(m_max)
-    # the upper perimeter |S \ (S + e_x)|
-    return PolyominoCounts(dict(Counter(
-        (m, (s & ~(s >> width)).bit_count()) for m, level in enumerate(levels, 1) for s in level)))
+    """Exact D_{m,n} counts for m <= m_max by a transfer over anti-diagonal layers.
+
+    Layer k holds the cells (-a, -b) with a + b = k, as a mask over a. A cell of
+    layer k + 1 needs a cell at a - 1 or a in layer k, so mask T can follow S
+    when T is a submask of S | S << 1. Cell a of S is in the upper perimeter
+    when a + 1 is not in T (every cell of the last layer is). Each (mask, area)
+    keeps its counts per upper perimeter so far (Dhar, PRL 49, 959, 1982).
+    Raises ValueError below area 1 and ResourceLimitError above SERIES_BUDGET.
+    """
+    _check_area(m_max)
+    counts = Counter()
+    layer = {(1, 1): {0: 1}}
+    while layer:
+        following = defaultdict(Counter)
+        for (s, area), by_n in layer.items():
+            for n, c in by_n.items():
+                counts[area, n + s.bit_count()] += c
+            reach = t = s | s << 1
+            while t:  # every nonempty submask of reach
+                if area + t.bit_count() <= m_max:
+                    row = following[t, area + t.bit_count()]
+                    exposed = (s & ~(t >> 1)).bit_count()
+                    for n, c in by_n.items():
+                        row[n + exposed] += c
+                t = (t - 1) & reach
+        layer = following
+    return PolyominoCounts(dict(counts))
 
 
 def directed_gf(q, p):
@@ -161,12 +153,10 @@ def series_coefficients(m_max):
     G = p/2 (y - 1) with y^2 = Y = A/B. Each q-coefficient of Y and then of y
     is solved one order at a time from B Y = A and y^2 = Y, as a polynomial in
     p with Python-integer coefficients. Both steps halve integers; an odd one
-    signals an internal expansion error. Raises ValueError when m_max is below 1.
+    signals an internal expansion error. Raises ValueError below area 1 and
+    ResourceLimitError above SERIES_BUDGET.
     """
-    if m_max < 1:
-        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
-    if m_max > SERIES_BUDGET:
-        raise ResourceLimitError(f"series expansion capped at area {SERIES_BUDGET}")
+    _check_area(m_max)
     width = m_max + 2  # the q^k coefficient has p-degree <= k, and A, B have p-degree 1
 
     def poly(*coeffs):

@@ -1,13 +1,14 @@
 """Test-side oracles: independent reference implementations that only the tests use."""
 
 import string
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from tnlab import network
-from tnlab.polyomino import _bits, _translates, _unpack
+from tnlab.polyomino import _translates
 from tnlab.spinmodel import KIND_NORM, WeightTable
 
 
@@ -30,6 +31,48 @@ def dense_amplitudes(ket):
     expr = ",".join(terms) + "->" + "".join(phys[s] for s in sites)
     path = ["einsum_path", (0, 1), *((0, k) for k in range(len(sites) - 2, 0, -1))]
     return np.einsum(expr, *(ket[s] for s in sites), optimize=path)
+
+
+def _bits(s):
+    """Indices of the set bits of the packed set s, in increasing order."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _unpack(s, width):
+    """The plane cells (-a, -b) of the packed bits a * width + b."""
+    return frozenset((-(i // width), -(i % width)) for i in _bits(s))
+
+
+def _directed_levels(m_max):
+    """The packed directed polyominoes of each area 1..m_max, and their row width.
+
+    Grows by attaching one cell at a time: any absent cell whose right or down
+    neighbor is present may be added, and every directed polyomino of area
+    m + 1 arises this way from one of area m (remove a cell of minimal x + y).
+    Each area is deduplicated in a set of ints.
+    """
+    width = m_max + 1  # a directed cell (-a, -b) of area <= m_max has b < m_max
+    levels = [{1}]
+    while len(levels) < m_max:
+        levels.append({s | 1 << c for s in levels[-1]
+                       for c in _bits(((s << width) | (s << 1)) & ~s)})
+    return levels, width
+
+
+def generate_directed(m_max):
+    """All directed plane polyominoes rooted at (0, 0) with area <= m_max, as (area, cells)."""
+    levels, width = _directed_levels(m_max)
+    return [(m, _unpack(s, width)) for m, level in enumerate(levels, 1) for s in level]
+
+
+def grown_counts(m_max):
+    r"""D_{m,n} for m <= m_max by growth, the upper perimeter |S \ (S + e_x)| of each packed S."""
+    levels, width = _directed_levels(m_max)
+    return dict(Counter((m, (s & ~(s >> width)).bit_count())
+                        for m, level in enumerate(levels, 1) for s in level))
 
 
 def by_area(counts):

@@ -40,7 +40,8 @@ def test_criterion_01_second_moment_channel_oracle():
     while done < samples:
         chunk = min(4096, samples - done)
         u = haar_unitaries(n, chunk, rng)[:, :, 0]
-        acc += np.einsum("bi,bj,bk,bl->ijkl", u, u.conj(), u, u.conj())
+        p = (u[:, :, None] * u.conj()[:, None, :]).reshape(chunk, n * n)  # p[b, (i, j)] = u_i u*_j
+        acc += (p.T @ p).reshape(n, n, n, n)
         done += chunk
     mc = acc / samples
     dev = np.abs(exact - mc).max()

@@ -110,6 +110,14 @@ def test_polyomino_rejects_bad_sizes_before_enumerating(tmp_path, capsys, monkey
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_area, code", [(13, 0), (25, 4)])
+def test_polyomino_max_area_reaches_the_series_cap(tmp_path, capsys, max_area, code):
+    # the directed counts and the series share one cap, area 24
+    assert main(["polyomino", "--sizes", "2x2", "--max-area", str(max_area), "--seed", "1",
+                 "--out", str(tmp_path / "x")]) == code
+    assert ("capped at area 24" in capsys.readouterr().err) == (code == 4)
+
+
 def test_bounds_command(tmp_path):
     out = tmp_path / "bounds"
     code = main(["bounds", "--sizes", "2x2,3x3", "--seed", "5", "--out", str(out)])

@@ -110,6 +110,16 @@ def test_observables_that_are_not_square_matrices_are_rejected_up_front(shape):
         local_expectation(st, (0, 0), np.ones(shape))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_traceless_observable_is_hermitian_traceless_with_unit_scale(d):
+    # criterion 10 and the bounds command take tr O^2 = 2 as given
+    o = traceless_observable(d)
+    assert o.shape == (d, d)
+    assert np.array_equal(o, o.conj().T)
+    assert np.trace(o) == 0
+    assert np.trace(o @ o) == 2
+
+
 def test_global_pure_matches_overlap_formula():
     spec = LatticeSpec(2, 2, 2, 2)
     rng = np.random.default_rng(20)

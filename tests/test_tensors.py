@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tnlab.tensors import (haar_unitaries, haar_unitary, random_hermitian,
-                           second_moment_channel)
+from tnlab.tensors import (haar_unitaries, haar_unitary, hermitian_from_gaussian,
+                           random_hermitian, second_moment_channel)
 
 
 def mc_channel(n, tensor, samples, rng):
@@ -86,6 +86,19 @@ def test_random_hermitian_real_spectrum():
     for _ in range(100):
         w = np.linalg.eigvals(random_hermitian(8, rng))
         assert np.abs(w.imag).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_generator_moments_fix_its_scale(n):
+    # E[G (x) G] = SWAP for G = (A + A^dag)/2, A complex standard normal (E|A_ij|^2 = 2),
+    # so E Tr G^2 = N^2 and E (Tr G)^2 = N; seed 13 is the next one of this file
+    re, im = np.random.default_rng(13).standard_normal((2, 4000, n, n))
+    g = hermitian_from_gaussian(re, im)
+    tr_sq = np.einsum("bij,bji->b", g, g).real
+    sq_tr = np.trace(g, axis1=1, axis2=2).real ** 2
+    for values, expected in ((tr_sq, n * n), (sq_tr, n)):
+        se = values.std(ddof=1) / np.sqrt(len(values))
+        assert abs(values.mean() - expected) <= 3 * se, (values.mean(), expected, se)
 
 
 def test_channel_matches_monte_carlo_on_random_input():

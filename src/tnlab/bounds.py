@@ -25,11 +25,6 @@ class BoundReport:
     satisfied: bool
     slack: float  # bound / compared for upper bounds, compared / bound for floors
 
-    def to_json_dict(self):
-        return {"name": self.name, "params": self.params, "bound": self.bound,
-                "compared": self.compared, "satisfied": bool(self.satisfied),
-                "slack": self.slack}
-
 
 def _upper_report(name, params, bound, compared):
     """An upper-bound report; a non-finite bound (inf where it overflows) is never satisfied."""

@@ -1,10 +1,12 @@
 """Command-line front end: runs the laboratory experiments and writes CSV/JSON tables.
 
 Commands: norm-stats (exact partition function vs Monte-Carlo second moment),
-var-scan (gradient-variance scans), polyomino (enumeration vs series plus the
-toric decomposition check), bounds (closed-form bound reports). Every output
-embeds the run configuration; a fixed seed makes outputs reproducible
-byte-for-byte apart from the elapsed-time metadata field in JSON files.
+var-scan (gradient-variance scans), polyomino (enumeration vs series, the
+toric decomposition check and the reference shape's statistics), bounds
+(closed-form bound reports). The library returns plain records, and this module
+alone turns them into CSV rows and JSON documents. Every output embeds the run
+configuration; a fixed seed makes outputs reproducible byte-for-byte apart from
+the elapsed-time metadata field in JSON files.
 
 Exit codes: 0 success, 2 invalid configuration, 3 acceptance-check failure,
 4 resource cap exceeded.
@@ -16,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +52,6 @@ class RunConfig:
     format: str
     workers: int
 
-    def to_json_dict(self):
-        d = asdict(self)
-        d["sizes"] = [list(s) for s in self.sizes]
-        return d
-
 
 def _parse_sizes(text):
     sizes = []
@@ -67,27 +64,20 @@ def _parse_sizes(text):
     return tuple(sizes)
 
 
-def _write_csv(path, rows, config):
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: " + json.dumps(config.to_json_dict(), sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerows(rows)
-
-
-def _write_json(path, payload, config, elapsed):
-    doc = {"schema_version": SCHEMA_VERSION, "config": config.to_json_dict(),
-           "elapsed_seconds": elapsed, **payload}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _emit(outdir, name, config, elapsed, rows=None, payload=None):
+    """Write rows to name.csv and payload to name.json, as config.format asks; both embed config."""
     outdir.mkdir(parents=True, exist_ok=True)
+    meta = asdict(config)  # json writes the tuple sizes as nested lists
     if config.format in ("csv", "both") and rows is not None:
-        _write_csv(outdir / f"{name}.csv", rows, config)
+        with open(outdir / f"{name}.csv", "w", newline="") as fh:
+            fh.write("# config: " + json.dumps(meta, sort_keys=True) + "\n")
+            csv.writer(fh).writerows(rows)
     if config.format in ("json", "both") and payload is not None:
-        _write_json(outdir / f"{name}.json", payload, config, elapsed)
+        doc = {"schema_version": SCHEMA_VERSION, "config": meta,
+               "elapsed_seconds": elapsed, **payload}
+        with open(outdir / f"{name}.json", "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 def cmd_norm_stats(config):
@@ -132,14 +122,23 @@ def cmd_var_scan(config, loss_kind):
         value = float(np.mean(report.variance) if stat_name == "mean"
                       else np.max(report.variance))
         summary_rows.append((l1, l2, spec.n_sites, loss_kind, stat_name, repr(value)))
-        rec = report.to_json_dict()
-        rec["summary"] = {stat_name: value}
+        # the record flattens the lattice and the loss, and leaves the raw samples out
+        rec = {**asdict(spec), "loss": {"kind": loss_kind}, "n_samples": report.n_samples,
+               "n_failures": report.n_failures, "seed": report.seed,
+               "variance": report.variance.tolist(), "mean": report.mean.tolist(),
+               "std_error": report.std_error.tolist(),
+               "elapsed_seconds": report.elapsed_seconds, "summary": {stat_name: value}}
         if loss_kind == LOCAL_NORMALIZED:
+            rec["loss"]["site"] = list(loss.site)
             prof = distance_profile(report)
             rec["distance_profile"] = {str(k): list(v) for k, v in prof.items()}
         records.append(rec)
+        site_rows = [("site_x", "site_y", "variance", "std_error", "n")]
+        site_rows += [(x, y, repr(float(report.variance[x, y])),
+                       repr(float(report.std_error[x, y])), report.n_samples)
+                      for x, y in spec.sites()]
         _emit(outdir, f"var_scan_sites_{l1}x{l2}", config, report.elapsed_seconds,
-              rows=report.csv_rows())
+              rows=site_rows)
     _emit(outdir, "var_scan_summary", config, time.monotonic() - t0,
           rows=summary_rows, payload={"records": records})
     return EXIT_OK
@@ -173,8 +172,7 @@ def cmd_polyomino(config, max_area):
     ref = frozenset({(-3, -1), (-2, -1), (-1, -2), (-1, -1), (-1, 0), (0, 0)})
     ref_stats = stats(ref)
     ref_rows = [("area", "perimeter", "upper_perimeter", "cells"),
-                (ref_stats.area, ref_stats.perimeter, ref_stats.upper_perimeter,
-                 json.dumps(sorted(ref)))]
+                (*ref_stats, json.dumps(sorted(ref)))]
 
     elapsed = time.monotonic() - t0
     outdir = Path(config.out)
@@ -183,13 +181,12 @@ def cmd_polyomino(config, max_area):
         "counts": [{"area": k[0], "upper_perimeter": k[1], "count": v}
                    for k, v in sorted(enum.counts.items())],
         "series_matches_enumeration": not mismatch,
-        "reference_shape": {"cells": sorted(ref), "area": ref_stats.area,
-                            "perimeter": ref_stats.perimeter,
-                            "upper_perimeter": ref_stats.upper_perimeter},
+        "reference_shape": {"cells": sorted(ref), **ref_stats._asdict()},
         "decomposition": bridge_records,
     })
     _emit(outdir, "polyomino_decomposition", config, elapsed, rows=bridge_rows)
-    return EXIT_OK if (not mismatch and bridge_ok) else EXIT_CHECK
+    ref_ok = ref_stats == (6, 14, 3)
+    return EXIT_OK if (not mismatch and bridge_ok and ref_ok) else EXIT_CHECK
 
 
 def cmd_bounds(config):
@@ -220,14 +217,25 @@ def cmd_bounds(config):
         rows.append((r.name, json.dumps(r.params, sort_keys=True), repr(r.bound),
                      repr(r.compared), r.satisfied, repr(r.slack)))
     _emit(Path(config.out), "bounds", config, time.monotonic() - t0, rows=rows,
-          payload={"reports": [r.to_json_dict() for r in reports]})
+          payload={"reports": [asdict(r) for r in reports]})
     return EXIT_OK if ok else EXIT_CHECK
+
+
+# command -> (its function, the options it adds to the common ones); the function
+# takes the RunConfig and those options as keywords
+COMMANDS = {
+    "norm-stats": (cmd_norm_stats, {}),
+    "var-scan": (cmd_var_scan, {"--loss": {"dest": "loss_kind", "default": GLOBAL_NORMALIZED,
+                                           "choices": (GLOBAL_NORMALIZED, LOCAL_NORMALIZED)}}),
+    "polyomino": (cmd_polyomino, {"--max-area": {"type": int, "default": 10}}),
+    "bounds": (cmd_bounds, {}),
+}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="tnlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("norm-stats", "var-scan", "polyomino", "bounds"):
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--sizes", type=_parse_sizes, default=((2, 2), (2, 3), (3, 3)),
                        help="comma-separated lattice sizes, e.g. 2x2,3x3")
@@ -239,38 +247,27 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes for var-scan; the other commands take only 1")
-        if name == "var-scan":
-            p.add_argument("--loss", choices=(GLOBAL_NORMALIZED, LOCAL_NORMALIZED),
-                           default=GLOBAL_NORMALIZED)
-        if name == "polyomino":
-            p.add_argument("--max-area", type=int, default=10)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(command=args.command, sizes=args.sizes, bond_dim=args.bond_dim,
-                       phys_dim=args.phys_dim, samples=args.samples, seed=args.seed,
-                       out=args.out, format=args.format, workers=args.workers)
+    args = vars(build_parser().parse_args(argv))
+    config = RunConfig(*(args.pop(f.name) for f in fields(RunConfig)))
     try:
+        if config.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {config.seed}")
         if not 1 <= config.workers <= (os.cpu_count() or 1):
             raise ValueError(f"--workers must be between 1 and the CPU count, {os.cpu_count()}")
-        if config.workers != 1 and args.command != "var-scan":
+        if config.workers != 1 and config.command != "var-scan":
             raise ValueError(f"--workers {config.workers}: only var-scan runs in parallel")
         out = Path(config.out).absolute()
         nearest = next(p for p in (out, *out.parents) if p.exists())  # nearest existing path
         if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
             raise ValueError(f"--out {config.out}: {nearest} is not a writable directory")
-        if args.command == "norm-stats":
-            return cmd_norm_stats(config)
-        if args.command == "var-scan":
-            return cmd_var_scan(config, args.loss)
-        if args.command == "polyomino":
-            return cmd_polyomino(config, args.max_area)
-        if args.command == "bounds":
-            return cmd_bounds(config)
-        raise AssertionError(f"unhandled command {args.command}")
+        run, _ = COMMANDS[config.command]
+        return run(config, **args)  # what is left of args: the command's own options
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -61,12 +61,6 @@ class LossSpec:
     def normalized(self):
         return self.kind in NORMALIZED_KINDS
 
-    def describe(self):
-        out = {"kind": self.kind}
-        if self.site is not None:
-            out["site"] = list(self.site)
-        return out
-
 
 def plus_target(spec):
     """Product target with the uniform-superposition vector on every site."""

@@ -148,8 +148,8 @@ def _check_ring(grid, dgrid, transfer_bytes, other_bytes):
     if need > NETWORK_BUDGET:
         raise ResourceLimitError(
             f"a ring of {n_cols} columns of {n_rows} sites needs about "
-            f"{need / 2**30:.1f} GiB, above the network budget of "
-            f"{NETWORK_BUDGET / 2**30:.1f} GiB")
+            f"{need / 2**30:.3g} GiB, above the network budget of "
+            f"{NETWORK_BUDGET / 2**30:.3g} GiB")
 
 
 def _check_sweep(grid, dgrid):

@@ -66,8 +66,8 @@ def build_state(spec, rng):
     need = spec.n_sites * n * n * (6 * 8 + 3 * 16)
     if need > network.NETWORK_BUDGET:
         raise ResourceLimitError(
-            f"{spec.n_sites} sites of {n} x {n} unitaries need about {need / 2**30:.1f} GiB, "
-            f"above the network budget of {network.NETWORK_BUDGET / 2**30:.1f} GiB")
+            f"{spec.n_sites} sites of {n} x {n} unitaries need about {need / 2**30:.3g} GiB, "
+            f"above the network budget of {network.NETWORK_BUDGET / 2**30:.3g} GiB")
     raw = np.empty((spec.l1, spec.l2, 6, n, n))
     theta = np.empty((spec.l1, spec.l2))
     for x, y in spec.sites():
@@ -186,9 +186,9 @@ def load_state(path):
         n = spec.unitary_dim
         expected = spec.n_sites * (3 * n * n * 16 + 8)  # the size of _record_dtype(n) per site
         if expected > network.NETWORK_BUDGET:
-            raise ResourceLimitError(f"the header implies a {expected / 2**30:.1f} GiB body, "
+            raise ResourceLimitError(f"the header implies a {expected / 2**30:.3g} GiB body, "
                                      f"above the network budget of "
-                                     f"{network.NETWORK_BUDGET / 2**30:.1f} GiB")
+                                     f"{network.NETWORK_BUDGET / 2**30:.3g} GiB")
         body = os.fstat(fh.fileno()).st_size - fh.tell()
         if body != expected:
             raise ValueError(f"state body has {body} bytes; its header implies {expected}")

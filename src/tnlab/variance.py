@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateStateError
 from .lattice import LatticeSpec
-from .losses import LOCAL_KINDS, gradient_map
+from .losses import LOCAL_KINDS, LossSpec, gradient_map
 from .states import build_state
 
 
@@ -46,13 +46,10 @@ def jackknife_variance_se(values):
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Per-site gradient statistics from one Monte-Carlo scan."""
+    """Per-site gradient statistics from one Monte-Carlo scan of spec under loss."""
 
-    l1: int
-    l2: int
-    D: int
-    d: int
-    loss: dict
+    spec: LatticeSpec
+    loss: LossSpec
     n_samples: int
     n_failures: int
     seed: int
@@ -60,25 +57,7 @@ class VarianceReport:
     mean: np.ndarray
     std_error: np.ndarray  # jackknife SE of the variance
     elapsed_seconds: float = 0.0
-    samples: np.ndarray = None  # raw (n, l1, l2) gradient grid; not serialized
-
-    def csv_rows(self):
-        rows = [("site_x", "site_y", "variance", "std_error", "n")]
-        for x in range(self.l1):
-            for y in range(self.l2):
-                rows.append((x, y, repr(float(self.variance[x, y])),
-                             repr(float(self.std_error[x, y])), self.n_samples))
-        return rows
-
-    def to_json_dict(self):
-        return {
-            "l1": self.l1, "l2": self.l2, "D": self.D, "d": self.d,
-            "loss": self.loss, "n_samples": self.n_samples,
-            "n_failures": self.n_failures, "seed": self.seed,
-            "variance": self.variance.tolist(), "mean": self.mean.tolist(),
-            "std_error": self.std_error.tolist(),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+    samples: np.ndarray = None  # raw (n, l1, l2) gradient grid
 
 
 def sample_values(spec, measure, rngs):
@@ -129,16 +108,14 @@ def variance_scan(spec, loss, n_samples, seed, workers=1):
     n_ok = samples.shape[0]
     if n_ok < 2:
         raise RuntimeError(f"only {n_ok} usable samples ({failures} failures)")
-    report = VarianceReport(
-        l1=spec.l1, l2=spec.l2, D=spec.D, d=spec.d,
-        loss=loss.describe(), n_samples=n_ok, n_failures=failures, seed=seed,
+    return VarianceReport(
+        spec=spec, loss=loss, n_samples=n_ok, n_failures=failures, seed=seed,
         variance=np.var(samples, axis=0, ddof=1),
         mean=np.mean(samples, axis=0),
         std_error=jackknife_variance_se(samples),
         elapsed_seconds=time.monotonic() - t0,
         samples=samples,
     )
-    return report
 
 
 def distance_profile(report):
@@ -147,17 +124,15 @@ def distance_profile(report):
     Returns {distance: (mean_variance, std_error, n_sites)}; the SE of each
     group mean is jackknifed over the report's raw samples.
     """
-    if report.loss.get("kind") not in LOCAL_KINDS:
+    if report.loss.kind not in LOCAL_KINDS:
         raise ValueError("distance profile requires a local loss report")
     samples = report.samples
     if samples is None:
         raise ValueError("distance profile requires a report with its raw samples")
-    spec = LatticeSpec(report.l1, report.l2, report.D, report.d)
-    obs = tuple(report.loss["site"])
+    spec, obs = report.spec, tuple(report.loss.site)
     groups = {}
-    for x in range(spec.l1):
-        for y in range(spec.l2):
-            groups.setdefault(spec.toric_manhattan((x, y), obs), []).append((x, y))
+    for site in spec.sites():
+        groups.setdefault(spec.toric_manhattan(site, obs), []).append(site)
     profile = {}
     for delta in sorted(groups):
         sites = groups[delta]

@@ -8,7 +8,6 @@ from enum import Enum
 import numpy as np
 
 from tnlab import network
-from tnlab.polyomino import _translates
 from tnlab.spinmodel import KIND_NORM, WeightTable
 
 
@@ -139,13 +138,14 @@ def walk_pieces(config):
     L = len(c)
     s = int.from_bytes(np.packbits(c, axis=None, bitorder="little").tobytes(), "little")
     n, width = L * L, L * L + 1
-    _, ahead_x, _, ahead_y = _translates(s, L, torus=True)
-    dead = s & ~ahead_x & ~ahead_y
-    if dead:
-        x, y = divmod(next(_bits(dead)), L)
+    ahead_x = np.roll(c, -1, axis=0).reshape(-1)  # (x + 1, y) occupied, by bit
+    ahead_y = np.roll(c, -1, axis=1).reshape(-1)  # (x, y + 1) occupied, by bit
+    dead = np.flatnonzero(c.reshape(-1) & ~ahead_x & ~ahead_y)
+    if dead.size:
+        x, y = divmod(int(dead[0]), L)
         raise ValueError(f"cell ({x}, {y}) has no occupied successor; not a toric polyomino")
     # cell -> (successor, packed plane step): a step in x is a row, one in y a bit
-    edges = {v: ((v + L) % n, width) if ahead_x >> v & 1 else (v - v % L + (v + 1) % L, 1)
+    edges = {v: ((v + L) % n, width) if ahead_x[v] else (v - v % L + (v + 1) % L, 1)
              for v in _bits(s)}
     moves = {}  # cell -> (root, packed plane cell)
     for start in edges:

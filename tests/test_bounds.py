@@ -1,6 +1,7 @@
 """Tests for the closed-form bound evaluators."""
 
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_an_infinite_bound_is_never_satisfied(L):
     # at D = d = 2 the norm bound overflows to inf for L = 139..189; inf bounds nothing
     report = norm_excess_report(L, 2, 2, 0.5)
     assert report.bound == np.inf
-    assert not report.satisfied and not report.to_json_dict()["satisfied"]
+    assert not report.satisfied and not asdict(report)["satisfied"]
 
 
 def test_norm_excess_bound_asymptotic_rate():

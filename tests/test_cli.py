@@ -7,6 +7,7 @@ import pytest
 
 import tnlab
 from tnlab.cli import main
+from tnlab.polyomino import PolyominoStats
 
 
 def read_json(path):
@@ -50,6 +51,21 @@ def test_var_scan_local_emits_distance_profile(tmp_path):
     rec = doc["records"][0]
     assert "max" in rec["summary"]
     assert set(rec["distance_profile"]) == {"0", "1", "2"}
+
+
+def test_var_scan_writes_the_report_of_each_size(tmp_path):
+    out = tmp_path / "scan"
+    assert main(["var-scan", "--loss", "local_normalized", "--sizes", "2x3", "--samples", "10",
+                 "--seed", "19", "--out", str(out)]) == 0
+    rec = read_json(out / "var_scan_summary.json")["records"][0]
+    assert rec["loss"] == {"kind": "local_normalized", "site": [0, 0]}
+    assert (rec["l1"], rec["l2"], rec["D"], rec["d"]) == (2, 3, 2, 2)
+    assert len(rec["variance"]) == 2 and len(rec["variance"][0]) == 3
+    assert "samples" not in rec
+    rows = (out / "var_scan_sites_2x3.csv").read_text().splitlines()
+    assert rows[0].startswith("# config: ")
+    assert rows[1] == "site_x,site_y,variance,std_error,n"
+    assert len(rows[2:]) == 6
 
 
 def test_var_scan_past_dense_cap(tmp_path):
@@ -110,6 +126,12 @@ def test_polyomino_rejects_bad_sizes_before_enumerating(tmp_path, capsys, monkey
     assert message in capsys.readouterr().err
 
 
+def test_polyomino_reference_shape_mismatch_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(tnlab.cli, "stats", lambda cells: PolyominoStats(6, 14, 4))
+    assert main(["polyomino", "--sizes", "2x2", "--max-area", "4", "--seed", "1",
+                 "--out", str(tmp_path / "x")]) == 3
+
+
 @pytest.mark.parametrize("max_area, code", [(13, 0), (25, 4)])
 def test_polyomino_max_area_reaches_the_series_cap(tmp_path, capsys, max_area, code):
     # the directed counts and the series share one cap, area 24
@@ -162,6 +184,26 @@ def test_oversized_state_exit_code(tmp_path):
     assert code == 4
 
 
+def test_bounds_rejects_non_square_sizes(tmp_path, capsys):
+    assert main(["bounds", "--sizes", "2x3", "--seed", "5", "--out", str(tmp_path / "x")]) == 2
+    assert "norm bound reports use square sizes" in capsys.readouterr().err
+
+
+def test_resource_cap_message_keeps_its_figures_short(tmp_path, capsys):
+    # the 200x200 ring needs about 1.5e115 GiB
+    assert main(["bounds", "--sizes", "200x200", "--seed", "5",
+                 "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err == ("resource cap: a ring of 200 columns of 200 sites needs "
+                                       "about 1.53e+115 GiB, above the network budget of 1 GiB\n")
+
+
+@pytest.mark.parametrize("command", ("norm-stats", "var-scan", "polyomino", "bounds"))
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    assert main([command, "--sizes", "2x2", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bounds_rejects_single_row(tmp_path):
     code = main(["bounds", "--sizes", "1x1", "--seed", "5", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -195,8 +237,8 @@ def test_workers_above_one_rejected_outside_var_scan(tmp_path, monkeypatch, caps
         raise AssertionError("the command ran")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for name in ("cmd_norm_stats", "cmd_polyomino", "cmd_bounds"):
-        monkeypatch.setattr(tnlab.cli, name, no_work)
+    for name, (_, options) in tnlab.cli.COMMANDS.items():
+        monkeypatch.setitem(tnlab.cli.COMMANDS, name, (no_work, options))
     code = main([command, "--sizes", "2x2", "--seed", "1", "--workers", "2",
                  "--out", str(tmp_path / "x")])
     assert code == 2

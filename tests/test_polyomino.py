@@ -410,6 +410,15 @@ def test_decomposition_refuses_a_torus_whose_cell_keys_overflow(check):
         check(np.ones((1449, 1449), dtype=bool))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: toric_stats(np.zeros((3, 3), dtype=int)), "empty cell set"),
+    (lambda: directed_gf(-0.5, -2), r"radicand -0\.1428\d* not positive"),
+], ids=["empty-torus", "negative-radicand"])
+def test_toric_stats_and_the_generating_function_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_empty_grid_has_no_pieces_and_no_decomposition_check():
     assert toric_to_plane(np.zeros((3, 3), dtype=bool)) == []
     with pytest.raises(ValueError, match="empty cell set"):

@@ -114,3 +114,20 @@ def test_one_sample_loop_builds_every_state():
                     deferred.append(f"{path.stem}.{func.name}")
     assert callers == {"variance.sample_values"}
     assert deferred == []
+
+
+def test_only_the_cli_formats_results():
+    # results are plain records: `cli` alone writes CSV and builds the JSON documents
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if path.name != "cli.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
+                    else [node.module]
+                found += [f"{path.name} imports csv" for m in modules if m == "csv"]
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{path.name}: {node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name in ("to_json_dict", "csv_rows")]
+    assert SOURCES, "no library sources found"
+    assert found == []

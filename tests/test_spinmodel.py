@@ -1,8 +1,10 @@
 """Tests for the two-layer spin model: weight tables, amplitudes, partition functions."""
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import tnlab
+from tnlab.errors import ResourceLimitError
 from tnlab.lattice import LatticeSpec
-from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
+from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, WeightTable, all_config_amplitudes,
                              exact_partition_function, global_loss_weights, mc_second_moment,
                              norm_weights)
 
@@ -214,3 +217,31 @@ def test_invalid_table_rejected_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: WeightTable(KIND_NORM, np.ones((2, 2))), ValueError,
+     "weight table must have shape (2, 2, 2)"),
+    (lambda: WeightTable("field", norm_weights(2, 2).values), ValueError,
+     "unknown table kind 'field'"),
+    (lambda: WeightTable(KIND_NORM, np.zeros((2, 2, 2))), ValueError,
+     "values violate the norm table symmetries"),
+    (lambda: WeightTable(KIND_GLOBAL, norm_weights(2, 2).values), ValueError,
+     "values violate the global table symmetries"),
+    (lambda: norm_weights(1, 2), ValueError, "D and d must be >= 2"),
+    (lambda: global_loss_weights(2, 1), ValueError, "D and d must be >= 2"),
+    (lambda: mc_second_moment(LatticeSpec(2, 2, 2, 2), 1, np.random.default_rng(0)),
+     ValueError, "need at least 2 samples"),
+    (lambda: all_config_amplitudes(2, 13, norm_weights(2, 2)), ResourceLimitError,
+     "2**26 configurations exceed cap 33554432"),
+], ids=["table-shape", "table-kind", "norm-symmetry", "global-symmetry", "norm-D",
+        "global-d", "one-sample", "partition-cap"])
+def test_spin_model_rejects_bad_input_before_allocating(call, error, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

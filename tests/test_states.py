@@ -299,6 +299,14 @@ def test_overlap_rejects_unnormalized():
         overlap(st, phi)
 
 
+def test_overlap_rejects_a_wrong_shaped_product_state():
+    spec = LatticeSpec(2, 3, 2, 2)
+    st = build_state(spec, np.random.default_rng(11))
+    phi = np.full((3, 2, 2), 1.0 / np.sqrt(2))
+    with pytest.raises(ValueError, match=re.escape("product state must have shape (2, 3, 2)")):
+        overlap(st, phi)
+
+
 def test_local_expectation():
     spec = LatticeSpec(2, 3, 2, 2)
     rng = np.random.default_rng(12)

@@ -1,6 +1,7 @@
 """Tests for variance scans, jackknife errors, and distance profiles."""
 
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import tnlab
+from tnlab.errors import DegenerateStateError
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZED,
                           LossSpec, gradient_map, plus_projector, plus_target,
@@ -17,7 +19,7 @@ from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZE
 from tnlab.spinmodel import mc_second_moment
 from tnlab.states import build_state, norm_squared
 from tnlab.variance import (VarianceReport, distance_profile, jackknife_variance_se,
-                            variance_scan)
+                            sample_values, variance_scan)
 
 
 def local_loss(site=(0, 0), normalized=True):
@@ -55,9 +57,9 @@ def test_jackknife_errors_match_brute_force_delete_one(l1, l2, n, seed):
     for x, y in spec.sites():
         assert np.isclose(se[x, y], brute_jackknife_se(var_i[:, x, y]), rtol=1e-9, atol=0)
     report = VarianceReport(
-        l1=l1, l2=l2, D=2, d=2, loss={"kind": LOCAL_NORMALIZED, "site": list(site)},
-        n_samples=n, n_failures=0, seed=seed, variance=np.var(samples, axis=0, ddof=1),
-        mean=samples.mean(axis=0), std_error=se, samples=samples)
+        spec=spec, loss=local_loss(site), n_samples=n, n_failures=0, seed=seed,
+        variance=np.var(samples, axis=0, ddof=1), mean=samples.mean(axis=0), std_error=se,
+        samples=samples)
     for delta, (_, group_se, count) in distance_profile(report).items():
         sites = [s for s in spec.sites() if spec.toric_manhattan(s, site) == delta]
         stat_i = np.mean([var_i[:, x, y] for x, y in sites], axis=0)
@@ -226,13 +228,27 @@ def test_onsite_variance_positive_for_traceless_observable():
     assert report.variance[0, 0] > 3 * report.std_error[0, 0] > 0
 
 
-def test_report_serialization():
+def test_sample_values_skips_failed_samples_and_counts_them():
     spec = LatticeSpec(2, 2, 2, 2)
-    report = variance_scan(spec, local_loss(), 10, seed=19)
-    doc = report.to_json_dict()
-    assert doc["loss"]["kind"] == LOCAL_NORMALIZED
-    assert len(doc["variance"]) == 2
-    assert "samples" not in doc
-    rows = report.csv_rows()
-    assert rows[0] == ("site_x", "site_y", "variance", "std_error", "n")
-    assert len(rows) == 1 + spec.n_sites
+    failing = {1, 3, 4}
+    calls = itertools.count()
+
+    def measure(state):
+        if next(calls) in failing:
+            raise DegenerateStateError("chosen to fail")
+        return state.theta[0, 0]
+
+    values, failures = sample_values(spec, measure, (np.random.default_rng(k) for k in range(7)))
+    expected = [build_state(spec, np.random.default_rng(k)).theta[0, 0]
+                for k in range(7) if k not in failing]
+    assert values == expected
+    assert failures == len(failing)
+
+
+def test_scan_with_no_usable_sample_raises(monkeypatch):
+    # a norm floor of inf makes every normalized gradient degenerate
+    monkeypatch.setattr(tnlab.losses, "Z_FLOOR", np.inf)
+    spec = LatticeSpec(2, 2, 2, 2)
+    loss = LossSpec(kind=GLOBAL_NORMALIZED, target=plus_target(spec))
+    with pytest.raises(RuntimeError, match=r"only 0 usable samples \(5 failures\)"):
+        variance_scan(spec, loss, 5, seed=20, workers=1)

@@ -44,10 +44,8 @@ from .states import (
     TNState,
     build_state,
     load_state,
-    local_expectation,
     local_tensor,
     norm_squared,
-    overlap,
     save_state,
 )
 from .tensors import (

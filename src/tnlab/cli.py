@@ -30,6 +30,7 @@ from .losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LossSpec,
                      plus_projector, plus_target)
 from .polyomino import enumerate_directed, series_coefficients, stats, verify_decomposition
 from .spinmodel import exact_partition_function, mc_second_moment, norm_weights
+from .states import check_state_budget
 from .variance import distance_profile, variance_scan
 
 EXIT_OK = 0
@@ -111,6 +112,7 @@ def cmd_var_scan(config, loss_kind):
     records = []
     for i, (l1, l2) in enumerate(config.sizes):
         spec = LatticeSpec(l1, l2, config.bond_dim, config.phys_dim)
+        check_state_budget(spec)  # before the target, which has a vector per site
         if loss_kind == GLOBAL_NORMALIZED:
             loss = LossSpec(kind=loss_kind, target=plus_target(spec))
             stat_name = "mean"
@@ -192,6 +194,11 @@ def cmd_polyomino(config, max_area):
 def cmd_bounds(config):
     t0 = time.monotonic()
     D, d = config.bond_dim, config.phys_dim
+    try:  # first, so that dimensions past the float range exit before any work
+        pre_generic, pre_obs = bounds_mod.onsite_floor_prefactors(D, d, tr_o2=2.0)
+    except OverflowError:
+        raise ValueError(f"--bond-dim {D} and --phys-dim {d} put the on-site floor "
+                         "prefactors past the float range") from None
     reports = []
     table = norm_weights(D, d)
     for l1, l2 in config.sizes:
@@ -205,7 +212,6 @@ def cmd_bounds(config):
             reports.append(bounds_mod.BoundReport(
                 "global_variance_ratio", {"D": dd, "d": dp}, 1.0, ratio,
                 ratio < 1.0, 1.0 / ratio))
-    pre_generic, pre_obs = bounds_mod.onsite_floor_prefactors(D, d, tr_o2=2.0)
     reports.append(bounds_mod.BoundReport(
         "onsite_floor_prefactor", {"D": D, "d": d, "tr_o2": 2.0},
         pre_obs, pre_generic, pre_generic <= pre_obs, pre_obs / pre_generic))
@@ -221,34 +227,37 @@ def cmd_bounds(config):
     return EXIT_OK if ok else EXIT_CHECK
 
 
-# command -> (its function, the options it adds to the common ones); the function
-# takes the RunConfig and those options as keywords
+# command -> (its function, the options it adds to the common ones or changes in them); the
+# function takes the RunConfig and the options it adds as keywords
 COMMANDS = {
     "norm-stats": (cmd_norm_stats, {}),
     "var-scan": (cmd_var_scan, {"--loss": {"dest": "loss_kind", "default": GLOBAL_NORMALIZED,
                                            "choices": (GLOBAL_NORMALIZED, LOCAL_NORMALIZED)}}),
-    "polyomino": (cmd_polyomino, {"--max-area": {"type": int, "default": 10}}),
-    "bounds": (cmd_bounds, {}),
+    "polyomino": (cmd_polyomino, {"--max-area": {"type": int, "default": 10},
+                                  "--sizes": {"default": ((2, 2), (3, 3), (4, 4))}}),
+    "bounds": (cmd_bounds, {"--sizes": {"default": ((2, 2), (3, 3), (4, 4))}}),
 }
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="tnlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = {
+        "--sizes": {"type": _parse_sizes, "default": ((2, 2), (2, 3), (3, 3)),
+                    "help": "comma-separated lattice sizes, e.g. 2x2,3x3"},
+        "--bond-dim": {"type": int, "default": 2},
+        "--phys-dim": {"type": int, "default": 2},
+        "--samples": {"type": int, "default": 1000},
+        "--seed": {"type": int, "required": True},
+        "--out": {"default": "tnlab-out"},
+        "--format": {"choices": ("csv", "json", "both"), "default": "both"},
+        "--workers": {"type": int, "default": 1,
+                      "help": "worker processes for var-scan; the other commands take only 1"},
+    }
     for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--sizes", type=_parse_sizes, default=((2, 2), (2, 3), (3, 3)),
-                       help="comma-separated lattice sizes, e.g. 2x2,3x3")
-        p.add_argument("--bond-dim", type=int, default=2)
-        p.add_argument("--phys-dim", type=int, default=2)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out", default="tnlab-out")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for var-scan; the other commands take only 1")
-        for flag, kwargs in options.items():
-            p.add_argument(flag, **kwargs)
+        for flag, kwargs in {**common, **options}.items():
+            p.add_argument(flag, **{**common.get(flag, {}), **kwargs})
     return parser
 
 

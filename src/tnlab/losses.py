@@ -19,8 +19,7 @@ import numpy as np
 
 from . import network
 from .errors import DegenerateStateError
-from .states import (check_observable, check_product_state, local_derivative_tensor,
-                     local_expectation, local_tensor, norm_squared, overlap)
+from .states import local_derivative_tensor, local_tensor
 
 GLOBAL_PURE = "global_pure"
 GLOBAL_NORMALIZED = "global_normalized"
@@ -38,7 +37,10 @@ Z_FLOOR = 1e-14
 class LossSpec:
     """Loss descriptor: a global target state or a local observable plus site.
 
-    target has shape (l1, l2, d) with one normalized vector per site.
+    Checked once, here, else ValueError: a target is a finite (l1, l2, d) product state of
+    unit site vectors (to 1e-10), kept complex; an observable is a finite square matrix,
+    Hermitian to 1e-12, kept as its exactly Hermitian part (O + O^dagger) / 2, as
+    `network.bra_ket` takes it. `network` checks the target's shape and the site.
     """
 
     kind: str
@@ -52,10 +54,26 @@ class LossSpec:
         if self.kind in GLOBAL_KINDS:
             if self.target is None:
                 raise ValueError("global losses need a target product state")
+            phi = np.array(self.target, dtype=complex)
+            if phi.ndim != 3:
+                raise ValueError(f"product state must have shape (l1, l2, d), got {phi.shape}")
+            if not np.isfinite(phi).all():
+                raise ValueError("product state must be finite")
+            if np.abs(np.linalg.norm(phi, axis=2) - 1.0).max(initial=0.0) > 1e-10:
+                raise ValueError("product-state site vectors must be normalized")
+            object.__setattr__(self, "target", phi)
         else:
             if self.observable is None or self.site is None:
                 raise ValueError("local losses need an observable and a site")
-            check_observable(self.observable)
+            obs = np.asarray(self.observable, dtype=complex)
+            if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
+                raise ValueError(
+                    f"observable must be Hermitian: a square matrix, got shape {obs.shape}")
+            if not np.isfinite(obs).all():
+                raise ValueError("observable must be finite")
+            if np.abs(obs - obs.conj().T).max(initial=0.0) > 1e-12:
+                raise ValueError("observable must be Hermitian")
+            object.__setattr__(self, "observable", (obs + obs.conj().T) / 2)
 
     @property
     def normalized(self):
@@ -89,12 +107,13 @@ def _above_floor(z):
 
 def loss_value(state, loss):
     """Exact loss value by network contraction (no statevector is built)."""
+    ket = local_tensor(state)
     if loss.kind in GLOBAL_KINDS:
-        val = abs(overlap(state, loss.target)) ** 2
+        val = abs(network.overlap(ket, loss.target)) ** 2
     else:
-        val = local_expectation(state, loss.site, loss.observable)
+        val = network.bra_ket(ket, site=loss.site, op=loss.observable)
     if loss.normalized:
-        val = val / _above_floor(norm_squared(state))
+        val = val / _above_floor(network.bra_ket(ket))
     return 1.0 - val if loss.kind in GLOBAL_KINDS else val
 
 
@@ -104,7 +123,7 @@ def gradient_map(state, loss):
     dket = local_derivative_tensor(state)
 
     if loss.kind in GLOBAL_KINDS:
-        w, dw = network.overlap(ket, check_product_state(state.spec, loss.target), dket)
+        w, dw = network.overlap(ket, loss.target, dket)
         d_fid = 2.0 * (w.real * dw.real + w.imag * dw.imag)  # 2 Re(conj(w) dw)
         if loss.kind == GLOBAL_PURE:
             return -d_fid
@@ -119,5 +138,4 @@ def gradient_map(state, loss):
             z = _above_floor(z)
             return 1.0 / z, -n / z**2
 
-    op = check_observable(loss.observable)
-    return 2.0 * network.bra_ket(ket, dket, tuple(loss.site), op, fold)[1].real
+    return 2.0 * network.bra_ket(ket, dket, loss.site, loss.observable, fold)[1].real

@@ -64,7 +64,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, gib
 
 # bytes that one ring's transfer matrices, ket columns, grids and environments may take
 NETWORK_BUDGET = 2**30
@@ -148,8 +148,7 @@ def _check_ring(grid, dgrid, transfer_bytes, other_bytes):
     if need > NETWORK_BUDGET:
         raise ResourceLimitError(
             f"a ring of {n_cols} columns of {n_rows} sites needs about "
-            f"{need / 2**30:.3g} GiB, above the network budget of "
-            f"{NETWORK_BUDGET / 2**30:.3g} GiB")
+            f"{gib(need)} GiB, above the network budget of {gib(NETWORK_BUDGET)} GiB")
 
 
 def _check_sweep(grid, dgrid):

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import network
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, gib
 from .lattice import LatticeSpec
 from .tensors import haar_from_ginibre, hermitian_from_gaussian, is_hermitian, is_unitary
 
@@ -52,22 +52,26 @@ class TNState:
         return dataclasses.replace(self, theta=thetas)
 
 
-def build_state(spec, rng):
-    """Independent Haar u_minus/u_plus, Gaussian Hermitian generator, uniform theta per site.
-
-    Site by site in row-major order the stream gives the real and imaginary
-    Ginibre parts of u_minus, u_plus and the generator, then theta; the
-    transforms then run once over every site. Raises ResourceLimitError,
-    before any draw, when the draws and the state's complex factors would
-    exceed network.NETWORK_BUDGET bytes.
-    """
+def check_state_budget(spec):
+    """ResourceLimitError if a state of spec, with its draws, exceeds network.NETWORK_BUDGET."""
     n = spec.unitary_dim
     # a (6, N, N) float64 block of draws and three (N, N) complex128 factors per site
     need = spec.n_sites * n * n * (6 * 8 + 3 * 16)
     if need > network.NETWORK_BUDGET:
         raise ResourceLimitError(
-            f"{spec.n_sites} sites of {n} x {n} unitaries need about {need / 2**30:.3g} GiB, "
-            f"above the network budget of {network.NETWORK_BUDGET / 2**30:.3g} GiB")
+            f"{spec.n_sites} sites of {n} x {n} unitaries need about {gib(need)} GiB, "
+            f"above the network budget of {gib(network.NETWORK_BUDGET)} GiB")
+
+
+def build_state(spec, rng):
+    """Independent Haar u_minus/u_plus, Gaussian Hermitian generator, uniform theta per site.
+
+    Site by site in row-major order the stream gives the real and imaginary
+    Ginibre parts of u_minus, u_plus and the generator, then theta; the
+    transforms then run once over every site. Checks `check_state_budget` first.
+    """
+    check_state_budget(spec)
+    n = spec.unitary_dim
     raw = np.empty((spec.l1, spec.l2, 6, n, n))
     theta = np.empty((spec.l1, spec.l2))
     for x, y in spec.sites():
@@ -100,47 +104,6 @@ def local_derivative_tensor(state):
 def norm_squared(state):
     """<psi|psi> by bra-ket network contraction (no statevector materialized)."""
     return network.bra_ket(local_tensor(state))
-
-
-def check_product_state(spec, product_state):
-    phi = np.asarray(product_state, dtype=complex)
-    if phi.shape != (spec.l1, spec.l2, spec.d):
-        raise ValueError(f"product state must have shape {(spec.l1, spec.l2, spec.d)}")
-    if not np.isfinite(phi).all():
-        raise ValueError("product state must be finite")
-    norms = np.linalg.norm(phi, axis=2)
-    if np.abs(norms - 1.0).max() > 1e-10:
-        raise ValueError("product-state site vectors must be normalized")
-    return phi
-
-
-def check_observable(observable):
-    """observable's Hermitian part (O + O^dagger) / 2 as a complex array, or ValueError
-    unless it is a finite Hermitian square matrix (to 1e-12).
-
-    `network.bra_ket` takes only an exactly Hermitian op, and the Hermitian part is one:
-    an observable Hermitian only to 1e-12 reaches `bra_ket` through it. It is observable
-    itself when observable is exactly Hermitian.
-    """
-    obs = np.asarray(observable, dtype=complex)
-    if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
-        raise ValueError(f"observable must be Hermitian: a square matrix, got shape {obs.shape}")
-    if not np.isfinite(obs).all():
-        raise ValueError("observable must be finite")
-    if np.abs(obs - obs.conj().T).max(initial=0.0) > 1e-12:
-        raise ValueError("observable must be Hermitian")
-    return (obs + obs.conj().T) / 2
-
-
-def overlap(state, product_state):
-    """<phi|psi> for a normalized per-site product state phi, shape (l1, l2, d)."""
-    return network.overlap(local_tensor(state), check_product_state(state.spec, product_state))
-
-
-def local_expectation(state, site_index, observable):
-    """Unnormalized <psi| O at site |psi> for a Hermitian d x d observable."""
-    return network.bra_ket(local_tensor(state), site=tuple(site_index),
-                           op=check_observable(observable))
 
 
 def _record_dtype(n):
@@ -186,9 +149,8 @@ def load_state(path):
         n = spec.unitary_dim
         expected = spec.n_sites * (3 * n * n * 16 + 8)  # the size of _record_dtype(n) per site
         if expected > network.NETWORK_BUDGET:
-            raise ResourceLimitError(f"the header implies a {expected / 2**30:.3g} GiB body, "
-                                     f"above the network budget of "
-                                     f"{network.NETWORK_BUDGET / 2**30:.3g} GiB")
+            raise ResourceLimitError(f"the header implies a {gib(expected)} GiB body, above "
+                                     f"the network budget of {gib(network.NETWORK_BUDGET)} GiB")
         body = os.fstat(fh.fileno()).st_size - fh.tell()
         if body != expected:
             raise ValueError(f"state body has {body} bytes; its header implies {expected}")

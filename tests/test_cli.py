@@ -197,6 +197,36 @@ def test_resource_cap_message_keeps_its_figures_short(tmp_path, capsys):
                                        "about 1.53e+115 GiB, above the network budget of 1 GiB\n")
 
 
+# an integer past the float range, as a command line spells it out
+PAST_FLOATS = str(10**160)
+
+
+@pytest.mark.parametrize("args, code, message", [
+    ("bounds --sizes 600x600", 4, "needs about 3.07e+356 GiB"),
+    ("norm-stats --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 1.43e+634 GiB"),
+    ("var-scan --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 1.43e+634 GiB"),
+    ("bounds --sizes 2x2 --bond-dim " + PAST_FLOATS, 2, "past the float range"),
+    ("var-scan --sizes 2x100000000000 --samples 2", 4, "need about 1.14e+06 GiB"),
+], ids=["bounds_600x600", "norm_stats_bond_dim", "var_scan_bond_dim", "bounds_bond_dim",
+        "var_scan_long_side"])
+def test_inputs_past_the_float_range_exit_without_a_traceback(tmp_path, capsys, args, code,
+                                                               message):
+    # an OverflowError in a GiB figure or a closed form, or numpy's MemoryError for a target
+    # of 2e11 site vectors, would escape main as a traceback
+    assert main([*args.split(), "--seed", "1", "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, doc", [("polyomino", "polyomino_counts"), ("bounds", "bounds")])
+def test_square_only_commands_run_with_their_default_sizes(tmp_path, command, doc):
+    # the common default, 2x2,2x3,3x3, holds a rectangle, which these two commands refuse
+    assert main([command, "--seed", "1", "--out", str(tmp_path / "x")]) == 0
+    sizes = read_json(tmp_path / "x" / f"{doc}.json")["config"]["sizes"]
+    assert sizes == [[2, 2], [3, 3], [4, 4]]
+
+
 @pytest.mark.parametrize("command", ("norm-stats", "var-scan", "polyomino", "bounds"))
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     assert main([command, "--sizes", "2x2", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 import tnlab
-from tnlab import losses, network, states
+from tnlab import losses, network, variance
 from tnlab.errors import DegenerateStateError
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value,
                           plus_projector, plus_target, traceless_observable)
-from tnlab.states import (build_state, local_derivative_tensor, local_expectation, local_tensor,
-                          norm_squared, overlap)
+from tnlab.states import build_state, local_derivative_tensor, local_tensor, norm_squared
 
 from oracles import dense_amplitudes, normalized_local_gradient
 
@@ -86,17 +86,14 @@ def test_loss_spec_validation():
     ((0, 0), np.eye(3), r"op must be 2 x 2, got shape \(3, 3\)"),
     ((0, 0), np.ones((2, 3)), "observable must be Hermitian"),
 ], ids=["negative_site", "site_past_edge", "fractional_site", "op_3x3", "op_2x3"])
-@pytest.mark.parametrize("call, kind", [("local_expectation", None),
-                                        *((c, k) for c in ("loss_value", "gradient_map")
-                                          for k in LOCAL_KINDS)])
+@pytest.mark.parametrize("call, kind", [(c, k) for c in ("loss_value", "gradient_map")
+                                        for k in LOCAL_KINDS])
 def test_sites_and_ops_are_checked_against_the_lattice(call, kind, site, op, message):
+    # the loss's own checks raise in LossSpec, and the lattice's in `network.bra_ket`
     st = build_state(LatticeSpec(2, 3, 2, 2), np.random.default_rng(30))
     with pytest.raises(ValueError, match=message):
-        if kind is None:
-            local_expectation(st, site, op)
-        else:
-            loss = LossSpec(kind=kind, observable=op, site=site)
-            (loss_value if call == "loss_value" else gradient_map)(st, loss)
+        loss = LossSpec(kind=kind, observable=op, site=site)
+        (loss_value if call == "loss_value" else gradient_map)(st, loss)
 
 
 @pytest.mark.parametrize("shape", [(2,), (), (2, 2, 2)])
@@ -105,9 +102,6 @@ def test_observables_that_are_not_square_matrices_are_rejected_up_front(shape):
     message = re.escape(f"observable must be Hermitian: a square matrix, got shape {shape}")
     with pytest.raises(ValueError, match=message):
         LossSpec(kind=LOCAL_NORMALIZED, observable=np.ones(shape), site=(0, 0))
-    st = build_state(LatticeSpec(2, 2, 2, 2), np.random.default_rng(31))
-    with pytest.raises(ValueError, match=message):
-        local_expectation(st, (0, 0), np.ones(shape))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -176,9 +170,10 @@ def test_network_values_match_dense_statevector(l1, l2, D, seed, site_index):
     def close(value, expected, scale):
         assert abs(value - expected) <= 1e-10 * max(abs(expected), scale)
 
+    ket = local_tensor(st)
     close(norm_squared(st), z, z)
-    close(overlap(st, target), w, np.sqrt(z))
-    close(local_expectation(st, site, obs), n, z)
+    close(network.overlap(ket, target), w, np.sqrt(z))
+    close(network.bra_ket(ket, site=site, op=obs), n, z)
     close(loss_value(st, LossSpec(kind=GLOBAL_PURE, target=target)), 1.0 - abs(w) ** 2, 1.0)
     close(loss_value(st, LossSpec(kind=GLOBAL_NORMALIZED, target=target)),
           1.0 - abs(w) ** 2 / z, 1.0)
@@ -325,48 +320,81 @@ def test_a_global_gradient_sweeps_its_overlap_as_a_single_layer_ring(l1, l2, mon
 
 
 def test_an_observable_hermitian_to_1e12_runs_its_hermitian_part_on_real_rings():
-    # check_observable accepts O with |O - O^dagger| <= 1e-12 and returns (O + O^dagger) / 2,
-    # which is exactly Hermitian (and is O itself when O is), so `network.bra_ket` takes it
-    # and runs it on the real rings that every bra-ket runs
+    # LossSpec accepts O with |O - O^dagger| <= 1e-12 and keeps (O + O^dagger) / 2, which is
+    # exactly Hermitian (and is O itself when O is), so `network.bra_ket` takes it and runs
+    # it on the real rings that every bra-ket runs
     st = build_state(LatticeSpec(3, 3, 2, 2), np.random.default_rng(41))
     obs = plus_projector(2)
     near = obs + 4e-13j * np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(states.check_observable(obs), obs)
-    part = states.check_observable(near)
+    assert np.array_equal(LossSpec(LOCAL_NORMALIZED, observable=obs, site=(0, 0)).observable, obs)
+    part = LossSpec(LOCAL_NORMALIZED, observable=near, site=(0, 0)).observable
     assert np.array_equal(part, part.conj().T) and np.abs(part - obs).max() <= 1e-15
     for kind in LOCAL_KINDS:
         loss = LossSpec(kind=kind, observable=near, site=(1, 2))
-        assert np.abs(gradient_map(st, loss)
-                      - gradient_map(st, dataclasses.replace(loss, observable=part))).max() == 0
-    assert local_expectation(st, (1, 2), near) == local_expectation(st, (1, 2), part)
+        exact = dataclasses.replace(loss, observable=part)
+        assert np.abs(gradient_map(st, loss) - gradient_map(st, exact)).max() == 0
+        assert loss_value(st, loss) == loss_value(st, exact)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("call", [loss_value, gradient_map])
-def test_non_finite_product_targets_are_rejected(call, bad):
+def test_non_finite_product_targets_are_rejected(bad):
     # a NaN entry has a NaN norm, which a "norm off by more than 1e-10" test lets through
-    spec = LatticeSpec(2, 2, 2, 2)
-    st = build_state(spec, np.random.default_rng(42))
-    target = plus_target(spec)
+    target = plus_target(LatticeSpec(2, 2, 2, 2))
     target[1, 0, 1] = bad
     for kind in (GLOBAL_PURE, GLOBAL_NORMALIZED):
-        with pytest.raises(ValueError, match="finite"):
-            call(st, LossSpec(kind=kind, target=target))
-    with pytest.raises(ValueError, match="finite"):
-        overlap(st, target)
+        with pytest.raises(ValueError, match="product state must be finite"):
+            LossSpec(kind=kind, target=target)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_observables_are_rejected(bad):
     # checked before the Hermiticity test, whose O - O^dagger would make inf - inf = NaN
-    obs = np.diag([bad, 1.0])
-    with pytest.raises(ValueError, match="observable must be finite"):
-        states.check_observable(obs)
-    with pytest.raises(ValueError, match="observable must be finite"):
-        LossSpec(kind=LOCAL_NORMALIZED, observable=obs, site=(0, 0))
-    st = build_state(LatticeSpec(2, 2, 2, 2), np.random.default_rng(43))
-    with pytest.raises(ValueError, match="observable must be finite"):
-        local_expectation(st, (0, 0), obs)
+    for kind in LOCAL_KINDS:
+        with pytest.raises(ValueError, match="observable must be finite"):
+            LossSpec(kind=kind, observable=np.diag([bad, 1.0]), site=(0, 0))
+
+
+@pytest.mark.parametrize("target, message", [
+    (2 * plus_target(LatticeSpec(2, 2, 2, 2)), "site vectors must be normalized"),
+    (np.full((2, 2, 2), np.nan), "product state must be finite"),
+    (np.full((4, 2), np.sqrt(0.5)), re.escape("must have shape (l1, l2, d), got (4, 2)")),
+], ids=["unnormalized", "nan", "two_axes"])
+def test_a_bad_target_raises_before_any_state_is_built(target, message, monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built for a bad target")
+
+    monkeypatch.setattr(variance, "build_state", no_state)
+    with pytest.raises(ValueError, match=message):
+        tnlab.variance_scan(LatticeSpec(2, 2, 2, 2),
+                            LossSpec(kind=GLOBAL_NORMALIZED, target=target), 4, seed=1)
+
+
+def test_loss_value_builds_the_site_tensors_once(monkeypatch):
+    # a normalized loss takes its value and its norm from one site-tensor grid
+    spec = LatticeSpec(2, 3, 2, 2)
+    st = build_state(spec, np.random.default_rng(44))
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return local_tensor(state)
+
+    monkeypatch.setattr(losses, "local_tensor", counted)
+    for loss in all_losses(spec):
+        calls.clear()
+        loss_value(st, loss)
+        assert calls == [st], loss.kind
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=hnp.arrays(complex, (3, 3), elements=hst.complex_numbers(max_magnitude=10.0)),
+       noise=hnp.arrays(complex, (3, 3), elements=hst.complex_numbers(max_magnitude=4e-13)))
+def test_an_observable_within_1e12_of_hermitian_is_kept_as_its_exact_hermitian_part(a, noise):
+    # |obs - obs^dagger| <= 8e-13 entry by entry, with room for the rounding of the sum
+    obs = (a + a.conj().T) / 2 + noise
+    kept = LossSpec(kind=LOCAL_NORMALIZED, observable=obs, site=(0, 0)).observable
+    assert np.array_equal(kept, kept.conj().T)
+    assert np.abs(kept - obs).max() <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-4])
@@ -384,7 +412,6 @@ def test_degenerate_states_raise_before_z_divides(call, kind, scale, monkeypatch
     def scaled(state):
         return scale * local_tensor(state)
 
-    monkeypatch.setattr(states, "local_tensor", scaled)
     monkeypatch.setattr(losses, "local_tensor", scaled)
     if kind == LOCAL_NORMALIZED:
         loss = LossSpec(kind=kind, observable=plus_projector(2), site=(1, 2))

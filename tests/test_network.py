@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from tnlab import network
-from tnlab.errors import ResourceLimitError
+from tnlab.errors import ResourceLimitError, gib
 from tnlab.lattice import LatticeSpec
 from tnlab.states import build_state, local_derivative_tensor, local_tensor
 from tnlab.tensors import random_hermitian
@@ -228,6 +228,21 @@ def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
     if ring == "fused":
         monkeypatch.setattr(network, "NETWORK_BUDGET", int(1.5 * peak))
         run(ket, dket)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nbytes=hst.integers(0, 2**1050))
+def test_budget_messages_give_gib_as_the_float_quotient_reads(nbytes):
+    assert gib(nbytes) == f"{nbytes / 2**30:.3g}"
+
+
+@pytest.mark.parametrize("nbytes, text", [(2**30 * 10**400, "1e+400"),
+                                          (3 * 2**29 * 10**5000, "1.5e+5000"),
+                                          (2**1100, "1.27e+322")],
+                         ids=["1e400", "1.5e5000", "2**1070"])
+def test_budget_messages_give_gib_past_the_float_range(nbytes, text):
+    # a float quotient raises OverflowError from about 1.9e317 bytes on
+    assert gib(nbytes) == text
 
 
 @pytest.mark.parametrize("with_dket, site", [(False, (0, 0)), (True, None)])

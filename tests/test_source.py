@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -131,3 +132,78 @@ def test_only_the_cli_formats_results():
                           and item.name in ("to_json_dict", "csv_rows")]
     assert SOURCES, "no library sources found"
     assert found == []
+
+
+# names kept for callers outside the package: the public API, and the functions that
+# benchmarks/spans.py wraps, which stay until its spans are rewritten
+PUBLIC_API = {"losses.loss_value", "states.save_state", "states.load_state",
+              "polyomino.toric_to_plane", "polyomino.toric_stats", "polyomino.enumerate_toric",
+              "polyomino.decomposition_problems", "tensors.second_moment_channel",
+              "losses.traceless_observable", "bounds.global_variance_bound"}
+SPAN_WRAPPED = {"tensors.haar_unitary", "tensors.random_hermitian",
+                "network.site_double_tensor", "spinmodel.all_config_amplitudes"}
+
+
+def unreachable_definitions(package):
+    """Top-level functions and classes of the modules in package but cli, as "module.name",
+    that nothing reaches from cli, PUBLIC_API or SPAN_WRAPPED.
+
+    A definition reaches the names its body (decorators and defaults included) reads:
+    names of its own module, names bound by `from .x import y`, and `x.y` for a module
+    bound by `from . import x`. All of cli is a root, and so is the other top-level code
+    of every module but `__init__`, whose imports only re-export.
+    """
+    defined, edges, roots = set(), {}, set(PUBLIC_API | SPAN_WRAPPED)
+    for path in sorted(Path(package).glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(), filename=str(path))
+        names, modules = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = f"{module}.{node.name}"
+
+        def reads(node, names=names, modules=modules):
+            found = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    found.add(names[sub.id])
+                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                      and sub.value.id in modules):
+                    found.add(f"{modules[sub.value.id]}.{sub.attr}")
+            return found
+
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and module != "cli":
+                defined.add(names[node.name])
+                edges[names[node.name]] = reads(node)
+            elif module != "__init__" and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= reads(node)
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += edges.get(name, ())
+    return defined - seen
+
+
+def test_every_library_definition_is_reachable():
+    # library code that only tests read belongs in tests/oracles.py
+    defined = {f"{path.stem}.{node.name}" for path in SOURCES
+               for node in ast.parse(path.read_text(), filename=str(path)).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert PUBLIC_API | SPAN_WRAPPED <= defined
+    assert unreachable_definitions(ROOT / "src" / "tnlab") == set()
+
+
+def test_the_reachability_scan_names_an_unreferenced_function(tmp_path):
+    package = tmp_path / "tnlab"
+    shutil.copytree(ROOT / "src" / "tnlab", package)
+    with open(package / "states.py", "a") as fh:
+        fh.write("\n\ndef orphan(state):\n    return local_tensor(state)\n")
+    assert unreachable_definitions(package) == {"states.orphan"}

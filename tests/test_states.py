@@ -18,10 +18,11 @@ from tnlab import network
 from tnlab.cli import EXIT_RESOURCE, main
 from tnlab.errors import ResourceLimitError
 from tnlab.lattice import LatticeSpec
-from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_NORMALIZED,
-                          LOCAL_UNNORMALIZED, LossSpec, loss_value, plus_projector, plus_target)
+from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NORMALIZED,
+                          LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value, plus_projector,
+                          plus_target)
 from tnlab.states import (TNState, build_state, load_state, local_derivative_tensor,
-                          local_expectation, local_tensor, norm_squared, overlap, save_state)
+                          local_tensor, norm_squared, save_state)
 from tnlab.tensors import is_unitary
 
 from oracles import dense_amplitudes
@@ -284,9 +285,10 @@ def test_overlap_against_dense():
     for x in range(spec.l1):
         for y in range(spec.l2):
             w = phi[x, y].conj() @ w.reshape(2, -1)
-    assert abs(overlap(st, phi) - complex(w[0])) < 1e-10
+    value = network.overlap(local_tensor(st), phi)
+    assert abs(value - complex(w[0])) < 1e-10
     # Cauchy-Schwarz
-    assert abs(overlap(st, phi)) ** 2 <= norm_squared(st) + 1e-12
+    assert abs(value) ** 2 <= norm_squared(st) + 1e-12
 
 
 def test_overlap_rejects_unnormalized():
@@ -295,40 +297,48 @@ def test_overlap_rejects_unnormalized():
     st = build_state(spec, rng)
     phi = random_product_state(spec, rng)
     phi[0, 0] *= 2.0
-    with pytest.raises(ValueError):
-        overlap(st, phi)
+    with pytest.raises(ValueError, match="product-state site vectors must be normalized"):
+        loss_value(st, LossSpec(kind=GLOBAL_PURE, target=phi))
 
 
 def test_overlap_rejects_a_wrong_shaped_product_state():
     spec = LatticeSpec(2, 3, 2, 2)
     st = build_state(spec, np.random.default_rng(11))
     phi = np.full((3, 2, 2), 1.0 / np.sqrt(2))
-    with pytest.raises(ValueError, match=re.escape("product state must have shape (2, 3, 2)")):
-        overlap(st, phi)
+    with pytest.raises(ValueError, match=re.escape("phi must have shape (2, 3, 2), got (3, 2, 2)")):
+        loss_value(st, LossSpec(kind=GLOBAL_PURE, target=phi))
 
 
 def test_local_expectation():
     spec = LatticeSpec(2, 3, 2, 2)
     rng = np.random.default_rng(12)
     st = build_state(spec, rng)
-    assert abs(local_expectation(st, (0, 1), np.eye(2)) - norm_squared(st)) < 1e-10
-    assert local_expectation(st, (1, 2), np.zeros((2, 2))) == 0.0
+    ket = local_tensor(st)
+
+    def local_expectation(site, obs):
+        return network.bra_ket(ket, site=site, op=obs)
+
+    assert abs(local_expectation((0, 1), np.eye(2)) - norm_squared(st)) < 1e-10
+    assert local_expectation((1, 2), np.zeros((2, 2))) == 0.0
     obs = tnlab.traceless_observable(2)
     psi = dense_amplitudes(local_tensor(st))
     k = 1 * 3 + 1
     front = np.moveaxis(psi, k, 0).reshape(2, -1)
     dense = np.vdot(front, obs @ front).real
-    assert abs(local_expectation(st, (1, 1), obs) - dense) < 1e-10 * max(1.0, abs(dense))
+    assert abs(local_expectation((1, 1), obs) - dense) < 1e-10 * max(1.0, abs(dense))
     with pytest.raises(ValueError):
-        local_expectation(st, (0, 0), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        local_expectation((0, 0), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("site", [(True, False), (0, True), (np.int64(1), False)])
 def test_local_expectation_rejects_boolean_site_coordinates(site):
     # bool is an int subclass: (True, False) would otherwise read as site (1, 0)
     st = build_state(LatticeSpec(2, 3, 2, 2), np.random.default_rng(12))
-    with pytest.raises(ValueError, match="is not a site"):
-        local_expectation(st, site, tnlab.traceless_observable(2))
+    for kind in LOCAL_KINDS:
+        loss = LossSpec(kind=kind, observable=tnlab.traceless_observable(2), site=site)
+        for call in (loss_value, gradient_map):
+            with pytest.raises(ValueError, match="is not a site"):
+                call(st, loss)
 
 
 def test_norm_mean_is_one():
@@ -438,11 +448,13 @@ def test_load_state_rejects_non_integer_header_fields(tmp_path_factory, saved_st
         _load_bytes(tmp_path_factory, json.dumps(header).encode() + b"\n" + body)
 
 
-@pytest.mark.parametrize("l1, l2, D", [(2, 3, 1000), (2, 3, 32)])
+@pytest.mark.parametrize("l1, l2, D", [(2, 3, 1000), (2, 3, 32),
+                                       pytest.param(10**320, 2, 2, id="past_the_float_range")])
 def test_load_state_refuses_a_body_beyond_the_network_budget(tmp_path_factory, saved_state,
                                                              l1, l2, D):
     # D = 1000 gives a record too large for a numpy dtype; 2x3 sites at D = 32 imply
-    # a 1.2 GB body, a dtype that numpy builds but over the 1 GiB budget
+    # a 1.2 GB body, a dtype that numpy builds but over the 1 GiB budget; 10**320 rows
+    # imply a body whose size in GiB a float cannot hold
     data, header_len = saved_state
     header = dict(json.loads(data[:header_len]), l1=l1, l2=l2, D=D)
     with pytest.raises(ResourceLimitError, match="above the network budget"):

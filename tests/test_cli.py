@@ -150,6 +150,16 @@ def test_bounds_command(tmp_path):
     assert {"norm_excess", "global_variance_ratio", "onsite_floor_prefactor"} <= names
 
 
+@pytest.mark.parametrize("phys_dim", [10**15, 10**17, 10**40])
+def test_bounds_command_at_a_huge_physical_dimension(tmp_path, phys_dim):
+    # the norm bound takes the generating function at q of order 1/d, where the unrationalized
+    # p/2 (sqrt(rad) - 1) cancels to 0 and log(0) ends the command with "math domain error"
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--sizes", "2x2", "--seed", "1", "--phys-dim", str(phys_dim),
+                 "--out", str(out)]) == 0
+    assert all(r["satisfied"] for r in read_json(out / "bounds.json")["reports"])
+
+
 @pytest.mark.parametrize("out", ["file", "file/below"])
 def test_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
     # an existing file, or a path whose directory cannot be made below one

@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -66,9 +67,35 @@ def test_stats_rejects_empty():
 
 @pytest.mark.parametrize("cell", [(0.5, 0), (True, 0), (0, np.True_), (0, 1.0)], ids=repr)
 def test_stats_rejects_cells_that_are_not_integer_pairs(cell):
-    # a float would be packed by int() and a bool read as 0 or 1
+    # a float cell such as (0, 1.0) would be the same set member as (0, 1), and a bool
+    # would be read as 0 or 1
     with pytest.raises(ValueError, match="pair of integers"):
         stats(frozenset({cell, (0, 0)}))
+
+
+def test_stats_of_a_list_equals_stats_of_its_set():
+    # a repeated cell is one cell, and a cell is any pair
+    cells = sorted(REFERENCE_SHAPE) + [(0, 0), (-1, -1)]
+    assert stats(cells) == stats(frozenset(cells)) == (6, 14, 3)
+    assert stats([list(cell) for cell in cells]) == (6, 14, 3)
+
+
+def test_stats_memory_does_not_grow_with_the_extent():
+    # two cells 5,000 apart in x and in y: anything sized by their bounding box, 25 million
+    # cells, would take megabytes
+    tracemalloc.start()
+    try:
+        assert stats(frozenset({(0, 0), (-5000, -5000)})) == (2, 8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_stats_of_numpy_cells_at_the_ends_of_int64():
+    # one step past the top of int64 would wrap onto the cell at the bottom
+    top, bottom = np.int64(2**63 - 1), np.int64(-2**63)
+    assert stats({(top, 0), (bottom, 0)}) == (2, 8, 2)
 
 
 def _cell_sets(hi):
@@ -113,6 +140,15 @@ def test_layer_count_matches_growth_at_every_area():
 def test_enumeration_respects_budget():
     with pytest.raises(ResourceLimitError, match=f"capped at area {SERIES_BUDGET}"):
         enumerate_directed(SERIES_BUDGET + 1)
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, np.True_, "3"], ids=repr)
+@pytest.mark.parametrize("call", [enumerate_directed, series_coefficients, enumerate_toric,
+                                  verify_decomposition], ids=lambda f: f.__name__)
+def test_sizes_that_are_not_integers_rejected(call, size):
+    # unrefused, 2.5 would count to area 2 and True to area 1; a bool is not an integer here
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(size)
 
 
 @pytest.mark.parametrize("m_max", [0, -1, -3])
@@ -163,6 +199,13 @@ def test_gf_reference_value():
     assert 2.8 < val <= 2.9
 
 
+@pytest.mark.parametrize("q", [9.75e-16, 9.75e-18, 1e-30], ids=repr)
+def test_gf_keeps_its_leading_term_at_small_q(q):
+    # G = p q + O(q^2): the first two are the norm table's q at d = 10^15 and 10^17, where
+    # p/2 (sqrt(rad) - 1) cancels to 2.2e-16 and to 0
+    assert abs(directed_gf(q, 0.25) - 0.25 * q) <= 1e-12 * 0.25 * q
+
+
 def test_gf_matches_truncated_series_with_tail_bound():
     q, p = 0.3, 0.25
     series = series_coefficients(24)
@@ -195,6 +238,13 @@ def test_enumerate_toric_matches_classifier_at_2():
             count += 1
             assert tuple(map(tuple, grid.astype(int))) in seen
     assert count == len(valid)
+
+
+@pytest.mark.parametrize("L, n", [(1, 1), (2, 9), (3, 124)])
+def test_enumerate_toric_returns_one_bool_array(L, n):
+    grids = enumerate_toric(L)
+    assert isinstance(grids, np.ndarray)
+    assert (grids.dtype, grids.shape) == (bool, (n, L, L))
 
 
 def test_enumerate_toric_successor_rule():
@@ -266,7 +316,7 @@ def _array_pieces(grids):
 def test_array_decomposition_matches_the_walk_oracle(L):
     configs = enumerate_toric(L)
     oracle = [walk_pieces(cfg) for cfg in configs]
-    assert _array_pieces(np.array(configs)) == oracle
+    assert _array_pieces(configs) == oracle
     # toric_to_plane lists the pieces in the order of their components' smallest cells
     assert [toric_to_plane(cfg) for cfg in configs] == [list(o.values()) for o in oracle]
 
@@ -396,7 +446,7 @@ def test_toric_checks_reject_entries_other_than_0_and_1(check, entry):
 def test_one_cell_torus():
     # the one cell is its own successor, a piece of area 1 = L
     grid = np.ones((1, 1), dtype=int)
-    assert [g.tolist() for g in enumerate_toric(1)] == [[[True]]]
+    assert enumerate_toric(1).tolist() == [[[True]]]
     assert toric_to_plane(grid) == [frozenset({(0, 0)})]
     assert decomposition_problems(grid) == []
     report = verify_decomposition(1)

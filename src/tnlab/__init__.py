@@ -34,7 +34,6 @@ from .polyomino import (
     verify_decomposition,
 )
 from .spinmodel import (
-    WeightTable,
     exact_partition_function,
     global_loss_weights,
     mc_second_moment,

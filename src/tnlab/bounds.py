@@ -54,8 +54,8 @@ def norm_excess_bound(L, D, d):
 def _log_norm_excess_bound(L, D, d):
     """log of `norm_excess_bound`: log(L/(1-p_u)) + max(log x, L log x) for x = L^2 S / p_u."""
     tab = norm_weights(D, d)
-    q_a = tab(1, 1, 1)
-    p_u = tab(0, 0, 1) ** 2
+    q_a = float(tab[1, 1, 1])
+    p_u = float(tab[0, 0, 1]) ** 2
     log_x = (math.log(L * L / p_u) + L * math.log(GF_RESCALE)
              + math.log(directed_gf(q_a / GF_RESCALE, p_u)))
     return math.log(L / (1.0 - p_u)) + max(log_x, L * log_x)
@@ -73,7 +73,7 @@ def global_variance_ratio(D, d):
 
 def global_variance_bound(n_sites, D, d):
     """2^V * g_max^(V-1): the global-loss variance bound at V sites."""
-    g_max = global_loss_weights(D, d)(0, 0, 0)
+    g_max = float(global_loss_weights(D, d)[0, 0, 0])
     return 2.0**n_sites * g_max ** (n_sites - 1)
 
 

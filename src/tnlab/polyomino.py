@@ -46,10 +46,15 @@ def stats(cells):
     """(area, perimeter, upper perimeter) of a plane cell set, from the defining set formulas."""
     if not cells:
         raise ValueError("empty cell set")
+    s = set()
     for cell in cells:
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in cell):
+        try:
+            x, y = cell
+        except (TypeError, ValueError):  # not iterable, or not of length 2
+            x = y = None
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (x, y)):
             raise ValueError(f"a plane cell is a pair of integers, got {cell!r}")
-    s = frozenset((int(x), int(y)) for x, y in cells)  # Python ints: a step never wraps
+        s.add((int(x), int(y)))  # Python ints: a step never wraps
     # exposed[0] is |S \ (S + e_x)|, the upper perimeter
     exposed = [len(s - {(x + dx, y + dy) for x, y in s})
                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
@@ -61,9 +66,6 @@ class PolyominoCounts:
     """Counts indexed by (area, upper perimeter)."""
 
     counts: dict
-
-    def get(self, m, n):
-        return self.counts.get((m, n), 0)
 
 
 def _check_area(m_max):
@@ -125,14 +127,15 @@ def series_coefficients(m_max):
     """Exact integer D_{m,n} from the power series of the closed form.
 
     With A = (1+q)(1+q-qp) and B = 1 - q(2+p) + q^2(1-p), the closed form is
-    G = p/2 (y - 1) with y^2 = Y = A/B. Each q-coefficient of Y and then of y
-    is solved one order at a time from B Y = A and y^2 = Y, as a polynomial in
-    p with Python-integer coefficients. Both steps halve integers; an odd one
-    signals an internal expansion error. Raises ValueError below area 1 and
-    ResourceLimitError above SERIES_BUDGET.
+    G = p/2 (sqrt(A/B) - 1). Since A - B = 4q, H = G/p solves H(1 + H) = q/B,
+    the algebraic equation of directed site animals (Dhar, PRL 49, 959, 1982).
+    With 1/B = sum_k r_k q^k, each q-coefficient h_k = r_(k-1) - sum_(0<j<k)
+    h_j h_(k-j) is a polynomial in p with Python-integer coefficients, and
+    D_{m,n} is its p^(n-1) coefficient at k = m. Raises ValueError below area 1
+    and ResourceLimitError above SERIES_BUDGET.
     """
     _check_area(m_max)
-    width = m_max + 2  # the q^k coefficient has p-degree <= k, and A, B have p-degree 1
+    width = m_max + 1  # h_k and r_(k-1) have p-degree k - 1
 
     def poly(*coeffs):
         out = np.zeros(width, dtype=object)
@@ -142,28 +145,14 @@ def series_coefficients(m_max):
     def mul(a, b):
         return np.convolve(a, b)[:width]
 
-    def half(v, m):
-        if any(c % 2 for c in v):
-            raise RuntimeError(f"non-integer series coefficient {list(v)}/2 at q^{m}")
-        return v // 2
-
-    # q^0, q^1, q^2 coefficients of A and B
-    a = [poly(1), poly(2, -1), poly(1, -1)]
-    b = [poly(1), poly(-2, -1), poly(1, -1)]
-    big_y = []
-    for k in range(m_max + 1):
-        yk = a[k] if k < len(a) else poly()
-        big_y.append(yk - sum(mul(b[j], big_y[k - j]) for j in (1, 2) if j <= k))
-    y = [poly(1)]
+    r = [poly(1), poly(2, 1)]  # r_k = (2 + p) r_(k-1) - (1 - p) r_(k-2), from B (1/B) = 1
+    for k in range(2, m_max):
+        r.append(mul(poly(2, 1), r[k - 1]) - mul(poly(1, -1), r[k - 2]))
+    h = [poly()]
     for k in range(1, m_max + 1):
-        y.append(half(big_y[k] - sum(mul(y[j], y[k - j]) for j in range(1, k)), k))
-    counts = {}
-    for m in range(1, m_max + 1):
-        # G_m = p/2 y_m: D_{m,n} is the p^(n-1) coefficient of y_m / 2
-        for n, c in enumerate(half(y[m], m), start=1):
-            if c:
-                counts[(m, n)] = int(c)
-    return PolyominoCounts(counts)
+        h.append(r[k - 1] - sum(mul(h[j], h[k - j]) for j in range(1, k)))
+    return PolyominoCounts({(m, n): int(c) for m in range(1, m_max + 1)
+                            for n, c in enumerate(h[m], start=1) if c})
 
 
 def enumerate_toric(L):

@@ -1,13 +1,13 @@
 """Two-layer spin model for Haar second moments: weight tables and partition functions.
 
 Upper-layer spin configurations are boolean arrays of shape (l1, l2) with
-True = up. A weight table assigns a real factor to each site as a function of
-(own spin, right-neighbor spin, down-neighbor spin); the amplitude of a
-configuration is the product of these factors over the torus. The partition
-function, the sum of amplitudes over all 2**(l1*l2) configurations, is a
-bond-2 tensor network that `exact_partition_function` contracts on the
-`network` engine; the exhaustive sum `all_config_amplitudes` is an oracle,
-capped at PARTITION_CAP.
+True = up. A weight table is a float (2, 2, 2) array t[s, r, g]: the factor of
+a site with own spin s, right-neighbor spin r and down-neighbor spin g, 0 = down.
+The amplitude of a configuration is the product of these factors over the
+torus. The partition function, the sum of amplitudes over all 2**(l1*l2)
+configurations, is a bond-2 tensor network that `exact_partition_function`
+contracts on the `network` engine; the exhaustive sum `all_config_amplitudes`
+is an oracle, capped at PARTITION_CAP.
 
 Two tables appear: the "norm" table (physical legs closed with the identity
 pairing, i.e. a uniform external field) drives E[<psi|psi>^2]; the "global"
@@ -27,44 +27,9 @@ from .variance import sample_values
 PARTITION_CAP = 2**25
 _ENUM_CHUNK = 2**20
 
-KIND_NORM = "norm"
-KIND_GLOBAL = "global"
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Eight per-site weights indexed by (spin, right spin, down spin), 0 = down."""
-
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = self.values
-        if v.shape != (2, 2, 2):
-            raise ValueError("weight table must have shape (2, 2, 2)")
-        if self.kind == KIND_NORM:
-            ok = (abs(v[0, 0, 0] - 1.0) < 1e-12
-                  and abs(v[1, 0, 0]) < 1e-12
-                  and abs(v[0, 0, 1] - v[0, 1, 0]) < 1e-12
-                  and abs(v[1, 0, 1] - v[1, 1, 0]) < 1e-12
-                  and np.all(v >= -1e-15) and np.all(v <= 1 + 1e-12))
-        elif self.kind == KIND_GLOBAL:
-            ok = (abs(v[0, 0, 0] - v[1, 1, 1]) < 1e-15
-                  and abs(v[0, 0, 1] - v[1, 0, 1]) < 1e-15
-                  and abs(v[0, 0, 1] - v[0, 1, 0]) < 1e-15
-                  and abs(v[1, 0, 0] - v[0, 1, 1]) < 1e-15
-                  and v.max() == v[0, 0, 0])
-        else:
-            raise ValueError(f"unknown table kind {self.kind!r}")
-        if not ok:
-            raise ValueError(f"values violate the {self.kind} table symmetries: {v.tolist()}")
-
-    def __call__(self, s, s_right, s_down):
-        return float(self.values[s, s_right, s_down])
-
 
 def norm_weights(D, d):
-    """Single-site weights of the norm second moment (field case), closed form."""
+    """Single-site weights of the norm second moment (field case): the closed-form table."""
     if D < 2 or d < 2:
         raise ValueError("D and d must be >= 2")
     den = D**4 * d**2 - 1
@@ -75,11 +40,11 @@ def norm_weights(D, d):
     v[1, 0, 0] = 0.0
     v[1, 0, 1] = v[1, 1, 0] = (D**3 * d - D * d) / den
     v[1, 1, 1] = (D**4 * d - d) / den
-    return WeightTable(KIND_NORM, v)
+    return v
 
 
 def global_loss_weights(D, d):
-    """Single-site weights of the global-loss second moment (no field), closed form."""
+    """Single-site weights of the global-loss second moment (no field): the closed-form table."""
     if D < 2 or d < 2:
         raise ValueError("D and d must be >= 2")
     den = (D**2 * d) ** 2 - 1
@@ -87,7 +52,15 @@ def global_loss_weights(D, d):
     v[0, 0, 0] = v[1, 1, 1] = (D**4 - 1.0 / d) / den
     v[0, 0, 1] = v[0, 1, 0] = v[1, 0, 1] = v[1, 1, 0] = (D**3 - D / d) / den
     v[1, 0, 0] = v[0, 1, 1] = (D**2 - D**2 / d) / den
-    return WeightTable(KIND_GLOBAL, v)
+    return v
+
+
+def _checked(table):
+    """table as an array, if it has the (2, 2, 2) shape of a weight table."""
+    t = np.asarray(table)
+    if t.shape != (2, 2, 2):
+        raise ValueError("weight table must have shape (2, 2, 2)")
+    return t
 
 
 def _successor_indexing(l1, l2):
@@ -114,8 +87,8 @@ def all_config_amplitudes(l1, l2, table):
 
     Bit k of the configuration index is site (k // l2, k % l2).
     """
+    flat = _checked(table).reshape(-1)
     right, down = _successor_indexing(l1, l2)
-    flat = table.values.reshape(-1)
     return np.concatenate([np.prod(flat[4 * bits + 2 * bits[:, right] + bits[:, down]], axis=1)
                            for bits in _config_bits(l1 * l2)])
 
@@ -130,13 +103,13 @@ class PartitionResult:
 def exact_partition_function(l1, l2, table):
     """Sum of configuration amplitudes over the upper layer, by network contraction.
 
-    Every site carries A[a, b, g, l] = [a = b = s] table(s, l, g): its spin s
+    Every site carries A[a, b, g, l] = [a = b = s] table[s, l, g]: its spin s
     goes out on the up and left legs, and the spins of its right and down
     neighbors come in on l and g. For the norm table the ground configuration
     contributes exactly 1 and the result decomposes as Z = 1 + (sum over
     excited configurations).
     """
-    v = table.values
+    v = _checked(table)
     site = np.zeros((2, 2, 2, 2))
     for s in (0, 1):
         site[s, s] = v[s].T

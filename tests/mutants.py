@@ -54,9 +54,13 @@ MUTANTS = (
            "    return (a + a.conj().swapaxes(-1, -2)) / 2.0",
            "    return (a + a.conj().swapaxes(-1, -2)) / np.sqrt(2.0)",
            _ids("test_tensors", "test_generator_moments_fix_its_scale")),
+    Mutant("norm_weight_entry", "src/tnlab/spinmodel.py",
+           "v[0, 1, 1] = (D**2 * d**2 - D**2) / den", "v[0, 1, 1] = (D**2 * d**2 - D) / den",
+           _ids("test_spinmodel", "test_bottom_layer_sum_reproduces_tables")),
     Mutant("scan_ddof_0", "src/tnlab/variance.py",
            "variance=np.var(samples, axis=0, ddof=1)", "variance=np.var(samples, axis=0, ddof=0)",
-           _ids("test_variance", "test_scan_equals_a_loop_over_spawned_children")),
+           _ids("test_variance", "test_scan_equals_a_loop_over_spawned_children",
+                "test_scan_variance_is_the_unbiased_sample_variance")),
     Mutant("profile_plane_distance", "src/tnlab/variance.py",
            "groups.setdefault(spec.toric_manhattan(site, obs), [])",
            "groups.setdefault(abs(site[0] - obs[0]) + abs(site[1] - obs[1]), [])",
@@ -98,6 +102,10 @@ MUTANTS = (
            "for dx, dy in ((1, 0),", "for dx, dy in ((0, 1),",
            _ids("test_polyomino", "test_reference_shape_stats", "test_domino_stats",
                 "test_stats_match_a_grid_count")),
+    Mutant("series_inverse_b_sign", "src/tnlab/polyomino.py",
+           "- mul(poly(1, -1), r[k - 2])", "+ mul(poly(1, -1), r[k - 2])",
+           _ids("test_polyomino", "test_series_matches_enumeration_exactly")
+           + _ids("test_acceptance", "test_criterion_05_polyomino_counts")),
     Mutant("gf_factor", "src/tnlab/polyomino.py",
            "return 2.0 * p * q / (den", "return p * q / (den",
            _ids("test_polyomino", "test_gf_reference_value",

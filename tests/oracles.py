@@ -8,7 +8,6 @@ from enum import Enum
 import numpy as np
 
 from tnlab import network
-from tnlab.spinmodel import KIND_NORM, WeightTable
 
 
 def dense_amplitudes(ket):
@@ -276,21 +275,21 @@ def _boltzmann_weights(couplings, field):
     return two_layer_site_weight(couplings, s1, s2, s3, s4, field)
 
 
-def table_from_boltzmann(D, d, kind):
-    """Rebuild a weight table by summing the bottom layer of the Boltzmann form.
+def table_from_boltzmann(D, d, field):
+    """Rebuild a (2, 2, 2) weight table by summing the bottom layer of the Boltzmann form.
 
-    Independent of the closed forms; equality of the two is the consistency
-    check tying the Hamiltonian picture to the tabulated weights.
+    field=True gives the norm table, field=False the global-loss one. Independent of
+    the closed forms; equality of the two is the consistency check tying the
+    Hamiltonian picture to the tabulated weights.
     """
     couplings = IsingCouplings(D, d)
-    field = kind == KIND_NORM
     w = couplings.site_prefactor(field) * _boltzmann_weights(couplings, field).sum(axis=0)
     if np.abs(w.imag).max() >= 1e-12:
         raise RuntimeError(f"Boltzmann site weights {w.tolist()} are not real")
-    return WeightTable(kind, w.real.copy())
+    return w.real.copy()
 
 
-def exact_partition_function_two_layer(l1, l2, D, d, kind=KIND_NORM):
+def exact_partition_function_two_layer(l1, l2, D, d, field=True):
     """Partition function summed over BOTH spin layers in the Boltzmann form.
 
     Every one of the 4**(l1*l2) configurations is enumerated at once: bit k of a
@@ -301,7 +300,6 @@ def exact_partition_function_two_layer(l1, l2, D, d, kind=KIND_NORM):
     """
     n = l1 * l2
     couplings = IsingCouplings(D, d)
-    field = kind == KIND_NORM
     w = (couplings.site_prefactor(field) * _boltzmann_weights(couplings, field)).reshape(-1)
     x, y = np.divmod(np.arange(n), l2)
     right, down = x * l2 + (y + 1) % l2, (x + 1) % l1 * l2 + y

@@ -17,9 +17,8 @@ from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZE
                           traceless_observable)
 from tnlab.polyomino import (directed_gf, enumerate_directed, series_coefficients, stats,
                              verify_decomposition)
-from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, all_config_amplitudes,
-                             exact_partition_function, global_loss_weights,
-                             mc_second_moment, norm_weights)
+from tnlab.spinmodel import (all_config_amplitudes, exact_partition_function,
+                             global_loss_weights, mc_second_moment, norm_weights)
 from tnlab.states import build_state, norm_squared
 from tnlab.tensors import haar_unitaries, second_moment_channel
 from tnlab.variance import distance_profile, variance_scan
@@ -91,10 +90,8 @@ def test_criterion_04_table_consistency():
     worst = 0.0
     for D in (2, 3):
         for d in (2, 3):
-            for kind, closed in ((KIND_NORM, norm_weights),
-                                 (KIND_GLOBAL, global_loss_weights)):
-                dev = np.abs(closed(D, d).values
-                             - table_from_boltzmann(D, d, kind).values).max()
+            for field, closed in ((True, norm_weights), (False, global_loss_weights)):
+                dev = np.abs(closed(D, d) - table_from_boltzmann(D, d, field)).max()
                 worst = max(worst, dev)
     record_criterion(4, "bottom-layer sums reproduce all 16 table entries to 1e-12",
                      worst <= 1e-12, f"worst dev {worst:.1e}")
@@ -224,8 +221,8 @@ def test_criterion_10_onsite_floor():
 
 def test_criterion_11_zero_classification_and_amplitude_bound():
     table = norm_weights(2, 2)
-    q_a = table(1, 1, 1)
-    q_p = table(0, 0, 1)
+    q_a = table[1, 1, 1]
+    q_p = table[0, 0, 1]
     q_u = q_p**2
     ok = True
     for L in (2, 3, 4):

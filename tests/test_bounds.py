@@ -20,8 +20,8 @@ from tnlab.variance import variance_scan
 
 def test_decay_parameters_at_2_2():
     tab = norm_weights(2, 2)
-    q_a = tab(1, 1, 1)
-    p_u = tab(0, 0, 1) ** 2
+    q_a = tab[1, 1, 1]
+    p_u = tab[0, 0, 1] ** 2
     assert q_a <= 0.5
     assert p_u <= 0.25
 
@@ -104,7 +104,7 @@ def test_norm_excess_bound_in_log_space_matches_the_direct_form(D, d):
     # the direct form L/(1-p_u) * max(x, x^L) overflows float64 at D = d = 2 for L = 139..189;
     # the log-space bound stays finite, and the bound is the direct form wherever that is finite
     tab = norm_weights(D, d)
-    q_a, p_u = tab(1, 1, 1), tab(0, 0, 1) ** 2
+    q_a, p_u = float(tab[1, 1, 1]), float(tab[0, 0, 1]) ** 2
     for L in range(2, 601):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

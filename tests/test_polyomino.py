@@ -65,10 +65,11 @@ def test_stats_rejects_empty():
         stats(frozenset())
 
 
-@pytest.mark.parametrize("cell", [(0.5, 0), (True, 0), (0, np.True_), (0, 1.0)], ids=repr)
+@pytest.mark.parametrize("cell", [(0.5, 0), (True, 0), (0, np.True_), (0, 1.0), (0, 0, 1), (0,), 1],
+                         ids=repr)
 def test_stats_rejects_cells_that_are_not_integer_pairs(cell):
     # a float cell such as (0, 1.0) would be the same set member as (0, 1), and a bool
-    # would be read as 0 or 1
+    # would be read as 0 or 1; a cell of another length, or no sequence at all, is no pair
     with pytest.raises(ValueError, match="pair of integers"):
         stats(frozenset({cell, (0, 0)}))
 
@@ -126,8 +127,8 @@ def test_counts_match_independent_oracle():
 
 def test_area_one_counts():
     enum = enumerate_directed(3)
-    assert enum.get(1, 1) == 1
-    assert all(enum.get(1, n) == 0 for n in range(2, 4))
+    assert enum.counts.get((1, 1), 0) == 1
+    assert all(enum.counts.get((1, n), 0) == 0 for n in range(2, 4))
 
 
 def test_layer_count_matches_growth_at_every_area():
@@ -166,8 +167,8 @@ def test_perimeter_at_least_twice_upper_perimeter():
 
 
 def test_series_matches_enumeration_exactly():
-    # about 0.3 s at area 20; area 24, the cap, takes about 0.8 s more and is left out
-    assert series_coefficients(20).counts == enumerate_directed(20).counts
+    # every coefficient to the cap; the layer count takes about 0.8 s at area 24
+    assert series_coefficients(SERIES_BUDGET).counts == enumerate_directed(SERIES_BUDGET).counts
 
 
 def test_series_by_area_matches_directed_animal_numbers():
@@ -180,7 +181,7 @@ def test_series_by_area_matches_directed_animal_numbers():
 
 def test_series_properties():
     series = series_coefficients(12)
-    assert series.get(1, 1) == 1
+    assert series.counts.get((1, 1), 0) == 1
     assert all(isinstance(c, int) and c >= 0 for c in series.counts.values())
     assert all(n <= m for (m, n) in series.counts)
 
@@ -504,7 +505,7 @@ def test_toric_count_bounded_by_plane_compositions():
         total = 0
         for mi in range(L, m + 1):
             for ni in range(1, n + 1):
-                cnt = series.get(mi, ni)
+                cnt = series.counts.get((mi, ni), 0)
                 if cnt:
                     total += L * L * cnt * splittings(k - 1, m - mi, n - ni)
         return total

@@ -1,23 +1,18 @@
 """Tests for the two-layer spin model: weight tables, amplitudes, partition functions."""
 
-import os
+import itertools
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-import tnlab
 from tnlab.errors import ResourceLimitError
 from tnlab.lattice import LatticeSpec
-from tnlab.spinmodel import (KIND_GLOBAL, KIND_NORM, WeightTable, all_config_amplitudes,
-                             exact_partition_function, global_loss_weights, mc_second_moment,
-                             norm_weights)
+from tnlab.spinmodel import (all_config_amplitudes, exact_partition_function,
+                             global_loss_weights, mc_second_moment, norm_weights)
 
 from oracles import (ConfigClass, IsingCouplings, classify_config,
                      exact_partition_function_two_layer, table_from_boltzmann,
@@ -28,21 +23,20 @@ DOWN, UP = 0, 1
 
 def test_norm_table_values_at_2_2():
     f = norm_weights(2, 2)
-    assert f(DOWN, DOWN, DOWN) == 1.0
-    assert f(UP, DOWN, DOWN) == 0.0
-    assert abs(f(DOWN, DOWN, UP) - 30 / 63) < 1e-15
-    assert abs(f(DOWN, UP, UP) - 12 / 63) < 1e-15
-    assert abs(f(UP, DOWN, UP) - 12 / 63) < 1e-15
-    assert abs(f(UP, UP, UP) - 30 / 63) < 1e-15
+    assert f[DOWN, DOWN, DOWN] == 1.0
+    assert f[UP, DOWN, DOWN] == 0.0
+    assert abs(f[DOWN, DOWN, UP] - 30 / 63) < 1e-15
+    assert abs(f[DOWN, UP, UP] - 12 / 63) < 1e-15
+    assert abs(f[UP, DOWN, UP] - 12 / 63) < 1e-15
+    assert abs(f[UP, UP, UP] - 30 / 63) < 1e-15
 
 
 def test_norm_table_structure():
     for D in (2, 3):
         for d in (2, 3):
-            f = norm_weights(D, d)
-            assert f(DOWN, DOWN, DOWN) == 1.0
-            assert f(UP, DOWN, DOWN) == 0.0
-            v = f.values
+            v = norm_weights(D, d)
+            assert v[DOWN, DOWN, DOWN] == 1.0
+            assert v[UP, DOWN, DOWN] == 0.0
             assert np.abs(v - v.transpose(0, 2, 1)).max() < 1e-15  # last-two symmetry
             assert v.min() >= 0.0 and v.max() <= 1.0
             # every excitation and every unequal neighbor pair costs a factor < 1
@@ -55,12 +49,12 @@ def test_norm_table_structure():
 
 def test_global_table_values_at_2_2():
     g = global_loss_weights(2, 2)
-    assert abs(g(DOWN, DOWN, DOWN) - 15.5 / 63) < 1e-15
-    assert abs(g(DOWN, DOWN, UP) - 7 / 63) < 1e-15
-    assert abs(g(UP, DOWN, DOWN) - 2 / 63) < 1e-15
-    assert g(DOWN, DOWN, DOWN) == g(UP, UP, UP)
-    assert g.values.max() == g(DOWN, DOWN, DOWN)
-    assert 2 * g(DOWN, DOWN, DOWN) < 1.0
+    assert abs(g[DOWN, DOWN, DOWN] - 15.5 / 63) < 1e-15
+    assert abs(g[DOWN, DOWN, UP] - 7 / 63) < 1e-15
+    assert abs(g[UP, DOWN, DOWN] - 2 / 63) < 1e-15
+    assert g[DOWN, DOWN, DOWN] == g[UP, UP, UP]
+    assert g.max() == g[DOWN, DOWN, DOWN]
+    assert 2 * g[DOWN, DOWN, DOWN] < 1.0
 
 
 def test_couplings_fields():
@@ -83,13 +77,27 @@ def test_site_weight_finite_nonzero():
 
 @pytest.mark.parametrize("D", (2, 3))
 @pytest.mark.parametrize("d", (2, 3))
-@pytest.mark.parametrize("kind", (KIND_NORM, KIND_GLOBAL))
-def test_bottom_layer_sum_reproduces_tables(D, d, kind):
-    closed = norm_weights(D, d) if kind == KIND_NORM else global_loss_weights(D, d)
-    rebuilt = table_from_boltzmann(D, d, kind)
-    assert np.abs(closed.values - rebuilt.values).max() < 1e-12
-    if kind == KIND_NORM:
-        assert abs(rebuilt.values[DOWN, DOWN, DOWN] - 1.0) < 1e-12
+@pytest.mark.parametrize("closed, field", ((norm_weights, True), (global_loss_weights, False)),
+                         ids=("norm", "global"))
+def test_bottom_layer_sum_reproduces_tables(D, d, closed, field):
+    rebuilt = table_from_boltzmann(D, d, field)
+    assert np.abs(closed(D, d) - rebuilt).max() < 1e-12
+    if field:
+        assert abs(rebuilt[DOWN, DOWN, DOWN] - 1.0) < 1e-12
+
+
+def test_closed_forms_keep_their_symmetries():
+    for D, d in itertools.product(range(2, 7), repeat=2):
+        f, g = norm_weights(D, d), global_loss_weights(D, d)
+        assert f.shape == g.shape == (2, 2, 2) and f.dtype == g.dtype == np.float64
+        # right and down neighbors enter alike
+        assert np.array_equal(f, f.transpose(0, 2, 1)) and np.array_equal(g, g.transpose(0, 2, 1))
+        # the field makes the all-down site weigh 1 and a lone up spin 0
+        assert f[DOWN, DOWN, DOWN] == 1.0 and f[UP, DOWN, DOWN] == 0.0
+        assert f.min() >= 0.0 and f.max() <= 1.0
+        # without a field, flipping every spin changes no weight
+        assert np.array_equal(g, g[::-1, ::-1, ::-1])
+        assert g.max() == g[DOWN, DOWN, DOWN]
 
 
 def test_classify_config():
@@ -108,7 +116,7 @@ def test_config_amplitude_examples():
     assert amps[0] == 1.0  # all down
     assert amps[1] == 0.0  # site (0, 0) up alone
     # code 7 is row 0 up: three (up, up-right, down-below) sites, three below-row sites
-    expected = f(UP, UP, DOWN) ** 3 * f(DOWN, DOWN, UP) ** 3
+    expected = f[UP, UP, DOWN] ** 3 * f[DOWN, DOWN, UP] ** 3
     assert abs(amps[7] - expected) < 1e-15
 
 
@@ -133,18 +141,10 @@ def test_partition_function_decreases_and_exceeds_one():
 
 
 def test_partition_function_matches_two_layer_sum():
-    for kind in (KIND_NORM, KIND_GLOBAL):
-        table = norm_weights(2, 2) if kind == KIND_NORM else global_loss_weights(2, 2)
-        z_table = exact_partition_function(2, 2, table).z
-        z_two = exact_partition_function_two_layer(2, 2, 2, 2, kind)
+    for closed, field in ((norm_weights, True), (global_loss_weights, False)):
+        z_table = exact_partition_function(2, 2, closed(2, 2)).z
+        z_two = exact_partition_function_two_layer(2, 2, 2, 2, field)
         assert abs(z_table - z_two) < 1e-12
-
-
-class _RandomTable:
-    """Duck-typed weight table: WeightTable rejects values without its symmetries."""
-
-    def __init__(self, values):
-        self.values = values
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,7 +153,7 @@ class _RandomTable:
 def test_partition_function_matches_enumeration_on_random_tables(l1, l2, values):
     # random tables are not symmetric in (right, down), so this pins the leg
     # orientation of the network site tensor, transposed layouts included
-    table = _RandomTable(np.array(values).reshape(2, 2, 2))
+    table = np.array(values).reshape(2, 2, 2)
     z = exact_partition_function(l1, l2, table).z
     z_enum = all_config_amplitudes(l1, l2, table).sum()
     assert abs(z - z_enum) <= 1e-12 * abs(z_enum)
@@ -169,14 +169,14 @@ def test_global_partition_bounded_by_max_entry():
     for L in (2, 3, 4):
         g = global_loss_weights(2, 2)
         z = exact_partition_function(L, L, g).z
-        assert z <= 2 ** (L * L) * g(DOWN, DOWN, DOWN) ** (L * L - 1)
+        assert z <= 2 ** (L * L) * g[DOWN, DOWN, DOWN] ** (L * L - 1)
 
 
 def test_area_perimeter_bound_on_amplitudes():
     # every nonzero amplitude obeys A <= q_a^m q_p^p <= q_a^m q_u^n
     f = norm_weights(2, 2)
-    q_a = f(UP, UP, UP)
-    q_p = f(DOWN, DOWN, UP)
+    q_a = f[UP, UP, UP]
+    q_p = f[DOWN, DOWN, UP]
     q_u = q_p**2
     for L in (2, 3):
         amps = all_config_amplitudes(L, L, f)
@@ -203,39 +203,19 @@ def test_mc_second_moment_consistent_with_exact():
     assert est - 1.0 >= -3 * se
 
 
-def test_invalid_table_rejected_under_optimize():
-    # the table invariants are real checks, so python -O keeps them
-    code = ("import numpy as np\n"
-            "from tnlab.spinmodel import WeightTable\n"
-            "try:\n"
-            "    WeightTable('norm', np.zeros((2, 2, 2)))\n"
-            "except ValueError:\n"
-            "    print('rejected')\n")
-    src = str(Path(tnlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "rejected"
-
-
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: WeightTable(KIND_NORM, np.ones((2, 2))), ValueError,
+    (lambda: exact_partition_function(2, 2, np.ones((2, 2))), ValueError,
      "weight table must have shape (2, 2, 2)"),
-    (lambda: WeightTable("field", norm_weights(2, 2).values), ValueError,
-     "unknown table kind 'field'"),
-    (lambda: WeightTable(KIND_NORM, np.zeros((2, 2, 2))), ValueError,
-     "values violate the norm table symmetries"),
-    (lambda: WeightTable(KIND_GLOBAL, norm_weights(2, 2).values), ValueError,
-     "values violate the global table symmetries"),
+    (lambda: all_config_amplitudes(2, 2, np.ones((2, 2, 2, 2))), ValueError,
+     "weight table must have shape (2, 2, 2)"),
     (lambda: norm_weights(1, 2), ValueError, "D and d must be >= 2"),
     (lambda: global_loss_weights(2, 1), ValueError, "D and d must be >= 2"),
     (lambda: mc_second_moment(LatticeSpec(2, 2, 2, 2), 1, np.random.default_rng(0)),
      ValueError, "need at least 2 samples"),
     (lambda: all_config_amplitudes(2, 13, norm_weights(2, 2)), ResourceLimitError,
      "2**26 configurations exceed cap 33554432"),
-], ids=["table-shape", "table-kind", "norm-symmetry", "global-symmetry", "norm-D",
-        "global-d", "one-sample", "partition-cap"])
+], ids=["table-shape", "amplitudes-table-shape", "norm-D", "global-d", "one-sample",
+        "partition-cap"])
 def test_spin_model_rejects_bad_input_before_allocating(call, error, message):
     tracemalloc.start()
     try:

@@ -172,6 +172,15 @@ def test_pool_sized_by_jobs_not_workers(monkeypatch):
     assert report.n_samples == 2
 
 
+def test_scan_variance_is_the_unbiased_sample_variance():
+    # variance * (n - 1) is the sum of squared deviations over the report's own samples
+    spec = LatticeSpec(2, 2, 2, 2)
+    report = variance_scan(spec, local_loss(), 4, seed=21)
+    g, n = report.samples, report.n_samples
+    deviations = ((g - g.mean(axis=0)) ** 2).sum(axis=0)
+    assert np.allclose(report.variance * (n - 1), deviations, rtol=1e-12, atol=0.0)
+
+
 def test_variances_nonnegative():
     spec = LatticeSpec(2, 3, 2, 2)
     report = variance_scan(spec, local_loss(), 30, seed=14)

@@ -19,7 +19,7 @@ import numpy as np
 from . import network
 from .errors import ResourceLimitError, gib
 from .lattice import LatticeSpec
-from .tensors import haar_from_ginibre, hermitian_from_gaussian, is_hermitian, is_unitary
+from .tensors import haar_unitary, is_hermitian, is_unitary, random_hermitian
 
 STATE_FORMAT = "tnlab-state-v1"
 
@@ -77,8 +77,8 @@ def build_state(spec, rng):
     for x, y in spec.sites():
         rng.standard_normal(out=raw[x, y])
         theta[x, y] = rng.uniform(0.0, 2.0 * np.pi)
-    u = haar_from_ginibre(raw[:, :, 0:4:2], raw[:, :, 1:4:2])
-    generator = hermitian_from_gaussian(raw[:, :, 4], raw[:, :, 5])
+    u = haar_unitary(raw[:, :, 0:4:2], raw[:, :, 1:4:2])
+    generator = random_hermitian(raw[:, :, 4], raw[:, :, 5])
     return TNState(spec, u[:, :, 0], u[:, :, 1], generator, theta)
 
 

@@ -1,4 +1,5 @@
-"""Haar sampling, unitarity and Hermiticity checks, and the analytic two-fold Haar average.
+"""Haar and Gaussian-Hermitian transforms of normal draws, unitarity and Hermiticity
+checks, and the analytic two-fold Haar average.
 
 Tensors are plain complex numpy arrays (row-major).
 """
@@ -9,12 +10,7 @@ UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-14
 
 
-def _check_dim(dim):
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-
-
-def haar_from_ginibre(re, im):
+def haar_unitary(re, im):
     """Haar unitaries from the real and imaginary parts of Ginibre matrices.
 
     Mezzadri's construction (Notices AMS 54, 592, 2007): the QR factors of
@@ -28,32 +24,11 @@ def haar_from_ginibre(re, im):
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def hermitian_from_gaussian(re, im):
-    """(A + A^dag) / 2 for A = re + i im, batched over leading axes."""
+def random_hermitian(re, im):
+    """Gaussian-ensemble Hermitian matrices (A + A^dag) / 2 for A = re + i im, batched over
+    leading axes."""
     a = re + 1j * im
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
-
-
-def haar_unitaries(dim, count, rng):
-    """Batch of `count` independent Haar unitaries, shape (count, dim, dim).
-
-    Draws every real part, then every imaginary part.
-    """
-    _check_dim(dim)
-    re, im = rng.standard_normal((2, count, dim, dim))
-    return haar_from_ginibre(re, im)
-
-
-def haar_unitary(dim, rng):
-    """Draw a dim x dim unitary from the Haar measure."""
-    return haar_unitaries(dim, 1, rng)[0]
-
-
-def random_hermitian(dim, rng):
-    """Gaussian-ensemble Hermitian matrix H = (A + A^dag)/2 with A complex standard normal."""
-    _check_dim(dim)
-    re, im = rng.standard_normal((2, dim, dim))
-    return hermitian_from_gaussian(re, im)
 
 
 def is_unitary(u):

@@ -54,6 +54,10 @@ MUTANTS = (
            "    return (a + a.conj().swapaxes(-1, -2)) / 2.0",
            "    return (a + a.conj().swapaxes(-1, -2)) / np.sqrt(2.0)",
            _ids("test_tensors", "test_generator_moments_fix_its_scale")),
+    Mutant("cli_norm_table_swap", "src/tnlab/cli.py",
+           "norm_weights(config.bond_dim, config.phys_dim)",
+           "norm_weights(config.phys_dim, config.bond_dim)",
+           _ids("test_cli", "test_norm_stats_reports_the_z_of_its_bond_and_physical_dims")),
     Mutant("norm_weight_entry", "src/tnlab/spinmodel.py",
            "v[0, 1, 1] = (D**2 * d**2 - D**2) / den", "v[0, 1, 1] = (D**2 * d**2 - D) / den",
            _ids("test_spinmodel", "test_bottom_layer_sum_reproduces_tables")),

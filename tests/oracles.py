@@ -7,7 +7,26 @@ from enum import Enum
 
 import numpy as np
 
-from tnlab import network
+from tnlab import network, tensors
+
+
+def sample_unitaries(dim, count, rng):
+    """`count` independent Haar unitaries, shape (count, dim, dim), through the library's
+    transform; draws every real part, then every imaginary part."""
+    re, im = rng.standard_normal((2, count, dim, dim))
+    return tensors.haar_unitary(re, im)
+
+
+def sample_unitary(dim, rng):
+    """One dim x dim Haar unitary, drawn as `sample_unitaries(dim, 1, rng)`."""
+    return sample_unitaries(dim, 1, rng)[0]
+
+
+def sample_hermitian(dim, rng):
+    """One Gaussian-ensemble Hermitian matrix through the library's transform; draws the real
+    part, then the imaginary part."""
+    re, im = rng.standard_normal((2, dim, dim))
+    return tensors.random_hermitian(re, im)
 
 
 def dense_amplitudes(ket):

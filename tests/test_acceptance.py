@@ -20,11 +20,11 @@ from tnlab.polyomino import (directed_gf, enumerate_directed, series_coefficient
 from tnlab.spinmodel import (all_config_amplitudes, exact_partition_function,
                              global_loss_weights, mc_second_moment, norm_weights)
 from tnlab.states import build_state, norm_squared
-from tnlab.tensors import haar_unitaries, second_moment_channel
+from tnlab.tensors import second_moment_channel
 from tnlab.variance import distance_profile, variance_scan
 
 from conftest import record_criterion
-from oracles import table_from_boltzmann
+from oracles import sample_unitaries, table_from_boltzmann
 
 
 def test_criterion_01_second_moment_channel_oracle():
@@ -38,7 +38,7 @@ def test_criterion_01_second_moment_channel_oracle():
     done = 0
     while done < samples:
         chunk = min(4096, samples - done)
-        u = haar_unitaries(n, chunk, rng)[:, :, 0]
+        u = sample_unitaries(n, chunk, rng)[:, :, 0]
         p = (u[:, :, None] * u.conj()[:, None, :]).reshape(chunk, n * n)  # p[b, (i, j)] = u_i u*_j
         acc += (p.T @ p).reshape(n, n, n, n)
         done += chunk

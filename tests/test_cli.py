@@ -30,6 +30,18 @@ def test_norm_stats_runs_and_is_deterministic(tmp_path):
     assert j1["config"]["seed"] == 123
 
 
+@pytest.mark.parametrize("D, d, z", [(3, 2, 1.0732), (2, 3, 1.0295)])
+def test_norm_stats_reports_the_z_of_its_bond_and_physical_dims(tmp_path, D, d, z):
+    # at D != d a table built as norm_weights(d, D) gives the other value
+    out = tmp_path / "x"
+    code = main(["norm-stats", "--sizes", "2x2", "--samples", "2", "--bond-dim", str(D),
+                 "--phys-dim", str(d), "--seed", "1", "--out", str(out)])
+    assert code not in (2, 4)
+    z_exact = read_json(out / "norm_stats.json")["records"][0]["z_exact"]
+    assert z_exact == tnlab.exact_partition_function(2, 2, tnlab.norm_weights(D, d)).z
+    assert z_exact == pytest.approx(z, abs=1e-4)
+
+
 def test_var_scan_global(tmp_path):
     out = tmp_path / "scan"
     code = main(["var-scan", "--sizes", "2x2,2x3", "--samples", "40", "--seed", "7",

@@ -19,7 +19,7 @@ from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NOR
                           plus_projector, plus_target, traceless_observable)
 from tnlab.states import build_state, local_derivative_tensor, local_tensor, norm_squared
 
-from oracles import dense_amplitudes, normalized_local_gradient
+from oracles import dense_amplitudes, normalized_local_gradient, sample_hermitian
 
 
 def finite_difference(state, site, loss, h=1e-5):
@@ -233,7 +233,7 @@ def test_normalized_local_gradient_ignores_the_identity_part(l1, l2, data, seed,
     site = (data.draw(hst.integers(0, l1 - 1)), data.draw(hst.integers(0, l2 - 1)))
     rng = np.random.default_rng(seed)
     st = build_state(spec, rng)
-    obs = tnlab.random_hermitian(2, rng)
+    obs = sample_hermitian(2, rng)
 
     def grad(o):
         return gradient_map(st, LossSpec(kind=LOCAL_NORMALIZED, observable=o, site=site))
@@ -273,7 +273,7 @@ def test_local_normalized_gradient_matches_the_quotient_rule(case):
     l1, l2, D, d, site, seed = case
     rng = np.random.default_rng(seed)
     st = build_state(LatticeSpec(l1, l2, D, d), rng)
-    op = tnlab.random_hermitian(d, rng)
+    op = sample_hermitian(d, rng)
     expected = normalized_local_gradient(local_tensor(st), local_derivative_tensor(st), site, op)
     g = gradient_map(st, LossSpec(kind=LOCAL_NORMALIZED, observable=op, site=site))
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()

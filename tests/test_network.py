@@ -13,9 +13,8 @@ from tnlab import network
 from tnlab.errors import ResourceLimitError, gib
 from tnlab.lattice import LatticeSpec
 from tnlab.states import build_state, local_derivative_tensor, local_tensor
-from tnlab.tensors import random_hermitian
 
-from oracles import dense_amplitudes
+from oracles import dense_amplitudes, sample_hermitian
 
 
 def _tensors(l1, l2, D, d, seed):
@@ -74,7 +73,7 @@ def _check_sweeps(l1, l2, D, d, site, seed):
     """Both sweeps, entry by entry, against `contract` with that one site's tensor replaced."""
     ket, dket = _tensors(l1, l2, D, d, seed)
     rng = np.random.default_rng(seed)
-    op = random_hermitian(d, rng)
+    op = sample_hermitian(d, rng)
     phi = rng.standard_normal((l1, l2, d)) + 1j * rng.standard_normal((l1, l2, d))
 
     _check_op_sweep(ket, dket, site, op)
@@ -275,7 +274,7 @@ def _columns(draw):
     nl, nr, n_p = draw(hst.integers(1, 4)), draw(hst.integers(1, 4)), draw(hst.integers(1, 5))
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     ket = rng.standard_normal((nl, nr, n_p)) + 1j * rng.standard_normal((nl, nr, n_p))
-    op = random_hermitian(n_p, rng) if draw(hst.booleans()) else np.eye(n_p)
+    op = sample_hermitian(n_p, rng) if draw(hst.booleans()) else np.eye(n_p)
     return ket, ket @ op.T, rng
 
 
@@ -305,7 +304,7 @@ def test_a_real_or_single_precision_ket_gives_the_complex128_value():
     # `contract` gives for them, complex64 ones those of the same tensors cast up, and an
     # op given as nested lists that of the array
     ket, dket = _tensors(3, 4, 2, 2, 3)
-    op = random_hermitian(2, np.random.default_rng(3))
+    op = sample_hermitian(2, np.random.default_rng(3))
     _check_op_sweep(ket.real, dket.real, (1, 2), op.real)
     low = ket.astype(np.complex64)
     assert network.bra_ket(low) == network.bra_ket(low.astype(complex))
@@ -320,7 +319,7 @@ def test_an_op_of_any_complex_precision_gives_the_complex128_value(dtype):
     # bra_ket casts its op to complex128 once, so a complex64 or long-double op gives the
     # value and sweep of the same op cast down first
     ket, dket = _tensors(3, 4, 2, 2, 5)
-    op = random_hermitian(2, np.random.default_rng(5)).astype(dtype)
+    op = sample_hermitian(2, np.random.default_rng(5)).astype(dtype)
     expected = network.bra_ket(ket, dket, (2, 1), op.astype(complex))
     value, sweep = network.bra_ket(ket, dket, (2, 1), op)
     assert value == expected[0]

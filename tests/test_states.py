@@ -25,7 +25,7 @@ from tnlab.states import (TNState, build_state, load_state, local_derivative_ten
                           local_tensor, norm_squared, save_state)
 from tnlab.tensors import is_unitary
 
-from oracles import dense_amplitudes
+from oracles import dense_amplitudes, sample_hermitian, sample_unitary
 
 BENCHMARK_DATA = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
 
@@ -107,8 +107,8 @@ def test_build_state_keeps_the_site_by_site_stream(l1, l2):
     n = spec.unitary_dim
     expected = {}
     for site in spec.sites():
-        expected[site] = (tnlab.haar_unitary(n, rng), tnlab.haar_unitary(n, rng),
-                          tnlab.random_hermitian(n, rng), float(rng.uniform(0.0, 2.0 * np.pi)))
+        expected[site] = (sample_unitary(n, rng), sample_unitary(n, rng),
+                          sample_hermitian(n, rng), float(rng.uniform(0.0, 2.0 * np.pi)))
     st = build_state(spec, np.random.default_rng(l1 * 10 + l2))
     for site, (u_minus, u_plus, generator, theta) in expected.items():
         assert np.array_equal(st.u_minus[site], u_minus)
@@ -363,7 +363,7 @@ def test_haar_invariance_of_norm_statistics():
     # multiplying a fixed unitary into every site leaves the norm distribution alone
     spec = LatticeSpec(2, 2, 2, 2)
     rng = np.random.default_rng(15)
-    fixed = tnlab.haar_unitary(spec.unitary_dim, rng)
+    fixed = sample_unitary(spec.unitary_dim, rng)
 
     def twisted(state):
         return dataclasses.replace(state, u_minus=fixed @ state.u_minus)

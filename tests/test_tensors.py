@@ -1,62 +1,69 @@
-"""Tests for Haar sampling and the two-fold Haar average."""
+"""Tests for the Haar and Gaussian-Hermitian transforms and the two-fold Haar average."""
 
 import numpy as np
 import pytest
 
-from tnlab.tensors import (haar_unitaries, haar_unitary, hermitian_from_gaussian,
-                           random_hermitian, second_moment_channel)
+from tnlab.tensors import (haar_unitary, is_hermitian, is_unitary, random_hermitian,
+                           second_moment_channel)
+
+from oracles import sample_hermitian, sample_unitaries, sample_unitary
 
 
 def mc_channel(n, tensor, samples, rng):
     """Monte-Carlo average of (U x U) X (U x U)^dag over Haar samples."""
     x_mat = np.asarray(tensor, dtype=complex).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     acc = np.zeros((n * n, n * n), dtype=complex)
-    for u in haar_unitaries(n, samples, rng):
+    for u in sample_unitaries(n, samples, rng):
         w = np.kron(u, u)
         acc += w @ x_mat @ w.conj().T
     acc /= samples
     return acc.reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
 
+def one_haar(re, im):
+    """Mezzadri's phase-fixed QR of one Ginibre matrix, the formula the batched transform
+    replaced."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def one_hermitian(re, im):
+    a = re + 1j * im
+    return (a + a.conj().T) / 2.0
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 18])
 def test_single_draws_keep_the_ginibre_stream(dim):
-    # the one-matrix formulas the batched transforms replaced, draw for draw
+    # the one-matrix formulas on the same draws: real part, then imaginary part, per matrix
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (a + a.conj().T) / 2.0
+        re_u, im_u, re_h, im_h = (rng.standard_normal((dim, dim)) for _ in range(4))
+        u, h = one_haar(re_u, im_u), one_hermitian(re_h, im_h)
+        assert np.array_equal(haar_unitary(re_u, im_u), u)
+        assert np.array_equal(random_hermitian(re_h, im_h), h)
         rng = np.random.default_rng(seed)
-        assert np.array_equal(haar_unitary(dim, rng), u)
-        assert np.array_equal(random_hermitian(dim, rng), h)
+        assert np.array_equal(sample_unitary(dim, rng), u)
+        assert np.array_equal(sample_hermitian(dim, rng), h)
 
 
-def test_haar_unitary_dim_one_is_a_phase():
-    rng = np.random.default_rng(0)
-    u = haar_unitary(1, rng)
-    assert u.shape == (1, 1)
-    assert abs(abs(u[0, 0]) - 1.0) < 1e-14
-
-
-def test_haar_unitary_is_unitary():
-    rng = np.random.default_rng(1)
-    for dim in (2, 5, 8):
-        u = haar_unitary(dim, rng)
-        assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-12
-
-
-def test_haar_unitary_rejects_dim_zero():
-    with pytest.raises(ValueError):
-        haar_unitary(0, np.random.default_rng(0))
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_batched_transforms_match_the_per_matrix_formulas(dim, shape):
+    # bit for bit, matrix by matrix, over any leading axes; at dim 1, a phase and a real scalar
+    re, im = np.random.default_rng(100 + dim).standard_normal((2, *shape, dim, dim))
+    u, h = haar_unitary(re, im), random_hermitian(re, im)
+    assert u.shape == h.shape == re.shape
+    for index in np.ndindex(*shape):
+        assert np.array_equal(u[index], one_haar(re[index], im[index]))
+        assert np.array_equal(h[index], one_hermitian(re[index], im[index]))
+    assert np.all(is_unitary(u)) and np.all(is_hermitian(h))
 
 
 def test_entry_second_moment_matches_one_over_dim():
     # E|U_00|^2 = 1/8; |U_00|^2 is Beta(1, 7) so Var = 7/576
     rng = np.random.default_rng(2)
     n, samples = 8, 10_000
-    vals = np.abs(haar_unitaries(n, samples, rng)[:, 0, 0]) ** 2
+    vals = np.abs(sample_unitaries(n, samples, rng)[:, 0, 0]) ** 2
     se = np.sqrt(7.0 / 576.0 / samples)
     assert abs(vals.mean() - 1.0 / n) < 3 * se
 
@@ -64,27 +71,14 @@ def test_entry_second_moment_matches_one_over_dim():
 def test_first_moment_vanishes():
     rng = np.random.default_rng(3)
     n, samples = 8, 4000
-    mean = haar_unitaries(n, samples, rng).mean(axis=0)
+    mean = sample_unitaries(n, samples, rng).mean(axis=0)
     assert np.abs(mean).max() < 5.0 / np.sqrt(samples) / np.sqrt(n)
-
-
-def test_random_hermitian_is_hermitian():
-    rng = np.random.default_rng(4)
-    h = random_hermitian(8, rng)
-    assert np.abs(h - h.conj().T).max() < 1e-14
-
-
-def test_random_hermitian_dim_one_real_scalar():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(1, rng)
-    assert h.shape == (1, 1)
-    assert abs(h[0, 0].imag) < 1e-15
 
 
 def test_random_hermitian_real_spectrum():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        w = np.linalg.eigvals(random_hermitian(8, rng))
+        w = np.linalg.eigvals(sample_hermitian(8, rng))
         assert np.abs(w.imag).max() < 1e-12
 
 
@@ -93,7 +87,7 @@ def test_generator_moments_fix_its_scale(n):
     # E[G (x) G] = SWAP for G = (A + A^dag)/2, A complex standard normal (E|A_ij|^2 = 2),
     # so E Tr G^2 = N^2 and E (Tr G)^2 = N; seed 13 is the next one of this file
     re, im = np.random.default_rng(13).standard_normal((2, 4000, n, n))
-    g = hermitian_from_gaussian(re, im)
+    g = random_hermitian(re, im)
     tr_sq = np.einsum("bij,bji->b", g, g).real
     sq_tr = np.trace(g, axis1=1, axis2=2).real ** 2
     for values, expected in ((tr_sq, n * n), (sq_tr, n)):

@@ -15,12 +15,13 @@ counts the polyominoes without generating one.
 Toric polyominoes are the nonzero-weight upper-layer spin configurations of the
 two-layer model: boolean (L, L) grids, cell (x, y) at grid[x, y], in which every occupied
 cell has an occupied successor (x+1, y) or (x, y+1) (modulo L). A stack of them is split
-into rooted plane polyominoes by arrays over the cells v = x L + y. A cell's successor is
-(x+1, y) if occupied, else (x, y+1); an empty cell is its own. Pointer doubling
-(ceil(log2 L^2) steps of np.take_along_axis) gives each cell the smallest vertex on its
+into rooted plane polyominoes by arrays over the cells i L^2 + v of the stack, v = x L + y.
+A cell's successor is (x+1, y) if occupied, else (x, y+1); an empty cell is its own. Pointer
+doubling (ceil(log2 L^2) flat np.take gathers) gives each cell the smallest vertex on its
 component's cycle, its root. A second doubling, with the roots absorbing, sums the steps:
-a cell a steps in x and b in y from its root is plane cell (-a, -b). Frozensets of (x, y)
-appear only at the public API.
+a cell a steps in x and b in y from its root is plane cell (-a, -b), at root - (a, b) mod L.
+Piece stats are bincounts by root, with no sort: a cell is in the upper perimeter unless its
+x-predecessor is (-a - 1, -b) of its piece. Frozensets of (x, y) appear only at the public API.
 """
 
 from collections import Counter, defaultdict
@@ -33,7 +34,7 @@ from .errors import ResourceLimitError
 
 SERIES_BUDGET = 24
 TORIC_BUDGET = 4
-_BLOCK = 1024  # grids per pass of verify_decomposition; one pass over L = 4 adds 9% to peak RSS
+_BLOCK = 1024  # grids per pass of verify_decomposition; one pass over L = 4 adds 10% to peak RSS
 
 
 class PolyominoStats(NamedTuple):
@@ -192,56 +193,57 @@ def _decompose(grids):
     """The (n, L^2) roots and packed displacements a (L^2 + 1) + b of n stacked toric grids."""
     n, L = grids.shape[:2]
     cells = L * L
+    itype = np.int32 if n * (cells + 1) ** 3 < 2**31 else np.int64  # holds every index and key
     occupied = grids.reshape(n, cells)
-    step_x = occupied & np.roll(grids, -1, axis=1).reshape(n, cells)
-    dead = occupied & ~step_x & ~np.roll(grids, -1, axis=2).reshape(n, cells)
+    step_x = occupied & np.roll(occupied, -L, axis=1)
+    step_y = occupied ^ step_x
+    v, here = np.arange(cells, dtype=itype), np.arange(n * cells, dtype=itype).reshape(n, cells)
+    succ = here + step_x * ((v + L) % cells - v) + step_y * ((v + 1) % L - v % L)
+    dead = step_y & ~occupied.take(succ)
     if dead.any():
         x, y = divmod(int(np.argwhere(dead)[0, 1]), L)
         raise ValueError(f"cell ({x}, {y}) has no occupied successor; not a toric polyomino")
-    v = np.arange(cells)
-    succ = np.where(step_x, (v + L) % cells, np.where(occupied, v - v % L + (v + 1) % L, v))
-    steps = (cells - 1).bit_length()
-    low, jump = np.broadcast_to(v, succ.shape), succ
+    low, jump, steps = here, succ, (cells - 1).bit_length()
     for _ in range(steps):  # low: the smallest of the first 2^k cells of each walk
-        low = np.minimum(low, np.take_along_axis(low, jump, 1))
-        jump = np.take_along_axis(jump, jump, 1)
-    root = np.take_along_axis(low, jump, 1)
-    jump = np.where(root == v, v, succ)
-    shift = np.where(step_x, cells + 1, 1) * (root != v)
+        low = np.minimum(low, low.take(jump))
+        jump = jump.take(jump)
+    root = low.take(jump)
+    jump = np.where(root == here, here, succ)
+    shift = (step_x * itype(cells) + occupied) * (root != here)
     for _ in range(steps):
-        shift = shift + np.take_along_axis(shift, jump, 1)
-        jump = np.take_along_axis(jump, jump, 1)
-    return root, shift
+        shift = shift + shift.take(jump)
+        jump = jump.take(jump)
+    return root - (here - v), shift
 
 
-def _pieces(grids):
-    r"""Keys (i L^2 + root) W^2 + a W + b, W = L^2 + 1, of the cells of n stacked toric grids.
-
-    Returns them in row-major cell order, W, and each piece's key, area |S| and upper
-    perimeter |S \ (S + e_x)| (its cells without key + W), counted on its sorted keys.
-    """
+def _piece_stats(grids):
+    """Roots, shifts a (L^2 + 1) + b, and (n, L^2) piece areas and upper perimeters by root."""
     n, L = grids.shape[:2]
-    width = L * L + 1
-    if n * width**3 >= 2**63:  # the keys, below n L^2 W^2, are int64
-        raise ResourceLimitError(f"plane-cell keys of {n} toric grids of side {L} overflow int64")
+    cells, width = L * L, L * L + 1
+    if width**3 >= 2**63:  # the keys root W^2 + shift, below W^3, must fit int64
+        raise ResourceLimitError(f"plane-cell keys of toric grids of side {L} overflow int64")
     root, shift = _decompose(grids)
-    keys = ((np.arange(n)[:, None] * (L * L) + root) * width**2 + shift)[grids.reshape(n, -1)]
-    ordered = np.sort(keys)
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise RuntimeError("backtrace produced colliding plane cells")
-    above = ordered + width
-    exposed = ordered[np.minimum(np.searchsorted(ordered, above), len(ordered) - 1)] != above
-    first = np.flatnonzero(np.diff(ordered // width**2, prepend=-1))
-    area = np.diff(first, append=len(ordered))
-    return keys, width, ordered[first] // width**2, area, np.add.reduceat(exposed, first)
+    xs, ys = divmod(np.arange(cells, dtype=root.dtype), L)
+    a = shift // width
+    tx, ty = a + xs - xs.take(root), shift - a * width + ys - ys.take(root)
+    if np.any(tx // L * L != tx) or np.any(ty // L * L != ty):  # L | t, without a slow %
+        raise RuntimeError("a cell is not root - (a, b) mod L, so plane cells may collide")
+    occupied = grids.reshape(n, cells)
+    key = root * width**2 + shift
+    exposed = occupied & ~(np.roll(occupied, L, 1) & (np.roll(key, L, 1) == key + width))
+    piece = root + np.arange(0, n * cells, cells, dtype=root.dtype)[:, None]
+    area, upper = (np.bincount(piece[mask], minlength=n * cells).reshape(n, cells)
+                   for mask in (occupied, exposed))
+    return root, shift, area, upper
 
 
 def toric_to_plane(config):
     """The rooted plane pieces of a toric polyomino, as frozensets of cells."""
-    keys, width, *_ = _pieces(_torus_grid(config)[None])
-    pieces = {}
-    for root, cell in (divmod(key, width**2) for key in keys.tolist()):
-        pieces.setdefault(root, set()).add((-(cell // width), -(cell % width)))
+    grid = _torus_grid(config)
+    root, shift, *_ = _piece_stats(grid[None])
+    pieces, width, cells = {}, grid.size + 1, np.flatnonzero(grid)
+    for r, s in zip(root[0, cells].tolist(), shift[0, cells].tolist()):
+        pieces.setdefault(r, set()).add((-(s // width), -(s % width)))
     return [frozenset(p) for p in pieces.values()]
 
 
@@ -282,19 +284,17 @@ def decomposition_problems(config):
 
 def _violations(grids):
     """Yield (i, messages) for each grid i of stacked toric polyominoes breaking an invariant."""
-    n, L = grids.shape[:2]
+    L = grids.shape[1]
     m, _, upper = _stats(grids)
-    keys, width, piece, area, piece_upper = _pieces(grids)
-    grid = piece // (L * L)
-    k = np.bincount(grid, minlength=n)
-    total_area, total_upper = (np.bincount(grid, w, n).astype(int) for w in (area, piece_upper))
-    broken = [(k > m / L) | (m / L > L), np.bincount(grid, area < L, n) > 0, total_area != m,
+    root, _, area, piece_upper = _piece_stats(grids)
+    piece = area > 0
+    k, total_area, total_upper = piece.sum(1), area.sum(1), piece_upper.sum(1)
+    broken = [(k > m / L) | (m / L > L), (piece & (area < L)).any(1), total_area != m,
               (total_upper < upper) | (total_upper > upper + k)]
-    areas, starts = dict(zip(piece.tolist(), area.tolist())), np.cumsum(m) - m
     for i in np.flatnonzero(np.any(broken, axis=0)).tolist():
-        first_seen = dict.fromkeys((keys[starts[i]:starts[i] + m[i]] // width**2).tolist())
+        first_seen = list(dict.fromkeys(root[i, grids[i].ravel()].tolist()))
         texts = [f"k={k[i]} outside [.., m/L={m[i] / L}, L={L}]",
-                 f"piece areas {[areas[p] for p in first_seen]} below L",
+                 f"piece areas {area[i, first_seen].tolist()} below L",
                  f"area sum {total_area[i]} != {m[i]}",
                  f"upper perimeter sum {total_upper[i]} outside [{upper[i]}, {upper[i] + k[i]}]"]
         yield i, [text for text, bad in zip(texts, broken) if bad[i]]

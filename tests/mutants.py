@@ -106,6 +106,17 @@ MUTANTS = (
            "for dx, dy in ((1, 0),", "for dx, dy in ((0, 1),",
            _ids("test_polyomino", "test_reference_shape_stats", "test_domino_stats",
                 "test_stats_match_a_grid_count")),
+    Mutant("upper_predecessor_ahead", "src/tnlab/polyomino.py",
+           "np.roll(occupied, L, 1) & (np.roll(key, L, 1)",
+           "np.roll(occupied, -L, 1) & (np.roll(key, -L, 1)",
+           _ids("test_polyomino", "test_piece_statistics_match_the_stats_of_each_walk_piece",
+                "test_piece_statistics_match_the_walk_pieces_random_large",
+                "test_decomposition_invariants_exhaustive")),
+    Mutant("upper_step_in_y", "src/tnlab/polyomino.py",
+           "== key + width))", "== key + 1))",
+           _ids("test_polyomino", "test_piece_statistics_match_the_stats_of_each_walk_piece",
+                "test_piece_statistics_match_the_walk_pieces_random_large",
+                "test_decomposition_invariants_exhaustive")),
     Mutant("series_inverse_b_sign", "src/tnlab/polyomino.py",
            "- mul(poly(1, -1), r[k - 2])", "+ mul(poly(1, -1), r[k - 2])",
            _ids("test_polyomino", "test_series_matches_enumeration_exactly")

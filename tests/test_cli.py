@@ -152,6 +152,19 @@ def test_polyomino_max_area_reaches_the_series_cap(tmp_path, capsys, max_area, c
     assert ("capped at area 24" in capsys.readouterr().err) == (code == 4)
 
 
+@pytest.mark.parametrize("max_area, code, message", [
+    (0, 2, "maximum area must be at least 1"), (25, 4, "capped at area 24")])
+def test_polyomino_checks_the_area_before_any_toric_check(tmp_path, capsys, monkeypatch,
+                                                          max_area, code, message):
+    def no_check(L):
+        raise AssertionError("verify_decomposition ran before --max-area was checked")
+
+    monkeypatch.setattr(tnlab.cli, "verify_decomposition", no_check)
+    assert main(["polyomino", "--sizes", "2x2,3x3,4x4", "--max-area", str(max_area),
+                 "--seed", "1", "--out", str(tmp_path / "x")]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_bounds_command(tmp_path):
     out = tmp_path / "bounds"
     code = main(["bounds", "--sizes", "2x2,3x3", "--seed", "5", "--out", str(out)])

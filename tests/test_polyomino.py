@@ -330,23 +330,85 @@ def test_decomposition_invariants_exhaustive(L):
 
 
 # cells up with probability about 2/3, so that pruning mostly leaves some
-@settings(max_examples=100, deadline=None)
-@given(hst.integers(min_value=5, max_value=7).flatmap(
+LARGE_GRIDS = hst.integers(min_value=5, max_value=7).flatmap(
     lambda L: hst.lists(hst.integers(0, 2).map(bool), min_size=L * L, max_size=L * L).map(
-        lambda cells: np.array(cells).reshape(L, L))))
-def test_decomposition_invariants_random_large(cfg):
-    # prune every up cell whose right and down successors are both down, until
-    # none is left; what remains is a valid toric configuration
+        lambda cells: np.array(cells).reshape(L, L)))
+
+
+def _pruned(cfg):
+    """cfg without every up cell whose right and down successors are both down, until none
+    is left; what remains is a valid toric configuration, or an empty grid."""
     while True:
         dead = cfg & ~np.roll(cfg, -1, axis=1) & ~np.roll(cfg, -1, axis=0)
         if not dead.any():
-            break
+            return cfg
         cfg = cfg & ~dead
+
+
+@settings(max_examples=100, deadline=None)
+@given(LARGE_GRIDS)
+def test_decomposition_invariants_random_large(cfg):
+    cfg = _pruned(cfg)
     assume(cfg.any())
     assert decomposition_problems(cfg) == walk_problems(cfg) == []
     oracle = walk_pieces(cfg)
     assert _array_pieces(cfg[None]) == [oracle]
     assert toric_to_plane(cfg) == list(oracle.values())
+
+
+def _piece_table(grids):
+    """{root: (area, upper perimeter)} of the pieces of each of stacked grids, by `_piece_stats`."""
+    _, _, area, upper = polyomino._piece_stats(grids)
+    return [{r: (a, u) for r, (a, u) in enumerate(zip(*rows)) if a}
+            for rows in zip(area.tolist(), upper.tolist())]
+
+
+def _walk_table(cfg):
+    """{root: (area, upper perimeter)} of the pieces of one grid, by `stats` of `walk_pieces`."""
+    return {r: stats(cells)[::2] for r, cells in walk_pieces(cfg).items()}
+
+
+@pytest.mark.parametrize("L", (1, 2, 3, 4))
+def test_piece_statistics_match_the_stats_of_each_walk_piece(L):
+    configs = enumerate_toric(L)
+    assert _piece_table(configs) == [_walk_table(cfg) for cfg in configs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(LARGE_GRIDS)
+def test_piece_statistics_match_the_walk_pieces_random_large(cfg):
+    cfg = _pruned(cfg)
+    assume(cfg.any())
+    assert _piece_table(cfg[None]) == [_walk_table(cfg)]
+
+
+def test_a_stack_past_int32_decomposes_like_each_grid_alone():
+    # two grids of side 35 take n (L^2 + 1)^3 past 2^31, so the stack runs on int64 cell
+    # indices, shifts and keys, and each grid alone on int32
+    rng = np.random.default_rng(5)
+    grids = np.array([_pruned(rng.random((35, 35)) < 0.7) for _ in range(2)])
+    stack = polyomino._piece_stats(grids)
+    assert stack[0].dtype == stack[1].dtype == np.int64
+    for i, grid in enumerate(grids):
+        alone = polyomino._piece_stats(grid[None])
+        assert alone[0].dtype == np.int32
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, stack))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda shift: shift + 1,  # every cell one plane step further in y from its root
+    lambda shift: 0 * shift,  # every cell of a piece on its root's plane cell: a collision
+], ids=["moved", "collided"])
+def test_a_cell_off_its_root_minus_its_shift_raises(monkeypatch, corrupt):
+    decompose = polyomino._decompose
+
+    def corrupted(grids):
+        root, shift = decompose(grids)
+        return root, corrupt(shift)
+
+    monkeypatch.setattr(polyomino, "_decompose", corrupted)
+    with pytest.raises(RuntimeError, match=r"not root - \(a, b\) mod L"):
+        verify_decomposition(3)
 
 
 def _expected_violations(L, problems):
@@ -362,13 +424,13 @@ def _expected_violations(L, problems):
 def test_verify_reports_violations_of_corrupted_piece_statistics(monkeypatch):
     # every piece one cell larger and two upper-perimeter cells longer breaks the area sum
     # and the upper-perimeter bound of every configuration
-    pieces = polyomino._pieces
+    piece_stats = polyomino._piece_stats
 
     def corrupted(grids):
-        keys, width, piece, area, upper = pieces(grids)
-        return keys, width, piece, area + 1, upper + 2
+        root, shift, area, upper = piece_stats(grids)
+        return root, shift, area + (area > 0), upper + 2 * (area > 0)
 
-    monkeypatch.setattr(polyomino, "_pieces", corrupted)
+    monkeypatch.setattr(polyomino, "_piece_stats", corrupted)
     report = verify_decomposition(2)
     expected = _expected_violations(2, lambda m, n, st: [
         f"area sum {m + len(st)} != {m}",
@@ -400,13 +462,13 @@ def test_piece_areas_are_reported_piece_by_piece(monkeypatch):
     cfg = np.zeros((4, 4), dtype=bool)
     cfg[0, :] = cfg[2, :] = True
     assert list(walk_pieces(cfg)) == [0, 8]
-    pieces = polyomino._pieces
+    piece_stats = polyomino._piece_stats
 
     def shrunk(grids):
-        keys, width, piece, area, upper = pieces(grids)
-        return keys, width, piece, area - piece % 16 // 4, upper
+        root, shift, area, upper = piece_stats(grids)
+        return root, shift, area - (area > 0) * np.arange(16) // 4, upper
 
-    monkeypatch.setattr(polyomino, "_pieces", shrunk)
+    monkeypatch.setattr(polyomino, "_piece_stats", shrunk)
     assert decomposition_problems(cfg) == ["piece areas [4, 2] below L", "area sum 6 != 8"]
 
 

@@ -49,6 +49,13 @@ fold(z, N) gives the op to put in its place, as a combination of the op and
 the identity, before the prefix products are formed. So the pass builds
 k + 1 double-layer columns and forms the products of one sweep.
 
+The value path of `bra_ket` (no derivative tensors) also takes a chunk of
+states: site tensors with leading sample axes, (*samples, l1, l2, ...).
+`column_transfer`, the ket and double-layer columns, `ring_value` and
+`replace_value` carry those axes in front of their own, through the products
+that one state's ring forms, so each sample's value equals its value alone to
+the bit; `check_bra_ket` charges the ring once per sample.
+
 `site_double_tensor` builds the double-layer networks site by site. No
 library code calls it: the tests build with it the networks that `contract`
 checks `bra_ket` against, and the benchmark's span tracer wraps it.
@@ -61,6 +68,7 @@ single-layer grids and environments are kept within `NETWORK_BUDGET` bytes.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -98,27 +106,34 @@ def site_single_tensor(ket, site_vector):
 def column_transfer(tensors):
     """Contract one column's vertical ring; returns a matrix [left legs, right legs].
 
-    `tensors` lists the column's 4-leg site tensors (a, b, g, l) in vertical
+    `tensors` lists the column's 4-leg site tensors (..., a, b, g, l) in vertical
     order (at least two); leg g of each site is contracted with leg a of the
-    next, cyclically.
+    next, cyclically. Leading axes are sample axes, shared by every tensor of
+    the column: each sample's column is contracted by the same products.
     """
     cur = tensors[0]
+    *batch, na, _, _, _ = cur.shape
+    k = len(batch)
     for t in tensors[1:-1]:
-        na, nB, _, nL = cur.shape
-        _, nb, nh, nl = t.shape
-        # (a, B, g, L) x (g, b, h, l) -> (a, B, L, b, h, l) -> (a, Bb, h, Ll)
-        cur = np.tensordot(cur, t, axes=[(2,), (0,)])
-        cur = cur.transpose(0, 1, 3, 4, 2, 5).reshape(na, nB * nb, nh, nL * nl)
+        nB, ng, nL = cur.shape[k + 1:]
+        nb, nh, nl = t.shape[k + 1:]
+        # (a, B, L, g) x (g, (b, h, l)) -> (a, B, L, b, h, l) -> (a, Bb, h, Ll)
+        cur = cur.swapaxes(-2, -1).reshape(*batch, na * nB * nL, ng) @ t.reshape(*batch, ng, -1)
+        cur = cur.reshape(*batch, na, nB, nL, nb, nh, nl).transpose(
+            *range(k), k, k + 1, k + 3, k + 4, k + 2, k + 5).reshape(
+            *batch, na, nB * nb, nh, nL * nl)
     t = tensors[-1]
-    _, nB, _, nL = cur.shape
-    _, nb, _, nl = t.shape
-    out = np.tensordot(cur, t, axes=[(0, 2), (2, 0)])  # (B, L, b, l)
-    return out.transpose(0, 2, 1, 3).reshape(nB * nb, nL * nl)
+    _, nB, ng, nL = cur.shape[k:]
+    _, nb, _, nl = t.shape[k:]
+    # ((B, L), (a, g)) x ((h, g), (b, l)) -> (B, L, b, l), with h = a closing the ring
+    out = (cur.transpose(*range(k), k + 1, k + 3, k, k + 2).reshape(*batch, nB * nL, na * ng)
+           @ t.transpose(*range(k), k + 2, k, k + 1, k + 3).reshape(*batch, na * ng, nb * nl))
+    return out.reshape(*batch, nB, nL, nb, nl).swapaxes(-3, -2).reshape(*batch, nB * nb, nL * nl)
 
 
-def _check_ring(grid, dgrid, transfer_bytes, other_bytes):
-    """Raise, before anything is built, when a ring of the site grid `grid` cannot or
-    may not be contracted.
+def _check_ring(shape, dgrid, transfer_bytes, other_bytes, n_batch=0):
+    """Raise, before anything is built, when a ring of a site grid of this shape, with
+    n_batch leading sample axes, cannot or may not be contracted; else return its charge.
 
     ValueError when a column has fewer than two sites (`column_transfer` would
     contract a lone site with itself), or as `_check_sweep` does. ResourceLimitError
@@ -138,31 +153,37 @@ def _check_ring(grid, dgrid, transfer_bytes, other_bytes):
       state cast to complex and the einsum's working memory).
     Over k = 3, 5 and 8 on lattices of 2 to 4 rows (D = 2 or 3, d = 2, and
     d = 9 and 17), the charge is 1.01-1.33 times the peak of a fused pass and
-    1.02-1.58 times that of an `overlap` sweep.
+    1.02-1.58 times that of an `overlap` sweep. A batch of samples is charged
+    that much per sample.
     """
-    n_cols, n_rows = max(grid.shape[:2]), min(grid.shape[:2])
+    lattice = shape[n_batch:n_batch + 2]
+    n_cols, n_rows = max(lattice), min(lattice)
     if n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
-    _check_sweep(grid, dgrid)
-    need = (4 * n_cols - 4) * (transfer_bytes + 256) + other_bytes
+    _check_sweep(shape, dgrid)
+    n_rings = math.prod(shape[:n_batch])
+    need = n_rings * ((4 * n_cols - 4) * (transfer_bytes + 256) + other_bytes)
     if need > NETWORK_BUDGET:
-        raise ResourceLimitError(
-            f"a ring of {n_cols} columns of {n_rows} sites needs about "
-            f"{gib(need)} GiB, above the network budget of {gib(NETWORK_BUDGET)} GiB")
+        rings = (f"a ring of {n_cols} columns of {n_rows} sites needs" if n_rings == 1
+                 else f"{n_rings} rings of {n_cols} columns of {n_rows} sites need")
+        raise ResourceLimitError(f"{rings} about {gib(need)} GiB, above the network budget "
+                                 f"of {gib(NETWORK_BUDGET)} GiB")
+    return need
 
 
-def _check_sweep(grid, dgrid):
-    """ValueError unless dgrid, the derivative tensors of a sweep, is None or has grid's shape."""
-    if dgrid is not None and np.shape(dgrid) != np.shape(grid):
+def _check_sweep(shape, dgrid):
+    """ValueError unless dgrid, the derivative tensors of a sweep, is None or has this shape."""
+    if dgrid is not None and np.shape(dgrid) != shape:
         raise ValueError(f"derivative tensors of shape {np.shape(dgrid)} for site tensors "
-                         f"of shape {np.shape(grid)}")
+                         f"of shape {shape}")
 
 
 def ring_value(columns):
     """Trace of the product of column transfer matrices around a ring of at least two columns.
 
     The last product is not formed: the trace is `replace_value` of the last
-    column against the product of the others, k - 2 products in all.
+    column against the product of the others, k - 2 products in all. Leading
+    axes are sample axes: one value per sample.
     """
     return replace_value(columns[-1], functools.reduce(np.matmul, columns[:-1]))
 
@@ -198,24 +219,30 @@ def replace_value(replacement, env):
     """Ring value with one column replaced, given that column's environment.
 
     trace(replacement @ env), as the sum of replacement * env^T: no product is formed.
+    Leading axes are sample axes, which give an array of one value per sample.
     """
-    return complex(np.sum(replacement * env.T))
+    value = np.sum(replacement * env.swapaxes(-1, -2), axis=(-2, -1))
+    return complex(value) if value.ndim == 0 else value
 
 
-def _transposed(grid):
-    return grid.shape[0] > grid.shape[1]
+def _transposed(lattice):
+    """Whether a lattice of sides lattice[:2] is contracted along its first side."""
+    return lattice[0] > lattice[1]
 
 
-def _orient(grid):
-    """Oriented [column, row] view of an (l1, l2, ...) grid of 4- or 5-leg site tensors.
+def _orient(grid, n_batch=0):
+    """Oriented [column, row] view of a (*samples, l1, l2, ...) grid of 4- or 5-leg site
+    tensors with n_batch leading sample axes, which each entry keeps in front of its legs.
 
     Columns run along the shorter side: column c, row r holds site (r, c), or
     site (c, r) when l1 > l2. In the second case the grid is transposed and
     each tensor's (a, b) and (g, l) legs swap roles.
     """
-    if not _transposed(grid):
-        return grid.swapaxes(0, 1)
-    return grid.transpose(0, 1, 3, 2, 5, 4, *range(6, grid.ndim))
+    k = n_batch
+    if not _transposed(grid.shape[k:]):
+        return grid.transpose(k + 1, k, *range(k), *range(k + 2, grid.ndim))
+    return grid.transpose(k, k + 1, *range(k), k + 3, k + 2, k + 5, k + 4,
+                          *range(k + 6, grid.ndim))
 
 
 def _ket_column(ts):
@@ -223,32 +250,35 @@ def _ket_column(ts):
 
     L and R combine the sites' left (b) and right (l) bonds and P their
     physical legs, each in row order. Each physical leg is folded onto the
-    right bond, so one `column_transfer` contracts the column.
+    right bond, so one `column_transfer` contracts the column. Leading sample
+    axes of the site tensors lead the column too.
     """
     n = len(ts)
-    na, nb, ng, nl, d = ts[0].shape
+    *batch, na, nb, ng, nl, d = ts[0].shape
+    k = len(batch)
     # fold each physical leg onto the right bond: (a, b, g, (l, j)) is a view
-    m = column_transfer([t.reshape(na, nb, ng, nl * d) for t in ts])
+    m = column_transfer([t.reshape(*batch, na, nb, ng, nl * d) for t in ts])
     # split the right index (l0, j0, l1, j1, ...) into [right, phys]
-    m = m.reshape((nb**n,) + (nl, d) * n)
-    m = m.transpose(0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2))
-    return m.reshape(nb**n, nl**n, d**n)
+    m = m.reshape(*batch, nb**n, *(nl, d) * n)
+    m = m.transpose(*range(k + 1), *range(k + 1, k + 2 * n + 1, 2),
+                    *range(k + 2, k + 2 * n + 1, 2))
+    return m.reshape(*batch, nb**n, nl**n, d**n)
 
 
 def _on_row(op, column, row):
-    """op applied to the physical leg of `row` of a [L, R, P] column tensor."""
+    """op applied to the physical leg of `row` of [..., L, R, P] column tensors."""
     d = op.shape[0]
-    nl, nr, _ = column.shape
-    return (op @ column.reshape(nl * nr * d**row, d, -1)).reshape(column.shape)
+    return (op @ column.reshape(-1, d, column.shape[-1] // d ** (row + 1))).reshape(column.shape)
 
 
 # times a column tensor: the stack [column, i column]
 _ONE_I = np.array([1, 1j]).reshape(2, 1, 1, 1)
 
 
-def _parts(col):
-    """Real view [(..., L, R), (P, re/im)] of C-contiguous complex128 [..., L, R, P] column tensors."""
-    return col.view(np.float64).reshape(-1, 2 * col.shape[-1])
+def _parts(col, batch=()):
+    """Real view [*batch, (..., L, R), (P, re/im)] of C-contiguous complex128 [*batch, ..., L, R, P]
+    column tensors."""
+    return col.view(np.float64).reshape(*batch, -1, 2 * col.shape[-1])
 
 
 def _double_column(ket_col, bra_col):
@@ -258,15 +288,18 @@ def _double_column(ket_col, bra_col):
     bra is the ket or a Hermitian op of it, and the matrix is the real
     M = U T U^dagger = Re T + Im T^R in the Hermitian basis of both pair legs (see the module
     docstring). Re T and Im T are real products over the parts of P, with rows (L, R) and
-    columns (L', R'): no complex T is formed.
+    columns (L', R'): no complex T is formed. Leading sample axes of the columns lead T.
     """
-    nl, nr, _ = ket_col.shape
+    *batch, nl, nr, _ = ket_col.shape
     # [bra, i bra]: i bra has the parts (-bi, br), so one real product over the parts of P
     # gives re = sum kr br + ki bi and im = sum ki br - kr bi, at [L, R, (re, im), L', R']
-    t = (_parts(ket_col) @ _parts(_ONE_I * bra_col).T).reshape(nl, nr, 2, nl, nr)
-    re, im = t[:, :, 0], t[:, :, 1]
-    # as [L, L', R, R'] arrays, T is re + i im transposed (0, 2, 1, 3) and T^R (0, 2, 3, 1)
-    return np.add(re.transpose(0, 2, 1, 3), im.transpose(0, 2, 3, 1)).reshape(nl * nl, -1)
+    bras = _ONE_I * bra_col[..., None, :, :, :]
+    t = (_parts(ket_col, batch) @ _parts(bras, batch).swapaxes(-1, -2)).reshape(
+        *batch, nl, nr, 2, nl, nr)
+    re, im = t[..., 0, :, :], t[..., 1, :, :]
+    # as [L, L', R, R'] arrays, T is re + i im with axes (L, L', R, R') and T^R (L, L', R', R)
+    return np.add(re.swapaxes(-3, -2), im.swapaxes(-3, -2).swapaxes(-2, -1)).reshape(
+        *batch, nl * nl, -1)
 
 
 def _sweep_tensor(bra_col, env):
@@ -321,7 +354,7 @@ def _ring(transfers, grid, dgrid=None, bras=None, first=0, replace_first=None):
                       envs.pop(c).T if bras is None else _sweep_tensor(bras[c], envs.pop(c)))
         for c in range(len(columns))])
     # column c, row r is site (c, r) of a transposed grid, else site (r, c)
-    return value, np.ascontiguousarray(sweep if _transposed(grid) else sweep.T)
+    return value, np.ascontiguousarray(sweep if _transposed(grid.shape) else sweep.T)
 
 
 def _column_sweep(build, ts, dts, g):
@@ -340,8 +373,20 @@ def contract(grid, dgrid=None):
     """
     columns = _orient(grid)
     _, n_rows, _, n_b, _, n_l = columns.shape
-    _check_ring(grid, dgrid, (n_b * n_l) ** n_rows * grid.itemsize, 4 * grid.nbytes)
+    _check_ring(grid.shape, dgrid, (n_b * n_l) ** n_rows * grid.itemsize, 4 * grid.nbytes)
     return _ring([column_transfer(ts) for ts in columns], grid, dgrid)
+
+
+def check_bra_ket(shape, dket=None):
+    """Raise as `bra_ket` does, before anything is built, for site tensors of this shape,
+    (*samples, l1, l2, a, b, g, l, j), and derivative tensors dket; else return the bytes
+    that its ring is charged against NETWORK_BUDGET (see `_check_ring`)."""
+    n_batch = len(shape) - 7
+    (l1, l2), D, d = shape[n_batch:n_batch + 2], shape[-5], shape[-1]
+    n = min(l1, l2)
+    # the ring's transfer matrices are float64, half the bytes of the complex128 ket
+    return _check_ring(shape, dket, D ** (4 * n) * 8, (max(l1, l2) + 4) * (D * D * d) ** n * 16,
+                       n_batch)
 
 
 def bra_ket(ket, dket=None, site=None, op=None, fold=None):
@@ -352,6 +397,10 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     ValueError before anything is built. With dket, the derivative tensors of
     every site, returns (value, sweep): sweep[x, y] is the value with the
     ket-layer tensor of site (x, y) replaced by dket[x, y].
+
+    Without dket, ket may carry leading sample axes, (*samples, l1, l2, a, b, g,
+    l, j); the value is then an array of one value per sample, each equal to the
+    value of that sample's site tensors alone.
 
     fold, which needs dket, site and op, refolds the op inside the same ring
     pass: fold(z, N) is called with the real values z = <psi|psi> and
@@ -365,7 +414,10 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     if op is not None and site is None:
         raise ValueError("op needs a site")
     ket = np.asarray(ket, dtype=complex)
-    (l1, l2), D, d = ket.shape[:2], ket.shape[2], ket.shape[-1]
+    n_batch = ket.ndim - 7
+    if n_batch and dket is not None:
+        raise ValueError(f"a sweep takes one state's site tensors, got shape {ket.shape}")
+    (l1, l2), d = ket.shape[n_batch:n_batch + 2], ket.shape[-1]
     c = 0
     if site is not None:
         x, y = site
@@ -377,11 +429,9 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
         op = np.asarray(op, dtype=complex)
         if not np.array_equal(op, op.conj().T):
             raise ValueError("op must be exactly Hermitian: op == op^dagger entry by entry")
-        c, row = (x, y) if _transposed(ket) else (y, x)
-    # the ring's transfer matrices are float64, half the bytes of the complex128 ket
-    _check_ring(ket, dket, D ** (4 * min(l1, l2)) * ket.itemsize // 2,
-                (max(l1, l2) + 4) * (D * D * d) ** min(l1, l2) * ket.itemsize)
-    kets = [_ket_column(col) for col in _orient(ket)]
+        c, row = (x, y) if _transposed((l1, l2)) else (y, x)
+    check_bra_ket(ket.shape, dket)
+    kets = [_ket_column(col) for col in _orient(ket, n_batch)]
     bras = list(kets)
     if site is not None:
         # <psi| op = (op |psi>)^dagger: op joins the bra column that holds its site
@@ -421,6 +471,6 @@ def overlap(ket, phi, dket=None):
     shape = (*ket.shape[:2], ket.shape[-1])
     if np.shape(phi) != shape:
         raise ValueError(f"phi must have shape {shape}, got {np.shape(phi)}")
-    _check_sweep(ket, dket)
+    _check_sweep(ket.shape, dket)
     dgrid = None if dket is None else site_single_tensor(dket, phi)
     return contract(site_single_tensor(ket, phi), dgrid)

@@ -171,11 +171,12 @@ def enumerate_toric(L):
     cells = L * L
     full = (1 << cells) - 1
     last = full // ((1 << L) - 1) << (L - 1)  # bit y = L - 1 of every row
-    codes = np.arange(1, 1 << cells, dtype=np.uint32)  # cell (x, y) at bit x L + y
+    # cell (x, y) at bit x L + y; TORIC_BUDGET keeps every code within 16 bits
+    codes = np.arange(1, 1 << cells, dtype=np.uint16)
     ahead_x = (codes >> L) | ((codes << (cells - L)) & full)
     ahead_y = ((codes >> 1) & (full ^ last)) | ((codes << (L - 1)) & last)
     codes = codes[(codes & ~ahead_x & ~ahead_y) == 0]
-    return (codes[:, None] >> np.arange(cells, dtype=np.uint32) & 1).astype(bool).reshape(-1, L, L)
+    return (codes[:, None] >> np.arange(cells, dtype=np.uint16) & 1).astype(bool).reshape(-1, L, L)
 
 
 def _torus_grid(config):

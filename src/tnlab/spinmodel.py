@@ -12,6 +12,10 @@ is an oracle, capped at PARTITION_CAP.
 Two tables appear: the "norm" table (physical legs closed with the identity
 pairing, i.e. a uniform external field) drives E[<psi|psi>^2]; the "global"
 table (no external field) drives the global-loss gradient variance bound.
+
+`mc_second_moment` estimates E[<psi|psi>^2] a chunk of states at a time: it
+draws each chunk from its one generator in stream order, then builds and
+contracts the chunk at once, as many states as _CHUNK_BYTES holds.
 """
 
 import itertools
@@ -21,11 +25,13 @@ import numpy as np
 
 from . import network
 from .errors import ResourceLimitError
-from .states import norm_squared
+from .states import norm_squared, sample_bytes
 from .variance import sample_values
 
 PARTITION_CAP = 2**25
 _ENUM_CHUNK = 2**20
+# bytes that one chunk of Monte-Carlo states may take while its norms are contracted
+_CHUNK_BYTES = 3 * 2**18
 
 
 def norm_weights(D, d):
@@ -118,15 +124,25 @@ def exact_partition_function(l1, l2, table):
     return PartitionResult(z, ground, z - ground)
 
 
+def _chunk_size(spec):
+    """States per Monte-Carlo chunk: as many as _CHUNK_BYTES holds, at least one, and no
+    more than network.NETWORK_BUDGET holds. ResourceLimitError when one state does not
+    fit the budget."""
+    budget = min(_CHUNK_BYTES, network.NETWORK_BUDGET)
+    return max(1, budget // sample_bytes(spec))
+
+
 def mc_second_moment(spec, n_samples, rng):
     """Monte-Carlo estimate (mean, standard error) of E[<psi|psi>^2] over random states.
 
     Every sample draws from rng in turn: one sequential stream, so the run is serial.
+    The states are drawn and contracted a chunk at a time, which gives the same values
+    as one at a time.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    vals, _ = sample_values(spec, lambda state: norm_squared(state) ** 2,
-                            itertools.repeat(rng, n_samples))
+    vals, _ = sample_values(spec, lambda states: norm_squared(states) ** 2,
+                            itertools.repeat(rng, n_samples), _chunk_size(spec))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     return mean, se

@@ -6,6 +6,11 @@ A[a, b, g, l, j] = <g l j| U |a b 0> feeds legs g/l to the down/right
 neighbors. theta is the site's single variational parameter and G its
 Hermitian generator. A `TNState` holds these four factors of every site with
 leading (l1, l2) axes; `local_tensor` builds every site tensor at once.
+
+`build_states` draws a chunk of states and holds them in one `TNState` with a
+leading sample axis in front of (l1, l2); `local_tensor` and `norm_squared`
+then work on every sample at once, and `states[i]` is sample i alone.
+`build_state` is the chunk of one.
 """
 
 import dataclasses
@@ -32,7 +37,10 @@ def _expm_herm(scale, h):
 
 @dataclass(frozen=True)
 class TNState:
-    """A random state: u_minus, u_plus, generator (l1, l2, N, N) and theta (l1, l2)."""
+    """A random state: u_minus, u_plus, generator (l1, l2, N, N) and theta (l1, l2).
+
+    A chunk of states has one more leading axis on each array, the sample axis.
+    """
 
     spec: LatticeSpec
     u_minus: np.ndarray
@@ -45,6 +53,11 @@ class TNState:
         """exp(-i theta G), from one batched eigh that U and dU/dtheta share."""
         return _expm_herm(-np.asarray(self.theta), self.generator)
 
+    def __getitem__(self, i):
+        """Sample i of a chunk of states: the state without its sample axis."""
+        return TNState(self.spec, self.u_minus[i], self.u_plus[i], self.generator[i],
+                       self.theta[i])
+
     def with_theta(self, x, y, theta):
         """This state with site (x, y)'s parameter set to theta."""
         thetas = np.array(self.theta, dtype=float)
@@ -52,45 +65,67 @@ class TNState:
         return dataclasses.replace(self, theta=thetas)
 
 
-def check_state_budget(spec):
-    """ResourceLimitError if a state of spec, with its draws, exceeds network.NETWORK_BUDGET."""
+def check_state_budget(spec, n_samples=1):
+    """ResourceLimitError if n_samples states of spec, with their draws, exceed
+    network.NETWORK_BUDGET; else the bytes they take."""
     n = spec.unitary_dim
     # a (6, N, N) float64 block of draws and three (N, N) complex128 factors per site
-    need = spec.n_sites * n * n * (6 * 8 + 3 * 16)
+    need = n_samples * spec.n_sites * n * n * (6 * 8 + 3 * 16)
     if need > network.NETWORK_BUDGET:
+        states = "" if n_samples == 1 else f"{n_samples} states of "
         raise ResourceLimitError(
-            f"{spec.n_sites} sites of {n} x {n} unitaries need about {gib(need)} GiB, "
+            f"{states}{spec.n_sites} sites of {n} x {n} unitaries need about {gib(need)} GiB, "
             f"above the network budget of {gib(network.NETWORK_BUDGET)} GiB")
+    return need
+
+
+def sample_bytes(spec):
+    """Bytes that one state of spec takes to draw and to contract to its norm: what
+    `check_state_budget` and `network.bra_ket` charge for it. Raises as they do, before
+    anything is drawn, when one state does not fit the network budget."""
+    D, d = spec.D, spec.d
+    return check_state_budget(spec) + network.check_bra_ket((spec.l1, spec.l2, D, D, D, D, d))
+
+
+def build_states(spec, rngs):
+    """A chunk of states, sample i drawn from rngs[i], with a leading sample axis.
+
+    rngs is a sequence of generators and may name one generator many times.
+    Sample after sample, and site by site in row-major order, the stream gives
+    the real and imaginary Ginibre parts of u_minus, u_plus and the generator,
+    then theta: independent Haar u_minus/u_plus, a Gaussian Hermitian generator
+    and a uniform theta per site. Only then do the transforms run, once over
+    every sample and site. Checks `check_state_budget` for the chunk first.
+    """
+    n_samples = len(rngs)
+    check_state_budget(spec, n_samples)
+    n = spec.unitary_dim
+    raw = np.empty((n_samples, spec.l1, spec.l2, 6, n, n))
+    theta = np.empty((n_samples, spec.l1, spec.l2))
+    for i, rng in enumerate(rngs):
+        for x, y in spec.sites():
+            rng.standard_normal(out=raw[i, x, y])
+            theta[i, x, y] = rng.uniform(0.0, 2.0 * np.pi)
+    u = haar_unitary(raw[..., 0:4:2, :, :], raw[..., 1:4:2, :, :])
+    generator = random_hermitian(raw[..., 4, :, :], raw[..., 5, :, :])
+    return TNState(spec, u[..., 0, :, :], u[..., 1, :, :], generator, theta)
 
 
 def build_state(spec, rng):
-    """Independent Haar u_minus/u_plus, Gaussian Hermitian generator, uniform theta per site.
-
-    Site by site in row-major order the stream gives the real and imaginary
-    Ginibre parts of u_minus, u_plus and the generator, then theta; the
-    transforms then run once over every site. Checks `check_state_budget` first.
-    """
-    check_state_budget(spec)
-    n = spec.unitary_dim
-    raw = np.empty((spec.l1, spec.l2, 6, n, n))
-    theta = np.empty((spec.l1, spec.l2))
-    for x, y in spec.sites():
-        rng.standard_normal(out=raw[x, y])
-        theta[x, y] = rng.uniform(0.0, 2.0 * np.pi)
-    u = haar_unitary(raw[:, :, 0:4:2], raw[:, :, 1:4:2])
-    generator = random_hermitian(raw[:, :, 4], raw[:, :, 5])
-    return TNState(spec, u[:, :, 0], u[:, :, 1], generator, theta)
+    """One state drawn from rng: the chunk of one of `build_states`, without its sample axis."""
+    return build_states(spec, [rng])[0]
 
 
 def _tensor_from_unitary(u, D, d):
-    # A[x, y, a, b, g, l, j] = U[x, y, (g, l, j), (a, b, 0)]
-    u6 = u.reshape(*u.shape[:2], D, D, d, D, D, d)[..., 0]
-    return np.ascontiguousarray(u6.transpose(0, 1, 5, 6, 2, 3, 4))
+    # A[..., a, b, g, l, j] = U[..., (g, l, j), (a, b, 0)]
+    u6 = u.reshape(*u.shape[:-2], D, D, d, D, D, d)[..., 0]
+    k = u6.ndim - 5
+    return np.ascontiguousarray(u6.transpose(*range(k), k + 3, k + 4, k, k + 1, k + 2))
 
 
 def local_tensor(state):
     """Site tensors A[x, y, a, b, g, l, j]: the embedded unitaries applied to |0> on the
-    physical input."""
+    physical input; a chunk's sample axis leads."""
     u = state.u_minus @ state.exponential @ state.u_plus
     return _tensor_from_unitary(u, state.spec.D, state.spec.d)
 
@@ -102,7 +137,8 @@ def local_derivative_tensor(state):
 
 
 def norm_squared(state):
-    """<psi|psi> by bra-ket network contraction (no statevector materialized)."""
+    """<psi|psi> by bra-ket network contraction (no statevector materialized); for a chunk
+    of states, an array of one norm per sample."""
     return network.bra_ket(local_tensor(state))
 
 

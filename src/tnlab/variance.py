@@ -4,10 +4,12 @@ Each sample is an independently drawn random state; its full gradient grid is
 evaluated analytically. Sample i draws from child i of one root seed, so
 results are identical for any worker count, and partial results are merged in
 sample order. `sample_values` is the one loop that draws and measures samples,
-here and for `spinmodel.mc_second_moment`.
+here and for `spinmodel.mc_second_moment`. It works a chunk of samples at a
+time: a scan's chunk is one state, and the norm estimate's is as many as its
+byte budget allows.
 """
 
-import functools
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import DegenerateStateError
 from .lattice import LatticeSpec
 from .losses import LOCAL_KINDS, LossSpec, gradient_map
-from .states import build_state
+from .states import build_states
 
 
 def _delete_one_variances(x):
@@ -60,20 +62,23 @@ class VarianceReport:
     samples: np.ndarray = None  # raw (n, l1, l2) gradient grid
 
 
-def sample_values(spec, measure, rngs):
-    """measure(build_state(spec, rng)) for each generator in rngs, in order.
+def sample_values(spec, measure, rngs, chunk=1):
+    """measure(build_states(spec, generators)) for the generators in rngs, in order,
+    `chunk` of them at a time (the last chunk may be shorter).
 
-    Returns the list of values and the number of samples that raised
+    measure returns one value per sample of the chunk it is given. Returns the
+    list of values and the number of samples in chunks that raised
     DegenerateStateError, which give no value. Memory grows only with the
-    samples measured so far.
+    samples measured so far and one chunk.
     """
     values = []
     failures = 0
-    for rng in rngs:
+    rngs = iter(rngs)
+    while generators := list(itertools.islice(rngs, chunk)):
         try:
-            values.append(measure(build_state(spec, rng)))
+            values.extend(measure(build_states(spec, generators)))
         except DegenerateStateError:
-            failures += 1
+            failures += len(generators)
     return values, failures
 
 
@@ -83,7 +88,8 @@ def _scan_job(job):
     # SeedSequence(seed, spawn_key=(i,)) is SeedSequence(seed).spawn(n)[i], made on demand
     rngs = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             for i in range(start, stop))
-    return sample_values(spec, functools.partial(gradient_map, loss=loss), rngs)
+    # chunks of one state, so that a degenerate state costs only its own sample
+    return sample_values(spec, lambda states: [gradient_map(states[0], loss)], rngs)
 
 
 def variance_scan(spec, loss, n_samples, seed, workers=1):

@@ -61,6 +61,15 @@ MUTANTS = (
     Mutant("norm_weight_entry", "src/tnlab/spinmodel.py",
            "v[0, 1, 1] = (D**2 * d**2 - D**2) / den", "v[0, 1, 1] = (D**2 * d**2 - D) / den",
            _ids("test_spinmodel", "test_bottom_layer_sum_reproduces_tables")),
+    Mutant("chunk_failures_count_one", "src/tnlab/variance.py",
+           "failures += len(generators)", "failures += 1",
+           _ids("test_variance", "test_sample_values_skips_failed_samples_and_counts_them")),
+    Mutant("chunk_ignores_network_budget", "src/tnlab/spinmodel.py",
+           "budget = min(_CHUNK_BYTES, network.NETWORK_BUDGET)", "budget = _CHUNK_BYTES",
+           _ids("test_spinmodel", "test_a_chunk_never_passes_the_network_budget")),
+    Mutant("ring_charge_once_per_chunk", "src/tnlab/network.py",
+           "need = n_rings * (", "need = (",
+           _ids("test_spinmodel", "test_the_state_and_ring_charges_count_the_sample_axis")),
     Mutant("scan_ddof_0", "src/tnlab/variance.py",
            "variance=np.var(samples, axis=0, ddof=1)", "variance=np.var(samples, axis=0, ddof=0)",
            _ids("test_variance", "test_scan_equals_a_loop_over_spawned_children",

@@ -363,7 +363,7 @@ def test_a_bad_target_raises_before_any_state_is_built(target, message, monkeypa
     def no_state(*args, **kwargs):
         raise AssertionError("a state was built for a bad target")
 
-    monkeypatch.setattr(variance, "build_state", no_state)
+    monkeypatch.setattr(variance, "build_states", no_state)
     with pytest.raises(ValueError, match=message):
         tnlab.variance_scan(LatticeSpec(2, 2, 2, 2),
                             LossSpec(kind=GLOBAL_NORMALIZED, target=target), 4, seed=1)

@@ -248,6 +248,18 @@ def test_enumerate_toric_returns_one_bool_array(L, n):
     assert (grids.dtype, grids.shape) == (bool, (n, L, L))
 
 
+@pytest.mark.parametrize("L, n", [(1, 1), (2, 9), (3, 124), (4, 5249)])
+def test_enumerate_toric_is_every_grid_that_the_successor_rule_keeps(L, n):
+    # oracle: every nonempty grid in code order (cell (x, y) at bit x L + y), kept unless an
+    # occupied cell has both successors empty
+    codes = np.arange(1, 2 ** (L * L))
+    grids = ((codes[:, None] >> np.arange(L * L)) & 1).astype(bool).reshape(-1, L, L)
+    stuck = grids & ~np.roll(grids, -1, axis=1) & ~np.roll(grids, -1, axis=2)
+    expected = grids[~stuck.any(axis=(1, 2))]
+    assert len(expected) == n
+    assert np.array_equal(enumerate_toric(L), expected)
+
+
 def test_enumerate_toric_successor_rule():
     for cfg in enumerate_toric(3):
         right = np.roll(cfg, -1, axis=1)

@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import tnlab
+from tnlab import network
+from tnlab.cli import EXIT_RESOURCE, main
 from tnlab.errors import ResourceLimitError
 from tnlab.lattice import LatticeSpec
 from tnlab.spinmodel import (all_config_amplitudes, exact_partition_function,
                              global_loss_weights, mc_second_moment, norm_weights)
+from tnlab.states import check_state_budget, sample_bytes
 
 from oracles import (ConfigClass, IsingCouplings, classify_config,
                      exact_partition_function_two_layer, table_from_boltzmann,
@@ -201,6 +205,65 @@ def test_mc_second_moment_consistent_with_exact():
     assert abs(est - z) <= 3 * se
     assert est >= 1.0 - 3 * se
     assert est - 1.0 >= -3 * se
+
+
+@pytest.mark.parametrize("D, d", [(2, 3), (3, 2)])
+def test_mc_second_moment_finds_the_z_of_its_bond_and_physical_dims(D, d):
+    # off the D = d diagonal, where a swap of D and d in the table would show: at this seed
+    # (not chosen to pass) the estimate lies +0.97 SE (D, d = 2, 3) and +0.05 SE (3, 2)
+    # from Z, and -4.31 SE and +3.38 SE from the Z of the swapped table
+    est, se = mc_second_moment(LatticeSpec(2, 2, D, d), 2000, np.random.default_rng(12345))
+    z = exact_partition_function(2, 2, norm_weights(D, d)).z
+    assert abs(est - z) <= 3 * se
+
+
+def _recording_chunks(monkeypatch):
+    """The sizes of the chunks of states that the sample loop builds, as it builds them."""
+    sizes = []
+    build = tnlab.variance.build_states
+
+    def recording(spec, rngs):
+        sizes.append(len(rngs))
+        return build(spec, rngs)
+
+    monkeypatch.setattr(tnlab.variance, "build_states", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("fits, chunks", [(3, [3, 3, 3, 1]), (1, [1] * 10)])
+def test_a_chunk_never_passes_the_network_budget(fits, chunks, monkeypatch):
+    # with a budget of `fits` states, the chunk shrinks to that many; the state and ring
+    # charges both count the sample axis, so a larger chunk would raise
+    spec = LatticeSpec(2, 3, 2, 2)
+    expected = mc_second_moment(spec, 10, np.random.default_rng(5))
+    monkeypatch.setattr(network, "NETWORK_BUDGET", fits * sample_bytes(spec) + 1)
+    sizes = _recording_chunks(monkeypatch)
+    assert mc_second_moment(spec, 10, np.random.default_rng(5)) == expected
+    assert sizes == chunks
+
+
+def test_the_state_and_ring_charges_count_the_sample_axis(monkeypatch):
+    spec = LatticeSpec(2, 3, 2, 2)
+    ring = (2, 3, 2, 2, 2, 2, 2)  # the shape of one state's site tensors
+    states, rings = check_state_budget(spec, 3), network.check_bra_ket((3, *ring))
+    assert states == 3 * check_state_budget(spec)
+    assert rings == 3 * network.check_bra_ket(ring)
+    monkeypatch.setattr(network, "NETWORK_BUDGET", states)
+    with pytest.raises(ResourceLimitError, match="4 states of 6 sites of 8 x 8 unitaries need"):
+        check_state_budget(spec, 4)
+    monkeypatch.setattr(network, "NETWORK_BUDGET", rings)
+    with pytest.raises(ResourceLimitError, match="4 rings of 3 columns of 2 sites need about"):
+        network.check_bra_ket((4, *ring))
+
+
+@pytest.mark.parametrize("argv", [["--sizes", "6x6"], ["--bond-dim", "64", "--sizes", "2x2"]],
+                         ids=["ring", "state"])
+def test_an_oversized_norm_estimate_exits_before_any_draw(argv, tmp_path, monkeypatch):
+    # one state's ring (6x6) or one state's draws (8192 x 8192 unitaries) above the budget
+    sizes = _recording_chunks(monkeypatch)
+    assert main(["norm-stats", *argv, "--samples", "10", "--seed", "2",
+                 "--out", str(tmp_path / "x")]) == EXIT_RESOURCE
+    assert sizes == []
 
 
 @pytest.mark.parametrize("call, error, message", [

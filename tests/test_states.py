@@ -21,8 +21,8 @@ from tnlab.lattice import LatticeSpec
 from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NORMALIZED,
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value, plus_projector,
                           plus_target)
-from tnlab.states import (TNState, build_state, load_state, local_derivative_tensor,
-                          local_tensor, norm_squared, save_state)
+from tnlab.states import (TNState, build_state, build_states, load_state,
+                          local_derivative_tensor, local_tensor, norm_squared, save_state)
 from tnlab.tensors import is_unitary
 
 from oracles import dense_amplitudes, sample_hermitian, sample_unitary
@@ -115,6 +115,56 @@ def test_build_state_keeps_the_site_by_site_stream(l1, l2):
         assert np.array_equal(st.u_plus[site], u_plus)
         assert np.array_equal(st.generator[site], generator)
         assert st.theta[site] == theta
+
+
+# lattices up to 3x3, l1 > l2 among them, at (D, d) in {2, 3}^2; a chunk of states drawn
+# from generators picked, with repeats, from a pool of seeded ones
+_CHUNKS = dict(l1=hst.integers(2, 3), l2=hst.integers(2, 3), D=hst.sampled_from([2, 3]),
+               d=hst.sampled_from([2, 3]),
+               picks=hst.lists(hst.integers(0, 2), min_size=1, max_size=4),
+               seed=hst.integers(0, 2**32 - 1))
+
+
+def _pool(seed):
+    return [np.random.default_rng([seed, k]) for k in range(3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_CHUNKS)
+def test_a_chunk_of_states_is_the_states_drawn_one_by_one(l1, l2, D, d, picks, seed):
+    # build_states over the picked generators draws what build_state draws from each in
+    # turn, and leaves every generator in the same state
+    spec = LatticeSpec(l1, l2, D, d)
+    pool, chunk_pool = _pool(seed), _pool(seed)
+    one_by_one = [build_state(spec, pool[k]) for k in picks]
+    chunk = build_states(spec, [chunk_pool[k] for k in picks])
+    assert chunk.theta.shape == (len(picks), l1, l2)
+    for i, state in enumerate(one_by_one):
+        for field in ("u_minus", "u_plus", "generator", "theta"):
+            assert np.array_equal(getattr(chunk, field)[i], getattr(state, field))
+            assert np.array_equal(getattr(chunk[i], field), getattr(state, field))
+        assert np.array_equal(local_tensor(chunk)[i], local_tensor(state))
+    assert [g.bit_generator.state for g in chunk_pool] == [g.bit_generator.state for g in pool]
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_CHUNKS)
+def test_a_chunk_of_norms_is_the_norms_taken_one_by_one(l1, l2, D, d, picks, seed):
+    # the value path of bra_ket, with and without an op, gives each sample of a chunk the
+    # value of that sample's site tensors alone, to the bit
+    pool = _pool(seed)
+    chunk = build_states(LatticeSpec(l1, l2, D, d), [pool[k] for k in picks])
+    ket = local_tensor(chunk)
+    op = plus_projector(d)
+    assert np.array_equal(norm_squared(chunk), [network.bra_ket(t) for t in ket])
+    assert np.array_equal(network.bra_ket(ket, site=(l1 - 1, 0), op=op),
+                          [network.bra_ket(t, site=(l1 - 1, 0), op=op) for t in ket])
+
+
+def test_a_sweep_takes_one_state():
+    ket = local_tensor(build_states(LatticeSpec(2, 2, 2, 2), [np.random.default_rng(0)] * 2))
+    with pytest.raises(ValueError, match="a sweep takes one state's site tensors"):
+        network.bra_ket(ket, ket)
 
 
 @settings(max_examples=30, deadline=None)

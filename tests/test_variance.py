@@ -17,7 +17,7 @@ from tnlab.losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LOCAL_UNNORMALIZE
                           LossSpec, gradient_map, plus_projector, plus_target,
                           traceless_observable)
 from tnlab.spinmodel import mc_second_moment
-from tnlab.states import build_state, norm_squared
+from tnlab.states import build_state, norm_squared, sample_bytes
 from tnlab.variance import (VarianceReport, distance_profile, jackknife_variance_se,
                             sample_values, variance_scan)
 
@@ -109,17 +109,37 @@ def test_mc_second_moment_equals_a_sequential_loop():
     assert mc_second_moment(spec, 7, np.random.default_rng(21)) == expected
 
 
+@settings(max_examples=15, deadline=None)
+@given(l1=hst.integers(2, 3), l2=hst.integers(2, 3), D=hst.sampled_from([2, 3]),
+       d=hst.sampled_from([2, 3]), n_samples=hst.integers(2, 9),
+       seed=hst.integers(0, 2**32 - 1))
+def test_mc_second_moment_is_the_same_for_every_chunk_size(l1, l2, D, d, n_samples, seed):
+    # chunks of 1 to 7 states, the last one ragged unless the chunk divides n_samples, give
+    # the sequential loop's estimate and leave the generator where it leaves it
+    spec = LatticeSpec(l1, l2, D, d)
+    rng = np.random.default_rng(seed)
+    vals = [norm_squared(build_state(spec, rng)) ** 2 for _ in range(n_samples)]
+    expected = float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_samples))
+    for chunk in range(1, 8):
+        chunk_rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tnlab.spinmodel, "_CHUNK_BYTES", chunk * sample_bytes(spec))
+            assert tnlab.spinmodel._chunk_size(spec) == chunk
+            assert mc_second_moment(spec, n_samples, chunk_rng) == expected
+        assert chunk_rng.bit_generator.state == rng.bit_generator.state
+
+
 class _FirstSample(Exception):
     pass
 
 
-def _raise_first_sample(spec, rng):
+def _raise_first_sample(spec, rngs):
     raise _FirstSample
 
 
 def test_scan_allocates_nothing_per_sample_ahead_of_the_first(monkeypatch):
     # a spawned child costs about 376 bytes: 10**5 of them made up front would take 37 MB
-    monkeypatch.setattr(tnlab.variance, "build_state", _raise_first_sample)
+    monkeypatch.setattr(tnlab.variance, "build_states", _raise_first_sample)
     spec = LatticeSpec(2, 2, 2, 2)
     tracemalloc.start()
     try:
@@ -132,10 +152,17 @@ def test_scan_allocates_nothing_per_sample_ahead_of_the_first(monkeypatch):
 
 
 def test_mc_second_moment_allocates_nothing_ahead_of_the_first_sample(monkeypatch):
-    # 10**10 samples: an up-front array of them would be 80 GB, a MemoryError
-    monkeypatch.setattr(tnlab.variance, "build_state", _raise_first_sample)
-    with pytest.raises(_FirstSample):
-        mc_second_moment(LatticeSpec(2, 2, 2, 2), 10**10, np.random.default_rng(23))
+    # 10**10 samples: an up-front array of them would be 80 GB, a MemoryError; what is
+    # made before the first chunk is built stays within one chunk's budget
+    monkeypatch.setattr(tnlab.variance, "build_states", _raise_first_sample)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstSample):
+            mc_second_moment(LatticeSpec(2, 2, 2, 2), 10**10, np.random.default_rng(23))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tnlab.spinmodel._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("workers", [0, -5])
@@ -237,21 +264,25 @@ def test_onsite_variance_positive_for_traceless_observable():
     assert report.variance[0, 0] > 3 * report.std_error[0, 0] > 0
 
 
-def test_sample_values_skips_failed_samples_and_counts_them():
+@pytest.mark.parametrize("chunk, failing, lost", [(1, {1, 3, 4}, {1, 3, 4}),
+                                                  (3, {1}, {3, 4, 5}), (3, {2}, {6})])
+def test_sample_values_skips_failed_samples_and_counts_them(chunk, failing, lost):
+    # a chunk that raises DegenerateStateError gives no value for any of its samples;
+    # failing counts the measure's calls, lost the samples of the chunks that raised
     spec = LatticeSpec(2, 2, 2, 2)
-    failing = {1, 3, 4}
     calls = itertools.count()
 
-    def measure(state):
+    def measure(states):
         if next(calls) in failing:
             raise DegenerateStateError("chosen to fail")
-        return state.theta[0, 0]
+        return states.theta[:, 0, 0]
 
-    values, failures = sample_values(spec, measure, (np.random.default_rng(k) for k in range(7)))
+    values, failures = sample_values(spec, measure, (np.random.default_rng(k) for k in range(7)),
+                                     chunk)
     expected = [build_state(spec, np.random.default_rng(k)).theta[0, 0]
-                for k in range(7) if k not in failing]
+                for k in range(7) if k not in lost]
     assert values == expected
-    assert failures == len(failing)
+    assert failures == len(lost)
 
 
 def test_scan_with_no_usable_sample_raises(monkeypatch):

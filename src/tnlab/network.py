@@ -49,12 +49,11 @@ fold(z, N) gives the op to put in its place, as a combination of the op and
 the identity, before the prefix products are formed. So the pass builds
 k + 1 double-layer columns and forms the products of one sweep.
 
-The value path of `bra_ket` (no derivative tensors) also takes a chunk of
-states: site tensors with leading sample axes, (*samples, l1, l2, ...).
-`column_transfer`, the ket and double-layer columns, `ring_value` and
-`replace_value` carry those axes in front of their own, through the products
-that one state's ring forms, so each sample's value equals its value alone to
-the bit; `check_bra_ket` charges the ring once per sample.
+Below the entry points every array leads with one sample axis: one state is
+a chunk of one. The entry points check the caller's shapes, add that axis
+once, and return Python numbers for one state. Only the value path of
+`bra_ket` (no derivative tensors) takes a chunk, (n, l1, l2, a, b, g, l, j):
+one value per sample, each equal to that sample's value alone to the bit.
 
 `site_double_tensor` builds the double-layer networks site by site. No
 library code calls it: the tests build with it the networks that `contract`
@@ -68,7 +67,6 @@ single-layer grids and environments are kept within `NETWORK_BUDGET` bytes.
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -106,41 +104,38 @@ def site_single_tensor(ket, site_vector):
 def column_transfer(tensors):
     """Contract one column's vertical ring; returns a matrix [left legs, right legs].
 
-    `tensors` lists the column's 4-leg site tensors (..., a, b, g, l) in vertical
-    order (at least two); leg g of each site is contracted with leg a of the
-    next, cyclically. Leading axes are sample axes, shared by every tensor of
-    the column: each sample's column is contracted by the same products.
+    `tensors` lists the column's 4-leg site tensors (n, a, b, g, l) of n samples in
+    vertical order (at least two); leg g of each site is contracted with leg a of
+    the next, cyclically. Each sample's column is contracted by the same products.
     """
     cur = tensors[0]
-    *batch, na, _, _, _ = cur.shape
-    k = len(batch)
+    n, na = cur.shape[:2]
     for t in tensors[1:-1]:
-        nB, ng, nL = cur.shape[k + 1:]
-        nb, nh, nl = t.shape[k + 1:]
+        nB, ng, nL = cur.shape[2:]
+        nb, nh, nl = t.shape[2:]
         # (a, B, L, g) x (g, (b, h, l)) -> (a, B, L, b, h, l) -> (a, Bb, h, Ll)
-        cur = cur.swapaxes(-2, -1).reshape(*batch, na * nB * nL, ng) @ t.reshape(*batch, ng, -1)
-        cur = cur.reshape(*batch, na, nB, nL, nb, nh, nl).transpose(
-            *range(k), k, k + 1, k + 3, k + 4, k + 2, k + 5).reshape(
-            *batch, na, nB * nb, nh, nL * nl)
+        cur = cur.swapaxes(3, 4).reshape(n, na * nB * nL, ng) @ t.reshape(n, ng, -1)
+        cur = cur.reshape(n, na, nB, nL, nb, nh, nl).transpose(0, 1, 2, 4, 5, 3, 6).reshape(
+            n, na, nB * nb, nh, nL * nl)
     t = tensors[-1]
-    _, nB, ng, nL = cur.shape[k:]
-    _, nb, _, nl = t.shape[k:]
+    nB, ng, nL = cur.shape[2:]
+    nb, nl = t.shape[2], t.shape[4]
     # ((B, L), (a, g)) x ((h, g), (b, l)) -> (B, L, b, l), with h = a closing the ring
-    out = (cur.transpose(*range(k), k + 1, k + 3, k, k + 2).reshape(*batch, nB * nL, na * ng)
-           @ t.transpose(*range(k), k + 2, k, k + 1, k + 3).reshape(*batch, na * ng, nb * nl))
-    return out.reshape(*batch, nB, nL, nb, nl).swapaxes(-3, -2).reshape(*batch, nB * nb, nL * nl)
+    out = (cur.transpose(0, 2, 4, 1, 3).reshape(n, nB * nL, na * ng)
+           @ t.transpose(0, 3, 1, 2, 4).reshape(n, na * ng, nb * nl))
+    return out.reshape(n, nB, nL, nb, nl).swapaxes(2, 3).reshape(n, nB * nb, nL * nl)
 
 
-def _check_ring(shape, dgrid, transfer_bytes, other_bytes, n_batch=0):
-    """Raise, before anything is built, when a ring of a site grid of this shape, with
-    n_batch leading sample axes, cannot or may not be contracted; else return its charge.
+def _check_ring(shape, transfer_bytes, other_bytes):
+    """Raise, before anything is built, when the rings of an (n, l1, l2, ...) chunk of
+    site tensors cannot or may not be contracted; else return their charge.
 
     ValueError when a column has fewer than two sites (`column_transfer` would
-    contract a lone site with itself), or as `_check_sweep` does. ResourceLimitError
-    when the ring would exceed NETWORK_BUDGET bytes: 4 k - 4 transfer matrices of
-    transfer_bytes each (k = n_cols), each with 256 bytes of array header and views,
-    and the other_bytes that the entry point holds besides them. The counts are
-    what tracemalloc shows the costliest ring of each kind to hold at once:
+    contract a lone site with itself). ResourceLimitError when the ring would exceed
+    NETWORK_BUDGET bytes: 4 k - 4 transfer matrices of transfer_bytes each (k = n_cols),
+    each with 256 bytes of array header and views, and the other_bytes that the entry
+    point holds besides them. The counts are what tracemalloc shows the costliest ring
+    of each kind to hold at once:
     - a fused `bra_ket` pass holds the k columns, the op column's plain transfer
       matrix, k - 2 suffixes, k - 2 prefixes, k - 2 middle environments and one
       temporary; a sweep then holds its k environments and at most three more
@@ -153,15 +148,13 @@ def _check_ring(shape, dgrid, transfer_bytes, other_bytes, n_batch=0):
       state cast to complex and the einsum's working memory).
     Over k = 3, 5 and 8 on lattices of 2 to 4 rows (D = 2 or 3, d = 2, and
     d = 9 and 17), the charge is 1.01-1.33 times the peak of a fused pass and
-    1.02-1.58 times that of an `overlap` sweep. A batch of samples is charged
-    that much per sample.
+    1.02-1.58 times that of an `overlap` sweep. A chunk is charged that much per
+    sample.
     """
-    lattice = shape[n_batch:n_batch + 2]
+    n_rings, *lattice = shape[:3]
     n_cols, n_rows = max(lattice), min(lattice)
     if n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
-    _check_sweep(shape, dgrid)
-    n_rings = math.prod(shape[:n_batch])
     need = n_rings * ((4 * n_cols - 4) * (transfer_bytes + 256) + other_bytes)
     if need > NETWORK_BUDGET:
         rings = (f"a ring of {n_cols} columns of {n_rows} sites needs" if n_rings == 1
@@ -182,8 +175,7 @@ def ring_value(columns):
     """Trace of the product of column transfer matrices around a ring of at least two columns.
 
     The last product is not formed: the trace is `replace_value` of the last
-    column against the product of the others, k - 2 products in all. Leading
-    axes are sample axes: one value per sample.
+    column against the product of the others, k - 2 products in all.
     """
     return replace_value(columns[-1], functools.reduce(np.matmul, columns[:-1]))
 
@@ -219,10 +211,9 @@ def replace_value(replacement, env):
     """Ring value with one column replaced, given that column's environment.
 
     trace(replacement @ env), as the sum of replacement * env^T: no product is formed.
-    Leading axes are sample axes, which give an array of one value per sample.
+    One value per sample.
     """
-    value = np.sum(replacement * env.swapaxes(-1, -2), axis=(-2, -1))
-    return complex(value) if value.ndim == 0 else value
+    return np.sum(replacement * env.swapaxes(-1, -2), axis=(-2, -1))
 
 
 def _transposed(lattice):
@@ -230,19 +221,17 @@ def _transposed(lattice):
     return lattice[0] > lattice[1]
 
 
-def _orient(grid, n_batch=0):
-    """Oriented [column, row] view of a (*samples, l1, l2, ...) grid of 4- or 5-leg site
-    tensors with n_batch leading sample axes, which each entry keeps in front of its legs.
+def _orient(grid):
+    """Oriented [column, row] view of an (n, l1, l2, ...) chunk of 4- or 5-leg site tensors,
+    whose entries keep the sample axis in front of their legs.
 
     Columns run along the shorter side: column c, row r holds site (r, c), or
     site (c, r) when l1 > l2. In the second case the grid is transposed and
     each tensor's (a, b) and (g, l) legs swap roles.
     """
-    k = n_batch
-    if not _transposed(grid.shape[k:]):
-        return grid.transpose(k + 1, k, *range(k), *range(k + 2, grid.ndim))
-    return grid.transpose(k, k + 1, *range(k), k + 3, k + 2, k + 5, k + 4,
-                          *range(k + 6, grid.ndim))
+    if not _transposed(grid.shape[1:]):
+        return grid.transpose(2, 1, 0, *range(3, grid.ndim))
+    return grid.transpose(1, 2, 0, 4, 3, 6, 5, *range(7, grid.ndim))
 
 
 def _ket_column(ts):
@@ -250,19 +239,17 @@ def _ket_column(ts):
 
     L and R combine the sites' left (b) and right (l) bonds and P their
     physical legs, each in row order. Each physical leg is folded onto the
-    right bond, so one `column_transfer` contracts the column. Leading sample
-    axes of the site tensors lead the column too.
+    right bond, so one `column_transfer` contracts the column. The sample axis of
+    the site tensors leads the column too.
     """
     n = len(ts)
-    *batch, na, nb, ng, nl, d = ts[0].shape
-    k = len(batch)
+    ns, na, nb, ng, nl, d = ts[0].shape
     # fold each physical leg onto the right bond: (a, b, g, (l, j)) is a view
-    m = column_transfer([t.reshape(*batch, na, nb, ng, nl * d) for t in ts])
+    m = column_transfer([t.reshape(ns, na, nb, ng, nl * d) for t in ts])
     # split the right index (l0, j0, l1, j1, ...) into [right, phys]
-    m = m.reshape(*batch, nb**n, *(nl, d) * n)
-    m = m.transpose(*range(k + 1), *range(k + 1, k + 2 * n + 1, 2),
-                    *range(k + 2, k + 2 * n + 1, 2))
-    return m.reshape(*batch, nb**n, nl**n, d**n)
+    m = m.reshape(ns, nb**n, *(nl, d) * n)
+    m = m.transpose(0, 1, *range(2, 2 * n + 2, 2), *range(3, 2 * n + 2, 2))
+    return m.reshape(ns, nb**n, nl**n, d**n)
 
 
 def _on_row(op, column, row):
@@ -275,10 +262,10 @@ def _on_row(op, column, row):
 _ONE_I = np.array([1, 1j]).reshape(2, 1, 1, 1)
 
 
-def _parts(col, batch=()):
-    """Real view [*batch, (..., L, R), (P, re/im)] of C-contiguous complex128 [*batch, ..., L, R, P]
+def _parts(col):
+    """Real view [n, (..., L, R), (P, re/im)] of C-contiguous complex128 [n, ..., L, R, P]
     column tensors."""
-    return col.view(np.float64).reshape(*batch, -1, 2 * col.shape[-1])
+    return col.view(np.float64).reshape(len(col), -1, 2 * col.shape[-1])
 
 
 def _double_column(ket_col, bra_col):
@@ -288,18 +275,16 @@ def _double_column(ket_col, bra_col):
     bra is the ket or a Hermitian op of it, and the matrix is the real
     M = U T U^dagger = Re T + Im T^R in the Hermitian basis of both pair legs (see the module
     docstring). Re T and Im T are real products over the parts of P, with rows (L, R) and
-    columns (L', R'): no complex T is formed. Leading sample axes of the columns lead T.
+    columns (L', R'): no complex T is formed. The sample axis of the columns leads T.
     """
-    *batch, nl, nr, _ = ket_col.shape
+    n, nl, nr, _ = ket_col.shape
     # [bra, i bra]: i bra has the parts (-bi, br), so one real product over the parts of P
     # gives re = sum kr br + ki bi and im = sum ki br - kr bi, at [L, R, (re, im), L', R']
-    bras = _ONE_I * bra_col[..., None, :, :, :]
-    t = (_parts(ket_col, batch) @ _parts(bras, batch).swapaxes(-1, -2)).reshape(
-        *batch, nl, nr, 2, nl, nr)
-    re, im = t[..., 0, :, :], t[..., 1, :, :]
+    bras = _ONE_I * bra_col[:, None]
+    t = (_parts(ket_col) @ _parts(bras).swapaxes(1, 2)).reshape(n, nl, nr, 2, nl, nr)
+    re, im = t[:, :, :, 0], t[:, :, :, 1]
     # as [L, L', R, R'] arrays, T is re + i im with axes (L, L', R, R') and T^R (L, L', R', R)
-    return np.add(re.swapaxes(-3, -2), im.swapaxes(-3, -2).swapaxes(-2, -1)).reshape(
-        *batch, nl * nl, -1)
+    return np.add(re.swapaxes(2, 3), im.swapaxes(2, 3).swapaxes(3, 4)).reshape(n, nl * nl, -1)
 
 
 def _sweep_tensor(bra_col, env):
@@ -311,27 +296,28 @@ def _sweep_tensor(bra_col, env):
     e = env and e^RL, e^L and e^R the matrices with both pairs, the (L, L') pair and the
     (R, R') pair swapped. That step writes E as a matrix Y[(L, R), (L', R')]; the real
     and imaginary parts of Y each multiply the real view of the bra, and the two products
-    are combined into G = Y conj(B) in place.
+    are combined into G = Y conj(B) in place. All three lead with the sample axis.
     """
-    nl, nr, n_p = bra_col.shape
+    n, nl, nr, n_p = bra_col.shape
     # e[L, R, L', R'] = env[(R, R'), (L, L')]
-    e = env.reshape(nr, nr, nl, nl).transpose(2, 0, 3, 1)
+    e = env.reshape(n, nr, nr, nl, nl).transpose(0, 3, 1, 4, 2)
     # 2 E = (e + e^RL) + i (e^L - e^R), each term at [L, R, L', R']
-    y = np.empty((2, nl * nr, nl * nr))
-    np.add(e, e.transpose(2, 3, 0, 1), out=y[0].reshape(e.shape))
-    np.subtract(e.transpose(2, 1, 0, 3), e.transpose(0, 3, 2, 1), out=y[1].reshape(e.shape))
+    y = np.empty((2, n, nl * nr, nl * nr))
+    np.add(e, e.transpose(0, 3, 4, 1, 2), out=y[0].reshape(e.shape))
+    np.subtract(e.transpose(0, 3, 2, 1, 4), e.transpose(0, 1, 4, 3, 2), out=y[1].reshape(e.shape))
     b = _parts(bra_col)
     # (Y_re + i Y_im) conj(B): Re G = Y_re br + Y_im bi, Im G = Y_im br - Y_re bi
-    g, gi = (y[0] @ b).reshape(-1, n_p, 2), (y[1] @ b).reshape(-1, n_p, 2)
+    g, gi = (y[0] @ b).reshape(n, -1, n_p, 2), (y[1] @ b).reshape(n, -1, n_p, 2)
     g[..., 0] += gi[..., 1]
     np.subtract(gi[..., 0], g[..., 1], out=g[..., 1])
     g *= 0.5
-    return g.view(bra_col.dtype).reshape(nl, nr, n_p)
+    return g.view(bra_col.dtype).reshape(n, nl, nr, n_p)
 
 
 def _ring(transfers, grid, dgrid=None, bras=None, first=0, replace_first=None):
-    """Ring value of the transfer matrices of grid's oriented columns, in column order and
-    multiplied from column `first` on; with dgrid, (value, sweep).
+    """Ring values of the transfer matrices of the oriented columns of grid, an (n, l1, l2,
+    ...) chunk, in column order and multiplied from column `first` on; with dgrid, (value,
+    sweep), where grid and dgrid are chunks of one.
 
     They are the `column_transfer` of grid's 4-leg site tensors, or, given `bras`, the
     `_double_column` of the ket columns of its 5-leg ones against bras. dgrid holds every
@@ -351,10 +337,11 @@ def _ring(transfers, grid, dgrid=None, bras=None, first=0, replace_first=None):
     columns, dcolumns = _orient(grid), _orient(dgrid)
     sweep = np.array([
         _column_sweep(build, columns[c], dcolumns[c],
-                      envs.pop(c).T if bras is None else _sweep_tensor(bras[c], envs.pop(c)))
+                      envs.pop(c).swapaxes(1, 2) if bras is None
+                      else _sweep_tensor(bras[c], envs.pop(c)))
         for c in range(len(columns))])
     # column c, row r is site (c, r) of a transposed grid, else site (r, c)
-    return value, np.ascontiguousarray(sweep if _transposed(grid.shape) else sweep.T)
+    return value, np.ascontiguousarray(sweep if _transposed(grid.shape[1:]) else sweep.T)
 
 
 def _column_sweep(build, ts, dts, g):
@@ -369,38 +356,42 @@ def contract(grid, dgrid=None):
 
     With dgrid, the derivative tensors of every site, returns (value, sweep):
     sweep[x, y] is the value with the tensor of site (x, y) replaced by
-    dgrid[x, y]. Raises as `_check_ring` does, before any transfer matrix is built.
+    dgrid[x, y]. Raises as `_check_sweep` and `_check_ring` do, before anything is built.
     """
+    _check_sweep(grid.shape, dgrid)
+    grid, dgrid = grid[None], None if dgrid is None else dgrid[None]
     columns = _orient(grid)
-    _, n_rows, _, n_b, _, n_l = columns.shape
-    _check_ring(grid.shape, dgrid, (n_b * n_l) ** n_rows * grid.itemsize, 4 * grid.nbytes)
-    return _ring([column_transfer(ts) for ts in columns], grid, dgrid)
+    _, n_rows, _, _, n_b, _, n_l = columns.shape
+    _check_ring(grid.shape, (n_b * n_l) ** n_rows * grid.itemsize, 4 * grid.nbytes)
+    out = _ring([column_transfer(ts) for ts in columns], grid, dgrid)
+    return complex(out[0]) if dgrid is None else (complex(out[0][0]), out[1])
 
 
 def check_bra_ket(shape, dket=None):
     """Raise as `bra_ket` does, before anything is built, for site tensors of this shape,
-    (*samples, l1, l2, a, b, g, l, j), and derivative tensors dket; else return the bytes
-    that its ring is charged against NETWORK_BUDGET (see `_check_ring`)."""
-    n_batch = len(shape) - 7
-    (l1, l2), D, d = shape[n_batch:n_batch + 2], shape[-5], shape[-1]
-    n = min(l1, l2)
+    one state's (l1, l2, a, b, g, l, j) or a chunk's (n, l1, l2, ...), and derivative
+    tensors dket; else return the bytes that its rings are charged against NETWORK_BUDGET
+    (see `_check_ring`)."""
+    _check_sweep(shape, dket)
+    shape = (1, *shape) if len(shape) == 7 else shape
+    _, l1, l2, D = shape[:4]
+    n, d = min(l1, l2), shape[-1]
     # the ring's transfer matrices are float64, half the bytes of the complex128 ket
-    return _check_ring(shape, dket, D ** (4 * n) * 8, (max(l1, l2) + 4) * (D * D * d) ** n * 16,
-                       n_batch)
+    return _check_ring(shape, D ** (4 * n) * 8, (max(l1, l2) + 4) * (D * D * d) ** n * 16)
 
 
 def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     """<psi|psi>, or <psi| op at site |psi>, of the (l1, l2, a, b, g, l, j) site tensors ket.
 
-    site is an (x, y) tuple inside the lattice and op, which needs a site, an
-    exactly Hermitian d x d matrix (op == op^dagger entry by entry), else
-    ValueError before anything is built. With dket, the derivative tensors of
-    every site, returns (value, sweep): sweep[x, y] is the value with the
-    ket-layer tensor of site (x, y) replaced by dket[x, y].
+    site is two integers (x, y) inside the lattice and op, which needs a site,
+    an exactly Hermitian d x d matrix (op == op^dagger entry by entry), else
+    ValueError before anything is built. The value is a float. With dket, the
+    derivative tensors of every site, returns (value, sweep): sweep[x, y] is the
+    value with the ket-layer tensor of site (x, y) replaced by dket[x, y].
 
-    Without dket, ket may carry leading sample axes, (*samples, l1, l2, a, b, g,
-    l, j); the value is then an array of one value per sample, each equal to the
-    value of that sample's site tensors alone.
+    Without dket, ket may be a chunk of n states, (n, l1, l2, a, b, g, l, j); the
+    value is then an array of one value per sample, each equal to the value of
+    that sample's site tensors alone.
 
     fold, which needs dket, site and op, refolds the op inside the same ring
     pass: fold(z, N) is called with the real values z = <psi|psi> and
@@ -414,24 +405,28 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     if op is not None and site is None:
         raise ValueError("op needs a site")
     ket = np.asarray(ket, dtype=complex)
-    n_batch = ket.ndim - 7
-    if n_batch and dket is not None:
+    if ket.ndim not in (7, 8):
+        raise ValueError(f"site tensors have 7 axes, or 8 for a chunk, got shape {ket.shape}")
+    one = ket.ndim == 7
+    if not one and dket is not None:
         raise ValueError(f"a sweep takes one state's site tensors, got shape {ket.shape}")
-    (l1, l2), d = ket.shape[n_batch:n_batch + 2], ket.shape[-1]
+    (l1, l2), d = ket.shape[-7:-5], ket.shape[-1]
     c = 0
     if site is not None:
-        x, y = site
-        if not (all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in site)
-                and 0 <= x < l1 and 0 <= y < l2):
+        if not (isinstance(site, (tuple, list, np.ndarray)) and len(site) == 2
+                and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in site)
+                and 0 <= site[0] < l1 and 0 <= site[1] < l2):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):
             raise ValueError(f"op must be {d} x {d}, got shape {np.shape(op)}")
         op = np.asarray(op, dtype=complex)
         if not np.array_equal(op, op.conj().T):
             raise ValueError("op must be exactly Hermitian: op == op^dagger entry by entry")
-        c, row = (x, y) if _transposed((l1, l2)) else (y, x)
+        c, row = site if _transposed((l1, l2)) else site[::-1]
     check_bra_ket(ket.shape, dket)
-    kets = [_ket_column(col) for col in _orient(ket, n_batch)]
+    if one:
+        ket, dket = ket[None], None if dket is None else dket[None]
+    kets = [_ket_column(col) for col in _orient(ket)]
     bras = list(kets)
     if site is not None:
         # <psi| op = (op |psi>)^dagger: op joins the bra column that holds its site
@@ -446,7 +441,7 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
             # z and N from the op column's environment; T_op and the op's own bra then
             # become those of the op a op + b 1, in place
             plain = plains.pop()
-            a, b = fold(replace_value(plain, env).real, replace_value(t_op, env).real)
+            a, b = fold(*(float(replace_value(t, env)[0].real) for t in (plain, t_op)))
             if np.imag(a) or np.imag(b):
                 raise ValueError(f"fold must return real (a, b), got ({a}, {b})")
             a, b = float(np.real(a)), float(np.real(b))
@@ -457,7 +452,9 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
             return t_op
     out = _ring(list(map(_double_column, kets, bras)), ket, dket, bras, c, replace_first)
     # a real ring's value has an imaginary part of exactly 0
-    return out.real if dket is None else (out[0].real, out[1])
+    if dket is not None:
+        return float(out[0][0].real), out[1]
+    return float(out[0].real) if one else out.real
 
 
 def overlap(ket, phi, dket=None):

@@ -70,6 +70,11 @@ MUTANTS = (
     Mutant("ring_charge_once_per_chunk", "src/tnlab/network.py",
            "need = n_rings * (", "need = (",
            _ids("test_spinmodel", "test_the_state_and_ring_charges_count_the_sample_axis")),
+    Mutant("one_state_value_as_numpy_float", "src/tnlab/network.py",
+           "return float(out[0].real) if one else out.real",
+           "return out[0].real if one else out.real",
+           _ids("test_network",
+                "test_one_state_gives_python_numbers_and_a_chunk_one_value_per_state")),
     Mutant("scan_ddof_0", "src/tnlab/variance.py",
            "variance=np.var(samples, axis=0, ddof=1)", "variance=np.var(samples, axis=0, ddof=0)",
            _ids("test_variance", "test_scan_equals_a_loop_over_spawned_children",

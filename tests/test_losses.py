@@ -85,7 +85,11 @@ def test_loss_spec_validation():
     ((0.5, 0), np.eye(2), r"site \(0.5, 0\) is not a site of the 2 x 3 lattice"),
     ((0, 0), np.eye(3), r"op must be 2 x 2, got shape \(3, 3\)"),
     ((0, 0), np.ones((2, 3)), "observable must be Hermitian"),
-], ids=["negative_site", "site_past_edge", "fractional_site", "op_3x3", "op_2x3"])
+    (5, np.eye(2), r"site 5 is not a site of the 2 x 3 lattice"),
+    ((1,), np.eye(2), r"site \(1,\) is not a site of the 2 x 3 lattice"),
+    ((1, 2, 0), np.eye(2), r"site \(1, 2, 0\) is not a site of the 2 x 3 lattice"),
+], ids=["negative_site", "site_past_edge", "fractional_site", "op_3x3", "op_2x3", "int_site",
+        "one_coordinate", "three_coordinates"])
 @pytest.mark.parametrize("call, kind", [(c, k) for c in ("loss_value", "gradient_map")
                                         for k in LOCAL_KINDS])
 def test_sites_and_ops_are_checked_against_the_lattice(call, kind, site, op, message):

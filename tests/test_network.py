@@ -12,7 +12,8 @@ from hypothesis import strategies as hst
 from tnlab import network
 from tnlab.errors import ResourceLimitError, gib
 from tnlab.lattice import LatticeSpec
-from tnlab.states import build_state, local_derivative_tensor, local_tensor
+from tnlab.spinmodel import exact_partition_function, norm_weights
+from tnlab.states import build_state, build_states, local_derivative_tensor, local_tensor
 
 from oracles import dense_amplitudes, sample_hermitian
 
@@ -182,6 +183,11 @@ def test_bra_ket_rejects_non_hermitian_op(with_sweep):
     ((0, 0), 1j * np.eye(2), "op must be exactly Hermitian"),
     # Hermitian to 4e-13, as `states.check_observable` accepts it, but not exactly
     ((0, 0), np.array([[1.0, 0.5 + 4e-13j], [0.5, -1.0]]), "op must be exactly Hermitian"),
+    # sites that are not two integers, which Python's unpacking used to refuse with its own
+    # messages ("cannot unpack non-iterable int object", "not enough values", "too many")
+    (5, np.eye(2), "site 5 is not a site of the 6 x 6 lattice"),
+    ((1,), np.eye(2), r"site \(1,\) is not a site of the 6 x 6 lattice"),
+    ((1, 2, 3), np.eye(2), r"site \(1, 2, 3\) is not a site of the 6 x 6 lattice"),
 ])
 def test_bra_ket_checks_site_and_op_before_the_budget(site, op, message):
     # a 6x6 ring exceeds the network budget, so a check made after the budget's would raise
@@ -191,8 +197,44 @@ def test_bra_ket_checks_site_and_op_before_the_budget(site, op, message):
         network.bra_ket(ket, site=site, op=op)
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 2, 2, 2, 2), (1, 2, 2, 3, 2, 2, 2, 2, 2)],
+                         ids=["one-site-axis", "two-sample-axes"])
+def test_site_tensors_take_one_sample_axis_at_most(shape):
+    with pytest.raises(ValueError, match=re.escape(f"7 axes, or 8 for a chunk, got shape {shape}")):
+        network.bra_ket(np.zeros(shape))
+
+
 def _quotient_fold(z, n):
     return 1.0 / z, -n / z**2
+
+
+def test_one_state_gives_python_numbers_and_a_chunk_one_value_per_state():
+    # one state's values are float or complex, not numpy scalars, which output files would
+    # show as np.float64(...); fold gets floats too; a chunk's values are each state's own
+    ket, dket = _tensors(2, 3, 2, 2, 4)
+    op = sample_hermitian(2, np.random.default_rng(4))
+    phi = np.full((2, 3, 2), 2**-0.5)
+    folded = []
+
+    def fold(z, n):
+        folded.extend((z, n))
+        return _quotient_fold(z, n)
+
+    floats = [network.bra_ket(ket), network.bra_ket(ket, site=(1, 2), op=op),
+              network.bra_ket(ket, dket)[0], network.bra_ket(ket, dket, (1, 2), op, fold)[0],
+              *folded, exact_partition_function(2, 3, norm_weights(2, 2)).z]
+    assert [type(v) for v in floats] == [float] * 7
+    complexes = [network.contract(network.site_single_tensor(ket, phi)),
+                 network.contract(network.site_single_tensor(ket, phi),
+                                  network.site_single_tensor(dket, phi))[0],
+                 network.overlap(ket, phi), network.overlap(ket, phi, dket)[0]]
+    assert [type(v) for v in complexes] == [complex] * 4
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    chunk = local_tensor(build_states(LatticeSpec(2, 3, 2, 2), rngs))
+    for args in [(), (None, (0, 1), op)]:
+        values = network.bra_ket(chunk, *args)
+        assert values.shape == (3,)
+        assert values.tolist() == [network.bra_ket(k, *args) for k in chunk]
 
 
 # each ring kind of the network, on site tensors ket and derivatives dket
@@ -283,20 +325,21 @@ def _columns(draw):
 def test_double_columns_are_the_ring_in_the_hermitian_basis(case):
     # M = U T U^dagger on both pair legs, real when the bra is the ket or a Hermitian op
     # of it; the sweep tensor takes a real environment E' back to the plain basis,
-    # U^dagger E' U
+    # U^dagger E' U; both take a chunk, here of one column
     ket, bra, rng = case
     nl, nr, _ = ket.shape
     t = np.einsum("arp,bsp->abrs", ket, bra.conj()).reshape(nl * nl, nr * nr)
     scale = np.abs(t).max()
     dense = _hermitian_basis(nl) @ t @ _hermitian_basis(nr).conj().T
     assert np.abs(dense.imag).max() <= 1e-13 * scale
-    m = network._double_column(ket, bra)
+    m = network._double_column(ket[None], bra[None])[0]
     assert m.dtype == np.float64 and m.shape == t.shape
     assert np.abs(m - dense).max() <= 1e-13 * scale
     env = rng.standard_normal((nr * nr, nl * nl))
     plain = _hermitian_basis(nr).conj().T @ env @ _hermitian_basis(nl)
     g = np.einsum("bsp,rsab->arp", bra.conj(), plain.reshape(nr, nr, nl, nl))
-    assert np.abs(network._sweep_tensor(bra, env) - g).max() <= 1e-13 * np.abs(g).max()
+    sweep = network._sweep_tensor(bra[None], env[None])[0]
+    assert np.abs(sweep - g).max() <= 1e-13 * np.abs(g).max()
 
 
 def test_a_real_or_single_precision_ket_gives_the_complex128_value():

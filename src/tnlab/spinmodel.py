@@ -9,9 +9,9 @@ configurations, is a bond-2 tensor network that `exact_partition_function`
 contracts on the `network` engine; the exhaustive sum `all_config_amplitudes`
 is an oracle, capped at PARTITION_CAP.
 
-Two tables appear: the "norm" table (physical legs closed with the identity
-pairing, i.e. a uniform external field) drives E[<psi|psi>^2]; the "global"
-table (no external field) drives the global-loss gradient variance bound.
+Two tables appear, each the exact Weingarten sum `_s2_table` with its closure of
+the physical legs: the "norm" table (identity pairing, a uniform field) drives
+E[<psi|psi>^2]; the "global" table (product target, no field) the global-loss bound.
 
 `mc_second_moment` estimates E[<psi|psi>^2] a chunk of states at a time: it
 draws each chunk from its one generator in stream order, then builds and
@@ -34,31 +34,29 @@ _ENUM_CHUNK = 2**20
 _CHUNK_BYTES = 3 * 2**18
 
 
-def norm_weights(D, d):
-    """Single-site weights of the norm second moment (field case): the closed-form table."""
+def _s2_table(D, d, closure):
+    """t[tau, r, g] = sum_sigma Wg(sigma, tau) closure[sigma] D^c(sigma^-1 r) D^c(sigma^-1 g).
+
+    The Weingarten sum over S2 = {e, swap} (spin 0 = e, c counts cycles, n = D^2 d and
+    n (n^2 - 1) Wg = [[n, -1], [-1, n]]), in Python integers: one correctly rounded division.
+    """
     if D < 2 or d < 2:
         raise ValueError("D and d must be >= 2")
-    den = D**4 * d**2 - 1
-    v = np.zeros((2, 2, 2))
-    v[0, 0, 0] = 1.0
-    v[0, 0, 1] = v[0, 1, 0] = (D**3 * d**2 - D) / den
-    v[0, 1, 1] = (D**2 * d**2 - D**2) / den
-    v[1, 0, 0] = 0.0
-    v[1, 0, 1] = v[1, 1, 0] = (D**3 * d - D * d) / den
-    v[1, 1, 1] = (D**4 * d - d) / den
-    return v
+    n = D * D * d
+    bond = np.array([[D * D, D], [D, D * D]], dtype=object)
+    t = np.einsum("st,s,sr,sg->trg", np.array([[n, -1], [-1, n]], dtype=object),
+                  np.array(closure, dtype=object), bond, bond)
+    return (t / (n * (n * n - 1))).astype(float)
+
+
+def norm_weights(D, d):
+    """Single-site weights of the norm second moment: the physical legs close as d^c(sigma)."""
+    return _s2_table(D, d, (d * d, d))
 
 
 def global_loss_weights(D, d):
-    """Single-site weights of the global-loss second moment (no field): the closed-form table."""
-    if D < 2 or d < 2:
-        raise ValueError("D and d must be >= 2")
-    den = (D**2 * d) ** 2 - 1
-    v = np.zeros((2, 2, 2))
-    v[0, 0, 0] = v[1, 1, 1] = (D**4 - 1.0 / d) / den
-    v[0, 0, 1] = v[0, 1, 0] = v[1, 0, 1] = v[1, 1, 0] = (D**3 - D / d) / den
-    v[1, 0, 0] = v[0, 1, 1] = (D**2 - D**2 / d) / den
-    return v
+    """Single-site weights of the global-loss second moment: a product target closes both."""
+    return _s2_table(D, d, (1, 1))
 
 
 def _checked(table):

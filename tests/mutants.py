@@ -58,9 +58,11 @@ MUTANTS = (
            "norm_weights(config.bond_dim, config.phys_dim)",
            "norm_weights(config.phys_dim, config.bond_dim)",
            _ids("test_cli", "test_norm_stats_reports_the_z_of_its_bond_and_physical_dims")),
-    Mutant("norm_weight_entry", "src/tnlab/spinmodel.py",
-           "v[0, 1, 1] = (D**2 * d**2 - D**2) / den", "v[0, 1, 1] = (D**2 * d**2 - D) / den",
-           _ids("test_spinmodel", "test_bottom_layer_sum_reproduces_tables")),
+    Mutant("norm_closure_bond_dim", "src/tnlab/spinmodel.py",
+           "_s2_table(D, d, (d * d, d))", "_s2_table(D, d, (D * D, D))",
+           _ids("test_spinmodel", "test_bottom_layer_sum_reproduces_tables",
+                "test_weingarten_sum_gives_the_closed_forms")
+           + _ids("test_cli", "test_norm_stats_reports_the_z_of_its_bond_and_physical_dims")),
     Mutant("chunk_failures_count_one", "src/tnlab/variance.py",
            "failures += len(generators)", "failures += 1",
            _ids("test_variance", "test_sample_values_skips_failed_samples_and_counts_them")),

@@ -220,13 +220,42 @@ def normalized_local_gradient(ket, dket, site, op):
     return 2.0 * (dn.real * z - n * dz.real) / z**2
 
 
+# The closed forms of the two weight tables, one formula per entry: the oracle of the
+# Weingarten sum that builds them in `tnlab.spinmodel`.
+
+def closed_norm_weights(D, d):
+    """Single-site weights of the norm second moment (field case): the closed-form table."""
+    if D < 2 or d < 2:
+        raise ValueError("D and d must be >= 2")
+    den = D**4 * d**2 - 1
+    v = np.zeros((2, 2, 2))
+    v[0, 0, 0] = 1.0
+    v[0, 0, 1] = v[0, 1, 0] = (D**3 * d**2 - D) / den
+    v[0, 1, 1] = (D**2 * d**2 - D**2) / den
+    v[1, 0, 0] = 0.0
+    v[1, 0, 1] = v[1, 1, 0] = (D**3 * d - D * d) / den
+    v[1, 1, 1] = (D**4 * d - d) / den
+    return v
+
+
+def closed_global_loss_weights(D, d):
+    """Single-site weights of the global-loss second moment (no field): the closed-form table."""
+    if D < 2 or d < 2:
+        raise ValueError("D and d must be >= 2")
+    den = (D**2 * d) ** 2 - 1
+    v = np.zeros((2, 2, 2))
+    v[0, 0, 0] = v[1, 1, 1] = (D**4 - 1.0 / d) / den
+    v[0, 0, 1] = v[0, 1, 0] = v[1, 0, 1] = v[1, 1, 0] = (D**3 - D / d) / den
+    v[1, 0, 0] = v[0, 1, 1] = (D**2 - D**2 / d) / den
+    return v
+
 
 # The Boltzmann form of the two-layer Ising model. Spin-to-sign convention: down -> +1,
 # up -> -1. The couplings enter the per-site energy as H_site = -(J1*s1*(s3+s4) + J2*s1*s2
 # + hz*s1)/2: the printed form of the Hamiltonian in our source material carries a sign
 # typo (no +-1 convention reproduces the tabulated weights), so the signs here are fixed by
-# demanding consistency with the closed-form tables of `tnlab.spinmodel`, which are
-# themselves verified against Monte-Carlo Haar integration.
+# demanding consistency with the closed-form tables above, which are themselves verified
+# against Monte-Carlo Haar integration.
 
 _SIGN = (1, -1)  # index 0 = down, 1 = up
 

@@ -35,6 +35,10 @@ COMMANDS = {
                   "--samples", "50", "--seed", "3"],
     "polyomino": ["polyomino", "--seed", "4"],
     "bounds": ["bounds", "--seed", "5"],
+    # bounds read the norm table: at D = d = 3, and at a d = 10**17 where float products round
+    "bounds_dims3": ["bounds", "--seed", "5", "--bond-dim", "3", "--phys-dim", "3"],
+    "bounds_phys1e17": ["bounds", "--seed", "5", "--sizes", "2x2,3x3",
+                        "--phys-dim", "100000000000000000"],
 }
 
 # the two fields that differ between runs of the same command: the wall time and --out

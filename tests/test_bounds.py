@@ -1,5 +1,6 @@
 """Tests for the closed-form bound evaluators."""
 
+import itertools
 import warnings
 from dataclasses import asdict
 
@@ -14,7 +15,7 @@ from tnlab.bounds import (GF_RESCALE, NORM_DECAY_RATE, global_variance_bound,
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import GLOBAL_PURE, LossSpec, plus_target
 from tnlab.polyomino import directed_gf
-from tnlab.spinmodel import exact_partition_function, norm_weights
+from tnlab.spinmodel import exact_partition_function, global_loss_weights, norm_weights
 from tnlab.variance import variance_scan
 
 
@@ -59,6 +60,15 @@ def test_global_variance_ratio_below_one_on_grid():
         for d in (2, 3, 4):
             assert global_variance_ratio(D, d) < 1.0
     assert abs(global_variance_ratio(2, 2) - 31.0 / 63.0) < 1e-15
+
+
+def test_bounds_restate_entries_of_the_global_table():
+    # the decay ratio is twice the no-flip entry, the generic on-site floor a lone-flip entry
+    for D, d in itertools.product(range(2, 7), repeat=2):
+        g = global_loss_weights(D, d)
+        assert global_variance_ratio(D, d) == pytest.approx(2 * g[0, 0, 0], rel=1e-15)
+        generic, _ = onsite_floor_prefactors(D, d, tr_o2=2.0)
+        assert generic == pytest.approx(g[1, 0, 0], rel=1e-15)
 
 
 def test_global_variance_bound_decreases_with_volume():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import tnlab
@@ -18,9 +18,9 @@ from tnlab.spinmodel import (all_config_amplitudes, exact_partition_function,
                              global_loss_weights, mc_second_moment, norm_weights)
 from tnlab.states import check_state_budget, sample_bytes
 
-from oracles import (ConfigClass, IsingCouplings, classify_config,
-                     exact_partition_function_two_layer, table_from_boltzmann,
-                     two_layer_site_weight)
+from oracles import (ConfigClass, IsingCouplings, classify_config, closed_global_loss_weights,
+                     closed_norm_weights, exact_partition_function_two_layer,
+                     table_from_boltzmann, two_layer_site_weight)
 
 DOWN, UP = 0, 1
 
@@ -88,6 +88,21 @@ def test_bottom_layer_sum_reproduces_tables(D, d, closed, field):
     assert np.abs(closed(D, d) - rebuilt).max() < 1e-12
     if field:
         assert abs(rebuilt[DOWN, DOWN, DOWN] - 1.0) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=hst.integers(2, 10**6),
+       d=hst.one_of(hst.integers(2, 10**6), hst.sampled_from((10**8, 10**15, 10**17))))
+@example(D=3, d=10**8)
+@example(D=3, d=10**15)
+@example(D=3, d=10**17)
+def test_weingarten_sum_gives_the_closed_forms(D, d):
+    # both the norm closed form (int / int entries) and the sum round once, so they agree
+    # to the bit; the global closed form rounds 1.0 / d, its numerator and its int
+    # denominator before it divides, which leaves it up to two spacings from the sum
+    assert np.array_equal(norm_weights(D, d), closed_norm_weights(D, d))
+    closed = closed_global_loss_weights(D, d)
+    assert np.all(np.abs(global_loss_weights(D, d) - closed) <= 2 * np.spacing(closed))
 
 
 def test_closed_forms_keep_their_symmetries():

@@ -1,5 +1,6 @@
 """Haar and Gaussian-Hermitian transforms of normal draws, unitarity and Hermiticity
-checks, and the analytic two-fold Haar average.
+checks, and the analytic two-fold Haar average: the one exact S2 Weingarten matrix
+(`weingarten_s2`) and its channel.
 
 Tensors are plain complex numpy arrays (row-major).
 """
@@ -42,26 +43,26 @@ def is_hermitian(h):
     return np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= HERMITICITY_TOL
 
 
+def weingarten_s2(n):
+    """The S2 Weingarten matrix of U(n) over the pairings (e, swap), exactly: Wg = W / den
+    with W = [[n, -1], [-1, n]] (object dtype) and den = n (n^2 - 1), the inverse of the
+    Gram matrix [[n^2, n], [n, n^2]] (Collins & Sniady, Commun. Math. Phys. 264, 773, 2006).
+    """
+    return np.array([[n, -1], [-1, n]], dtype=object), n * (n * n - 1)
+
+
 def second_moment_channel(tensor):
     """Average (U x U) X (U x U)^dag over Haar U, applied to a four-leg tensor.
 
     Leg convention: X[i, j, k, l] = <i|x1|j> <k|x2|l> for X = x1 (x) x2, i.e.
     legs alternate (out, in, out, in), each of extent n >= 2. The result is
-    a_I * I + a_S * SWAP with coefficients fixed by Tr(X) and Tr(X SWAP): the
-    same-pairing and cross-pairing diagram weights 1 / (n - 1) and
-    -1 / ((n - 1) n), each divided by n + 1.
+    a_I * I + a_S * SWAP with (a_I, a_S) = Wg (Tr X, Tr X SWAP), Wg from `weingarten_s2`.
     """
     x = np.asarray(tensor, dtype=complex)
     n = x.shape[0] if x.ndim else 0
     if n < 2 or x.shape != (n, n, n, n):
         raise ValueError(f"expected shape (n, n, n, n) with n >= 2, got {x.shape}")
-    t_id = np.einsum("iikk->", x)
-    t_sw = np.einsum("ikki->", x)
-    c_same = 1.0 / (n - 1) / (n + 1)
-    c_cross = -1.0 / ((n - 1) * n) / (n + 1)
-    a_id = t_id * c_same + t_sw * c_cross
-    a_sw = t_sw * c_same + t_id * c_cross
+    w, den = weingarten_s2(n)
+    a_id, a_sw = w.dot([np.einsum("iikk->", x), np.einsum("ikki->", x)]) / den
     eye = np.eye(n)
-    out = np.einsum("ij,kl->ijkl", a_id * eye, eye)
-    out += np.einsum("il,kj->ijkl", a_sw * eye, eye)
-    return out
+    return a_id * np.einsum("ij,kl->ijkl", eye, eye) + a_sw * np.einsum("il,kj->ijkl", eye, eye)

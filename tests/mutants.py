@@ -54,6 +54,10 @@ MUTANTS = (
            "    return (a + a.conj().swapaxes(-1, -2)) / 2.0",
            "    return (a + a.conj().swapaxes(-1, -2)) / np.sqrt(2.0)",
            _ids("test_tensors", "test_generator_moments_fix_its_scale")),
+    Mutant("weingarten_denominator", "src/tnlab/tensors.py",
+           "n * (n * n - 1)", "n * (n * n + 1)",
+           _ids("test_tensors", "test_channel_trace_preservation_on_pure_state_pair")
+           + _ids("test_spinmodel", "test_weingarten_sum_gives_the_closed_forms")),
     Mutant("cli_norm_table_swap", "src/tnlab/cli.py",
            "norm_weights(config.bond_dim, config.phys_dim)",
            "norm_weights(config.phys_dim, config.bond_dim)",

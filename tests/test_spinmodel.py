@@ -105,6 +105,15 @@ def test_weingarten_sum_gives_the_closed_forms(D, d):
     assert np.all(np.abs(global_loss_weights(D, d) - closed) <= 2 * np.spacing(closed))
 
 
+@settings(max_examples=100, deadline=None)
+@given(D=hst.integers(2, 2**31 - 1), d=hst.integers(2, 2**31 - 1),
+       kind=hst.sampled_from((np.int32, np.int64, np.uint32, np.uint64)))
+@example(D=300, d=100, kind=np.int64)  # n (n^2 - 1) overflows int64 here
+def test_numpy_integer_dims_give_the_python_int_tables(D, d, kind):
+    for build in (norm_weights, global_loss_weights):
+        assert np.array_equal(build(kind(D), kind(d)), build(D, d))
+
+
 def test_closed_forms_keep_their_symmetries():
     for D, d in itertools.product(range(2, 7), repeat=2):
         f, g = norm_weights(D, d), global_loss_weights(D, d)
@@ -281,18 +290,39 @@ def test_an_oversized_norm_estimate_exits_before_any_draw(argv, tmp_path, monkey
     assert sizes == []
 
 
+def _table_with(entry):
+    """The D = d = 2 norm table with entry added at (up, up, up), in entry's type."""
+    table = norm_weights(2, 2).astype(type(entry))
+    table[UP, UP, UP] += entry
+    return table
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: exact_partition_function(2, 2, np.ones((2, 2))), ValueError,
      "weight table must have shape (2, 2, 2)"),
     (lambda: all_config_amplitudes(2, 2, np.ones((2, 2, 2, 2))), ValueError,
      "weight table must have shape (2, 2, 2)"),
+    (lambda: exact_partition_function(2, 2, _table_with(0.3j)), ValueError,
+     "weight table must be real and finite"),
+    (lambda: exact_partition_function(2, 2, _table_with(np.nan)), ValueError,
+     "weight table must be real and finite"),
+    (lambda: all_config_amplitudes(2, 2, _table_with(0.3j)), ValueError,
+     "weight table must be real and finite"),
+    (lambda: all_config_amplitudes(2, 2, _table_with(np.inf)), ValueError,
+     "weight table must be real and finite"),
     (lambda: norm_weights(1, 2), ValueError, "D and d must be >= 2"),
     (lambda: global_loss_weights(2, 1), ValueError, "D and d must be >= 2"),
+    (lambda: norm_weights(2.5, 2), ValueError, "D and d must be >= 2 (integers, not bool)"),
+    (lambda: global_loss_weights(2, 2.0), ValueError, "D and d must be >= 2 (integers, not bool)"),
+    (lambda: norm_weights(True, 2), ValueError, "D and d must be >= 2 (integers, not bool)"),
+    (lambda: global_loss_weights(2, True), ValueError, "D and d must be >= 2 (integers, not bool)"),
     (lambda: mc_second_moment(LatticeSpec(2, 2, 2, 2), 1, np.random.default_rng(0)),
      ValueError, "need at least 2 samples"),
     (lambda: all_config_amplitudes(2, 13, norm_weights(2, 2)), ResourceLimitError,
      "2**26 configurations exceed cap 33554432"),
-], ids=["table-shape", "amplitudes-table-shape", "norm-D", "global-d", "one-sample",
+], ids=["table-shape", "amplitudes-table-shape", "complex-table", "nan-table",
+        "amplitudes-complex-table", "amplitudes-inf-table", "norm-D", "global-d", "norm-float-D",
+        "global-float-d", "norm-bool-D", "global-bool-d", "one-sample",
         "partition-cap"])
 def test_spin_model_rejects_bad_input_before_allocating(call, error, message):
     tracemalloc.start()

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from tnlab.tensors import (haar_unitary, is_hermitian, is_unitary, random_hermitian,
-                           second_moment_channel)
+                           second_moment_channel, weingarten_s2)
 
 from oracles import sample_hermitian, sample_unitaries, sample_unitary
 
@@ -115,6 +117,33 @@ def test_channel_trace_preservation_on_pure_state_pair():
     out = second_moment_channel(x)
     assert abs(np.einsum("iikk->", out) - 1.0) < 1e-12
     assert abs(np.einsum("ikki->", out) - 1.0) < 1e-12
+
+
+@given(n=hst.integers(2, 10**18))
+@example(n=2)
+@example(n=10**18)
+def test_weingarten_s2_inverts_the_gram_matrix_exactly(n):
+    w, den = weingarten_s2(n)
+    assert w.dtype == object and type(den) is int
+    gram = np.array([[n * n, n], [n, n * n]], dtype=object)
+    assert np.array_equal(w.dot(gram), np.array([[den, 0], [0, den]], dtype=object))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(2, 6), seed=hst.integers(0, 2**32 - 1))
+def test_channel_lands_in_the_span_of_identity_and_swap_and_keeps_both_traces(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+    out = second_moment_channel(x)
+    eye = np.eye(n)
+    identity, swap = np.einsum("ij,kl->ijkl", eye, eye), np.einsum("il,kj->ijkl", eye, eye)
+    # I and SWAP are the only terms at (0, 0, 1, 1) and (0, 1, 1, 0)
+    span = out[0, 0, 1, 1] * identity + out[0, 1, 1, 0] * swap
+    assert np.abs(out - span).max() <= 1e-12 * np.abs(out).max()
+    for trace in ("iikk->", "ikki->"):
+        # relative to the sum of the magnitudes that the trace adds up
+        scale = np.einsum(trace, np.abs(x))
+        assert abs(np.einsum(trace, out) - np.einsum(trace, x)) <= 1e-12 * scale
 
 
 def test_channel_commutes_with_copy_swap():

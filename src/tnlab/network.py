@@ -39,7 +39,22 @@ site's sweep value is then sum T' E^T or sum K' G, where T' and K' are the
 column's transfer matrix and ket column with that site's tensor replaced by
 its derivative. A ring of k columns forms 3k - 6 matrix products for its
 environments and value, and k - 2 for a value alone: the trace of the last
-product is read as an elementwise sum, trace(A B) = sum A * B^T.
+product is read as an elementwise sum, trace(A B) = sum A * B^T. A sweep
+builds each column's rows at once, as a chunk with row r's column at sample
+r, and sums each against the column's sweep tensor alone.
+
+Each ring call writes its large arrays into one workspace of its own: the
+products, the elementwise products of its traces and, for `bra_ket`, the
+double-layer columns and the temporaries of `_double_column` and
+`_sweep_tensor`. Regions are reused once they are dead: the suffixes and
+prefixes of a sweep take 2k - 4 matrices, and the value's elementwise
+product and then each middle environment go over spent columns; a value ring
+takes turns between two products; a double column's temporary sits over
+products not formed yet and a sweep tensor's over two spent columns. A fused
+pass of k >= 3 columns thus holds 3k - 3 matrices, a sweep 3k - 4 and a
+value ring k + 2. The workspace lives for one call only;
+as its size repeats from call to call, the allocator hands back the same
+pages instead of faulting in fresh ones for every product.
 
 `bra_ket` can also refold its op within that one ring (the normalized local
 gradient sweeps O' = (O - (N/z) 1) / z). The ring then starts at the op
@@ -64,9 +79,6 @@ transposed if needed), which keeps the transfer matrices at chi^(2*min(l1,l2))
 entries for bond extent chi. A ring's transfer matrices, ket columns,
 single-layer grids and environments are kept within `NETWORK_BUDGET` bytes.
 """
-
-import functools
-import itertools
 
 import numpy as np
 
@@ -134,22 +146,26 @@ def _check_ring(shape, transfer_bytes, other_bytes):
     contract a lone site with itself). ResourceLimitError when the ring would exceed
     NETWORK_BUDGET bytes: 4 k - 4 transfer matrices of transfer_bytes each (k = n_cols),
     each with 256 bytes of array header and views, and the other_bytes that the entry
-    point holds besides them. The counts are what tracemalloc shows the costliest ring
-    of each kind to hold at once:
-    - a fused `bra_ket` pass holds the k columns, the op column's plain transfer
-      matrix, k - 2 suffixes, k - 2 prefixes, k - 2 middle environments and one
-      temporary; a sweep then holds its k environments and at most three more
-      (the one taken back to the plain basis, or a column rebuilt by
-      `column_transfer` with its temporaries), and a value-only ring k + 3;
-    - `bra_ket` also holds k + 4 ket columns: the k columns, the op column's
-      bra, a sweep tensor, and a rebuilt ket column with its transposed copy;
-    - `contract` also holds four grids' worth: the grid and, for `overlap`, the
-      derivative grid and the temporaries of `site_single_tensor` (the product
-      state cast to complex and the einsum's working memory).
-    Over k = 3, 5 and 8 on lattices of 2 to 4 rows (D = 2 or 3, d = 2, and
-    d = 9 and 17), the charge is 1.01-1.33 times the peak of a fused pass and
-    1.02-1.58 times that of an `overlap` sweep. A chunk is charged that much per
-    sample.
+    point holds besides them. The counts follow what tracemalloc shows the rings to
+    hold at once:
+    - the workspace of a fused `bra_ket` pass, the largest, holds 3 k - 3 transfer
+      matrices (see the module docstring); the other k - 1 charged cover the copy of
+      each environment that a `contract` sweep sums against and numpy's buffers;
+    - `bra_ket` is also charged k + 4 ket columns: the k columns, the op column's bra
+      and two more, for the [bra, i bra] stack of `_double_column` or for a sweep
+      tensor with its imaginary part; a sweep 2 n + 1 more (n = n_rows), for the
+      rebuild of a column's rows: a chunk of n ket columns, its transposed copy and
+      the site tensors it is built from;
+    - `contract` is also charged four grids' worth: the grid and, for `overlap`, the
+      derivative grid and the temporaries of `site_single_tensor` (the product state
+      cast to complex and the einsum's working memory); a sweep 3 n transfer matrices
+      more, for the rebuild of a column's rows: the chunk, its reordered copy and its
+      last partial product.
+    Over k = 4, 5, 8 and 12 on lattices of 2 to 4 rows (D = 2 or 3; d = 2, 9 and 17),
+    the charge is 1.06-1.31 times the peak of a fused pass, 1.18-1.43 times that of a
+    plain sweep and 1.05-1.57 times that of an `overlap` sweep. At k = 3, rings charged
+    under 0.5 MB read down to 0.89, as numpy's ufunc buffers, up to about 0.13 MB
+    whatever the ring, are a large part of them. A chunk is charged that much per sample.
     """
     n_rings, *lattice = shape[:3]
     n_cols, n_rows = max(lattice), min(lattice)
@@ -171,16 +187,22 @@ def _check_sweep(shape, dgrid):
                          f"of shape {shape}")
 
 
-def ring_value(columns):
+def ring_value(columns, work):
     """Trace of the product of column transfer matrices around a ring of at least two columns.
 
     The last product is not formed: the trace is `replace_value` of the last
-    column against the product of the others, k - 2 products in all.
+    column against the product of the others, k - 2 products in all. They are
+    written by turns into work[0] and work[1], matrices of the columns' shape
+    and dtype, and the trace's elementwise product into the one that does not
+    hold the last product.
     """
-    return replace_value(columns[-1], functools.reduce(np.matmul, columns[:-1]))
+    product = columns[0]
+    for i, column in enumerate(columns[1:-1]):
+        product = np.matmul(product, column, out=work[i % 2])
+    return replace_value(columns[-1], product, work[len(columns) % 2])
 
 
-def ring_environments(columns, replace_first=None):
+def ring_environments(columns, work, replace_first=None):
     """Ring value and per-column ring environments of a ring of at least two columns.
 
     Returns (value, envs) where envs[y] is the matrix E such that replacing
@@ -188,32 +210,42 @@ def ring_environments(columns, replace_first=None):
     product of the other columns in ring order starting after y. Only the
     products that are returned get formed: the suffixes T(y+1)...T(k-1)
     (k - 2 products), the prefixes T0...Ty of the first k - 1 columns (k - 2)
-    and the environments of the middle columns (k - 2). The value is taken
-    as `ring_value` takes it.
+    and the environments of the middle columns (k - 2). The suffixes and
+    prefixes are written into work, a stack of at least max(2 k - 4, 1)
+    matrices of the columns' shape and dtype, and each middle environment
+    over its own column, which no product reads once the value is taken. The
+    value is taken as `ring_value` takes it, over column 1, which no product
+    reads once the prefixes are formed, or in a ring of two columns, which
+    reads both, over work[0].
 
     No suffix holds column 0, so its environment is known before any prefix
-    is formed. With replace_first, a function of column 0 and that
-    environment that returns a new column 0, the prefixes, the other
-    environments and the value are those of the ring with the new column in
-    place.
+    is formed. With replace_first, a function of column 0, that environment
+    and a matrix it may overwrite (the first prefix slot) that returns a new
+    column 0, the prefixes, the other environments and the value are those
+    of the ring with the new column in place.
     """
     k = len(columns)
-    # tail[y] = T(y+1)...T(k-1), built from the right
-    tail = list(itertools.accumulate(columns[:0:-1], lambda acc, m: m @ acc))[::-1]
+    tail = [columns[-1]]  # tail[y] = T(y+1)...T(k-1), built from the right
+    for y in range(k - 3, -1, -1):
+        tail.insert(0, np.matmul(columns[y + 1], tail[0], out=work[y]))
     if replace_first is not None:
-        columns = [replace_first(columns[0], tail[0]), *columns[1:]]
-    head = list(itertools.accumulate(columns[:-1], np.matmul))  # head[y] = T0...Ty
-    value = replace_value(columns[-1], head[-1])
-    return value, [tail[0], *(tail[y] @ head[y - 1] for y in range(1, k - 1)), head[-1]]
+        columns = [replace_first(columns[0], tail[0], work[k - 2]), *columns[1:]]
+    head = [columns[0]]  # head[y] = T0...Ty
+    for y in range(1, k - 1):
+        head.append(np.matmul(head[-1], columns[y], out=work[k - 3 + y]))
+    value = replace_value(columns[-1], head[-1], columns[1] if k > 2 else work[0])
+    middle = [np.matmul(tail[y], head[y - 1], out=columns[y]) for y in range(1, k - 1)]
+    return value, [tail[0], *middle, head[-1]]
 
 
-def replace_value(replacement, env):
+def replace_value(replacement, env, work):
     """Ring value with one column replaced, given that column's environment.
 
-    trace(replacement @ env), as the sum of replacement * env^T: no product is formed.
-    One value per sample.
+    trace(replacement @ env), as the sum of replacement * env^T, with the
+    elementwise product written into work, a matrix of their shape and dtype:
+    no product is formed. One value per sample.
     """
-    return np.sum(replacement * env.swapaxes(-1, -2), axis=(-2, -1))
+    return np.multiply(replacement, env.swapaxes(-1, -2), out=work).sum(axis=(-2, -1))
 
 
 def _transposed(lattice):
@@ -268,8 +300,10 @@ def _parts(col):
     return col.view(np.float64).reshape(len(col), -1, 2 * col.shape[-1])
 
 
-def _double_column(ket_col, bra_col):
-    """Double-layer transfer matrix of a ket column against a bra column with its bonds.
+def _double_column(ket_col, bra_col, out, work):
+    """Double-layer transfer matrix of a ket column against a bra column with its bonds,
+    written into out, an (n, L L', R R') float64 matrix; work is a float64 block of two
+    such matrices that it overwrites.
 
     T[(L, L'), (R, R')] = sum_P ket[L, R, P] conj(bra[L', R', P]) is swap-symmetric, as the
     bra is the ket or a Hermitian op of it, and the matrix is the real
@@ -281,13 +315,15 @@ def _double_column(ket_col, bra_col):
     # [bra, i bra]: i bra has the parts (-bi, br), so one real product over the parts of P
     # gives re = sum kr br + ki bi and im = sum ki br - kr bi, at [L, R, (re, im), L', R']
     bras = _ONE_I * bra_col[:, None]
-    t = (_parts(ket_col) @ _parts(bras).swapaxes(1, 2)).reshape(n, nl, nr, 2, nl, nr)
+    t = np.matmul(_parts(ket_col), _parts(bras).swapaxes(1, 2),
+                  out=work.reshape(n, nl * nr, 2 * nl * nr)).reshape(n, nl, nr, 2, nl, nr)
     re, im = t[:, :, :, 0], t[:, :, :, 1]
     # as [L, L', R, R'] arrays, T is re + i im with axes (L, L', R, R') and T^R (L, L', R', R)
-    return np.add(re.swapaxes(2, 3), im.swapaxes(2, 3).swapaxes(3, 4)).reshape(n, nl * nl, -1)
+    np.add(re.swapaxes(2, 3), im.swapaxes(2, 3).swapaxes(3, 4), out=out.reshape(n, nl, nl, nr, nr))
+    return out
 
 
-def _sweep_tensor(bra_col, env):
+def _sweep_tensor(bra_col, env, pair):
     """G[L, R, P] = sum conj(bra[L', R', P]) E[(R, R'), (L, L')]: replacing the column's
     ket side by K' gives the ring value sum K' G.
 
@@ -296,13 +332,14 @@ def _sweep_tensor(bra_col, env):
     e = env and e^RL, e^L and e^R the matrices with both pairs, the (L, L') pair and the
     (R, R') pair swapped. That step writes E as a matrix Y[(L, R), (L', R')]; the real
     and imaginary parts of Y each multiply the real view of the bra, and the two products
-    are combined into G = Y conj(B) in place. All three lead with the sample axis.
+    are combined into G = Y conj(B) in place. All three lead with the sample axis; Y's
+    parts are written into pair, two float64 matrices of env's shape.
     """
     n, nl, nr, n_p = bra_col.shape
     # e[L, R, L', R'] = env[(R, R'), (L, L')]
     e = env.reshape(n, nr, nr, nl, nl).transpose(0, 3, 1, 4, 2)
     # 2 E = (e + e^RL) + i (e^L - e^R), each term at [L, R, L', R']
-    y = np.empty((2, n, nl * nr, nl * nr))
+    y = [m.reshape(n, nl * nr, nl * nr) for m in pair]
     np.add(e, e.transpose(0, 3, 4, 1, 2), out=y[0].reshape(e.shape))
     np.subtract(e.transpose(0, 3, 2, 1, 4), e.transpose(0, 1, 4, 3, 2), out=y[1].reshape(e.shape))
     b = _parts(bra_col)
@@ -314,7 +351,14 @@ def _sweep_tensor(bra_col, env):
     return g.view(bra_col.dtype).reshape(n, nl, nr, n_p)
 
 
-def _ring(transfers, grid, dgrid=None, bras=None, first=0, replace_first=None):
+def _n_products(k, sweep):
+    """Matrices of room for the products of a ring of k columns: 2 k - 4 for a sweep (see
+    `ring_environments`) and two for a value (`ring_value` takes turns between them), and
+    never fewer than two, the room of a `_double_column` temporary."""
+    return max(2 * k - 4, 2) if sweep else 2
+
+
+def _ring(transfers, work, grid, dgrid=None, bras=None, first=0, replace_first=None):
     """Ring values of the transfer matrices of the oriented columns of grid, an (n, l1, l2,
     ...) chunk, in column order and multiplied from column `first` on; with dgrid, (value,
     sweep), where grid and dgrid are chunks of one.
@@ -325,20 +369,25 @@ def _ring(transfers, grid, dgrid=None, bras=None, first=0, replace_first=None):
     K' G with G = `_sweep_tensor` of bras[c] and E, where E is the column's ring
     environment (replace_first is passed on to `ring_environments`) and T' and K' are the
     column's transfer matrix and ket column with row r's tensor replaced by its derivative.
+
+    work is a stack of `_n_products` matrices of the transfer matrices' shape and dtype,
+    where the ring writes its products; a sweep also overwrites the transfer matrices. Each
+    sweep tensor writes its pair of temporaries over the first and last transfer matrix,
+    which no environment holds, or in a ring of two columns, whose environments are its
+    columns, over work[0] and work[1], which hold no product.
     """
     transfers = transfers[first:] + transfers[:first]
     if dgrid is None:
-        return ring_value(transfers)
-    value, envs = ring_environments(transfers, replace_first)
-    # the sweep holds only the environments
-    transfers = None
+        return ring_value(transfers, work)
+    value, envs = ring_environments(transfers, work, replace_first)
+    pair = work[:2] if len(transfers) == 2 else (transfers[0], transfers[-1])
     envs = dict(zip([*range(first, len(envs)), *range(first)], envs))
     build = column_transfer if bras is None else _ket_column
     columns, dcolumns = _orient(grid), _orient(dgrid)
     sweep = np.array([
         _column_sweep(build, columns[c], dcolumns[c],
                       envs.pop(c).swapaxes(1, 2) if bras is None
-                      else _sweep_tensor(bras[c], envs.pop(c)))
+                      else _sweep_tensor(bras[c], envs.pop(c), pair))
         for c in range(len(columns))])
     # column c, row r is site (c, r) of a transposed grid, else site (r, c)
     return value, np.ascontiguousarray(sweep if _transposed(grid.shape[1:]) else sweep.T)
@@ -346,9 +395,16 @@ def _ring(transfers, grid, dgrid=None, bras=None, first=0, replace_first=None):
 
 def _column_sweep(build, ts, dts, g):
     """sum build(ts') * g for each row of a column, where ts' is its site tensors ts with that
-    row's tensor replaced by its derivative in dts."""
+    row's tensor replaced by its derivative in dts.
+
+    ts and dts are chunks of one; one build makes every row's ts' at once, as a chunk with
+    row r's ts' at sample r, and each is then summed against g alone.
+    """
+    stack = [np.repeat(t, len(ts), axis=0) for t in ts]
+    for r, s in enumerate(stack):
+        s[r] = dts[r][0]
     g = g.reshape(-1)
-    return [build([*ts[:r], dts[r], *ts[r + 1:]]).reshape(-1) @ g for r in range(len(ts))]
+    return [m.reshape(-1) @ g for m in build(stack)]
 
 
 def contract(grid, dgrid=None):
@@ -362,8 +418,14 @@ def contract(grid, dgrid=None):
     grid, dgrid = grid[None], None if dgrid is None else dgrid[None]
     columns = _orient(grid)
     _, n_rows, _, _, n_b, _, n_l = columns.shape
-    _check_ring(grid.shape, (n_b * n_l) ** n_rows * grid.itemsize, 4 * grid.nbytes)
-    out = _ring([column_transfer(ts) for ts in columns], grid, dgrid)
+    transfer_bytes = (n_b * n_l) ** n_rows * grid.itemsize
+    # a sweep also holds 3 n_rows transfer matrices' worth (see `_check_ring`)
+    rebuilt = 0 if dgrid is None else 3 * n_rows * transfer_bytes
+    _check_ring(grid.shape, transfer_bytes, 4 * grid.nbytes + rebuilt)
+    transfers = [column_transfer(ts) for ts in columns]
+    work = np.empty((_n_products(len(transfers), dgrid is not None), *transfers[0].shape),
+                    transfers[0].dtype)
+    out = _ring(transfers, work, grid, dgrid)
     return complex(out[0]) if dgrid is None else (complex(out[0][0]), out[1])
 
 
@@ -376,8 +438,11 @@ def check_bra_ket(shape, dket=None):
     shape = (1, *shape) if len(shape) == 7 else shape
     _, l1, l2, D = shape[:4]
     n, d = min(l1, l2), shape[-1]
+    # a sweep also holds 2 n + 1 ket columns' worth for a column's rebuilt rows (see
+    # `_check_ring`)
+    n_kets = max(l1, l2) + 4 + (0 if dket is None else 2 * n + 1)
     # the ring's transfer matrices are float64, half the bytes of the complex128 ket
-    return _check_ring(shape, D ** (4 * n) * 8, (max(l1, l2) + 4) * (D * D * d) ** n * 16)
+    return _check_ring(shape, D ** (4 * n) * 8, n_kets * (D * D * d) ** n * 16)
 
 
 def bra_ket(ket, dket=None, site=None, op=None, fold=None):
@@ -431,26 +496,31 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     if site is not None:
         # <psi| op = (op |psi>)^dagger: op joins the bra column that holds its site
         bras[c] = _on_row(op, kets[c], row)
+    # the ring's one float64 block: its products, then its transfer matrices and, with fold,
+    # the op column's plain one; each `_double_column` temporary goes over the first two
+    # product slots, as no product is formed before the columns are built
+    k, (n, nl) = len(kets), kets[0].shape[:2]
+    n_products = _n_products(k, dket is not None)
+    work = np.empty((n_products + k + (fold is not None), n, nl * nl, nl * nl))
+    products, slots, temp = work[:n_products], work[n_products:], work[:2]
     replace_first = None
     if fold is not None:
-        # the op column's plain transfer matrix, built before the ring's products and
-        # popped when used, so that the sweep does not hold it
-        plains = [_double_column(kets[c], kets[c])]
+        plain = _double_column(kets[c], kets[c], slots[k], temp)
 
-        def replace_first(t_op, env):
+        def replace_first(t_op, env, scratch):
             # z and N from the op column's environment; T_op and the op's own bra then
             # become those of the op a op + b 1, in place
-            plain = plains.pop()
-            a, b = fold(*(float(replace_value(t, env)[0].real) for t in (plain, t_op)))
+            a, b = fold(*(float(replace_value(t, env, scratch)[0].real) for t in (plain, t_op)))
             if np.imag(a) or np.imag(b):
                 raise ValueError(f"fold must return real (a, b), got ({a}, {b})")
             a, b = float(np.real(a)), float(np.real(b))
             bras[c] *= a
             bras[c] += b * kets[c]
             t_op *= a
-            t_op += b * plain
+            t_op += np.multiply(plain, b, out=plain)
             return t_op
-    out = _ring(list(map(_double_column, kets, bras)), ket, dket, bras, c, replace_first)
+    transfers = [_double_column(kt, br, t, temp) for kt, br, t in zip(kets, bras, slots)]
+    out = _ring(transfers, products, ket, dket, bras, c, replace_first)
     # a real ring's value has an imaginary part of exactly 0
     if dket is not None:
         return float(out[0][0].real), out[1]

@@ -31,6 +31,8 @@ COMMANDS = {
     "norm_bond3": ["norm-stats", "--seed", "1", "--bond-dim", "3"],
     "norm_phys3": ["norm-stats", "--seed", "1", "--phys-dim", "3"],
     "var_global": ["var-scan", "--samples", "200", "--seed", "2"],
+    # 256-wide global sweeps: the 4x4 rings of the grad_scan benchmark
+    "var_global_4x4": ["var-scan", "--sizes", "4x4", "--samples", "16", "--seed", "2"],
     "var_local": ["var-scan", "--loss", "local_normalized", "--sizes", "4x5",
                   "--samples", "50", "--seed", "3"],
     "polyomino": ["polyomino", "--seed", "4"],

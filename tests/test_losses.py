@@ -287,9 +287,9 @@ def _count_ring_parts(monkeypatch):
     """Calls of the double-layer column, value-ring and environment builders of `network`."""
     counts = Counter()
     for name in ("_double_column", "ring_value", "ring_environments"):
-        def counted(*args, _name=name, _fn=getattr(network, name)):
+        def counted(*args, _name=name, _fn=getattr(network, name), **kwargs):
             counts[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(network, name, counted)
     return counts
 

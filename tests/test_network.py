@@ -2,6 +2,7 @@
 
 import functools
 import re
+import resource
 import tracemalloc
 
 import numpy as np
@@ -249,8 +250,11 @@ _RINGS = {
 
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
-@pytest.mark.parametrize("k", [5, 8, 12])
-@pytest.mark.parametrize("rows, d", [(3, 2), (2, 17)], ids=["transfer-bound", "ket-bound"])
+@pytest.mark.parametrize("rows, d, k", [
+    *(pytest.param(3, 2, k, id=f"transfer-bound-{k}") for k in (5, 8, 12)),
+    *(pytest.param(2, 17, k, id=f"ket-bound-{k}") for k in (5, 8, 12)),
+    # the 256-wide rings of the gradient benchmarks
+    *(pytest.param(4, 2, k, id=f"256-wide-{k}") for k in (4, 5))])
 def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
     # the charge that `_check_ring` makes before any column is built is at least the
     # tracemalloc peak P of the ring itself: a budget of P - 1 bytes refuses the ring; the
@@ -269,6 +273,20 @@ def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
     if ring == "fused":
         monkeypatch.setattr(network, "NETWORK_BUDGET", int(1.5 * peak))
         run(ket, dket)
+
+
+@pytest.mark.parametrize("l1, l2", [(4, 4), (4, 5)])
+def test_a_repeated_sweep_takes_almost_no_fresh_pages(l1, l2):
+    # a ring writes its 256 x 256 double columns, products and temporaries into one block
+    # that the allocator hands back on the next call; a fresh array for each of them took
+    # 1,008 (4x4) and 1,504 (4x5) minor page faults a sweep
+    ket, dket = _tensors(l1, l2, 2, 2, 0)
+    network.bra_ket(ket, dket)
+    repeats = 20
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        network.bra_ket(ket, dket)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats < 100
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,13 +350,15 @@ def test_double_columns_are_the_ring_in_the_hermitian_basis(case):
     scale = np.abs(t).max()
     dense = _hermitian_basis(nl) @ t @ _hermitian_basis(nr).conj().T
     assert np.abs(dense.imag).max() <= 1e-13 * scale
-    m = network._double_column(ket[None], bra[None])[0]
+    m = network._double_column(ket[None], bra[None], np.empty((1, nl * nl, nr * nr)),
+                               np.empty(2 * (nl * nr) ** 2))[0]
     assert m.dtype == np.float64 and m.shape == t.shape
     assert np.abs(m - dense).max() <= 1e-13 * scale
     env = rng.standard_normal((nr * nr, nl * nl))
     plain = _hermitian_basis(nr).conj().T @ env @ _hermitian_basis(nl)
     g = np.einsum("bsp,rsab->arp", bra.conj(), plain.reshape(nr, nr, nl, nl))
-    sweep = network._sweep_tensor(bra[None], env[None])[0]
+    pair = [np.empty((1, nr * nr, nl * nl)) for _ in range(2)]
+    sweep = network._sweep_tensor(bra[None], env[None], pair)[0]
     assert np.abs(sweep - g).max() <= 1e-13 * np.abs(g).max()
 
 

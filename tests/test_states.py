@@ -257,8 +257,10 @@ def test_network_budget_counts_ket_columns(tmp_path):
 def test_ring_environments_against_explicit_products(k):
     rng = np.random.default_rng(k)
     cols = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(k)]
-    value, envs = network.ring_environments(cols)
-    assert value == network.ring_value(cols)
+    # the middle environments are written over their columns, so the ring gets copies
+    value, envs = network.ring_environments([c.copy() for c in cols],
+                                            np.empty((max(2 * k - 4, 1), 6, 6), complex))
+    assert value == network.ring_value(cols, np.empty((2, 6, 6), complex))
     assert len(envs) == k
     if k == 2:  # no middle environment: each is the other column itself
         assert np.array_equal(envs[0], cols[1]) and np.array_equal(envs[1], cols[0])
@@ -270,8 +272,9 @@ def test_ring_environments_against_explicit_products(k):
         assert np.allclose(envs[y], expected, rtol=1e-12, atol=0)
         replacement = rng.standard_normal((6, 6))
         ring = cols[:y] + [replacement] + cols[y + 1:]
-        assert np.isclose(network.replace_value(replacement, envs[y]),
-                          network.ring_value(ring), rtol=1e-12)
+        work = np.empty((2, 6, 6), complex)
+        assert np.isclose(network.replace_value(replacement, envs[y], work[0]),
+                          network.ring_value(ring, work), rtol=1e-12)
 
 
 def test_embedded_unitary_is_unitary():

@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 from .polyomino import directed_gf
-from .spinmodel import global_loss_weights, norm_weights
+from .spinmodel import _dims, global_loss_weights, norm_weights
+from .tensors import weingarten_s2
 
-NORM_DECAY_RATE = 0.97      # headline rate of the norm-concentration statement
 GF_RESCALE = 25.0 / 26.0    # area rescale keeping the generating function finite
 
 
@@ -67,8 +67,8 @@ def norm_excess_report(L, D, d, z_exact):
 
 
 def global_variance_ratio(D, d):
-    """Per-site decay ratio 2 (D^4 - 1/d) / ((D^2 d)^2 - 1) of the global-loss bound."""
-    return 2.0 * (D**4 - 1.0 / d) / ((D**2 * d) ** 2 - 1.0)
+    """Per-site decay ratio 2 g_max of the global-loss bound: twice the no-flip global entry."""
+    return 2.0 * float(global_loss_weights(D, d)[0, 0, 0])
 
 
 def global_variance_bound(n_sites, D, d):
@@ -78,12 +78,11 @@ def global_variance_bound(n_sites, D, d):
 
 
 def onsite_floor_prefactors(D, d, tr_o2):
-    """The two explicit on-site variance floor prefactors, for a traceless observable O.
-
-    Returns (D^2 (1 - 1/d) / ((D^2 d)^2 - 1), D^2 tr O^2 / ((D^2 d)^2 - 1)).
-    """
+    """The two explicit on-site variance floor prefactors, for a traceless observable O: the
+    lone-flip global entry t[1, 0, 0], and tr O^2 D^2 Wg(swap, swap), the one term of that
+    entry that survives when the physical legs close on O (x) O."""
     if tr_o2 <= 0:
         raise ValueError("tr(O^2) must be positive")
-    den = (D**2 * d) ** 2 - 1.0
-    return (D**2 * (1.0 - 1.0 / d) / den,
-            D**2 * tr_o2 / den)
+    D, d = _dims(D, d)
+    w, den = weingarten_s2(D * D * d)
+    return float(global_loss_weights(D, d)[1, 0, 0]), tr_o2 * (D * D * w[1, 1] / den)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 acceptance-check failure,
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -66,8 +67,22 @@ def _parse_sizes(text):
     return tuple(sizes)
 
 
+def _finite(value):
+    """value with every float that JSON cannot hold, NaN (an undefined statistic) or inf,
+    replaced by None, in nested dicts, lists and tuples."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(outdir, name, config, elapsed, rows=None, payload=None):
-    """Write rows to name.csv and payload to name.json, as config.format asks; both embed config."""
+    """Write rows to name.csv and payload to name.json, as config.format asks; both embed config.
+
+    The JSON is strict (RFC 8259): a NaN or inf in payload is written as null."""
     outdir.mkdir(parents=True, exist_ok=True)
     meta = asdict(config)  # json writes the tuple sizes as nested lists
     if config.format in ("csv", "both") and rows is not None:
@@ -76,9 +91,9 @@ def _emit(outdir, name, config, elapsed, rows=None, payload=None):
             csv.writer(fh).writerows(rows)
     if config.format in ("json", "both") and payload is not None:
         doc = {"schema_version": SCHEMA_VERSION, "config": meta,
-               "elapsed_seconds": elapsed, **payload}
+               "elapsed_seconds": elapsed, **_finite(payload)}
         with open(outdir / f"{name}.json", "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+            json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -196,11 +211,11 @@ def cmd_polyomino(config, max_area):
 def cmd_bounds(config):
     t0 = time.monotonic()
     D, d = config.bond_dim, config.phys_dim
-    try:  # first, so that dimensions past the float range exit before any work
-        pre_generic, pre_obs = bounds_mod.onsite_floor_prefactors(D, d, tr_o2=2.0)
-    except OverflowError:
+    # before any work: (D^2 d)^2 rounds past the largest float from 2**1024 - 2**970 on
+    if (D * D * d) ** 2 >= 2**1024 - 2**970:
         raise ValueError(f"--bond-dim {D} and --phys-dim {d} put the on-site floor "
-                         "prefactors past the float range") from None
+                         "prefactors past the float range")
+    pre_generic, pre_obs = bounds_mod.onsite_floor_prefactors(D, d, tr_o2=2.0)
     reports = []
     table = norm_weights(D, d)
     for l1, l2 in config.sizes:

@@ -80,6 +80,9 @@ entries for bond extent chi. A ring's transfer matrices, ket columns,
 single-layer grids and environments are kept within `NETWORK_BUDGET` bytes.
 """
 
+import math
+import operator
+
 import numpy as np
 
 from .errors import ResourceLimitError, gib
@@ -412,21 +415,37 @@ def contract(grid, dgrid=None):
 
     With dgrid, the derivative tensors of every site, returns (value, sweep):
     sweep[x, y] is the value with the tensor of site (x, y) replaced by
-    dgrid[x, y]. Raises as `_check_sweep` and `_check_ring` do, before anything is built.
+    dgrid[x, y]. Raises as `_check_sweep` and `check_contract` do, before anything is built.
     """
     _check_sweep(grid.shape, dgrid)
+    check_contract(grid.shape, grid.itemsize, dgrid is not None)
     grid, dgrid = grid[None], None if dgrid is None else dgrid[None]
-    columns = _orient(grid)
-    _, n_rows, _, _, n_b, _, n_l = columns.shape
-    transfer_bytes = (n_b * n_l) ** n_rows * grid.itemsize
-    # a sweep also holds 3 n_rows transfer matrices' worth (see `_check_ring`)
-    rebuilt = 0 if dgrid is None else 3 * n_rows * transfer_bytes
-    _check_ring(grid.shape, transfer_bytes, 4 * grid.nbytes + rebuilt)
-    transfers = [column_transfer(ts) for ts in columns]
+    transfers = [column_transfer(ts) for ts in _orient(grid)]
     work = np.empty((_n_products(len(transfers), dgrid is not None), *transfers[0].shape),
                     transfers[0].dtype)
     out = _ring(transfers, work, grid, dgrid)
     return complex(out[0]) if dgrid is None else (complex(out[0][0]), out[1])
+
+
+def check_contract(shape, itemsize, sweep=False):
+    """Raise as `contract` does, before anything is built, for an (l1, l2, a, b, g, l) grid of
+    this shape and itemsize, with derivative tensors when sweep; else return the bytes that
+    its ring is charged against NETWORK_BUDGET (see `_check_ring`)."""
+    shape = tuple(map(operator.index, shape))  # Python ints, whose products cannot overflow
+    n_rows, n_cols = sorted(shape[:2])
+    grids = 4 * math.prod(shape) * itemsize
+    if n_rows > 2**15:
+        # more than 2**30 sites put the grids alone past the budget; the transfer matrices
+        # of so many rows would have too many digits to count
+        raise ResourceLimitError(f"a ring of {n_cols} columns of {n_rows} sites needs more than "
+                                 f"{gib(grids)} GiB, above the network budget of "
+                                 f"{gib(NETWORK_BUDGET)} GiB")
+    # the column's left and right legs, which swap with (a, g) when `_orient` transposes
+    n_b, n_l = shape[2:6:2] if _transposed(shape) else shape[3:6:2]
+    transfer_bytes = (n_b * n_l) ** n_rows * itemsize
+    # a sweep also holds 3 n_rows transfer matrices' worth (see `_check_ring`)
+    rebuilt = 3 * n_rows * transfer_bytes if sweep else 0
+    return _check_ring((1, *shape), transfer_bytes, grids + rebuilt)
 
 
 def check_bra_ket(shape, dket=None):

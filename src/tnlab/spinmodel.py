@@ -115,7 +115,9 @@ def exact_partition_function(l1, l2, table):
     """
     v = _checked(table)
     site = np.einsum("ab,alg->abgl", np.eye(2), v)
-    z = network.contract(np.broadcast_to(site, (l1, l2, *site.shape))).real
+    shape = (l1, l2, *site.shape)
+    network.check_contract(shape, site.itemsize)  # before the grid, which numpy may refuse
+    z = network.contract(np.broadcast_to(site, shape)).real
     ground = float(v[0, 0, 0]) ** (l1 * l2)
     return PartitionResult(z, ground, z - ground)
 

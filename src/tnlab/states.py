@@ -27,6 +27,8 @@ from .lattice import LatticeSpec
 from .tensors import haar_unitary, is_hermitian, is_unitary, random_hermitian
 
 STATE_FORMAT = "tnlab-state-v1"
+# bytes that a state file's header line, its newline included, may take
+_HEADER_BYTES = 4096
 
 
 def _expm_herm(scale, h):
@@ -170,12 +172,15 @@ def load_state(path):
 
     Raises ResourceLimitError, before the body is read, when the body that the
     header implies exceeds network.NETWORK_BUDGET bytes, and ValueError unless
-    the body has exactly that length, every u_minus and u_plus is unitary,
-    every generator Hermitian and every theta finite; the message names the
-    first bad site.
+    the header line ends within its first _HEADER_BYTES bytes, the body has
+    exactly that length, every u_minus and u_plus is unitary, every generator
+    Hermitian and every theta finite; the message names the first bad site.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        line = fh.readline(_HEADER_BYTES)
+        if not line.endswith(b"\n"):
+            raise ValueError(f"no header line within the first {_HEADER_BYTES} bytes")
+        header = json.loads(line.decode())
         if not isinstance(header, dict) or header.get("format") != STATE_FORMAT:
             raise ValueError(f"expected a {STATE_FORMAT} header, got {header!r:.80}")
         try:

@@ -94,6 +94,17 @@ MUTANTS = (
            "max(log_x, L * log_x)", "L * log_x",
            _ids("test_bounds", "test_norm_excess_bound_asymptotic_rate",
                 "test_norm_excess_bound_in_log_space_matches_the_direct_form")),
+    Mutant("bounds_lone_flip_entry", "src/tnlab/bounds.py",
+           "global_loss_weights(D, d)[1, 0, 0]", "global_loss_weights(D, d)[0, 1, 0]",
+           _ids("test_bounds", "test_bounds_read_entries_of_the_global_table",
+                "test_bounds_are_the_correctly_rounded_rationals", "test_onsite_floor_prefactors")),
+    Mutant("quotient_fold_sign", "src/tnlab/losses.py",
+           "return 1.0 / z, -n / z**2", "return 1.0 / z, n / z**2",
+           _ids("test_losses", "test_gradients_match_finite_differences",
+                "test_gradients_match_on_wide_lattice",
+                "test_normalized_local_gradient_ignores_the_identity_part",
+                "test_local_normalized_gradient_matches_the_quotient_rule")
+           + _ids("test_acceptance", "test_criterion_07_gradient_oracle")),
     Mutant("observable_scale", "src/tnlab/losses.py",
            "o[0, 0], o[1, 1] = 1.0, -1.0", "o[0, 0], o[1, 1] = 1.0, -0.9",
            _ids("test_losses", "test_traceless_observable_is_hermitian_traceless_with_unit_scale")),

@@ -250,6 +250,22 @@ def closed_global_loss_weights(D, d):
     return v
 
 
+# The closed forms of the bounds' weights, one formula each: the oracle of the table entries
+# that `tnlab.bounds` reads.
+
+def closed_global_variance_ratio(D, d):
+    """Per-site decay ratio 2 (D^4 - 1/d) / ((D^2 d)^2 - 1) of the global-loss bound."""
+    return 2.0 * (D**4 - 1.0 / d) / ((D**2 * d) ** 2 - 1.0)
+
+
+def closed_onsite_floor_prefactors(D, d, tr_o2):
+    """(D^2 (1 - 1/d) / ((D^2 d)^2 - 1), D^2 tr O^2 / ((D^2 d)^2 - 1)): the two on-site floor
+    prefactors, for a traceless observable O."""
+    den = (D**2 * d) ** 2 - 1.0
+    return (D**2 * (1.0 - 1.0 / d) / den,
+            D**2 * tr_o2 / den)
+
+
 # The Boltzmann form of the two-layer Ising model. Spin-to-sign convention: down -> +1,
 # up -> -1. The couplings enter the per-site energy as H_site = -(J1*s1*(s3+s4) + J2*s1*s2
 # + hz*s1)/2: the printed form of the Hamiltonian in our source material carries a sign

@@ -87,6 +87,25 @@ def test_var_scan_past_dense_cap(tmp_path):
     assert code == 0
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("loss, n_undefined", [("global_normalized", 4), ("local_normalized", 7)])
+def test_undefined_statistics_are_null_in_json_and_nan_in_csv(tmp_path, loss, n_undefined):
+    # the jackknife errors of 2 samples are undefined: every site's, and with the local loss
+    # those of the distance profile too
+    out = tmp_path / "scan"
+    assert main(["var-scan", "--loss", loss, "--sizes", "2x2", "--samples", "2", "--seed", "1",
+                 "--out", str(out)]) == 0
+    text = (out / "var_scan_summary.json").read_text()
+    rec = json.loads(text, parse_constant=_refuse_constant)["records"][0]
+    assert text.count("null") == n_undefined
+    assert rec["std_error"] == [[None, None], [None, None]]
+    rows = (out / "var_scan_sites_2x2.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[3] for row in rows] == ["nan"] * 4
+
+
 def _output_lines(out):
     """Each output file's lines as bytes, without its elapsed_seconds line and the out path."""
     files = {}
@@ -241,17 +260,39 @@ PAST_FLOATS = str(10**160)
     ("norm-stats --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 1.43e+634 GiB"),
     ("var-scan --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 1.43e+634 GiB"),
     ("bounds --sizes 2x2 --bond-dim " + PAST_FLOATS, 2, "past the float range"),
+    ("bounds --sizes 2x2 --bond-dim " + str(10**77), 2, "past the float range"),
+    ("bounds --sizes 2x2 --phys-dim " + str(10**300), 2, "past the float range"),
     ("var-scan --sizes 2x100000000000 --samples 2", 4, "need about 1.14e+06 GiB"),
+    ("norm-stats --sizes 100000000000000000x2 --samples 2", 4, "above the network budget"),
+    ("norm-stats --sizes 99999999999999999999x2 --samples 2", 4, "above the network budget"),
+    ("bounds --sizes 1000000000000000000x1000000000000000000", 4, "above the network budget"),
 ], ids=["bounds_600x600", "norm_stats_bond_dim", "var_scan_bond_dim", "bounds_bond_dim",
-        "var_scan_long_side"])
+        "bounds_bond_dim_1e77", "bounds_phys_dim_1e300", "var_scan_long_side",
+        "norm_stats_1e17_rows", "norm_stats_1e20_rows", "bounds_1e18_sides"])
 def test_inputs_past_the_float_range_exit_without_a_traceback(tmp_path, capsys, args, code,
                                                                message):
-    # an OverflowError in a GiB figure or a closed form, or numpy's MemoryError for a target
-    # of 2e11 site vectors, would escape main as a traceback
+    # an OverflowError in a GiB figure or a closed form, numpy's MemoryError for a target
+    # of 2e11 site vectors, or numpy refusing a spin-model grid too large to index, would
+    # escape main as a traceback or exit 2 with numpy's words
     assert main([*args.split(), "--seed", "1", "--out", str(tmp_path / "x")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+# the largest bond dimension at d = 2 for which float((D^2 d)^2) is finite
+LAST_BOND_DIM = 81877371507464126481274413500799146583166247904903310212708975034400020612042
+
+
+@pytest.mark.parametrize("bond_dim, code", [(10**76, 0), (LAST_BOND_DIM, 0),
+                                            (LAST_BOND_DIM + 1, 2)])
+def test_bounds_refuses_dims_whose_square_leaves_the_float_range(tmp_path, bond_dim, code):
+    # the closed-form prefactors overflowed exactly from LAST_BOND_DIM + 1 on; the exact
+    # ones do not, and the command still refuses what it refused then
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--sizes", "2x2", "--seed", "1", "--bond-dim", str(bond_dim),
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("command, doc", [("polyomino", "polyomino_counts"), ("bounds", "bounds")])

@@ -25,7 +25,8 @@ def test_library_has_no_assert_statements():
 
 
 # the network entry points; everything else in `network` is its own business
-NETWORK_API = {"contract", "bra_ket", "check_bra_ket", "overlap", "NETWORK_BUDGET"}
+NETWORK_API = {"contract", "bra_ket", "check_bra_ket", "check_contract", "overlap",
+               "NETWORK_BUDGET"}
 
 
 def test_library_uses_only_the_network_entry_points():

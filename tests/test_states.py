@@ -514,6 +514,22 @@ def test_load_state_refuses_a_body_beyond_the_network_budget(tmp_path_factory, s
         _load_bytes(tmp_path_factory, json.dumps(header).encode() + b"\n" + data[header_len:])
 
 
+def test_load_state_refuses_a_header_without_a_newline_before_reading_it_whole(tmp_path):
+    # a 50 MB file of zero bytes, with no newline: an unbounded readline took all of it,
+    # a 101 MB peak
+    path = tmp_path / "state.tns"
+    with open(path, "wb") as fh:
+        fh.truncate(50_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no header line within the first 4096 bytes"):
+            load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @settings(max_examples=25, deadline=None)
 @given(frac=hst.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 def test_load_state_rejects_truncated_file(tmp_path_factory, saved_state, frac):

@@ -141,19 +141,46 @@ def column_transfer(tensors):
     return out.reshape(n, nB, nL, nb, nl).swapaxes(2, 3).reshape(n, nB * nb, nL * nl)
 
 
-def _check_ring(shape, transfer_bytes, other_bytes):
+# bytes of numpy's buffers that one ring call holds whatever the size of its chunk: a ufunc
+# over strided operands, such as the reordering sum of `_double_column`, buffers two of them
+# in np.getbufsize() = 8192 entries of float64, about 0.13 MB with their iterator
+BUFFER_BYTES = 2**17 + 2**12
+
+
+def _refusal(shape, amount):
+    """The ResourceLimitError of an (n, l1, l2, ...) chunk of rings that needs amount GiB."""
+    n_rings, *lattice = shape[:3]
+    n_cols, n_rows = max(lattice), min(lattice)
+    rings = (f"a ring of {n_cols} columns of {n_rows} sites needs" if n_rings == 1
+             else f"{n_rings} rings of {n_cols} columns of {n_rows} sites need")
+    return ResourceLimitError(f"{rings} {amount} GiB, above the network budget "
+                              f"of {gib(NETWORK_BUDGET)} GiB")
+
+
+def _check_rows(shape, floor):
+    """ResourceLimitError, before any transfer matrix is counted, when an (n, l1, l2, ...)
+    chunk of rings has more than 2**15 rows: more than 2**30 sites put floor, the bytes of
+    their site tensors or grids, past the budget, and the transfer matrices of so many rows
+    would have too many digits to count."""
+    if min(shape[1:3]) > 2**15:
+        raise _refusal(shape, f"more than {gib(floor)}")
+
+
+def _check_ring(shape, transfer_bytes, other_bytes, sweep):
     """Raise, before anything is built, when the rings of an (n, l1, l2, ...) chunk of
     site tensors cannot or may not be contracted; else return their charge.
 
     ValueError when a column has fewer than two sites (`column_transfer` would
-    contract a lone site with itself). ResourceLimitError when the ring would exceed
-    NETWORK_BUDGET bytes: 4 k - 4 transfer matrices of transfer_bytes each (k = n_cols),
-    each with 256 bytes of array header and views, and the other_bytes that the entry
-    point holds besides them. The counts follow what tracemalloc shows the rings to
-    hold at once:
-    - the workspace of a fused `bra_ket` pass, the largest, holds 3 k - 3 transfer
-      matrices (see the module docstring); the other k - 1 charged cover the copy of
-      each environment that a `contract` sweep sums against and numpy's buffers;
+    contract a lone site with itself). ResourceLimitError when the rings would exceed
+    NETWORK_BUDGET bytes: BUFFER_BYTES once, and per ring its transfer matrices, a
+    value's or, with sweep, a sweep's, of transfer_bytes each, each with 256 bytes of
+    array header and views, and the other_bytes that the entry point holds besides
+    them. The counts follow what tracemalloc shows the rings to hold at once (k = n_cols):
+    - a value ring holds k + 2: its k columns and the two products it takes turns
+      between (see `ring_value`), which a `_double_column` temporary uses first;
+    - a sweep is charged 4 k - 4: the workspace of a fused `bra_ket` pass, the largest,
+      holds 3 k - 3 transfer matrices (see the module docstring), and the other k - 1
+      cover the copy of each environment that a `contract` sweep sums against;
     - `bra_ket` is also charged k + 4 ket columns: the k columns, the op column's bra
       and two more, for the [bra, i bra] stack of `_double_column` or for a sweep
       tensor with its imaginary part; a sweep 2 n + 1 more (n = n_rows), for the
@@ -164,22 +191,19 @@ def _check_ring(shape, transfer_bytes, other_bytes):
       cast to complex and the einsum's working memory); a sweep 3 n transfer matrices
       more, for the rebuild of a column's rows: the chunk, its reordered copy and its
       last partial product.
-    Over k = 4, 5, 8 and 12 on lattices of 2 to 4 rows (D = 2 or 3; d = 2, 9 and 17),
-    the charge is 1.06-1.31 times the peak of a fused pass, 1.18-1.43 times that of a
-    plain sweep and 1.05-1.57 times that of an `overlap` sweep. At k = 3, rings charged
-    under 0.5 MB read down to 0.89, as numpy's ufunc buffers, up to about 0.13 MB
-    whatever the ring, are a large part of them. A chunk is charged that much per sample.
+    A chunk is charged that much per sample. Over k = 3, 4, 5, 8 and 12 on lattices of 2
+    to 4 rows (D = 2; d = 2 and 17), the charge is 1.03-1.71 times the traced peak of a
+    value ring, 1.25-1.62 times that of a fused pass and 1.32-1.87 times that of a plain
+    sweep; `contract` rings of bond D, which buffer less, read 2.3-17 times.
     """
     n_rings, *lattice = shape[:3]
     n_cols, n_rows = max(lattice), min(lattice)
     if n_rows < 2:
         raise ValueError("network columns need two sites: lattice sides must be >= 2")
-    need = n_rings * ((4 * n_cols - 4) * (transfer_bytes + 256) + other_bytes)
+    n_transfers = 4 * n_cols - 4 if sweep else n_cols + 2
+    need = BUFFER_BYTES + n_rings * (n_transfers * (transfer_bytes + 256) + other_bytes)
     if need > NETWORK_BUDGET:
-        rings = (f"a ring of {n_cols} columns of {n_rows} sites needs" if n_rings == 1
-                 else f"{n_rings} rings of {n_cols} columns of {n_rows} sites need")
-        raise ResourceLimitError(f"{rings} about {gib(need)} GiB, above the network budget "
-                                 f"of {gib(NETWORK_BUDGET)} GiB")
+        raise _refusal(shape, f"about {gib(need)}")
     return need
 
 
@@ -432,20 +456,15 @@ def check_contract(shape, itemsize, sweep=False):
     this shape and itemsize, with derivative tensors when sweep; else return the bytes that
     its ring is charged against NETWORK_BUDGET (see `_check_ring`)."""
     shape = tuple(map(operator.index, shape))  # Python ints, whose products cannot overflow
-    n_rows, n_cols = sorted(shape[:2])
     grids = 4 * math.prod(shape) * itemsize
-    if n_rows > 2**15:
-        # more than 2**30 sites put the grids alone past the budget; the transfer matrices
-        # of so many rows would have too many digits to count
-        raise ResourceLimitError(f"a ring of {n_cols} columns of {n_rows} sites needs more than "
-                                 f"{gib(grids)} GiB, above the network budget of "
-                                 f"{gib(NETWORK_BUDGET)} GiB")
+    _check_rows((1, *shape), grids)
+    n_rows = min(shape[:2])
     # the column's left and right legs, which swap with (a, g) when `_orient` transposes
     n_b, n_l = shape[2:6:2] if _transposed(shape) else shape[3:6:2]
     transfer_bytes = (n_b * n_l) ** n_rows * itemsize
     # a sweep also holds 3 n_rows transfer matrices' worth (see `_check_ring`)
     rebuilt = 3 * n_rows * transfer_bytes if sweep else 0
-    return _check_ring((1, *shape), transfer_bytes, grids + rebuilt)
+    return _check_ring((1, *shape), transfer_bytes, grids + rebuilt, sweep)
 
 
 def check_bra_ket(shape, dket=None):
@@ -454,14 +473,16 @@ def check_bra_ket(shape, dket=None):
     tensors dket; else return the bytes that its rings are charged against NETWORK_BUDGET
     (see `_check_ring`)."""
     _check_sweep(shape, dket)
+    shape = tuple(map(operator.index, shape))
     shape = (1, *shape) if len(shape) == 7 else shape
+    _check_rows(shape, math.prod(shape) * 16)
     _, l1, l2, D = shape[:4]
     n, d = min(l1, l2), shape[-1]
     # a sweep also holds 2 n + 1 ket columns' worth for a column's rebuilt rows (see
     # `_check_ring`)
     n_kets = max(l1, l2) + 4 + (0 if dket is None else 2 * n + 1)
     # the ring's transfer matrices are float64, half the bytes of the complex128 ket
-    return _check_ring(shape, D ** (4 * n) * 8, n_kets * (D * D * d) ** n * 16)
+    return _check_ring(shape, D ** (4 * n) * 8, n_kets * (D * D * d) ** n * 16, dket is not None)
 
 
 def bra_ket(ket, dket=None, site=None, op=None, fold=None):

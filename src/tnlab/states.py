@@ -67,12 +67,20 @@ class TNState:
         return dataclasses.replace(self, theta=thetas)
 
 
+# bytes per entry of a site's N x N unitary that drawing a state takes at its peak, in the
+# Haar QR: the (6, N, N) float64 draws, the complex Ginibre matrices, the QR's copy and
+# factors and the phase-fixed unitaries, 11.4-14.2 complex128 entries' worth by tracemalloc
+_DRAW_BYTES = 15 * 16
+# bytes per such entry that a built state holds while its norm is contracted: its three
+# factors, the cached exponential and the site tensors, at most 4.5 complex128 entries' worth
+_HELD_BYTES = 5 * 16
+
+
 def check_state_budget(spec, n_samples=1):
-    """ResourceLimitError if n_samples states of spec, with their draws, exceed
-    network.NETWORK_BUDGET; else the bytes they take."""
+    """ResourceLimitError if drawing n_samples states of spec would exceed
+    network.NETWORK_BUDGET at its peak; else the bytes it takes."""
     n = spec.unitary_dim
-    # a (6, N, N) float64 block of draws and three (N, N) complex128 factors per site
-    need = n_samples * spec.n_sites * n * n * (6 * 8 + 3 * 16)
+    need = n_samples * spec.n_sites * n * n * _DRAW_BYTES
     if need > network.NETWORK_BUDGET:
         states = "" if n_samples == 1 else f"{n_samples} states of "
         raise ResourceLimitError(
@@ -81,12 +89,17 @@ def check_state_budget(spec, n_samples=1):
     return need
 
 
-def sample_bytes(spec):
-    """Bytes that one state of spec takes to draw and to contract to its norm: what
-    `check_state_budget` and `network.bra_ket` charge for it. Raises as they do, before
-    anything is drawn, when one state does not fit the network budget."""
-    D, d = spec.D, spec.d
-    return check_state_budget(spec) + network.check_bra_ket((spec.l1, spec.l2, D, D, D, D, d))
+def sample_bytes(spec, n_samples=1):
+    """Bytes that a chunk of n_samples states of spec is charged to draw and then to contract
+    to its norms: the buffers of one ring call (network.BUFFER_BYTES), and per state the
+    larger of its draws (`check_state_budget`) and its norm ring (`network.check_bra_ket`)
+    beside what the built state holds. Raises as those checks do, before anything is drawn,
+    when one state does not fit the network budget."""
+    D, d, n = spec.D, spec.d, spec.unitary_dim
+    draws = check_state_budget(spec)
+    ring = network.check_bra_ket((spec.l1, spec.l2, D, D, D, D, d)) - network.BUFFER_BYTES
+    held = spec.n_sites * n * n * _HELD_BYTES
+    return network.BUFFER_BYTES + n_samples * max(draws, held + ring)
 
 
 def build_states(spec, rngs):
@@ -104,10 +117,13 @@ def build_states(spec, rngs):
     n = spec.unitary_dim
     raw = np.empty((n_samples, spec.l1, spec.l2, 6, n, n))
     theta = np.empty((n_samples, spec.l1, spec.l2))
-    for i, rng in enumerate(rngs):
-        for x, y in spec.sites():
-            rng.standard_normal(out=raw[i, x, y])
-            theta[i, x, y] = rng.uniform(0.0, 2.0 * np.pi)
+    # row-major site views; a uniform on [0, 2 pi) is 2 pi times rng.random(), bit for bit
+    for rng, draws, thetas in zip(rngs, raw.reshape(n_samples, -1, 6, n, n),
+                                  theta.reshape(n_samples, -1)):
+        for s, site in enumerate(draws):
+            rng.standard_normal(out=site)
+            thetas[s] = rng.random()
+    theta *= 2.0 * np.pi
     u = haar_unitary(raw[..., 0:4:2, :, :], raw[..., 1:4:2, :, :])
     generator = random_hermitian(raw[..., 4, :, :], raw[..., 5, :, :])
     return TNState(spec, u[..., 0, :, :], u[..., 1, :, :], generator, theta)

@@ -74,8 +74,12 @@ MUTANTS = (
            "budget = min(_CHUNK_BYTES, network.NETWORK_BUDGET)", "budget = _CHUNK_BYTES",
            _ids("test_spinmodel", "test_a_chunk_never_passes_the_network_budget")),
     Mutant("ring_charge_once_per_chunk", "src/tnlab/network.py",
-           "need = n_rings * (", "need = (",
+           "BUFFER_BYTES + n_rings * (", "BUFFER_BYTES + (",
            _ids("test_spinmodel", "test_the_state_and_ring_charges_count_the_sample_axis")),
+    Mutant("value_ring_charged_k_matrices", "src/tnlab/network.py",
+           "if sweep else n_cols + 2", "if sweep else n_cols",
+           _ids("test_states", "test_a_chunk_of_norms_spends_no_more_than_its_charge")
+           + _ids("test_network", "test_ring_budget_covers_what_a_ring_spends")),
     Mutant("one_state_value_as_numpy_float", "src/tnlab/network.py",
            "return float(out[0].real) if one else out.real",
            "return out[0].real if one else out.real",

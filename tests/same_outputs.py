@@ -30,6 +30,8 @@ COMMANDS = {
     "norm_seed3": ["norm-stats", "--seed", "3"],
     "norm_bond3": ["norm-stats", "--seed", "1", "--bond-dim", "3"],
     "norm_phys3": ["norm-stats", "--seed", "1", "--phys-dim", "3"],
+    # 403 samples leave a ragged last chunk at 3x3
+    "norm_3x3_ragged": ["norm-stats", "--sizes", "3x3", "--samples", "403", "--seed", "4"],
     "var_global": ["var-scan", "--samples", "200", "--seed", "2"],
     # 256-wide global sweeps: the 4x4 rings of the grad_scan benchmark
     "var_global_4x4": ["var-scan", "--sizes", "4x4", "--samples", "16", "--seed", "2"],

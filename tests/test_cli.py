@@ -244,11 +244,11 @@ def test_bounds_rejects_non_square_sizes(tmp_path, capsys):
 
 
 def test_resource_cap_message_keeps_its_figures_short(tmp_path, capsys):
-    # the 200x200 ring needs about 1.5e115 GiB
+    # the 200x200 ring needs about 3.9e114 GiB
     assert main(["bounds", "--sizes", "200x200", "--seed", "5",
                  "--out", str(tmp_path / "x")]) == 4
     assert capsys.readouterr().err == ("resource cap: a ring of 200 columns of 200 sites needs "
-                                       "about 1.53e+115 GiB, above the network budget of 1 GiB\n")
+                                       "about 3.89e+114 GiB, above the network budget of 1 GiB\n")
 
 
 # an integer past the float range, as a command line spells it out
@@ -256,13 +256,13 @@ PAST_FLOATS = str(10**160)
 
 
 @pytest.mark.parametrize("args, code, message", [
-    ("bounds --sizes 600x600", 4, "needs about 3.07e+356 GiB"),
-    ("norm-stats --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 1.43e+634 GiB"),
-    ("var-scan --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 1.43e+634 GiB"),
+    ("bounds --sizes 600x600", 4, "needs about 7.72e+355 GiB"),
+    ("norm-stats --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 3.58e+634 GiB"),
+    ("var-scan --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 3.58e+634 GiB"),
     ("bounds --sizes 2x2 --bond-dim " + PAST_FLOATS, 2, "past the float range"),
     ("bounds --sizes 2x2 --bond-dim " + str(10**77), 2, "past the float range"),
     ("bounds --sizes 2x2 --phys-dim " + str(10**300), 2, "past the float range"),
-    ("var-scan --sizes 2x100000000000 --samples 2", 4, "need about 1.14e+06 GiB"),
+    ("var-scan --sizes 2x100000000000 --samples 2", 4, "need about 2.86e+06 GiB"),
     ("norm-stats --sizes 100000000000000000x2 --samples 2", 4, "above the network budget"),
     ("norm-stats --sizes 99999999999999999999x2 --samples 2", 4, "above the network budget"),
     ("bounds --sizes 1000000000000000000x1000000000000000000", 4, "above the network budget"),

@@ -3,6 +3,7 @@
 import functools
 import re
 import resource
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from tnlab import network
+from tnlab.cli import main
 from tnlab.errors import ResourceLimitError, gib
 from tnlab.lattice import LatticeSpec
 from tnlab.spinmodel import exact_partition_function, norm_weights
@@ -241,6 +243,7 @@ def test_one_state_gives_python_numbers_and_a_chunk_one_value_per_state():
 # each ring kind of the network, on site tensors ket and derivatives dket
 _RINGS = {
     "value": lambda ket, dket: network.bra_ket(ket),
+    "contract": lambda ket, dket: network.overlap(ket, np.ones((*ket.shape[:2], ket.shape[-1]))),
     "sweep": lambda ket, dket: network.bra_ket(ket, dket),
     "fused": lambda ket, dket: network.bra_ket(ket, dket, (1, 1), np.eye(ket.shape[-1]),
                                                _quotient_fold),
@@ -251,14 +254,15 @@ _RINGS = {
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
 @pytest.mark.parametrize("rows, d, k", [
-    *(pytest.param(3, 2, k, id=f"transfer-bound-{k}") for k in (5, 8, 12)),
-    *(pytest.param(2, 17, k, id=f"ket-bound-{k}") for k in (5, 8, 12)),
+    *(pytest.param(3, 2, k, id=f"transfer-bound-{k}") for k in (3, 5, 8, 12)),
+    *(pytest.param(2, 17, k, id=f"ket-bound-{k}") for k in (3, 5, 8, 12)),
     # the 256-wide rings of the gradient benchmarks
     *(pytest.param(4, 2, k, id=f"256-wide-{k}") for k in (4, 5))])
 def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
     # the charge that `_check_ring` makes before any column is built is at least the
     # tracemalloc peak P of the ring itself: a budget of P - 1 bytes refuses the ring; the
-    # fused pass is the costliest ring, and its charge is within 1.5 P
+    # fused pass is the costliest ring, and its charge is within 1.5 P and the fixed charge
+    # for numpy's buffers, which a small ring's ufuncs do not fill
     ket, dket = _tensors(rows, k, 2, d, k)
     run = _RINGS[ring]
     tracemalloc.start()
@@ -271,7 +275,7 @@ def test_ring_budget_covers_what_a_ring_spends(rows, d, k, ring, monkeypatch):
     with pytest.raises(ResourceLimitError, match="network budget"):
         run(ket, dket)
     if ring == "fused":
-        monkeypatch.setattr(network, "NETWORK_BUDGET", int(1.5 * peak))
+        monkeypatch.setattr(network, "NETWORK_BUDGET", int(1.5 * peak) + network.BUFFER_BYTES)
         run(ket, dket)
 
 
@@ -287,6 +291,28 @@ def test_a_repeated_sweep_takes_almost_no_fresh_pages(l1, l2):
     for _ in range(repeats):
         network.bra_ket(ket, dket)
     assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats < 100
+
+
+def test_a_repeated_norm_estimate_takes_almost_no_fresh_pages(tmp_path):
+    # `norm-stats` at its default sizes, in chunks that hold the same arrays from call to
+    # call; chunks charged a sweep's ring took 9,336 minor page faults a run at 400 samples
+    argv = ["norm-stats", "--samples", "400", "--seed", "3", "--out", str(tmp_path)]
+    main(argv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    main(argv)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+@pytest.mark.parametrize("check", [network.check_bra_ket,
+                                   lambda shape: network.check_contract(shape[:6], 16)],
+                         ids=["bra_ket", "contract"])
+def test_a_lattice_of_more_than_2_to_the_15_rows_is_refused_before_it_is_counted(check):
+    # (D^4)**(10**8) would take a long time to form, and longer to print in GiB; the
+    # site tensors alone of 2**30 sites or more are far past the budget
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="sites needs more than .* GiB, above the network"):
+        check((10**8, 10**8, 2, 2, 2, 2, 2))
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=200, deadline=None)

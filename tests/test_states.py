@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import stats as scipy_stats
 
@@ -22,7 +22,8 @@ from tnlab.losses import (GLOBAL_NORMALIZED, GLOBAL_PURE, LOCAL_KINDS, LOCAL_NOR
                           LOCAL_UNNORMALIZED, LossSpec, gradient_map, loss_value, plus_projector,
                           plus_target)
 from tnlab.states import (TNState, build_state, build_states, load_state,
-                          local_derivative_tensor, local_tensor, norm_squared, save_state)
+                          local_derivative_tensor, local_tensor, norm_squared, sample_bytes,
+                          save_state)
 from tnlab.tensors import is_unitary
 
 from oracles import dense_amplitudes, sample_hermitian, sample_unitary
@@ -159,6 +160,27 @@ def test_a_chunk_of_norms_is_the_norms_taken_one_by_one(l1, l2, D, d, picks, see
     assert np.array_equal(norm_squared(chunk), [network.bra_ket(t) for t in ket])
     assert np.array_equal(network.bra_ket(ket, site=(l1 - 1, 0), op=op),
                           [network.bra_ket(t, site=(l1 - 1, 0), op=op) for t in ket])
+
+
+@settings(max_examples=20, deadline=None)
+@given(lattice=hst.sampled_from([(2, 2), (2, 3), (3, 3)]), D=hst.sampled_from([2, 3]),
+       d=hst.sampled_from([2, 3]), n_samples=hst.integers(1, 8))
+@example(lattice=(3, 3), D=2, d=2, n_samples=4)  # the chunk of norm-stats at 3x3
+def test_a_chunk_of_norms_spends_no_more_than_its_charge(lattice, D, d, n_samples):
+    # the tracemalloc peak of drawing a chunk, building its site tensors and contracting
+    # its norms, as the norm estimate does, is at most what `sample_bytes` charges the
+    # chunk; tracemalloc sees numpy's arrays and ufunc buffers, but not the workspace that
+    # BLAS and LAPACK allocate inside a product, a QR or an eigh
+    spec = LatticeSpec(*lattice, D, d)
+    norm_squared(build_state(spec, np.random.default_rng(0)))  # numpy's first-call setup
+    rngs = [np.random.default_rng(n_samples)] * n_samples
+    tracemalloc.start()
+    try:
+        norm_squared(build_states(spec, rngs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sample_bytes(spec, n_samples)
 
 
 def test_a_sweep_takes_one_state():

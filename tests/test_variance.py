@@ -126,7 +126,7 @@ def test_mc_second_moment_is_the_same_for_every_chunk_size(l1, l2, D, d, n_sampl
     for chunk in range(1, 8):
         chunk_rng = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tnlab.spinmodel, "_CHUNK_BYTES", chunk * sample_bytes(spec))
+            patch.setattr(tnlab.spinmodel, "_CHUNK_BYTES", sample_bytes(spec, chunk))
             assert tnlab.spinmodel._chunk_size(spec) == chunk
             assert mc_second_moment(spec, n_samples, chunk_rng) == expected
         assert chunk_rng.bit_generator.state == rng.bit_generator.state

@@ -7,10 +7,12 @@ upper-bound chains) or cancel in ratios between sizes.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
+from .losses import traceless_observable
 from .polyomino import directed_gf
-from .spinmodel import _dims, global_loss_weights, norm_weights
+from .spinmodel import _dims, exact_partition_function, global_loss_weights, norm_weights
 from .tensors import weingarten_s2
 
 GF_RESCALE = 25.0 / 26.0    # area rescale keeping the generating function finite
@@ -61,11 +63,6 @@ def _log_norm_excess_bound(L, D, d):
     return math.log(L / (1.0 - p_u)) + max(log_x, L * log_x)
 
 
-def norm_excess_report(L, D, d, z_exact):
-    return _upper_report("norm_excess", {"L": L, "D": D, "d": d},
-                         norm_excess_bound(L, D, d), z_exact - 1.0)
-
-
 def global_variance_ratio(D, d):
     """Per-site decay ratio 2 g_max of the global-loss bound: twice the no-flip global entry."""
     return 2.0 * float(global_loss_weights(D, d)[0, 0, 0])
@@ -77,12 +74,35 @@ def global_variance_bound(n_sites, D, d):
     return 2.0**n_sites * g_max ** (n_sites - 1)
 
 
-def onsite_floor_prefactors(D, d, tr_o2):
-    """The two explicit on-site variance floor prefactors, for a traceless observable O: the
-    lone-flip global entry t[1, 0, 0], and tr O^2 D^2 Wg(swap, swap), the one term of that
+def _tr_o2():
+    """tr O^2 of `losses.traceless_observable`, 2.0 at every d."""
+    o = traceless_observable(2)
+    return float((o @ o).trace().real)
+
+
+def onsite_floor_prefactors(D, d):
+    """The two explicit on-site variance floor prefactors, for O = `losses.traceless_observable`:
+    the lone-flip global entry t[1, 0, 0], and tr O^2 D^2 Wg(swap, swap), the one term of that
     entry that survives when the physical legs close on O (x) O."""
-    if tr_o2 <= 0:
-        raise ValueError("tr(O^2) must be positive")
     D, d = _dims(D, d)
     w, den = weingarten_s2(D * D * d)
-    return float(global_loss_weights(D, d)[1, 0, 0]), tr_o2 * (D * D * w[1, 1] / den)
+    return float(global_loss_weights(D, d)[1, 0, 0]), _tr_o2() * (D * D * w[1, 1] / den)
+
+
+def reports(D, d, sides):
+    """The `tnlab bounds` reports: `norm_excess` at each side L in sides against the exact Z - 1,
+    `global_variance_ratio` below 1 on the grid {2, 3, 4}^2 of (D, d), and the observable on-site
+    prefactor above the generic one. ValueError before any contraction when a prefactor is not
+    a normal float, where it has lost digits, or is 0.0 and the slack divides by zero."""
+    pre_generic, pre_obs = onsite_floor_prefactors(D, d)
+    if min(pre_generic, pre_obs) < sys.float_info.min:
+        raise ValueError(f"the on-site floor prefactors underflow at this D and d: "
+                         f"{pre_generic:.3g} and {pre_obs:.3g}, below {sys.float_info.min:.3g}")
+    table = norm_weights(D, d)
+    out = [_upper_report("norm_excess", {"L": L, "D": D, "d": d}, norm_excess_bound(L, D, d),
+                         exact_partition_function(L, L, table).z - 1.0) for L in sides]
+    out += [_upper_report("global_variance_ratio", {"D": dd, "d": dp}, 1.0,
+                          global_variance_ratio(dd, dp)) for dd in (2, 3, 4) for dp in (2, 3, 4)]
+    # its own slack: `_upper_report` floors `compared` at 1e-300, above pre_generic at large d
+    return out + [BoundReport("onsite_floor_prefactor", {"D": D, "d": d, "tr_o2": _tr_o2()},
+                              pre_obs, pre_generic, pre_generic <= pre_obs, pre_obs / pre_generic)]

@@ -102,6 +102,10 @@ MUTANTS = (
            "global_loss_weights(D, d)[1, 0, 0]", "global_loss_weights(D, d)[0, 1, 0]",
            _ids("test_bounds", "test_bounds_read_entries_of_the_global_table",
                 "test_bounds_are_the_correctly_rounded_rationals", "test_onsite_floor_prefactors")),
+    Mutant("bounds_refuse_only_zero", "src/tnlab/bounds.py",
+           "min(pre_generic, pre_obs) < sys.float_info.min", "min(pre_generic, pre_obs) == 0.0",
+           _ids("test_bounds", "test_reports_in_order_refusing_subnormal_prefactors_first")
+           + _ids("test_cli", "test_bounds_refuses_only_dims_whose_prefactors_underflow")),
     Mutant("quotient_fold_sign", "src/tnlab/losses.py",
            "return 1.0 / z, -n / z**2", "return 1.0 / z, n / z**2",
            _ids("test_losses", "test_gradients_match_finite_differences",

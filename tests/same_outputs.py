@@ -43,6 +43,8 @@ COMMANDS = {
     "bounds_dims3": ["bounds", "--seed", "5", "--bond-dim", "3", "--phys-dim", "3"],
     "bounds_phys1e17": ["bounds", "--seed", "5", "--sizes", "2x2,3x3",
                         "--phys-dim", "100000000000000000"],
+    # and at a huge D, the integer written out
+    "bounds_bond1e76": ["bounds", "--seed", "5", "--sizes", "2x2", "--bond-dim", str(10**76)],
 }
 
 # the two fields that differ between runs of the same command: the wall time and --out

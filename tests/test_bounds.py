@@ -13,7 +13,7 @@ from hypothesis import strategies as hst
 import tnlab
 from tnlab import bounds
 from tnlab.bounds import (GF_RESCALE, global_variance_bound, global_variance_ratio,
-                          norm_excess_bound, norm_excess_report, onsite_floor_prefactors)
+                          norm_excess_bound, onsite_floor_prefactors)
 from tnlab.lattice import LatticeSpec
 from tnlab.losses import GLOBAL_PURE, LossSpec, plus_target
 from tnlab.polyomino import directed_gf
@@ -35,9 +35,9 @@ def test_decay_parameters_at_2_2():
 
 def test_norm_excess_bound_dominates_exact_values():
     tab = norm_weights(2, 2)
-    for L in (2, 3, 4):
+    for L, report in zip((2, 3, 4), bounds.reports(2, 2, [2, 3, 4])):
         z = exact_partition_function(L, L, tab).z
-        report = norm_excess_report(L, 2, 2, z)
+        assert report.params == {"L": L, "D": 2, "d": 2}
         assert report.satisfied
         assert report.compared == z - 1.0
         assert report.slack > 1.0
@@ -46,7 +46,7 @@ def test_norm_excess_bound_dominates_exact_values():
 @pytest.mark.parametrize("L", [139, 150, 189])
 def test_an_infinite_bound_is_never_satisfied(L):
     # at D = d = 2 the norm bound overflows to inf for L = 139..189; inf bounds nothing
-    report = norm_excess_report(L, 2, 2, 0.5)
+    report = bounds._upper_report("norm_excess", {}, norm_excess_bound(L, 2, 2), 0.5)
     assert report.bound == np.inf
     assert not report.satisfied and not asdict(report)["satisfied"]
 
@@ -73,7 +73,7 @@ def test_bounds_read_entries_of_the_global_table():
     for D, d in itertools.product(range(2, 7), repeat=2):
         g = global_loss_weights(D, d)
         assert global_variance_ratio(D, d) == 2 * g[0, 0, 0]
-        generic, _ = onsite_floor_prefactors(D, d, tr_o2=2.0)
+        generic, _ = onsite_floor_prefactors(D, d)
         assert generic == g[1, 0, 0]
 
 
@@ -87,13 +87,13 @@ def test_bounds_are_the_correctly_rounded_rationals(D, d):
     exact = (Fraction(2 * (D**4 * d - 1), d * (n * n - 1)),
              Fraction(D * D * (d - 1), d * (n * n - 1)),
              Fraction(2 * D * D, n * n - 1))
-    values = (global_variance_ratio(D, d), *onsite_floor_prefactors(D, d, tr_o2=2.0))
+    values = (global_variance_ratio(D, d), *onsite_floor_prefactors(D, d))
     closed = (closed_global_variance_ratio(D, d), *closed_onsite_floor_prefactors(D, d, 2.0))
     assert values == tuple(float(q) for q in exact)
     assert all(abs(v - c) <= 2 * np.spacing(c) for v, c in zip(values, closed))
     for dims in ((float(D), d), (D, float(d)), (True, d)):
         for value in (lambda: global_variance_ratio(*dims),
-                      lambda: onsite_floor_prefactors(*dims, tr_o2=2.0),
+                      lambda: onsite_floor_prefactors(*dims),
                       lambda: global_loss_weights(*dims)):
             with pytest.raises(ValueError):
                 value()
@@ -121,16 +121,27 @@ def test_global_variance_reports_fitted_at_smallest_size():
 
 
 def test_onsite_floor_prefactors():
-    generic, scaled = onsite_floor_prefactors(2, 2, tr_o2=2.0)
+    generic, scaled = onsite_floor_prefactors(2, 2)
     assert abs(generic - 2.0 / 63.0) < 1e-15
     assert abs(scaled - 8.0 / 63.0) < 1e-15
-    with pytest.raises(ValueError):
-        onsite_floor_prefactors(2, 2, tr_o2=0.0)
+
+
+def test_reports_in_order_refusing_subnormal_prefactors_first(monkeypatch):
+    names = [r.name for r in bounds.reports(2, 2, [2, 3])]
+    assert names == 2 * ["norm_excess"] + 9 * ["global_variance_ratio"] + ["onsite_floor_prefactor"]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a partition function was contracted")
+
+    # at D = 10**154, d = 2 the generic prefactor is 1.25e-309: subnormal, not yet 0.0
+    monkeypatch.setattr(bounds, "exact_partition_function", no_work)
+    with pytest.raises(ValueError, match="on-site floor prefactors underflow"):
+        bounds.reports(10**154, 2, [2])
 
 
 def test_onsite_floor_prefactor_asymptotics():
     # vanishes like 1/(D^2 d^2) at large bond dimension
-    vals = [onsite_floor_prefactors(D, 2, 2.0)[0] for D in (8, 16, 32)]
+    vals = [onsite_floor_prefactors(D, 2)[0] for D in (8, 16, 32)]
     for D, v in zip((8, 16, 32), vals):
         assert 0.2 < v * (D**2 * 4) < 1.2
     assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.05)

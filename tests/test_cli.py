@@ -1,9 +1,15 @@
 """Tests for the command-line front end: outputs, determinism, exit codes."""
 
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import tnlab
 from tnlab.cli import main
@@ -194,10 +200,11 @@ def test_bounds_command(tmp_path):
     assert {"norm_excess", "global_variance_ratio", "onsite_floor_prefactor"} <= names
 
 
-@pytest.mark.parametrize("phys_dim", [10**15, 10**17, 10**40])
+@pytest.mark.parametrize("phys_dim", [10**15, 10**17, 10**40, 10**152])
 def test_bounds_command_at_a_huge_physical_dimension(tmp_path, phys_dim):
     # the norm bound takes the generating function at q of order 1/d, where the unrationalized
-    # p/2 (sqrt(rad) - 1) cancels to 0 and log(0) ends the command with "math domain error"
+    # p/2 (sqrt(rad) - 1) cancels to 0 and log(0) ends the command with "math domain error";
+    # at 10**152 the generic on-site prefactor, 2.5e-305, is still a normal float
     out = tmp_path / "bounds"
     assert main(["bounds", "--sizes", "2x2", "--seed", "1", "--phys-dim", str(phys_dim),
                  "--out", str(out)]) == 0
@@ -213,6 +220,7 @@ def test_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
         raise AssertionError("the command ran before --out was checked")
 
     monkeypatch.setattr(tnlab.cli, "exact_partition_function", no_work)
+    monkeypatch.setattr(tnlab.bounds, "reports", no_work)
     assert main(["bounds", "--sizes", "2x2", "--seed", "5", "--out", str(tmp_path / out)]) == 2
     assert "is not a writable directory" in capsys.readouterr().err
     assert (tmp_path / "file").read_text() == "kept\n"
@@ -259,16 +267,14 @@ PAST_FLOATS = str(10**160)
     ("bounds --sizes 600x600", 4, "needs about 7.72e+355 GiB"),
     ("norm-stats --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 3.58e+634 GiB"),
     ("var-scan --sizes 2x2 --samples 2 --bond-dim " + PAST_FLOATS, 4, "need about 3.58e+634 GiB"),
-    ("bounds --sizes 2x2 --bond-dim " + PAST_FLOATS, 2, "past the float range"),
-    ("bounds --sizes 2x2 --bond-dim " + str(10**77), 2, "past the float range"),
-    ("bounds --sizes 2x2 --phys-dim " + str(10**300), 2, "past the float range"),
+    ("bounds --sizes 2x2 --bond-dim " + PAST_FLOATS, 2, "on-site floor prefactors underflow"),
     ("var-scan --sizes 2x100000000000 --samples 2", 4, "need about 2.86e+06 GiB"),
     ("norm-stats --sizes 100000000000000000x2 --samples 2", 4, "above the network budget"),
     ("norm-stats --sizes 99999999999999999999x2 --samples 2", 4, "above the network budget"),
     ("bounds --sizes 1000000000000000000x1000000000000000000", 4, "above the network budget"),
 ], ids=["bounds_600x600", "norm_stats_bond_dim", "var_scan_bond_dim", "bounds_bond_dim",
-        "bounds_bond_dim_1e77", "bounds_phys_dim_1e300", "var_scan_long_side",
-        "norm_stats_1e17_rows", "norm_stats_1e20_rows", "bounds_1e18_sides"])
+        "var_scan_long_side", "norm_stats_1e17_rows", "norm_stats_1e20_rows",
+        "bounds_1e18_sides"])
 def test_inputs_past_the_float_range_exit_without_a_traceback(tmp_path, capsys, args, code,
                                                                message):
     # an OverflowError in a GiB figure or a closed form, numpy's MemoryError for a target
@@ -280,19 +286,46 @@ def test_inputs_past_the_float_range_exit_without_a_traceback(tmp_path, capsys, 
     assert not (tmp_path / "x").exists()
 
 
-# the largest bond dimension at d = 2 for which float((D^2 d)^2) is finite
-LAST_BOND_DIM = 81877371507464126481274413500799146583166247904903310212708975034400020612042
+UNDERFLOW = ("invalid configuration: the on-site floor prefactors underflow at this D and d: "
+             "{} and {}, below 2.23e-308\n")
 
 
-@pytest.mark.parametrize("bond_dim, code", [(10**76, 0), (LAST_BOND_DIM, 0),
-                                            (LAST_BOND_DIM + 1, 2)])
-def test_bounds_refuses_dims_whose_square_leaves_the_float_range(tmp_path, bond_dim, code):
-    # the closed-form prefactors overflowed exactly from LAST_BOND_DIM + 1 on; the exact
-    # ones do not, and the command still refuses what it refused then
+@pytest.mark.parametrize("flag, dim, message", [
+    ("--bond-dim", 10**77, None), ("--bond-dim", 10**150, None),
+    ("--bond-dim", 10**154, UNDERFLOW.format("1.25e-309", "5e-309")),
+    ("--phys-dim", 10**300, UNDERFLOW.format(0, 0))])
+def test_bounds_refuses_only_dims_whose_prefactors_underflow(tmp_path, capsys, flag, dim,
+                                                             message):
+    # the on-site prefactors fall like 1 / (D d)^2; below the least normal float they lose
+    # digits, and at 0.0 their ratio divides by zero
     out = tmp_path / "bounds"
-    assert main(["bounds", "--sizes", "2x2", "--seed", "1", "--bond-dim", str(bond_dim),
-                 "--out", str(out)]) == code
-    assert out.exists() == (code == 0)
+    code = main(["bounds", "--sizes", "2x2", "--seed", "1", flag, str(dim), "--out", str(out)])
+    if message is None:
+        assert code == 0
+        assert all(r["satisfied"] for r in read_json(out / "bounds.json")["reports"])
+    else:
+        assert code == 2 and capsys.readouterr().err == message
+        assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=hst.tuples(*2 * [hst.integers(1, 200).flatmap(
+    lambda k: hst.integers(max(2, 10 ** (k - 1)), 10**k))]))
+def test_bounds_at_any_dims_reports_finite_values_or_names_the_underflow(dims):
+    # D and d of 1 to 200 digits, about log-uniform in [2, 10**200]: a run either writes
+    # finite, satisfied reports or exits 2 before writing anything
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "bounds"
+        code = main(["bounds", "--sizes", "2x2", "--seed", "1", "--bond-dim", str(dims[0]),
+                     "--phys-dim", str(dims[1]), "--out", str(out)])
+        if code == 0:
+            reports = read_json(out / "bounds.json")["reports"]
+            assert all(r[k] is not None for r in reports for k in ("bound", "compared", "slack"))
+            assert all(r["satisfied"] for r in reports)
+        else:
+            assert code == 2 and "on-site floor prefactors underflow" in err.getvalue()
+            assert not out.exists()
+        assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command, doc", [("polyomino", "polyomino_counts"), ("bounds", "bounds")])

@@ -10,9 +10,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .errors import integer
 from .losses import traceless_observable
 from .polyomino import directed_gf
-from .spinmodel import _dims, exact_partition_function, global_loss_weights, norm_weights
+from .spinmodel import exact_partition_function, global_loss_weights, norm_weights
 from .tensors import weingarten_s2
 
 GF_RESCALE = 25.0 / 26.0    # area rescale keeping the generating function finite
@@ -84,7 +85,7 @@ def onsite_floor_prefactors(D, d):
     """The two explicit on-site variance floor prefactors, for O = `losses.traceless_observable`:
     the lone-flip global entry t[1, 0, 0], and tr O^2 D^2 Wg(swap, swap), the one term of that
     entry that survives when the physical legs close on O (x) O."""
-    D, d = _dims(D, d)
+    D, d = integer(D, "D", 2), integer(d, "d", 2)
     w, den = weingarten_s2(D * D * d)
     return float(global_loss_weights(D, d)[1, 0, 0]), _tr_o2() * (D * D * w[1, 1] / den)
 

@@ -29,7 +29,7 @@ from .errors import ResourceLimitError
 from .lattice import LatticeSpec
 from .losses import (GLOBAL_NORMALIZED, LOCAL_NORMALIZED, LossSpec,
                      plus_projector, plus_target)
-from .polyomino import (_check_area, enumerate_directed, series_coefficients, stats,
+from .polyomino import (check_area, enumerate_directed, series_coefficients, stats,
                         verify_decomposition)
 from .spinmodel import exact_partition_function, mc_second_moment, norm_weights
 from .states import check_state_budget
@@ -165,7 +165,7 @@ def cmd_var_scan(config, loss_kind):
 def cmd_polyomino(config, max_area):
     t0 = time.monotonic()
     # the area and then the sizes go first, so that a bad one exits before any enumeration
-    _check_area(max_area)
+    check_area(max_area)
     bridge_rows = [("L", "n_valid_configs", "n_violations")]
     bridge_ok = True
     bridge_records = []

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the byte counts in their messages."""
+"""Exception types shared across the package, the byte counts in their messages, and the one
+rule for integer arguments: sizes, dimensions and counts."""
 
 import math
+from numbers import Integral
 
 
 class ResourceLimitError(RuntimeError):
@@ -23,3 +25,19 @@ def gib(nbytes):
         return text
     mantissa, exponent = text.split("e")
     return f"{mantissa}e+{int(exponent) + shift}"
+
+
+def is_integer(value):
+    """Whether value is an integer: any `numbers.Integral`, numpy integers included, but `bool`."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def integer(value, name, minimum):
+    """value as a Python int, whose arithmetic cannot overflow; ValueError naming the argument
+    name unless `is_integer(value)` and value >= minimum."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return value

@@ -1,7 +1,8 @@
 """Torus geometry: lattice sizes, site indexing, and toric distances."""
 
 from dataclasses import dataclass
-from numbers import Integral
+
+from .errors import integer
 
 
 @dataclass(frozen=True)
@@ -9,7 +10,8 @@ class LatticeSpec:
     """An l1 x l2 periodic lattice with bond dimension D and physical dimension d.
 
     Sites are (x, y) with x in [0, l1) (rows) and y in [0, l2) (columns); the
-    successors of (x, y) are ((x+1) % l1, y) and (x, (y+1) % l2).
+    successors of (x, y) are ((x+1) % l1, y) and (x, (y+1) % l2). Each of l1, l2, D and d
+    is an integer of at least 2, stored as a Python int (see `errors.integer`).
     """
 
     l1: int
@@ -19,13 +21,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         for name in ("l1", "l2", "D", "d"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.l1 < 2 or self.l2 < 2:
-            raise ValueError("lattice sides must both be >= 2")
-        if self.D < 2 or self.d < 2:
-            raise ValueError("bond and physical dimensions must be >= 2")
+            object.__setattr__(self, name, integer(getattr(self, name), name, 2))
 
     @property
     def n_sites(self):

@@ -85,7 +85,7 @@ import operator
 
 import numpy as np
 
-from .errors import ResourceLimitError, gib
+from .errors import ResourceLimitError, gib, is_integer
 
 # bytes that one ring's transfer matrices, ket columns, grids and environments may take
 NETWORK_BUDGET = 2**30
@@ -519,7 +519,7 @@ def bra_ket(ket, dket=None, site=None, op=None, fold=None):
     c = 0
     if site is not None:
         if not (isinstance(site, (tuple, list, np.ndarray)) and len(site) == 2
-                and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in site)
+                and all(is_integer(i) for i in site)
                 and 0 <= site[0] < l1 and 0 <= site[1] < l2):
             raise ValueError(f"site {site} is not a site of the {l1} x {l2} lattice")
         if np.shape(op) != (d, d):

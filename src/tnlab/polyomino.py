@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, integer, is_integer
 
 SERIES_BUDGET = 24
 TORIC_BUDGET = 4
@@ -53,7 +53,7 @@ def stats(cells):
             x, y = cell
         except (TypeError, ValueError):  # not iterable, or not of length 2
             x = y = None
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (x, y)):
+        if not (is_integer(x) and is_integer(y)):
             raise ValueError(f"a plane cell is a pair of integers, got {cell!r}")
         s.add((int(x), int(y)))  # Python ints: a step never wraps
     # exposed[0] is |S \ (S + e_x)|, the upper perimeter
@@ -69,13 +69,13 @@ class PolyominoCounts:
     counts: dict
 
 
-def _check_area(m_max):
-    if isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)):
-        raise ValueError(f"the maximum area must be an integer, got {m_max!r}")
-    if m_max < 1:
-        raise ValueError(f"the maximum area must be at least 1, got {m_max}")
+def check_area(m_max):
+    """Raise as `enumerate_directed` and `series_coefficients` do, before any count, for the
+    maximum area m_max; else return it as a Python int."""
+    m_max = integer(m_max, "the maximum area", 1)
     if m_max > SERIES_BUDGET:
         raise ResourceLimitError(f"directed-polyomino counts capped at area {SERIES_BUDGET}")
+    return m_max
 
 
 def enumerate_directed(m_max):
@@ -88,7 +88,7 @@ def enumerate_directed(m_max):
     keeps its counts per upper perimeter so far (Dhar, PRL 49, 959, 1982).
     Raises ValueError below area 1 and ResourceLimitError above SERIES_BUDGET.
     """
-    _check_area(m_max)
+    m_max = check_area(m_max)
     counts = Counter()
     layer = {(1, 1): {0: 1}}
     while layer:
@@ -135,7 +135,7 @@ def series_coefficients(m_max):
     D_{m,n} is its p^(n-1) coefficient at k = m. Raises ValueError below area 1
     and ResourceLimitError above SERIES_BUDGET.
     """
-    _check_area(m_max)
+    m_max = check_area(m_max)
     width = m_max + 1  # h_k and r_(k-1) have p-degree k - 1
 
     def poly(*coeffs):
@@ -161,13 +161,9 @@ def enumerate_toric(L):
 
     Raises ValueError unless L is an integer of at least 1, ResourceLimitError above TORIC_BUDGET.
     """
-    if isinstance(L, bool) or not isinstance(L, (int, np.integer)):
-        raise ValueError(f"torus side must be an integer, got L = {L!r}")
-    if L < 1:
-        raise ValueError(f"torus side must be at least 1, got L = {L}")
+    L = integer(L, "torus side", 1)
     if L > TORIC_BUDGET:
         raise ResourceLimitError(f"toric enumeration capped at L = {TORIC_BUDGET}")
-    L = int(L)
     cells = L * L
     full = (1 << cells) - 1
     last = full // ((1 << L) - 1) << (L - 1)  # bit y = L - 1 of every row

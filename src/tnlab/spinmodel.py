@@ -21,12 +21,11 @@ states at 2x2, 2x3 and 3x3 for D = d = 2.
 
 import itertools
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import network
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, integer
 from .states import norm_squared, sample_bytes
 from .tensors import weingarten_s2
 from .variance import sample_values
@@ -37,13 +36,6 @@ _ENUM_CHUNK = 2**20
 # least multiple of 256 KiB that holds 4 states at 3x3 (D = d = 2), where fewer states pay
 # more fixed cost per call; it holds 19 at 2x2 and 12 at 2x3
 _CHUNK_BYTES = 5 * 2**18
-
-
-def _dims(D, d):
-    """D and d as Python ints; ValueError unless both are integers >= 2 (bool excluded)."""
-    if any(isinstance(v, bool) or not isinstance(v, Integral) or v < 2 for v in (D, d)):
-        raise ValueError(f"D and d must be >= 2 (integers, not bool), got {D!r} and {d!r}")
-    return int(D), int(d)
 
 
 def _s2_table(D, d, closure):
@@ -60,13 +52,13 @@ def _s2_table(D, d, closure):
 
 def norm_weights(D, d):
     """Single-site weights of the norm second moment: the physical legs close as d^c(sigma)."""
-    D, d = _dims(D, d)
+    D, d = integer(D, "D", 2), integer(d, "d", 2)
     return _s2_table(D, d, (d * d, d))
 
 
 def global_loss_weights(D, d):
     """Single-site weights of the global-loss second moment: a product target closes both."""
-    return _s2_table(*_dims(D, d), (1, 1))
+    return _s2_table(integer(D, "D", 2), integer(d, "d", 2), (1, 1))
 
 
 def _checked(table):
@@ -142,8 +134,7 @@ def mc_second_moment(spec, n_samples, rng):
     The states are drawn and contracted a chunk at a time, which gives the same values
     as one at a time.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    n_samples = integer(n_samples, "n_samples", 2)
     vals, _ = sample_values(spec, lambda states: norm_squared(states) ** 2,
                             itertools.repeat(rng, n_samples), _chunk_size(spec))
     mean = float(np.mean(vals))

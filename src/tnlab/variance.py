@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, integer
 from .lattice import LatticeSpec
 from .losses import LOCAL_KINDS, LossSpec, gradient_map
 from .states import build_states
@@ -94,10 +94,7 @@ def _scan_job(job):
 
 def variance_scan(spec, loss, n_samples, seed, workers=1):
     """Empirical per-site Var(d loss/d theta) over n_samples independent states."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    n_samples, workers = integer(n_samples, "n_samples", 2), integer(workers, "workers", 1)
     t0 = time.monotonic()
     n_jobs = min(workers, n_samples)
     jobs = [(spec, loss, seed, k * n_samples // n_jobs, (k + 1) * n_samples // n_jobs)

@@ -40,6 +40,15 @@ class Mutant(NamedTuple):
 # why |S \ (S + e)| = |S \ (S - e)|, on the plane and on the torus
 RUNS = "each run of cells along e has one first and one last cell"
 
+# the arguments that tests/test_errors.py puts to the integer rule
+INTEGER_ARGUMENTS = ("LatticeSpec.l1", "LatticeSpec.l2", "LatticeSpec.D", "LatticeSpec.d",
+                     "norm_weights.D", "norm_weights.d", "global_loss_weights.D",
+                     "global_loss_weights.d", "onsite_floor_prefactors.D",
+                     "onsite_floor_prefactors.d", "check_area", "enumerate_directed",
+                     "series_coefficients", "enumerate_toric", "verify_decomposition",
+                     "variance_scan.n_samples", "variance_scan.workers",
+                     "mc_second_moment.n_samples")
+
 
 def _ids(module, *names):
     return tuple(f"tests/{module}.py::{name}" for name in names)
@@ -165,16 +174,26 @@ MUTANTS = (
            _ids("test_polyomino", "test_gf_reference_value",
                 "test_gf_keeps_its_leading_term_at_small_q",
                 "test_gf_matches_truncated_series_with_tail_bound")),
-    Mutant("area_accepts_bool", "src/tnlab/polyomino.py",
-           "if isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)):",
-           "if not isinstance(m_max, (int, np.integer)):",
-           _ids("test_polyomino", *(f"test_sizes_that_are_not_integers_rejected[{f}-True]"
-                                    for f in ("enumerate_directed", "series_coefficients")))),
-    Mutant("torus_side_accepts_bool", "src/tnlab/polyomino.py",
-           "if isinstance(L, bool) or not isinstance(L, (int, np.integer)):",
-           "if not isinstance(L, (int, np.integer)):",
-           _ids("test_polyomino", *(f"test_sizes_that_are_not_integers_rejected[{f}-True]"
-                                    for f in ("enumerate_toric", "verify_decomposition")))),
+    Mutant("integer_accepts_bool", "src/tnlab/errors.py",
+           "isinstance(value, Integral) and not isinstance(value, bool)",
+           "isinstance(value, Integral)",
+           _ids("test_errors", *(f"test_every_integer_argument_takes_numpy_integers_as_python_ints"
+                                 f"[{argument}]" for argument in INTEGER_ARGUMENTS),
+                "test_integer_is_a_python_int_at_least_the_minimum[True]")
+           + _ids("test_polyomino", *(f"test_sizes_that_are_not_integers_rejected[{f}-True]"
+                                      for f in ("enumerate_directed", "series_coefficients",
+                                                "enumerate_toric", "verify_decomposition")),
+                  "test_stats_rejects_cells_that_are_not_integer_pairs")
+           + _ids("test_spinmodel",
+                  *(f"test_spin_model_rejects_bad_input_before_allocating[{case}]"
+                    for case in ("norm-bool-D", "global-bool-d")))
+           + _ids("test_states", "test_load_state_rejects_non_integer_header_fields[D-True-6]",
+                  "test_local_expectation_rejects_boolean_site_coordinates")),
+    Mutant("integer_keeps_numpy_type", "src/tnlab/errors.py", "    value = int(value)\n", "",
+           _ids("test_errors", *(f"test_numpy_integer_lattices_are_refused_as_python_ones_before"
+                                 f"_any_draw[{run}-{dims}]"
+                                 for run in ("build_state", "mc_second_moment", "variance_scan")
+                                 for dims in ("bond_2**20", "sides_2**16")))),
 )
 
 

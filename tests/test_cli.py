@@ -149,7 +149,7 @@ def test_polyomino_command_on_the_one_cell_torus(tmp_path):
 
 @pytest.mark.parametrize("size, code, message", [
     ("2x3", 2, "needs square sizes"),
-    ("0x0", 2, "torus side must be at least 1, got L = 0"),
+    ("0x0", 2, "torus side must be at least 1, got 0"),
     ("5x5", 4, "toric enumeration capped at L = 4"),
 ])
 def test_polyomino_rejects_bad_sizes_before_enumerating(tmp_path, capsys, monkeypatch,

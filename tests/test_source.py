@@ -139,6 +139,38 @@ def test_only_the_cli_formats_results():
     assert found == []
 
 
+def private_reads(paths):
+    """The names private to one module that another reads, as "file: text": `from .x import _y`
+    and `x._y` for a module bound by `from . import x`."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+        modules = {alias.asname or alias.name for node in imports if node.module is None
+                   for alias in node.names}
+        found += [f"{path.name}: from .{node.module or ''} import {alias.name}"
+                  for node in imports for alias in node.names if alias.name.startswith("_")]
+        found += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a check that another module needs is public, as `network.check_contract` and
+    # `polyomino.check_area` are
+    assert SOURCES, "no library sources found"
+    assert private_reads(SOURCES) == []
+
+
+def test_the_private_name_scan_finds_both_forms(tmp_path):
+    path = tmp_path / "caller.py"
+    path.write_text("from . import network as net\nfrom .polyomino import _stats, stats\n\n"
+                    "def f(x):\n    return net._ring(x), net.contract(x), x._y\n")
+    assert private_reads([path]) == ["caller.py: from .polyomino import _stats",
+                                     "caller.py: net._ring"]
+
+
 # names kept for callers outside the package: the public API (`build_state`, one state
 # from one generator, is the chunk of one that the library itself no longer asks for),
 # and the two functions that benchmarks/spans.py wraps but no production path calls,

@@ -312,14 +312,14 @@ def _table_with(entry):
      "weight table must be real and finite"),
     (lambda: all_config_amplitudes(2, 2, _table_with(np.inf)), ValueError,
      "weight table must be real and finite"),
-    (lambda: norm_weights(1, 2), ValueError, "D and d must be >= 2"),
-    (lambda: global_loss_weights(2, 1), ValueError, "D and d must be >= 2"),
-    (lambda: norm_weights(2.5, 2), ValueError, "D and d must be >= 2 (integers, not bool)"),
-    (lambda: global_loss_weights(2, 2.0), ValueError, "D and d must be >= 2 (integers, not bool)"),
-    (lambda: norm_weights(True, 2), ValueError, "D and d must be >= 2 (integers, not bool)"),
-    (lambda: global_loss_weights(2, True), ValueError, "D and d must be >= 2 (integers, not bool)"),
+    (lambda: norm_weights(1, 2), ValueError, "D must be at least 2, got 1"),
+    (lambda: global_loss_weights(2, 1), ValueError, "d must be at least 2, got 1"),
+    (lambda: norm_weights(2.5, 2), ValueError, "D must be an integer, got 2.5"),
+    (lambda: global_loss_weights(2, 2.0), ValueError, "d must be an integer, got 2.0"),
+    (lambda: norm_weights(True, 2), ValueError, "D must be an integer, got True"),
+    (lambda: global_loss_weights(2, True), ValueError, "d must be an integer, got True"),
     (lambda: mc_second_moment(LatticeSpec(2, 2, 2, 2), 1, np.random.default_rng(0)),
-     ValueError, "need at least 2 samples"),
+     ValueError, "n_samples must be at least 2, got 1"),
     (lambda: all_config_amplitudes(2, 13, norm_weights(2, 2)), ResourceLimitError,
      "2**26 configurations exceed cap 33554432"),
 ], ids=["table-shape", "amplitudes-table-shape", "complex-table", "nan-table",
